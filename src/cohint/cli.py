@@ -61,13 +61,14 @@ def _strata_section(strat: Stratification) -> list[dict]:
     return rows
 
 
-def _bps_section(strat: Stratification, orbit: int | None = None) -> list[dict]:
+def _bps_section(strat: Stratification, spaces: dict[int, integrality.BpsSpace]) -> list[dict]:
+    """One row per orbit whose representative's BPS space is in spaces."""
     sections = []
     for k, members in enumerate(strat.orbits):
-        if orbit is not None and k != orbit:
-            continue
         s = strat.strata[members[0]]
-        space = integrality.bps_space(strat, s)
+        if s.index not in spaces:
+            continue
+        space = spaces[s.index]
         eps = integrality.epsilon(strat, s)
         sections.append(
             {
@@ -86,10 +87,11 @@ def _bps_section(strat: Stratification, orbit: int | None = None) -> list[dict]:
     return sections
 
 
-def _verify_section(strat: Stratification, max_degree: int) -> tuple[dict, bool]:
-    cache = integrality.bps_by_orbit(strat)
-    hilbert = integrality.verify_hilbert(strat, max_degree, cache)
-    iso = integrality.verify_isomorphism(strat, max_degree, cache)
+def _verify_section(
+    strat: Stratification, max_degree: int, spaces: dict[int, integrality.BpsSpace]
+) -> tuple[dict, bool]:
+    hilbert = integrality.verify_hilbert(strat, max_degree, spaces)
+    iso = integrality.verify_isomorphism(strat, max_degree, spaces)
     assoc = integrality.verify_associativity(strat)
     section = {
         "hilbert": [
@@ -159,8 +161,13 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
             raise InputError(
                 f"orbit index {orbit} out of range (input has {len(strat.orbits)} orbits)"
             )
+        if orbit is None:
+            spaces = integrality.bps_by_orbit(strat)
+        else:
+            s = strat.strata[strat.orbits[orbit][0]]
+            spaces = {s.index: integrality.bps_space(strat, s)}
         report["strata"] = _strata_section(strat)
-        report["bps"] = _bps_section(strat, orbit)
+        report["bps"] = _bps_section(strat, spaces)
         report["status"] = "ok"
         return report, EXIT_OK
 
@@ -177,8 +184,9 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
 
     if command == "verify":
         report["max_degree"] = degree
-        report["bps"] = _bps_section(strat)
-        section, passed = _verify_section(strat, degree)
+        spaces = integrality.bps_by_orbit(strat)
+        report["bps"] = _bps_section(strat, spaces)
+        section, passed = _verify_section(strat, degree, spaces)
         report["verification"] = section
         report["status"] = "ok" if passed else "verification_failed"
         return report, EXIT_OK if passed else EXIT_VERIFICATION

@@ -7,9 +7,11 @@ row-echelon bases and their pivots are reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalCheckError
@@ -271,35 +273,51 @@ class KernelForm:
         )
 
 
+def _normalised(form: Sequence) -> tuple[tuple[int, ...], Fraction]:
+    """(key, c) with form == c * key, where key is the primitive integer vector
+    with positive first nonzero entry, so forms equal up to a nonzero multiple
+    share one key."""
+    coeffs = [Fraction(x) for x in form]
+    lead = next((x for x in coeffs if x), None)
+    if lead is None:
+        raise InputError("cannot divide by the zero form")
+    c = Fraction(gcd(*(x.numerator for x in coeffs)), lcm(*(x.denominator for x in coeffs)))
+    if lead < 0:
+        c = -c
+    return tuple(int(x / c) for x in coeffs), c
+
+
 def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement]) -> Poly:
-    """sum_w w(f * k) over the coset representatives, by clearing the common
-    denominator and dividing each linear factor back out exactly."""
+    """sum_w w(f * k) over the coset representatives, by clearing the least
+    common denominator of the distinct linear forms and dividing each of its
+    factors back out exactly."""
     n = f.nvars
-    numerators = []
-    denominators = []
+    terms = []
+    common: Counter = Counter()
     for w in cosets:
         term = substitute(w, f)
         for a in k.numerator:
             term = term * Poly.linear(mat_vec(w.matrix, a))
-        numerators.append(term)
-        denominators.append([mat_vec(w.matrix, b) for b in k.denominator])
+        factors: Counter = Counter()
+        scale = Fraction(1)
+        for b in k.denominator:
+            key, c = _normalised(mat_vec(w.matrix, b))
+            factors[key] += 1
+            scale *= c
+        common |= factors
+        terms.append((term, factors, scale))
     total = Poly.zero(n)
-    for i, base in enumerate(numerators):
-        term = base
-        for j, forms in enumerate(denominators):
-            if i == j:
-                continue
-            for d in forms:
-                term = term * Poly.linear(d)
-        total = total + term
-    for forms in denominators:
-        for d in forms:
-            try:
-                total = exact_divide(total, d)
-            except ExactDivisionError as exc:
-                raise InternalCheckError(
-                    f"kernel sum is not polynomial: {exc}"
-                ) from exc
+    for term, factors, scale in terms:
+        for key in (common - factors).elements():
+            term = term * Poly.linear(key)
+        total = total + term.scaled(1 / scale)
+    for key in common.elements():
+        try:
+            total = exact_divide(total, key)
+        except ExactDivisionError as exc:
+            raise InternalCheckError(
+                f"kernel sum is not polynomial: {exc}"
+            ) from exc
     return total.scaled(k.scalar)
 
 
@@ -325,9 +343,10 @@ class GradedBasis:
 
     def coordinates(self, f: Poly):
         """Coordinates of f in this basis, or None when f is outside the span."""
-        vec = list(f.coefficient_vector(self.monomials))
-        if any(c for m, c in f.terms.items() if m not in set(self.monomials)):
+        monomials = set(self.monomials)
+        if any(c for m, c in f.terms.items() if m not in monomials):
             return None
+        vec = list(f.coefficient_vector(self.monomials))
         coords = [Fraction(0)] * len(self.rows)
         for i, p in enumerate(self.pivots):
             c = vec[p]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cohint import InputError, catalog_emit, catalog_keys, parse_input
+from cohint import InputError, catalog_emit, catalog_keys, enumerate_strata, parse_input
 from cohint.cli import EXIT_OK, EXIT_VALIDATION, main, run
 from cohint.documents import document_from_dict
 
@@ -232,3 +232,22 @@ class TestMain:
     def test_report_roundtrips_through_json(self):
         report, _ = run("bps", catalog_emit("gl2-cotangent"))
         assert json.loads(json.dumps(report)) == report
+
+    def test_each_bps_space_is_built_once(self, monkeypatch):
+        from cohint import integrality
+
+        built = []
+        bps_space = integrality.bps_space
+
+        def counting(strat, stratum):
+            built.append(stratum.index)
+            return bps_space(strat, stratum)
+
+        monkeypatch.setattr(integrality, "bps_space", counting)
+        doc = catalog_emit("gl2-cotangent")
+        strat = enumerate_strata(doc.group_data(), doc.rep_data())
+        assert main(["verify", "--catalog", "gl2-cotangent"]) == EXIT_OK
+        assert len(built) == len(strat.orbits)
+        built.clear()
+        assert main(["bps", "--catalog", "gl2-cotangent", "--orbit", "0"]) == EXIT_OK
+        assert built == [strat.orbits[0][0]]

@@ -14,10 +14,11 @@ from cohint import (
     invariant_basis,
     kernel_sum,
     orthogonal_complement,
+    polyalg,
     rref_span,
     substitute,
 )
-from cohint.matrices import dot
+from cohint.matrices import dot, mat_vec
 from cohint.polyalg import ExactDivisionError, average_over, monomials_of_degree, poly_inner
 
 SWAP = ((0, 1), (1, 0))
@@ -150,21 +151,66 @@ class TestKernelSum:
     def test_evaluation_oracle(self):
         k = KernelForm(((1, 0),), ((1, -1),))
         f = x(0) ** 2 + (x(0) * x(1)).scaled(3)
-        result = kernel_sum(f, k, S2.elements)
-        supports = ((1, 0), (0, 1), (1, -1))
-        points = []
-        t = 2
-        while len(points) < 5:
-            pt = (1, t)
-            if all(dot(pt, u) != 0 for u in supports):
-                points.append(pt)
-            t += 1
-        for pt in points:
-            direct = Fraction(0)
-            for w in S2.elements:
-                moved = k.transformed(w)
-                direct += substitute(w, f).evaluate(pt) * moved.evaluate(pt)
-            assert result.evaluate(pt) == direct
+        assert_matches_direct_sum(f, k, S2.elements)
+
+    def test_forms_equal_up_to_a_scalar_share_one_factor(self, monkeypatch):
+        # the swap sends 2x1 - 2x2 to -2x1 + 2x2: one factor x1 - x2 with
+        # scalars 2 and -2, so the common denominator has degree 1, not 2
+        divisors = []
+        divide = polyalg.exact_divide
+
+        def recording(f, ell):
+            divisors.append(tuple(ell))
+            return divide(f, ell)
+
+        monkeypatch.setattr(polyalg, "exact_divide", recording)
+        k = KernelForm(((1, 0),), ((2, -2),), Fraction(3, 5))
+        f = x(0) ** 2 + (x(0) * x(1)).scaled(3)
+        assert_matches_direct_sum(f, k, S2.elements)
+        assert divisors == [(1, -1)]
+
+    def test_rational_denominator_form(self):
+        k = KernelForm(((0, 1),), ((Fraction(1, 2), Fraction(-3, 4)),))
+        f = x(0) ** 2 - x(1) ** 2
+        ident = S2.subgroup([S2.identity_index])
+        with pytest.raises(InternalCheckError):
+            kernel_sum(f, k, ident.elements())
+        g = f * Poly.linear((2, -3))
+        assert_matches_direct_sum(g, k, ident.elements())
+
+    def test_repeated_form_needs_its_multiplicity(self):
+        # (x1 - x2) twice in every coset's denominator: the common denominator
+        # is (x1 - x2)^2, and the sum is polynomial only after both divisions
+        k = KernelForm(((1, -1), (1, 0)), ((1, -1), (-1, 1)))
+        f = x(0) ** 3 + (x(0) * x(1)).scaled(Fraction(1, 2))
+        assert_matches_direct_sum(f, k, S2.elements)
+        assert kernel_sum(Poly.constant(2, 1), k, S2.elements) == Poly.constant(2, -1)
+
+    def test_distinct_forms_across_cosets(self):
+        s3 = enumerate_group((((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+                              ((1, 0, 0), (0, 0, 1), (0, 1, 0))), 3)
+        k = KernelForm(((1, 0, 0), (0, 1, 0)), ((2, -2, 0), (1, 0, -1)))
+        f = Poly.linear((1, 2, 0)) ** 2
+        assert_matches_direct_sum(f, k, s3.elements)
+
+
+def assert_matches_direct_sum(f, k, cosets, count=6):
+    """kernel_sum agrees with the exact value of sum_w w(f * k) at generic points."""
+    result = kernel_sum(f, k, cosets)
+    forms = [mat_vec(w.matrix, b) for w in cosets for b in k.denominator]
+    points = []
+    t = 2
+    while len(points) < count:
+        pt = tuple(t ** i for i in range(f.nvars))
+        if all(dot(pt, u) != 0 for u in forms):
+            points.append(pt)
+        t += 1
+    for pt in points:
+        direct = sum(
+            (substitute(w, f).evaluate(pt) * k.transformed(w).evaluate(pt) for w in cosets),
+            Fraction(0),
+        )
+        assert result.evaluate(pt) == direct
 
 
 class TestRrefSpan:
