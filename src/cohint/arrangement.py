@@ -25,12 +25,12 @@ from .lattice import (
     symmetry_class,
     DEFAULT_GROUP_CAP,
 )
-from .matrices import IntMatrix, dot, hnf, int_kernel, saturate_span
+from .matrices import IntMatrix, dot, int_kernel, saturate_span
 from .weyl import (
     Subgroup,
     WeylGroup,
-    cochar_action,
     enumerate_group,
+    permutation_action,
     point_stabilizer,
     set_stabilizer,
 )
@@ -105,32 +105,42 @@ def representative_cocharacter(
 ) -> Cocharacter:
     """Deterministic generic integer point of the flat: coefficients
     (1, M, M^2, ...) over the basis rows for growing M.  The zero flat gets
-    the zero cocharacter."""
+    the zero cocharacter.
+
+    A support not vanishing on the flat pairs with the point to a nonzero
+    polynomial in M of degree at most k - 1, so at most 1 + (k - 1) * |outside|
+    values of M are tried."""
     if not flat.basis:
         if rank is None:
             raise InputError("the zero flat needs an explicit rank")
         return (0,) * rank
     n = len(flat.basis[0])
     k = len(flat.basis)
-    outside = [u for u in nonzero_supports if u not in set(zero_supports)]
-    m = 1
-    while True:
+    zero = set(zero_supports)
+    outside = [u for u in nonzero_supports if u not in zero]
+    for m in range(1, 2 + (k - 1) * len(outside)):
         lam = tuple(
             sum(m**i * flat.basis[i][j] for i in range(k)) for j in range(n)
         )
         if all(dot(lam, u) != 0 for u in outside):
             return lam
-        m += 1
+    raise InternalCheckError(
+        f"no generic point on the flat with basis {flat.basis}: "
+        "a support outside the zero set vanishes on it"
+    )
 
 
 def align_representative(child: Stratum, parent_rep: Cocharacter, supports) -> Cocharacter:
     """Representative of the child's class whose pairings agree in sign with
-    parent_rep wherever parent_rep does not vanish (child + b * parent search)."""
+    parent_rep wherever parent_rep does not vanish (child + b * parent search).
+    Any b above max |<child.rep, u>| works, so b runs over powers of two up to
+    twice that plus two."""
     base = child.rep
     if not any(parent_rep):
         return base
+    bound = 2 * max((abs(dot(base, u)) for u in supports), default=0) + 2
     b = 1
-    while True:
+    while b <= bound:
         nu = tuple(x + b * y for x, y in zip(base, parent_rep))
         ok = True
         for u in supports:
@@ -144,6 +154,9 @@ def align_representative(child: Stratum, parent_rep: Cocharacter, supports) -> C
         if ok:
             return nu
         b *= 2
+    raise InternalCheckError(
+        f"no aligned representative of {base} along {parent_rep} up to b = {bound}"
+    )
 
 
 def with_representative(strat: Stratification, stratum: Stratum, rep: Cocharacter) -> Stratum:
@@ -159,12 +172,19 @@ def with_representative(strat: Stratification, stratum: Stratum, rep: Cocharacte
 
 def generic_points(supports, n: int, count: int, start: int = 2):
     """Deterministic rational points (1, t, t^2, ...) avoiding all the given
-    weight hyperplanes; used for evaluation oracles."""
+    weight hyperplanes; used for evaluation oracles.  Each nonzero support
+    vanishes at no more than n - 1 values of t, which bounds the search."""
+    supports = [u for u in supports if any(u)]
+    bound = start + count + (n - 1) * len(supports)
     points = []
     t = start
     while len(points) < count:
+        if t == bound:
+            raise InternalCheckError(
+                f"found {len(points)} of {count} generic points avoiding the supports {supports}"
+            )
         pt = tuple(t**i for i in range(n))
-        if all(dot(pt, u) != 0 for u in supports if any(u)):
+        if all(dot(pt, u) != 0 for u in supports):
             points.append(pt)
         t += 1
     return tuple(points)
@@ -242,36 +262,43 @@ def enumerate_strata(
         raise InternalCheckError("the stratum order does not have a unique maximum")
     top_index = maxima[0]
 
-    index_of = {s.flat.basis: s.index for s in strata}
+    # One permutation of the weights per element: a stratum is determined by
+    # the indices of its zero supports, and its image under w has the image
+    # indices as zero supports.
+    points = tuple(sorted(set(all_v) | set(all_g)))
+    action = permutation_action(weyl, points)
+    point_index = {p: i for i, p in enumerate(points)}
+    zero_sets = [
+        (frozenset(point_index[w] for w in s.zero_v), frozenset(point_index[w] for w in s.zero_g))
+        for s in strata
+    ]
+    keys = [zv | zg for zv, zg in zero_sets]
+    index_of = {key: i for i, key in enumerate(keys)}
+
+    # Orbits under the generators are orbits under the group, and generators
+    # that permute the strata make the whole group permute them.
     orbit_of = [-1] * count
     orbits = []
     for i in range(count):
         if orbit_of[i] >= 0:
             continue
-        members = set()
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            if j in members:
-                continue
-            members.add(j)
-            for w in weyl.elements:
-                image = hnf([cochar_action(w, b) for b in strata[j].flat.basis])
-                k = index_of.get(image)
+        orbit_of[i] = len(orbits)
+        members = [i]
+        for j in members:
+            for g in weyl.generators:
+                k = index_of.get(frozenset(action[g][p] for p in keys[j]))
                 if k is None:
                     raise InternalCheckError("the group action does not permute the strata")
-                if k not in members:
-                    frontier.append(k)
-        orbit = tuple(sorted(members))
-        for j in orbit:
-            orbit_of[j] = len(orbits)
-        orbits.append(orbit)
+                if orbit_of[k] < 0:
+                    orbit_of[k] = len(orbits)
+                    members.append(k)
+        orbits.append(tuple(sorted(members)))
 
     point_stabs = []
     set_stabs = []
-    for s in strata:
+    for s, zero_set in zip(strata, zero_sets):
         ps = point_stabilizer(weyl, s.rep)
-        ss = set_stabilizer(weyl, (s.zero_v, s.zero_g))
+        ss = set_stabilizer(weyl, action, zero_set)
         if not set(ps.members) <= set(ss.members):
             raise InternalCheckError("pointwise stabilizer is not inside the setwise stabilizer")
         point_stabs.append(ps)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import integrality
@@ -274,14 +275,12 @@ def main(argv=None) -> int:
             parser.error("exactly one of --input or --catalog is required")
         if args.input:
             with open(args.input, "r", encoding="utf-8") as handle:
-                doc = parse_input(handle.read())
+                doc = parse_input(handle.read(), args.group_cap)
         else:
             doc = catalog_emit(args.catalog)
-        if args.group_cap is not None:
-            from dataclasses import replace
-
-            doc = replace(doc, group_cap=args.group_cap)
-            doc.group_data().validate(doc.group_cap)
+            if args.group_cap is not None:
+                doc = replace(doc, group_cap=args.group_cap)
+                doc.group_data().validate(doc.group_cap)
         report, code = run(
             args.command, doc, max_degree=args.max_degree, orbit=args.orbit
         )

@@ -4,7 +4,7 @@ construction of validated lattice data."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InputError
 from .lattice import (
@@ -130,18 +130,21 @@ def document_from_dict(raw: dict) -> InputDocument:
     )
 
 
-def parse_input(text: str) -> InputDocument:
+def parse_input(text: str, group_cap: int | None = None) -> InputDocument:
     """Parse and fully validate a JSON input document.
 
     Lattice invariants (generator invertibility, group finiteness within the
     cap, weight stability) are enforced here; weak symmetry is not, so that
-    classification itself can be reported downstream.
+    classification itself can be reported downstream.  A given group_cap
+    replaces the document's own before validation.
     """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
     doc = document_from_dict(raw)
+    if group_cap is not None:
+        doc = replace(doc, group_cap=group_cap)
     group = doc.group_data()
     group.validate(doc.group_cap)
     doc.rep_data().validate(group)

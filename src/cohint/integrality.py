@@ -154,7 +154,7 @@ def epsilon(
         raise InternalCheckError("kernel character is not 1 on the identity")
     for a in wl.members:
         for b in wl.members:
-            if values[strat.weyl.mul[a][b]] != values[a] * values[b]:
+            if values[strat.weyl.product(a, b)] != values[a] * values[b]:
                 raise InternalCheckError("kernel character is not multiplicative")
     return EpsilonCharacter(wl, values)
 

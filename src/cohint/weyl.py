@@ -14,6 +14,7 @@ from .matrices import (
     IntMatrix,
     QMatrix,
     det_one_minus_q,
+    dot,
     identity,
     int_inverse,
     mat_mul,
@@ -34,28 +35,25 @@ class WeylElement:
 
 
 class WeylGroup:
-    """Fully enumerated finite matrix group with multiplication tables.
+    """Fully enumerated finite matrix group.  A product is one matrix product
+    and an index lookup; each element's inverse is tracked by the closure.
 
     Elements are ordered by their matrix entries (flattened, lexicographic),
     which fixes every downstream basis and coset choice.
     """
 
-    def __init__(self, matrices: Sequence[IntMatrix], rank: int):
-        mats = sorted(set(matrices))
+    def __init__(
+        self, inverses: dict[IntMatrix, IntMatrix], rank: int, generators: Sequence[IntMatrix]
+    ):
+        mats = sorted(inverses)
         self.rank = rank
-        self.elements = tuple(
-            WeylElement(i, m, transpose(int_inverse(m))) for i, m in enumerate(mats)
-        )
         self._index = {m: i for i, m in enumerate(mats)}
-        self.identity_index = self._index[identity(rank)]
-        order = len(mats)
-        self.mul = tuple(
-            tuple(self._index[mat_mul(a, b)] for b in mats) for a in mats
+        self.elements = tuple(
+            WeylElement(i, m, transpose(inverses[m])) for i, m in enumerate(mats)
         )
-        inv = [0] * order
-        for i in range(order):
-            inv[i] = next(j for j in range(order) if self.mul[i][j] == self.identity_index)
-        self.inv = tuple(inv)
+        self.inv = tuple(self._index[inverses[m]] for m in mats)
+        self.identity_index = self._index[identity(rank)]
+        self.generators = tuple(self._index[g] for g in generators)
 
     @property
     def order(self) -> int:
@@ -65,7 +63,7 @@ class WeylGroup:
         return self.elements[i]
 
     def product(self, i: int, j: int) -> int:
-        return self.mul[i][j]
+        return self._index[mat_mul(self.elements[i].matrix, self.elements[j].matrix)]
 
     def subgroup(self, members) -> "Subgroup":
         return Subgroup(self, tuple(sorted(set(members))))
@@ -85,46 +83,40 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def contains(self, index: int) -> bool:
-        return index in set(self.members)
-
     def elements(self) -> tuple[WeylElement, ...]:
         return tuple(self.parent.elements[i] for i in self.members)
-
-    def is_closed(self) -> bool:
-        mset = set(self.members)
-        if self.parent.identity_index not in mset:
-            return False
-        return all(self.parent.mul[a][b] in mset for a in mset for b in mset)
 
 
 def enumerate_group(
     generators: Sequence[IntMatrix], rank: int, cap: int = DEFAULT_GROUP_CAP
 ) -> WeylGroup:
-    """Breadth-first closure of the generators; errors out past the cap."""
+    """Breadth-first closure of the generators; errors out past the cap.
+    The inverse of m*g is inv(g)*inv(m), so inverses cost one product each."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
+    gen_inverses = []
     for g in gens:
         try:
-            int_inverse(g)
+            gen_inverses.append(int_inverse(g))
         except ValueError as exc:
             raise InputError(f"generator {g} is not invertible over the integers") from exc
-    seen = {identity(rank)}
-    frontier = list(seen)
+    one = identity(rank)
+    inverses = {one: one}
+    frontier = [one]
     while frontier:
         new = []
         for m in frontier:
-            for g in gens:
+            for g, g_inv in zip(gens, gen_inverses):
                 prod = mat_mul(m, g)
-                if prod not in seen:
-                    seen.add(prod)
+                if prod not in inverses:
+                    inverses[prod] = mat_mul(g_inv, inverses[m])
                     new.append(prod)
-                    if len(seen) > cap:
+                    if len(inverses) > cap:
                         raise InputError(
                             f"group not finite within cap (cap={cap}); "
                             "check the generators or raise --group-cap"
                         )
         frontier = new
-    return WeylGroup(tuple(seen), rank)
+    return WeylGroup(inverses, rank, gens)
 
 
 def char_action(w: WeylElement, alpha: Weight) -> Weight:
@@ -136,26 +128,39 @@ def cochar_action(w: WeylElement, lam: Cocharacter) -> Cocharacter:
 
 
 def point_stabilizer(group: WeylGroup, lam: Cocharacter) -> Subgroup:
-    """Elements fixing the cocharacter lam."""
+    """Elements fixing the cocharacter lam, compared row by row so that most
+    elements are rejected after one row."""
     lam = tuple(lam)
     return group.subgroup(
-        w.index for w in group.elements if cochar_action(w, lam) == lam
+        w.index for w in group.elements
+        if all(dot(row, lam) == x for row, x in zip(w.cochar_matrix, lam))
     )
 
 
+def permutation_action(group: WeylGroup, points: Sequence[Weight]) -> tuple[tuple[int, ...], ...]:
+    """images[w][p]: the index in points of the character action of element w
+    on points[p].  The points must form a union of orbits."""
+    index = {p: i for i, p in enumerate(points)}
+    try:
+        return tuple(
+            tuple(index[char_action(w, p)] for p in points) for w in group.elements
+        )
+    except KeyError as exc:
+        raise InputError(
+            f"the group does not permute the weights: {exc.args[0]} is not among them"
+        ) from exc
+
+
 def set_stabilizer(
-    group: WeylGroup, zero_set: tuple[Sequence[Weight], Sequence[Weight]]
+    group: WeylGroup, action: Sequence[Sequence[int]], index_sets: Sequence[Sequence[int]]
 ) -> Subgroup:
-    """Elements mapping each of the two weight sets onto itself."""
-    zero_v, zero_g = (frozenset(map(tuple, s)) for s in zero_set)
-    members = []
-    for w in group.elements:
-        if (
-            frozenset(char_action(w, a) for a in zero_v) == zero_v
-            and frozenset(char_action(w, a) for a in zero_g) == zero_g
-        ):
-            members.append(w.index)
-    return group.subgroup(members)
+    """Elements whose permutation (a row of permutation_action) maps each of
+    the index sets onto itself."""
+    sets = [frozenset(s) for s in index_sets]
+    return group.subgroup(
+        w for w, images in enumerate(action)
+        if all(images[p] in s for s in sets for p in s)
+    )
 
 
 def coset_representatives(h: Subgroup, k: Subgroup) -> tuple[WeylElement, ...]:
@@ -174,7 +179,7 @@ def coset_representatives(h: Subgroup, k: Subgroup) -> tuple[WeylElement, ...]:
         if idx in assigned:
             continue
         reps.append(group.elements[idx])
-        assigned.update(group.mul[idx][j] for j in h.members)
+        assigned.update(group.product(idx, j) for j in h.members)
     return tuple(reps)
 
 

@@ -45,6 +45,30 @@ def verify_all(key: str, degree: int = 8):
     return _VERIFY[(key, degree)]
 
 
+def gl_document(n: int, kind: str, m: int, z: int) -> dict:
+    """gl_n acting by its adjoint, or on C^n + (C^n)*, as an input document."""
+    unit = [[int(k == i) for k in range(n)] for i in range(n)]
+    roots = [[a - b for a, b in zip(unit[i], unit[j])]
+             for i in range(n) for j in range(n) if i != j]
+    generators = []
+    for i in range(n - 1):
+        rows = [list(u) for u in unit]
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        generators.append(rows)
+    nonzero = roots if kind == "adjoint" else unit + [[-c for c in u] for u in unit]
+    v_weights = [{"alpha": w, "multiplicity": m} for w in nonzero]
+    if z:
+        v_weights.append({"alpha": [0] * n, "multiplicity": z})
+    return {
+        "name": f"gl{n}-{kind}-m{m}-z{z}",
+        "rank": n,
+        "weyl_generators": generators,
+        "g_weights": [{"alpha": [0] * n, "multiplicity": n}]
+        + [{"alpha": r, "multiplicity": 1} for r in roots],
+        "v_weights": v_weights,
+    }
+
+
 @pytest.fixture
 def gl2_strat():
     return build("gl2-cotangent")[1]

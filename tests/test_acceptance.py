@@ -207,7 +207,7 @@ def reflections(strat):
     for w in strat.weyl.elements:
         if w.matrix == ident:
             continue
-        if strat.weyl.mul[w.index][w.index] != strat.weyl.identity_index:
+        if strat.weyl.product(w.index, w.index) != strat.weyl.identity_index:
             continue
         delta = tuple(
             tuple(a - b for a, b in zip(row_w, row_i))

@@ -5,6 +5,7 @@ import pytest
 from cohint import (
     Flat,
     InputError,
+    InternalCheckError,
     align_representative,
     enumerate_strata,
     leq,
@@ -12,10 +13,12 @@ from cohint import (
     representative_cocharacter,
     with_representative,
 )
+from cohint.arrangement import generic_points
+from cohint.documents import document_from_dict
 from cohint.matrices import dot, hnf, int_kernel
-from cohint.weyl import char_action
+from cohint.weyl import char_action, cochar_action
 
-from conftest import build
+from conftest import build, gl_document
 
 RANK_LE_3 = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:4", "trivial:sl3", "adjoint:gl3")
 
@@ -77,6 +80,12 @@ class TestRepresentatives:
     def test_zero_flat(self, gl2_strat):
         assert gl2_strat.top.rep == (0, 0)
         assert representative_cocharacter(Flat(()), (), (), rank=2) == (0, 0)
+
+    def test_support_vanishing_off_the_zero_set_is_an_error(self):
+        # (0, 1) vanishes on the flat spanned by (1, 0) but is not listed as
+        # zero, so no point of the flat avoids it
+        with pytest.raises(InternalCheckError, match=r"\(\(1, 0\),\)"):
+            representative_cocharacter(Flat(((1, 0),)), [(0, 1)], [])
 
     def test_full_space_skips_non_generic_point(self, gl2_strat):
         # (1,1) lies on the root hyperplane, so the search must move on
@@ -163,6 +172,60 @@ class TestGroupActionOnStrata:
                 assert orbit[0] == min(orbit)
 
 
+def brute_force_orbits_and_stabilizers(strat):
+    """Orbits from the images of every element on the HNF flat bases, and
+    stabilizers from every element's action on the weights and cocharacters."""
+    index_of = {s.flat.basis: s.index for s in strat.strata}
+    orbits = set()
+    for s in strat.strata:
+        images = {
+            index_of[hnf([cochar_action(w, b) for b in s.flat.basis])]
+            for w in strat.weyl.elements
+        }
+        orbits.add(tuple(sorted(images)))
+    set_stabs, point_stabs = [], []
+    for s in strat.strata:
+        zero_v, zero_g = frozenset(s.zero_v), frozenset(s.zero_g)
+        set_stabs.append(tuple(
+            w.index for w in strat.weyl.elements
+            if frozenset(char_action(w, a) for a in zero_v) == zero_v
+            and frozenset(char_action(w, a) for a in zero_g) == zero_g
+        ))
+        point_stabs.append(tuple(
+            w.index for w in strat.weyl.elements if cochar_action(w, s.rep) == s.rep
+        ))
+    return sorted(orbits), set_stabs, point_stabs
+
+
+@pytest.mark.parametrize(
+    "spec, counts",
+    [(("adjoint", 1, 0), (15, 5)), (("cotangent", 1, 1), (52, 12))],
+    ids=["adjoint", "cotangent"],
+)
+class TestGl4PermutationAction:
+    """gl4 with the adjoint has the set partitions of 4 points as strata
+    (Bell number 15) and the partitions of 4 as orbits (5); on C^4 + (C^4)*
+    it has the set partitions of 5 points (52) and sum_{k<=4} p(k) = 12
+    orbits."""
+
+    @staticmethod
+    def stratify(spec):
+        doc = document_from_dict(gl_document(4, *spec))
+        return enumerate_strata(doc.group_data(), doc.rep_data())
+
+    def test_closed_form_counts(self, spec, counts):
+        strat = self.stratify(spec)
+        assert (len(strat.strata), len(strat.orbits)) == counts
+
+    def test_matches_the_brute_force_action(self, spec, counts):
+        strat = self.stratify(spec)
+        orbits, set_stabs, point_stabs = brute_force_orbits_and_stabilizers(strat)
+        assert list(strat.orbits) == orbits
+        assert [sub.members for sub in strat.set_stabilizers] == set_stabs
+        assert [sub.members for sub in strat.point_stabilizers] == point_stabs
+        for k, orbit in enumerate(strat.orbits):
+            assert all(strat.orbit_of[i] == k for i in orbit)
+
 class TestStabilizers:
     def test_point_inside_set_stabilizer(self):
         for key in RANK_LE_3:
@@ -226,6 +289,13 @@ class TestAlignRepresentative:
         assert dot(nu, (1, 0)) < 0
         assert dot(nu, (1, -1)) < 0
         assert dot(nu, (0, 1)) != 0
+
+    def test_generic_points_avoid_every_support(self, gl2_strat):
+        supports = gl2_strat.all_supports()
+        points = generic_points(supports, 2, 6)
+        assert len(set(points)) == 6
+        assert all(dot(pt, u) != 0 for pt in points for u in supports)
+        assert generic_points(supports, 2, 0) == ()
 
     def test_child_equal_parent_keeps_class(self, gl2_strat):
         axis = gl2_strat.strata[2]

@@ -217,6 +217,18 @@ class TestMain:
         code = main(["validate", "--catalog", "trivial:sl3", "--group-cap", "2"])
         assert code == EXIT_VALIDATION
 
+    def test_group_cap_flag_overrides_the_document_cap(self, tmp_path, capsys):
+        doc = catalog_emit("adjoint:gl3").to_dict()
+        doc["options"] = {"group_cap": 2}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path), "--group-cap", "100"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["weyl_order"] == 6
+        assert main(["validate", "--input", str(path)]) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert "group not finite within cap (cap=2)" in out["error"]
+        assert "raise --group-cap" in out["error"]
+
     def test_internal_assertion_exit_code(self, monkeypatch, capsys):
         from cohint import cli
         from cohint.errors import InternalCheckError

@@ -341,7 +341,7 @@ class TestBpsSpace:
         wl = gl2_strat.set_stabilizers[0]
         for a in wl.members:
             for b in wl.members:
-                ab = gl2_strat.weyl.mul[a][b]
+                ab = gl2_strat.weyl.product(a, b)
                 for p, basis in space.pieces.items():
                     if basis.dim == 0:
                         continue

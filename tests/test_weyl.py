@@ -12,13 +12,35 @@ from cohint import (
     point_stabilizer,
     set_stabilizer,
 )
-from cohint.matrices import identity, mat_mul, transpose
-from cohint.weyl import char_action, cochar_action
+from cohint.matrices import identity, int_inverse, mat_mul, transpose
+from cohint.weyl import char_action, cochar_action, permutation_action
 
 from conftest import build
 
 SWAP = ((0, 1), (1, 0))
-S3_RANK3 = (((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+
+
+def adjacent_transpositions(n: int):
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    gens = []
+    for i in range(n - 1):
+        rows = list(unit)
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        gens.append(tuple(rows))
+    return tuple(gens)
+
+
+S3_RANK3 = adjacent_transpositions(3)
+
+
+def stabilizer_of_zero_sets(strat, stratum):
+    """Setwise stabilizer of a stratum's two zero-sets, through the
+    permutation action on the sorted union of the weight supports."""
+    points = sorted(set(strat.rep.v_weights.supports()) | set(strat.group.g_weights.supports()))
+    index = {p: i for i, p in enumerate(points)}
+    action = permutation_action(strat.weyl, points)
+    zero_sets = ([index[w] for w in stratum.zero_v], [index[w] for w in stratum.zero_g])
+    return set_stabilizer(strat.weyl, action, zero_sets)
 
 
 class TestEnumerateGroup:
@@ -41,14 +63,41 @@ class TestEnumerateGroup:
         group = enumerate_group(S3_RANK3, 3)
         n = group.order
         for i in range(n):
-            assert group.mul[i][group.inv[i]] == group.identity_index
+            assert group.product(i, group.inv[i]) == group.identity_index
             for j in range(n):
-                assert 0 <= group.mul[i][j] < n
+                assert 0 <= group.product(i, j) < n
 
     def test_element_order_is_by_matrix_entries(self):
         group = enumerate_group((SWAP,), 2)
         mats = [w.matrix for w in group.elements]
         assert mats == sorted(mats)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+class TestTableFreeGroup:
+    def test_product_indexes_the_matrix_product(self, n):
+        group = enumerate_group(adjacent_transpositions(n), n)
+        assert group.order == (6 if n == 3 else 24)
+        for a in group.elements:
+            for b in group.elements:
+                ab = group.product(a.index, b.index)
+                assert group.elements[ab].matrix == mat_mul(a.matrix, b.matrix)
+
+    def test_inverse_gives_the_identity(self, n):
+        group = enumerate_group(adjacent_transpositions(n), n)
+        for i in range(group.order):
+            assert group.product(i, group.inv[i]) == group.identity_index
+            assert group.product(group.inv[i], i) == group.identity_index
+
+    def test_cochar_matrix_is_the_inverse_transpose(self, n):
+        group = enumerate_group(adjacent_transpositions(n), n)
+        for w in group.elements:
+            assert w.cochar_matrix == transpose(int_inverse(w.matrix))
+
+    def test_generators_index_the_generator_matrices(self, n):
+        gens = adjacent_transpositions(n)
+        group = enumerate_group(gens, n)
+        assert [group.elements[i].matrix for i in group.generators] == list(gens)
 
 
 class TestActions:
@@ -69,7 +118,7 @@ class TestActions:
         lam = (2, -5)
         for a in group.elements:
             for b in group.elements:
-                ab = group.elements[group.mul[a.index][b.index]]
+                ab = group.elements[group.product(a.index, b.index)]
                 assert cochar_action(ab, lam) == cochar_action(a, cochar_action(b, lam))
                 assert char_action(ab, lam) == char_action(a, char_action(b, lam))
 
@@ -88,19 +137,28 @@ class TestStabilizers:
         assert point_stabilizer(group, (1,)).order == 1
 
     def test_set_stabilizer_of_empty_zero_set(self, gl2_strat):
-        generic = gl2_strat.strata[0]
-        sub = set_stabilizer(gl2_strat.weyl, (generic.zero_v, generic.zero_g))
+        sub = stabilizer_of_zero_sets(gl2_strat, gl2_strat.strata[0])
         assert sub.order == 2
 
     def test_set_stabilizer_of_axis(self, gl2_strat):
-        axis = gl2_strat.strata[1]
-        sub = set_stabilizer(gl2_strat.weyl, (axis.zero_v, axis.zero_g))
+        sub = stabilizer_of_zero_sets(gl2_strat, gl2_strat.strata[1])
         assert sub.order == 1
 
     def test_set_stabilizer_of_top(self, gl2_strat):
-        top = gl2_strat.top
-        sub = set_stabilizer(gl2_strat.weyl, (top.zero_v, top.zero_g))
+        sub = stabilizer_of_zero_sets(gl2_strat, gl2_strat.top)
         assert sub.order == 2
+
+    def test_permutation_action_indexes_the_images(self, gl2_strat):
+        points = ((-1, 0), (0, -1), (0, 0), (1, 0), (0, 1))
+        action = permutation_action(gl2_strat.weyl, points)
+        for w, images in zip(gl2_strat.weyl.elements, action):
+            assert sorted(images) == list(range(len(points)))
+            for p, image in zip(points, images):
+                assert points[image] == char_action(w, p)
+
+    def test_permutation_action_needs_stable_points(self, gl2_strat):
+        with pytest.raises(InputError, match="does not permute"):
+            permutation_action(gl2_strat.weyl, ((1, 0),))
 
 
 class TestCosets:
@@ -119,7 +177,7 @@ class TestCosets:
         group = enumerate_group(S3_RANK3, 3)
         transposition = next(
             w for w in group.elements
-            if w.matrix != identity(3) and group.mul[w.index][w.index] == group.identity_index
+            if w.matrix != identity(3) and group.product(w.index, w.index) == group.identity_index
         )
         h = group.subgroup([group.identity_index, transposition.index])
         reps = coset_representatives(h, group.full_subgroup())
@@ -131,7 +189,7 @@ class TestCosets:
         other = next(
             w.index for w in group.elements
             if w.index != group.identity_index
-            and group.mul[w.index][w.index] == group.identity_index
+            and group.product(w.index, w.index) == group.identity_index
         )
         h = group.subgroup([group.identity_index, other])
         k = group.subgroup([group.identity_index])
@@ -142,10 +200,10 @@ class TestCosets:
         group = enumerate_group(S3_RANK3, 3)
         trans = [w.index for w in group.elements
                  if w.index != group.identity_index
-                 and group.mul[w.index][w.index] == group.identity_index]
+                 and group.product(w.index, w.index) == group.identity_index]
         h = group.subgroup([group.identity_index, trans[0]])
         reps = coset_representatives(h, group.full_subgroup())
-        covered = {group.mul[r.index][j] for r in reps for j in h.members}
+        covered = {group.product(r.index, j) for r in reps for j in h.members}
         assert covered == set(range(group.order))
 
 
