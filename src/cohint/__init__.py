@@ -20,13 +20,13 @@ from .integrality import (
     BpsSpace,
     EpsilonCharacter,
     InductionKernel,
-    bps_by_orbit,
     bps_space,
     epsilon,
     induct,
     isotypic_series,
     j_graded,
     kernel,
+    once,
     target_series,
     verify_associativity,
     verify_hilbert,

@@ -10,7 +10,7 @@ integer sublattices, so equality of strata is plain tuple equality.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import InputError, InternalCheckError
 from .lattice import (
     Cocharacter,
@@ -77,6 +77,9 @@ class Stratification:
     set_stabilizers: tuple[Subgroup, ...]
     u_bases: tuple[IntMatrix, ...]
     top_index: int
+    # Objects derived from this stratification, computed once each by
+    # integrality.once; it lives and dies with the stratification.
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def leq(self, i: int, j: int) -> bool:
         return self.order[i][j]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from fractions import Fraction
 
@@ -62,15 +63,14 @@ def _strata_section(strat: Stratification) -> list[dict]:
     return rows
 
 
-def _bps_section(strat: Stratification, spaces: dict[int, integrality.BpsSpace]) -> list[dict]:
-    """One row per orbit whose representative's BPS space is in spaces."""
+def _bps_section(strat: Stratification, orbits: Iterable[int]) -> list[dict]:
+    """One row per orbit index in orbits, from its representative's BPS space."""
     sections = []
-    for k, members in enumerate(strat.orbits):
+    for k in orbits:
+        members = strat.orbits[k]
         s = strat.strata[members[0]]
-        if s.index not in spaces:
-            continue
-        space = spaces[s.index]
-        eps = integrality.epsilon(strat, s)
+        space = integrality.once(strat, integrality.bps_space, s)
+        eps = integrality.once(strat, integrality.epsilon, s)
         sections.append(
             {
                 "orbit": k,
@@ -88,11 +88,9 @@ def _bps_section(strat: Stratification, spaces: dict[int, integrality.BpsSpace])
     return sections
 
 
-def _verify_section(
-    strat: Stratification, max_degree: int, spaces: dict[int, integrality.BpsSpace]
-) -> tuple[dict, bool]:
-    hilbert = integrality.verify_hilbert(strat, max_degree, spaces)
-    iso = integrality.verify_isomorphism(strat, max_degree, spaces)
+def _verify_section(strat: Stratification, max_degree: int) -> tuple[dict, bool]:
+    hilbert = integrality.verify_hilbert(strat, max_degree)
+    iso = integrality.verify_isomorphism(strat, max_degree)
     assoc = integrality.verify_associativity(strat)
     section = {
         "hilbert": [
@@ -128,6 +126,8 @@ def _verify_section(
 def run(command: str, document: InputDocument, *, max_degree: int | None = None,
         orbit: int | None = None) -> tuple[dict, int]:
     """Execute one command on a parsed document; returns (report, exit code)."""
+    if max_degree is not None and max_degree < 0:
+        raise InputError(f"max_degree: expected a nonnegative integer, got {max_degree}")
     report: dict = {"command": command, "input": document.to_dict()}
     group = document.group_data()
     rep = document.rep_data()
@@ -162,13 +162,9 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
             raise InputError(
                 f"orbit index {orbit} out of range (input has {len(strat.orbits)} orbits)"
             )
-        if orbit is None:
-            spaces = integrality.bps_by_orbit(strat)
-        else:
-            s = strat.strata[strat.orbits[orbit][0]]
-            spaces = {s.index: integrality.bps_space(strat, s)}
+        orbits = range(len(strat.orbits)) if orbit is None else [orbit]
         report["strata"] = _strata_section(strat)
-        report["bps"] = _bps_section(strat, spaces)
+        report["bps"] = _bps_section(strat, orbits)
         report["status"] = "ok"
         return report, EXIT_OK
 
@@ -185,9 +181,8 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
 
     if command == "verify":
         report["max_degree"] = degree
-        spaces = integrality.bps_by_orbit(strat)
-        report["bps"] = _bps_section(strat, spaces)
-        section, passed = _verify_section(strat, degree, spaces)
+        report["bps"] = _bps_section(strat, range(len(strat.orbits)))
+        section, passed = _verify_section(strat, degree)
         report["verification"] = section
         report["status"] = "ok" if passed else "verification_failed"
         return report, EXIT_OK if passed else EXIT_VERIFICATION
@@ -274,8 +269,12 @@ def main(argv=None) -> int:
         if bool(args.input) == bool(args.catalog):
             parser.error("exactly one of --input or --catalog is required")
         if args.input:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                doc = parse_input(handle.read(), args.group_cap)
+            try:
+                with open(args.input, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise InputError(f"cannot read --input {args.input}: {exc}") from exc
+            doc = parse_input(text, args.group_cap)
         else:
             doc = catalog_emit(args.catalog)
             if args.group_cap is not None:

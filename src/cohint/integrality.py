@@ -17,11 +17,12 @@ from .arrangement import (
 )
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, pairing
-from .matrices import mat_vec, restrict_action, det_one_minus_q, series_inverse
+from .matrices import mat_vec, nullspace, restrict_action, det_one_minus_q, series_inverse
 from .polyalg import (
     GradedBasis,
     KernelForm,
     Poly,
+    average_over,
     invariant_basis,
     kernel_sum,
     monomials_of_degree,
@@ -79,6 +80,22 @@ class BpsSpace:
         return {p: basis.dim for p, basis in self.pieces.items() if basis.dim}
 
 
+def once(strat: Stratification, builder, *args):
+    """builder(strat, *args), computed once per stratification: kept in
+    strat.memo under the builder and the argument values, not the stratum
+    index, which with_representative copies share.  Callers look the builder
+    up by its module-level name when they call, so a rebound one is used."""
+    key = (builder, *args)
+    if key not in strat.memo:
+        strat.memo[key] = builder(strat, *args)
+    return strat.memo[key]
+
+
+def _invariant_form(strat: Stratification):
+    """The Weyl-averaged invariant form, as a builder for once."""
+    return averaged_form(strat.weyl)
+
+
 def _zero_slice_forms(strat: Stratification, target: Stratum, mu_rep) -> tuple:
     """Linear forms of the kernel: negative-slice weights of the target's
     fixed data, with multiplicity, sliced by the source representative."""
@@ -114,26 +131,30 @@ def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> InductionKern
     return InductionKernel(mu, target, KernelForm(num, den, Fraction(1)))
 
 
-def induct(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
-    """Coset-sum induction of f from the class of mu into the target."""
+def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
+    """The source stabilizer inside the target's, its coset representatives
+    and the kernel form of the induction from the class of mu."""
     w_target = strat.point_stabilizers[target.index]
     stab = point_stabilizer(strat.weyl, mu.rep)
     h = strat.weyl.subgroup(set(stab.members) & set(w_target.members))
+    return h, coset_representatives(h, w_target), kernel(strat, mu, target).form
+
+
+def induct(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
+    """Coset-sum induction of f from the class of mu into the target."""
+    h, cosets, form = once(strat, _induction_data, mu, target)
     for w in h.elements():
         if substitute(w, f) != f:
             raise InputError(
                 "induction input must be invariant under the source stabilizer"
             )
-    cosets = coset_representatives(h, w_target)
-    return kernel_sum(f, kernel(strat, mu, target).form, cosets)
+    return kernel_sum(f, form, cosets)
 
 
-def epsilon(
-    strat: Stratification, stratum: Stratum, subgroup: Subgroup | None = None
-) -> EpsilonCharacter:
+def epsilon(strat: Stratification, stratum: Stratum) -> EpsilonCharacter:
     """Character by which the stratum stabilizer rescales the kernel,
     computed by exact evaluation at two generic points."""
-    wl = subgroup if subgroup is not None else strat.set_stabilizers[stratum.index]
+    wl = strat.set_stabilizers[stratum.index]
     form = kernel(strat, stratum, strat.top).form
     points = generic_points(strat.all_supports(), strat.group.rank, 2)
     values: dict[int, Fraction] = {}
@@ -188,7 +209,7 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
     """Graded BPS space of a stratum: the orthogonal complement of the induced
     submodule inside the reduced invariant ring, with its stabilizer action,
     DT table and Euler number."""
-    b = averaged_form(strat.weyl)
+    b = once(strat, _invariant_form)
     u_basis = strat.u_bases[stratum.index]
     levi = strat.point_stabilizers[stratum.index]
     wl = strat.set_stabilizers[stratum.index]
@@ -319,31 +340,24 @@ class AssociativityResult:
     passed: bool
 
 
-def bps_by_orbit(strat: Stratification) -> dict[int, BpsSpace]:
-    """BPS spaces of the orbit representatives, keyed by stratum index."""
-    return {s.index: bps_space(strat, s) for s in strat.orbit_representatives()}
-
-
 def target_series(strat: Stratification, cutoff: int) -> tuple[Fraction, ...]:
     """Graded dimensions of the full invariant ring of the Weyl group."""
     elements = [(w.matrix, Fraction(1)) for w in strat.weyl.elements]
     return molien_coefficients(elements, cutoff)
 
 
-def verify_hilbert(
-    strat: Stratification, cutoff: int, bps_cache: dict[int, BpsSpace] | None = None
-) -> HilbertResult:
+def verify_hilbert(strat: Stratification, cutoff: int) -> HilbertResult:
     """Degree-by-degree equality of the invariant-ring dimensions with the
     shifted isotypic series summed over the orbit representatives."""
     target = target_series(strat, cutoff)
-    cache = bps_cache if bps_cache is not None else bps_by_orbit(strat)
     totals = [Fraction(0)] * (cutoff + 1)
     for s in strat.orbit_representatives():
         r = s.dims.r_lambda
         if r > cutoff:
             continue
-        eps = epsilon(strat, s)
-        series = isotypic_series(strat, cache[s.index], eps, cutoff - r)
+        series = isotypic_series(
+            strat, once(strat, bps_space, s), once(strat, epsilon, s), cutoff - r
+        )
         for p in range(cutoff + 1):
             if p - r >= 0:
                 totals[p] += series[p - r]
@@ -369,46 +383,29 @@ def _flat_complement_forms(strat: Stratification, stratum: Stratum):
     """Forms spanning the invariant complement of the stratum's reduced
     variables; they realize the polynomial ring of the flat inside the
     ambient ring."""
-    from .matrices import nullspace
-
-    b = averaged_form(strat.weyl)
-    u_basis = strat.u_bases[stratum.index]
-    n = strat.group.rank
-    if not u_basis:
-        return tuple(tuple(row) for row in _identity_rows(n))
-    constraints = [mat_vec(b, u) for u in u_basis]
-    return nullspace(constraints, n)
+    b = once(strat, _invariant_form)
+    constraints = [mat_vec(b, u) for u in strat.u_bases[stratum.index]]
+    return nullspace(constraints, strat.group.rank)
 
 
-def _identity_rows(n: int):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def verify_isomorphism(
-    strat: Stratification, cutoff: int, bps_cache: dict[int, BpsSpace] | None = None
-) -> IsomorphismResult:
+def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
     """Push an isotypic basis of every orbit's BPS-times-flat summand through
     induction and test that the images form a basis of the invariant ring in
     each degree."""
     n = strat.group.rank
     target = target_series(strat, cutoff)
-    cache = bps_cache if bps_cache is not None else bps_by_orbit(strat)
-    reps = strat.orbit_representatives()
-    eps_by_index = {s.index: epsilon(strat, s) for s in reps}
-    flat_forms = {s.index: _flat_complement_forms(strat, s) for s in reps}
 
     rows = []
     for p in range(cutoff + 1):
         images = []
         domain_dim = 0
-        for s in reps:
+        for s in strat.orbit_representatives():
             m = p - s.dims.r_lambda
             if m < 0:
                 continue
-            bps = cache[s.index]
-            eps = eps_by_index[s.index]
-            forms = flat_forms[s.index]
-            form_polys = [Poly.linear(u) for u in forms]
+            bps = once(strat, bps_space, s)
+            eps = once(strat, epsilon, s)
+            form_polys = [Poly.linear(u) for u in once(strat, _flat_complement_forms, s)]
             for a, basis in bps.pieces.items():
                 if basis.dim == 0 or a > m:
                     continue
@@ -438,8 +435,6 @@ def verify_isomorphism(
 
 def _invariant_test_functions(strat, h: Subgroup, max_degree: int, limit: int = 3):
     """Deterministic list of subgroup-invariant polynomials of small degree."""
-    from .polyalg import average_over
-
     n = strat.group.rank
     out = [Poly.constant(n, 1)]
     for d in range(1, max_degree + 1):

@@ -1,48 +1,40 @@
-"""Shared builders: catalog inputs are expensive enough to cache per session."""
+"""Shared builders: catalog inputs are expensive enough to build once per
+session; everything derived from a stratification is memoised on it."""
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
 from cohint import catalog_emit, enumerate_strata
-from cohint.integrality import bps_by_orbit
+from cohint.integrality import (
+    bps_space,
+    once,
+    verify_associativity,
+    verify_hilbert,
+    verify_isomorphism,
+)
 
-_STRATS: dict = {}
-_BPS: dict = {}
-_VERIFY: dict = {}
 
-
+@functools.cache
 def build(key: str):
-    """(document, stratification) for a catalog key, cached."""
-    if key not in _STRATS:
-        doc = catalog_emit(key)
-        _STRATS[key] = (doc, enumerate_strata(doc.group_data(), doc.rep_data()))
-    return _STRATS[key]
+    """(document, stratification) for a catalog key."""
+    doc = catalog_emit(key)
+    return doc, enumerate_strata(doc.group_data(), doc.rep_data())
 
 
-def bps_cache(key: str):
-    if key not in _BPS:
-        _BPS[key] = bps_by_orbit(build(key)[1])
-    return _BPS[key]
+def bps_spaces(key: str):
+    """BPS spaces of the orbit representatives, keyed by stratum index."""
+    strat = build(key)[1]
+    return {s.index: once(strat, bps_space, s) for s in strat.orbit_representatives()}
 
 
-def verify_all(key: str, degree: int = 8):
-    """Cached (hilbert, isomorphism, associativity) ledgers for a catalog key."""
-    from cohint.integrality import (
-        verify_associativity,
-        verify_hilbert,
-        verify_isomorphism,
-    )
-
-    if (key, degree) not in _VERIFY:
-        _, strat = build(key)
-        cache = bps_cache(key)
-        _VERIFY[(key, degree)] = (
-            verify_hilbert(strat, degree, cache),
-            verify_isomorphism(strat, degree, cache),
-            verify_associativity(strat),
-        )
-    return _VERIFY[(key, degree)]
+@functools.cache
+def verify_all(key: str):
+    """(hilbert, isomorphism, associativity) ledgers of a catalog key to degree 8."""
+    strat = build(key)[1]
+    return verify_hilbert(strat, 8), verify_isomorphism(strat, 8), verify_associativity(strat)
 
 
 def gl_document(n: int, kind: str, m: int, z: int) -> dict:

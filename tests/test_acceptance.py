@@ -15,7 +15,7 @@ from cohint.arrangement import generic_points
 from cohint.matrices import identity, rref
 from cohint.weyl import point_stabilizer
 
-from conftest import bps_cache, build, verify_all
+from conftest import bps_spaces, build, verify_all
 from test_integrality import _j_dim_by_image_intersection
 
 ALL_KEYS = (
@@ -59,11 +59,11 @@ def check(label: str, ok: bool, detail: str = ""):
 
 def orbit_dims(key):
     """total BPS dimension per orbit representative stratum index"""
-    return {idx: space.total_dim for idx, space in bps_cache(key).items()}
+    return {idx: space.total_dim for idx, space in bps_spaces(key).items()}
 
 
-def ledgers_pass(key, degree=8):
-    hilbert, iso, assoc = verify_all(key, degree)
+def ledgers_pass(key):
+    hilbert, iso, assoc = verify_all(key)
     return hilbert.passed and iso.passed and assoc.passed
 
 
@@ -140,24 +140,24 @@ class TestGl2CopiesCriterion:
     def test_bps_dimensions(self, g):
         key = "gl2-cotangent" if g == 1 else f"gl2-cotangent:{g}"
         _, strat = build(key)
-        cache = bps_cache(key)
+        spaces = bps_spaces(key)
         top = strat.top_index
         axis = strat.orbits[strat.orbit_of[1]][0]
         expected_top = gaussian_binomial(g, 2)
         check(
             f"gl2^{g} top-stratum BPS = [{g} choose 2]_q = {expected_top}",
-            cache[top].piece_dims() == expected_top,
-            f"got {cache[top].piece_dims()}",
+            spaces[top].piece_dims() == expected_top,
+            f"got {spaces[top].piece_dims()}",
         )
         expected_axis = gaussian_binomial(g, 1)
         check(
             f"gl2^{g} axis BPS = [{g} choose 1]_q = {expected_axis}",
-            cache[axis].piece_dims() == expected_axis,
-            f"got {cache[axis].piece_dims()}",
+            spaces[axis].piece_dims() == expected_axis,
+            f"got {spaces[axis].piece_dims()}",
         )
-        check(f"gl2^{g} axis BPS dim == g", cache[axis].total_dim == g)
-        check(f"gl2^{g} dense BPS dim == 1", cache[0].total_dim == 1)
-        check(f"gl2^{g} diagonal BPS dim == 0", cache[3].total_dim == 0)
+        check(f"gl2^{g} axis BPS dim == g", spaces[axis].total_dim == g)
+        check(f"gl2^{g} dense BPS dim == 1", spaces[0].total_dim == 1)
+        check(f"gl2^{g} diagonal BPS dim == 0", spaces[3].total_dim == 0)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_verification_to_degree_eight(self, g):
@@ -172,11 +172,11 @@ class TestSl2IrrepCriterion:
     def test_bps_dimensions(self, d):
         key = f"sl2-irrep:{d}"
         _, strat = build(key)
-        cache = bps_cache(key)
-        check(f"sl2-irrep:{d} dense BPS dim == 1", cache[0].total_dim == 1)
+        spaces = bps_spaces(key)
+        check(f"sl2-irrep:{d} dense BPS dim == 1", spaces[0].total_dim == 1)
         cutoff = d // 2 - 1
         expected = {p: 1 for p in range(0, max(cutoff, 0)) if p % 2 == 0 and 2 * p < 2 * cutoff}
-        got = cache[strat.top_index].piece_dims()
+        got = spaces[strat.top_index].piece_dims()
         ok = got == expected and sum(got.values()) == self.EXPECTED_TOP_TOTALS[d]
         check(
             f"sl2-irrep:{d} top BPS truncated below cohomological degree {2 * cutoff}",

@@ -207,6 +207,28 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "validation_failed"
 
+    @pytest.mark.parametrize("make", ["missing", "directory", "not-utf8"])
+    def test_unreadable_input_is_a_validation_failure(self, make, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        if make == "directory":
+            path.mkdir()
+        elif make == "not-utf8":
+            path.write_bytes(b"\xff\xfe")
+        assert main(["strata", "--input", str(path)]) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "validation_failed"
+        assert str(path) in out["error"]
+
+    @pytest.mark.parametrize("command", ["verify", "molien"])
+    def test_negative_max_degree_is_rejected(self, command, capsys):
+        argv = [command, "--catalog", "adjoint:gl2", "--max-degree", "-1"]
+        assert main(argv) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "validation_failed"
+        assert out["error"].startswith("max_degree:")
+        with pytest.raises(InputError, match="max_degree"):
+            run(command, catalog_emit("adjoint:gl2"), max_degree=-1)
+
     def test_text_format(self, capsys):
         assert main(["strata", "--catalog", "torus2-cotangent", "--format", "text"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -248,18 +270,31 @@ class TestMain:
     def test_each_bps_space_is_built_once(self, monkeypatch):
         from cohint import integrality
 
-        built = []
-        bps_space = integrality.bps_space
+        built, signs, forms = [], [], []
+        bps_space, epsilon = integrality.bps_space, integrality.epsilon
+        averaged_form = integrality.averaged_form
 
         def counting(strat, stratum):
             built.append(stratum.index)
             return bps_space(strat, stratum)
 
+        def counting_epsilon(strat, stratum):
+            signs.append(stratum.index)
+            return epsilon(strat, stratum)
+
+        def counting_form(group):
+            forms.append(group.order)
+            return averaged_form(group)
+
         monkeypatch.setattr(integrality, "bps_space", counting)
+        monkeypatch.setattr(integrality, "epsilon", counting_epsilon)
+        monkeypatch.setattr(integrality, "averaged_form", counting_form)
         doc = catalog_emit("gl2-cotangent")
         strat = enumerate_strata(doc.group_data(), doc.rep_data())
         assert main(["verify", "--catalog", "gl2-cotangent"]) == EXIT_OK
         assert len(built) == len(strat.orbits)
+        assert sorted(signs) == sorted(members[0] for members in strat.orbits)
+        assert len(forms) == 1
         built.clear()
         assert main(["bps", "--catalog", "gl2-cotangent", "--orbit", "0"]) == EXIT_OK
         assert built == [strat.orbits[0][0]]

@@ -15,7 +15,7 @@ from cohint.arrangement import generic_points
 from cohint.polyalg import monomials_of_degree
 from cohint.weyl import point_stabilizer
 
-from conftest import bps_cache, build
+from conftest import bps_spaces, build
 
 RANK2_KEYS = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:5", "sl2-adjoint:2", "trivial:sl3")
 
@@ -290,44 +290,44 @@ def _j_dim_by_image_intersection(strat, stratum, p):
 
 class TestBpsSpace:
     def test_gl2_dimensions(self, gl2_strat):
-        cache = bps_cache("gl2-cotangent")
+        spaces = bps_spaces("gl2-cotangent")
         # top and diagonal vanish, the axis orbit and the dense stratum carry a line
-        assert cache[0].total_dim == 1
-        assert cache[1].total_dim == 1
-        assert cache[3].total_dim == 0
-        assert cache[4].total_dim == 0
+        assert spaces[0].total_dim == 1
+        assert spaces[1].total_dim == 1
+        assert spaces[3].total_dim == 0
+        assert spaces[4].total_dim == 0
 
     def test_gl2_dt_tables(self, gl2_strat):
-        cache = bps_cache("gl2-cotangent")
-        assert cache[0].dt_table == {2: 1}
-        assert cache[1].dt_table == {0: 1}
-        assert cache[0].euler == 1
+        spaces = bps_spaces("gl2-cotangent")
+        assert spaces[0].dt_table == {2: 1}
+        assert spaces[1].dt_table == {0: 1}
+        assert spaces[0].euler == 1
 
     def test_sl2_irrep4(self):
-        cache = bps_cache("sl2-irrep:4")
-        assert cache[0].total_dim == 1  # dense stratum
-        assert cache[1].piece_dims() == {0: 1}  # everything-fixed stratum
+        spaces = bps_spaces("sl2-irrep:4")
+        assert spaces[0].total_dim == 1  # dense stratum
+        assert spaces[1].piece_dims() == {0: 1}  # everything-fixed stratum
 
     def test_euler_stays_integral_at_negative_shifted_degrees(self):
-        cache = bps_cache("sl2-irrep:5")
+        spaces = bps_spaces("sl2-irrep:5")
         _, strat = build("sl2-irrep:5")
-        top = cache[strat.top_index]
+        top = spaces[strat.top_index]
         assert top.dt_table == {-2: 1}
         assert top.euler == 1 and isinstance(top.euler, int)
 
     def test_adjoint_concentrates_on_dense_stratum(self):
         for key in ("adjoint:gl2", "adjoint:gl3"):
             _, strat = build(key)
-            cache = bps_cache(key)
+            spaces = bps_spaces(key)
             for s in strat.orbit_representatives():
                 expected = 1 if s.index == 0 else 0
-                assert cache[s.index].total_dim == expected
+                assert spaces[s.index].total_dim == expected
 
     def test_shifted_degrees_within_bounds(self):
         for key in RANK2_KEYS:
             _, strat = build(key)
             for s in strat.orbit_representatives():
-                space = bps_cache(key)[s.index]
+                space = bps_spaces(key)[s.index]
                 low = s.dims.dim_g_fixed - s.dims.dim_v_fixed
                 high = s.dims.dim_g_fixed
                 for i in space.dt_table:
@@ -337,7 +337,7 @@ class TestBpsSpace:
         from cohint.matrices import mat_mul
 
         # rows hold image coordinates, so composition reverses the order
-        space = bps_cache("gl2-cotangent")[0]
+        space = bps_spaces("gl2-cotangent")[0]
         wl = gl2_strat.set_stabilizers[0]
         for a in wl.members:
             for b in wl.members:
@@ -352,19 +352,19 @@ class TestBpsSpace:
 
 class TestIsotypicSeries:
     def test_gl2_generic_sign_isotypic(self, gl2_strat):
-        space = bps_cache("gl2-cotangent")[0]
+        space = bps_spaces("gl2-cotangent")[0]
         eps = I.epsilon(gl2_strat, gl2_strat.strata[0])
         series = I.isotypic_series(gl2_strat, space, eps, 5)
         assert series == tuple(Fraction(c) for c in (0, 1, 1, 2, 2, 3))
 
     def test_gl2_axis_free_line(self, gl2_strat):
-        space = bps_cache("gl2-cotangent")[1]
+        space = bps_spaces("gl2-cotangent")[1]
         eps = I.epsilon(gl2_strat, gl2_strat.strata[1])
         series = I.isotypic_series(gl2_strat, space, eps, 4)
         assert series == tuple(Fraction(1) for _ in range(5))
 
     def test_zero_space_gives_zero_series(self, gl2_strat):
-        space = bps_cache("gl2-cotangent")[4]
+        space = bps_spaces("gl2-cotangent")[4]
         eps = I.epsilon(gl2_strat, gl2_strat.strata[4])
         series = I.isotypic_series(gl2_strat, space, eps, 4)
         assert series == tuple(Fraction(0) for _ in range(5))
@@ -372,29 +372,29 @@ class TestIsotypicSeries:
 
 class TestVerification:
     def test_gl2_hilbert_targets(self, gl2_strat):
-        result = I.verify_hilbert(gl2_strat, 6, bps_cache("gl2-cotangent"))
+        result = I.verify_hilbert(gl2_strat, 6)
         assert result.passed
         assert [int(r.target) for r in result.rows] == [1, 1, 2, 2, 3, 3, 4]
 
     def test_torus_hilbert_targets(self, torus_strat):
-        result = I.verify_hilbert(torus_strat, 6, bps_cache("torus2-cotangent"))
+        result = I.verify_hilbert(torus_strat, 6)
         assert result.passed
         assert [int(r.target) for r in result.rows] == [1, 2, 3, 4, 5, 6, 7]
 
     def test_sl2_quartic_forms_pass(self):
         _, strat = build("sl2-irrep:5")
-        assert I.verify_hilbert(strat, 6, bps_cache("sl2-irrep:5")).passed
-        assert I.verify_isomorphism(strat, 6, bps_cache("sl2-irrep:5")).passed
+        assert I.verify_hilbert(strat, 6).passed
+        assert I.verify_isomorphism(strat, 6).passed
 
     def test_gl2_isomorphism(self, gl2_strat):
-        result = I.verify_isomorphism(gl2_strat, 6, bps_cache("gl2-cotangent"))
+        result = I.verify_isomorphism(gl2_strat, 6)
         assert result.passed
         for row in result.rows:
             assert row.target_dim == row.domain_dim == row.image_rank
 
     def test_sl2_adjoint_squared(self):
         _, strat = build("sl2-adjoint:2")
-        assert I.verify_isomorphism(strat, 6, bps_cache("sl2-adjoint:2")).passed
+        assert I.verify_isomorphism(strat, 6).passed
 
     def test_adjoint_degree_zero_is_group_order(self):
         for key, order in (("adjoint:gl2", 2), ("adjoint:gl3", 6)):
@@ -407,9 +407,8 @@ class TestVerification:
     def test_hilbert_and_isomorphism_agree(self):
         for key in ("gl2-cotangent", "sl2-irrep:7", "trivial:sl3"):
             _, strat = build(key)
-            cache = bps_cache(key)
-            h = I.verify_hilbert(strat, 5, cache)
-            iso = I.verify_isomorphism(strat, 5, cache)
+            h = I.verify_hilbert(strat, 5)
+            iso = I.verify_isomorphism(strat, 5)
             for hr, ir in zip(h.rows, iso.rows):
                 assert hr.match == ir.bijective
 

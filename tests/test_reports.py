@@ -1,9 +1,12 @@
-"""Golden stdout of ``strata`` reports.
+"""Golden stdout of ``strata``, ``verify`` and ``bps`` reports.
 
-Each SHA-256 below is the hash of the JSON report ``cohint strata`` prints,
-recorded before the group layer stopped building a multiplication table.
-The reports carry every stratum's orbit and stabilizer orders, so these
-hashes pin them byte for byte.
+Each SHA-256 below is the hash of the JSON report the command prints.  The
+``strata`` hashes were recorded before the group layer stopped building a
+multiplication table; the reports carry every stratum's orbit and stabilizer
+orders, so these hashes pin them byte for byte.  The ``verify`` and ``bps``
+hashes were recorded before BPS spaces, kernel characters, the averaged form
+and induction data were memoised on the stratification; they pin every DT
+table, kernel character and ledger row.
 """
 
 import hashlib
@@ -48,6 +51,107 @@ CATALOG = {
         "a6a10056c95738ca6cb2894c54176c5b1aa8a6c38775dd54bcdffa3b67b1316c",
 }
 
+# Reports of ``verify --max-degree 8``, ``bps`` and ``bps --orbit 0`` over the
+# catalog keys above.
+COMPUTED = {
+    ("verify", "--max-degree", "8"): {
+        "adjoint:gl2":
+            "f6e38c3bcde6700b1f3ea7a4a7264af1e64fd327374493fd9e5b281a48da73c6",
+        "adjoint:gl3":
+            "3210e500f572be4147e5d77b847267849152fe153c129156fd00c233160ffddb",
+        "adjoint:sl2":
+            "388c502298a7cdb7d81a9279692735750c1d404bf1f3ee41e2ff0441ea8bb3a9",
+        "adjoint:sl3":
+            "0606b8c5e044b6871caa487bb900a47afc18c4ee0f52dd538491c87e4ef4abd3",
+        "adjoint:torus2":
+            "3f7b279e991e63fe6520d993530c93380928ca46d25e6839412dcb58caced99d",
+        "gl2-cotangent":
+            "084d2be826dbbdc71aad5d52b01ede6ea867f8234fc091c8d3b700795fa21312",
+        "gl2-cotangent:3":
+            "0f7af2e4cf2548aec459320b757ca249d3a2c714b7fd9770373fdedd7fc1ce4b",
+        "sl2-adjoint:2":
+            "a0f92b1d82ffac80893e91de904db057f8792c5d95e74b87e7b5512652c2ff13",
+        "sl2-irrep:3":
+            "94c24dc10afc815f609d4bdb977b2f17ede935d29c697caaa1a78902921ace25",
+        "torus2-cotangent":
+            "0c61dce44e33a0a8ba7572f2e664585dd73993b21d06efebd035c86ea8bca771",
+        "trivial:gl2":
+            "b9a275d25931927345e77c17258029d556ec173c8e6a32247a6a56488a160dbb",
+        "trivial:gl3":
+            "5a798672160384082a5d936c40c4d011f79318e31964b6cdff0522fde64e2bd0",
+        "trivial:sl2":
+            "a7a1c3e49ee423260597cc8f98af50b58865f0b61632a98e34e4eeb546928509",
+        "trivial:sl3":
+            "ff5efd716d27612bf415afe659f066cb284c4ce368de05b477232b69a5e7bfed",
+        "trivial:torus2":
+            "ac84a710619d54b09c84ea9983e2dd38defc52e85bef34e8891307b43248936e",
+    },
+    ("bps",): {
+        "adjoint:gl2":
+            "9a469ae957e7e97769e1106666334bb544e1d5dfb31539c852d5cc79b301892c",
+        "adjoint:gl3":
+            "15ec3ba29d77fa61d3a7b7812daa82590b93b167a1867fe29acfbbe58bcab7bf",
+        "adjoint:sl2":
+            "0be1b670bb23bf76355c680c6a743fb82916c8047a27a3fc1d728405ea23e4d5",
+        "adjoint:sl3":
+            "08c53d82033936ac7ee2c4a7d7ab98194c229977d2e15f71e7e755a46c8a375f",
+        "adjoint:torus2":
+            "f90272580407921d3e8b74aea89a0604c475849866bb2ddecb12b892a88bed1a",
+        "gl2-cotangent":
+            "9b63d9e885e1be9c05781b65a8d06e8f0c231b137d4cec366f783356e8d86618",
+        "gl2-cotangent:3":
+            "63c2027069c635f0209f670874fd7b81f7c85aec3efb3267cdaaecdf98be7dbe",
+        "sl2-adjoint:2":
+            "243fa11e59b8b3f72398620e1f92cd54c6dd347ad387c042b6123473a9b8a1c1",
+        "sl2-irrep:3":
+            "bb84a6e7391401374af173a9e67cf0d46c23915666910d1445d6b98361bf5268",
+        "torus2-cotangent":
+            "8e2748e652cb72746b9d54f353627ee3d254272d09e5616ab874ccc27bb0329e",
+        "trivial:gl2":
+            "679ae74a2eb13d0d23d19c753f530175773cee535c405c1475f04a02729836ff",
+        "trivial:gl3":
+            "379cdb1e8e789f38a687a19da3da931e4e77bc5b67fc688080c4e7b0caf89e23",
+        "trivial:sl2":
+            "2bbf788c23b1c45d05c23eb4a346b865eae550d63e81d107079dea6bde44f696",
+        "trivial:sl3":
+            "bd875ad889144a22f5491b6fa3e4820283e959ce1643679ba6e89d75b8a382f8",
+        "trivial:torus2":
+            "9f75a4f6665997832961fb86264b069d0ef11221150deba43beb0bf6f50e2631",
+    },
+    ("bps", "--orbit", "0"): {
+        "adjoint:gl2":
+            "3cc2aca84c8f3f18a9e1a020589a0ecb61c8d557208a849e759b507e6941c3bf",
+        "adjoint:gl3":
+            "f7b5744bce0f967e23bf936d6d0ec6cef03a6e1c4709b4ecbfe8201c0f9ecd0a",
+        "adjoint:sl2":
+            "ef995ba8b26412bbaf3c1e0e43848cedbdf980fc78961efed40fb3dfaafa3209",
+        "adjoint:sl3":
+            "f8a8f5ae005a2d5843b100d9bccac4f45beb5f52ffaba30134ec962f0b055e0f",
+        "adjoint:torus2":
+            "f90272580407921d3e8b74aea89a0604c475849866bb2ddecb12b892a88bed1a",
+        "gl2-cotangent":
+            "4de95419f8619d52a6f3c03b91ff64eb5661f0bb56bb6e1040d648415c9accf2",
+        "gl2-cotangent:3":
+            "461b9647f33f7db41fea300be510362144146edf0795eb53a9da4e34c780d30f",
+        "sl2-adjoint:2":
+            "edef032e0b7c459bc9a222c9c9949daeb8d33824fddb771d385d245b9bd1b9d3",
+        "sl2-irrep:3":
+            "b66b838e70e7e127965669521b35fee383a1f8055b411027f5e67ef1c6ad3f20",
+        "torus2-cotangent":
+            "145cdbd21201a1789171f263e07398affb94a9aa211b6f0e47fbb98db4e62862",
+        "trivial:gl2":
+            "a13688bfe09156950a6e9e457eae148e5c097b9a10b91dab31d6ff860fc4c923",
+        "trivial:gl3":
+            "3b48b31b6d441280e09e893226a3733806be9ffd93d1d834b74a14cecf97ca74",
+        "trivial:sl2":
+            "29a58118e97d1e74af86df0d31746800f6711c8e5385ad7139fa68411f302e0e",
+        "trivial:sl3":
+            "77014c32f663afd61a8be7bd282b3065c724e08dfe1df1944456a245a28b0873",
+        "trivial:torus2":
+            "9f75a4f6665997832961fb86264b069d0ef11221150deba43beb0bf6f50e2631",
+    },
+}
+
 # (kind, multiplicity of the nonzero v weights, multiplicity of the zero weight)
 GL4_DOCUMENTS = {
     ("adjoint", 1, 0):
@@ -78,3 +182,12 @@ def test_gl4_strata_report(spec, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(gl_document(4, *spec)))
     assert stdout_sha256(["strata", "--input", str(path)], capsys) == GL4_DOCUMENTS[spec]
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [(argv, key) for argv in COMPUTED for key in sorted(COMPUTED[argv])],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else v,
+)
+def test_catalog_computed_report(argv, key, capsys):
+    assert stdout_sha256([*argv, "--catalog", key], capsys) == COMPUTED[argv][key]
