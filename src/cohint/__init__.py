@@ -9,7 +9,6 @@ from .arrangement import (
     Stratum,
     align_representative,
     enumerate_strata,
-    leq,
     representative_cocharacter,
     with_representative,
 )

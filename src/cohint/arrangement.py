@@ -58,11 +58,6 @@ class Stratum:
     dims: NumericInvariants
 
 
-def leq(a: Stratum, b: Stratum) -> bool:
-    """The stratum order: a <= b iff both zero-sets of a sit inside b's."""
-    return set(a.zero_v) <= set(b.zero_v) and set(a.zero_g) <= set(b.zero_g)
-
-
 @dataclass(frozen=True)
 class Stratification:
     group: GroupData
@@ -70,7 +65,11 @@ class Stratification:
     weyl: WeylGroup
     hyperplanes: tuple[Weight, ...]
     strata: tuple[Stratum, ...]
-    order: tuple[tuple[bool, ...], ...]
+    # a <= b iff b's flat lies in a's, i.e. a's zero-sets sit inside b's.
+    # covers[i]: the strata directly below i, whose flats are one dimension
+    # larger; below[i]: every stratum <= i, i included.
+    covers: tuple[tuple[int, ...], ...]
+    below: tuple[frozenset[int], ...]
     orbits: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]
     point_stabilizers: tuple[Subgroup, ...]
@@ -82,10 +81,7 @@ class Stratification:
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def leq(self, i: int, j: int) -> bool:
-        return self.order[i][j]
-
-    def strictly_below(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(len(self.strata)) if j != i and self.order[j][i])
+        return i in self.below[j]
 
     @property
     def top(self) -> Stratum:
@@ -199,7 +195,12 @@ def enumerate_strata(
     cap: int = DEFAULT_GROUP_CAP,
 ) -> Stratification:
     """Close the weight hyperplanes under intersection and attach all
-    per-stratum data: zero-sets, representatives, order, orbits, stabilizers."""
+    per-stratum data: zero-sets, representatives, order, orbits, stabilizers.
+
+    The closure cuts each flat F by the hyperplanes not containing it.  Each
+    cut is one dimension down, so the cuts of F are exactly the flats
+    covering F in the order.  Once a cut G is found, the hyperplanes through
+    G are skipped: each of them cuts F in G again."""
     if symmetry_class(rep) is SymmetryClass.NOT_WEAKLY_SYMMETRIC:
         raise InputError("stratification requires a weakly symmetric weight multiset")
     n = group.rank
@@ -218,20 +219,31 @@ def enumerate_strata(
             if all(dot(b, h) == 0 for b in basis)
         )
 
+    cut_from: dict[IntMatrix, list[IntMatrix]] = {full_space: []}
     queue = [full_space]
     flats[full_space] = containing(full_space)
     while queue:
         basis = queue.pop()
         normals = [hyperplanes[i] for i in flats[basis]]
+        skip = set(flats[basis])
         for i, h in enumerate(hyperplanes):
-            if i in flats[basis]:
+            if i in skip:
                 continue
-            new_basis = int_kernel(normals + [h], n)
-            if new_basis not in flats:
-                flats[new_basis] = containing(new_basis)
-                queue.append(new_basis)
+            child = int_kernel(normals + [h], n)
+            if child not in flats:
+                flats[child] = containing(child)
+                cut_from[child] = []
+                queue.append(child)
+            cut_from[child].append(basis)
+            skip.update(flats[child])
 
+    # Decreasing flat dimension: everything below a stratum has a smaller index.
     ordered = sorted(flats, key=lambda b: (-len(b), b))
+    index_of_flat = {basis: idx for idx, basis in enumerate(ordered)}
+    covers = tuple(
+        tuple(sorted(index_of_flat[parent] for parent in cut_from[basis])) for basis in ordered
+    )
+
     strata = []
     u_bases = []
     all_v = rep.v_weights.supports()
@@ -257,10 +269,10 @@ def enumerate_strata(
         u_bases.append(u_basis)
 
     count = len(strata)
-    order = tuple(
-        tuple(leq(strata[i], strata[j]) for j in range(count)) for i in range(count)
-    )
-    maxima = [i for i in range(count) if all(order[j][i] for j in range(count))]
+    below: list[frozenset[int]] = []
+    for i in range(count):
+        below.append(frozenset({i}).union(*(below[c] for c in covers[i])))
+    maxima = [i for i in range(count) if len(below[i]) == count]
     if len(maxima) != 1:
         raise InternalCheckError("the stratum order does not have a unique maximum")
     top_index = maxima[0]
@@ -304,6 +316,14 @@ def enumerate_strata(
         ss = set_stabilizer(weyl, action, zero_set)
         if not set(ps.members) <= set(ss.members):
             raise InternalCheckError("pointwise stabilizer is not inside the setwise stabilizer")
+        # integrality.j_graded spans from the covers only, which needs the
+        # point stabilizer of each cover inside this one.
+        for j in covers[s.index]:
+            if not set(point_stabs[j].members) <= set(ps.members):
+                raise InternalCheckError(
+                    f"the point stabilizer of stratum {j} is not inside that of "
+                    f"stratum {s.index}, which covers it"
+                )
         point_stabs.append(ps)
         set_stabs.append(ss)
 
@@ -313,7 +333,8 @@ def enumerate_strata(
         weyl=weyl,
         hyperplanes=hyperplanes,
         strata=tuple(strata),
-        order=order,
+        covers=covers,
+        below=tuple(below),
         orbits=tuple(orbits),
         orbit_of=tuple(orbit_of),
         point_stabilizers=tuple(point_stabs),

@@ -128,6 +128,8 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
     """Execute one command on a parsed document; returns (report, exit code)."""
     if max_degree is not None and max_degree < 0:
         raise InputError(f"max_degree: expected a nonnegative integer, got {max_degree}")
+    if orbit is not None and command != "bps":
+        raise InputError(f"--orbit applies only to bps, not to {command}")
     report: dict = {"command": command, "input": document.to_dict()}
     group = document.group_data()
     rep = document.rep_data()
@@ -192,8 +194,8 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
 
 def _render_text(report: dict) -> str:
     """Plain-text rendering of the JSON report (same data, no extra path)."""
-    lines = [f"command: {report.get('command')}"]
-    for key in ("symmetry_class", "strata_count", "orbit_count", "weyl_order",
+    lines = []
+    for key in ("command", "symmetry_class", "strata_count", "orbit_count", "weyl_order",
                 "max_degree", "status", "error"):
         if key in report:
             lines.append(f"{key}: {report[key]}")

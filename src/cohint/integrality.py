@@ -5,6 +5,7 @@ degree-by-degree verification of the integrality decomposition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,8 +182,26 @@ def epsilon(strat: Stratification, stratum: Stratum) -> EpsilonCharacter:
 
 
 def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
-    """Degree-p slice of the induced submodule: symmetrized kernel multiples
-    coming from every strictly smaller stratum."""
+    """Degree-p slice of the induced submodule of lambda = stratum: the span
+    of sum_{w in W_lambda} w(f * k_{mu->lambda}) over f in Sym(U_lambda) and
+    the strata mu that lambda covers.  Here k_{mu->lambda} is the kernel,
+    W_lambda the point stabilizer and U_lambda the reduced variables.
+
+    The strata further down add nothing, because induction composes:
+    (a) The span from mu does not depend on mu's generic representative.
+        Moving it across the hyperplane of a ray rho swaps the kernel's
+        forms on rho for those on -rho.  Inside zero(lambda) there are as
+        many of each, because V is weakly symmetric and g is symmetric, so
+        the kernel changes only by a nonzero rational factor.
+    (b) Take mu < nu < lambda and mu' = align_representative(mu, nu.rep).
+        Then k_{mu'->lambda} = k_{mu->nu} * k_{nu->lambda}; W_nu lies in
+        W_lambda, and k_{nu->lambda} is W_nu-invariant.  So
+            sum_{w in W_lambda} w(f * k_{mu'->lambda})
+                = |W_nu|^-1 sum_{w in W_lambda} w(g * k_{nu->lambda}),
+        where g = sum_{v in W_nu} v(f * k_{mu->nu}) lies in Sym(U_lambda).
+        Hence the span from mu lies in the span from nu, and every
+        mu < lambda lies under some cover of lambda.
+    enumerate_strata checks that W_nu lies in W_lambda on every cover edge."""
     if p < 0:
         raise InputError("degree must be nonnegative")
     n = strat.group.rank
@@ -190,7 +209,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     levi = strat.point_stabilizers[stratum.index].elements()
     base_polys = [Poly.linear(b) for b in u_basis]
     generators = []
-    for j in strat.strictly_below(stratum.index):
+    for j in strat.covers[stratum.index]:
         mu = strat.strata[j]
         form = kernel(strat, mu, stratum).form
         d = p - form.degree
@@ -451,26 +470,22 @@ def verify_associativity(
     strat: Stratification, samples: int = 20, max_f_degree: int = 3
 ) -> AssociativityResult:
     """Composition law on aligned chains: inducting in two stages agrees with
-    inducting directly once the smallest representative is sign-aligned."""
+    inducting directly once the smallest representative is sign-aligned.
+    The first `samples` chains i <= j <= k in lexicographic order are used,
+    the strict ones (i < j < k) before the degenerate ones; a stratum's index
+    is below that of every stratum above it."""
     count = len(strat.strata)
-    strict = [
+    chains = (
         (i, j, k)
+        for strict in (True, False)
         for i in range(count)
-        for j in range(count)
-        for k in range(count)
-        if i != j and j != k and strat.order[i][j] and strat.order[j][k]
-    ]
-    degenerate = [
-        (i, j, k)
-        for i in range(count)
-        for j in range(count)
-        for k in range(count)
-        if (i == j or j == k) and strat.order[i][j] and strat.order[j][k]
-    ]
-    chains = strict + degenerate
+        for j in range(i, count) if strat.leq(i, j)
+        for k in range(j, count) if strat.leq(j, k)
+        if (i != j and j != k) == strict
+    )
     supports = strat.all_supports()
     rows = []
-    for chain in chains[:samples]:
+    for chain in itertools.islice(chains, samples):
         i, j, k = chain
         s1, s2, s3 = strat.strata[i], strat.strata[j], strat.strata[k]
         nu = align_representative(s1, s2.rep, supports)

@@ -72,12 +72,6 @@ class WeightMultiset:
             (mat_vec(matrix, w), m) for w, m in self.entries
         )
 
-    def with_multiplicity(self):
-        """Iterate weights repeated according to multiplicity."""
-        for w, m in self.entries:
-            for _ in range(m):
-                yield w
-
 
 def pairing(lam: Cocharacter, alpha: Weight) -> int:
     if len(lam) != len(alpha):

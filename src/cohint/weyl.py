@@ -59,9 +59,6 @@ class WeylGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element(self, i: int) -> WeylElement:
-        return self.elements[i]
-
     def product(self, i: int, j: int) -> int:
         return self._index[mat_mul(self.elements[i].matrix, self.elements[j].matrix)]
 

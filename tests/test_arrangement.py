@@ -8,7 +8,6 @@ from cohint import (
     InternalCheckError,
     align_representative,
     enumerate_strata,
-    leq,
     numeric_invariants,
     representative_cocharacter,
     with_representative,
@@ -16,7 +15,7 @@ from cohint import (
 from cohint.arrangement import generic_points
 from cohint.documents import document_from_dict
 from cohint.matrices import dot, hnf, int_kernel
-from cohint.weyl import char_action, cochar_action
+from cohint.weyl import char_action, cochar_action, point_stabilizer
 
 from conftest import build, gl_document
 
@@ -109,7 +108,8 @@ class TestRepresentatives:
 
 class TestOrder:
     def test_gl2_relations(self, gl2_strat):
-        generic, axis1, axis2, diag, top = gl2_strat.strata
+        generic, axis1, axis2, diag, top = (s.index for s in gl2_strat.strata)
+        leq = gl2_strat.leq
         assert leq(generic, axis1) and leq(generic, diag) and leq(generic, top)
         assert leq(axis1, top) and leq(diag, top)
         assert not leq(axis1, axis2) and not leq(axis2, axis1)
@@ -125,14 +125,34 @@ class TestOrder:
         for key in RANK_LE_3:
             _, strat = build(key)
             count = len(strat.strata)
+            leq = strat.leq
             for i in range(count):
-                assert strat.order[i][i]
+                assert leq(i, i)
                 for j in range(count):
                     if i != j:
-                        assert not (strat.order[i][j] and strat.order[j][i])
+                        assert not (leq(i, j) and leq(j, i))
                     for k in range(count):
-                        if strat.order[i][j] and strat.order[j][k]:
-                            assert strat.order[i][k]
+                        if leq(i, j) and leq(j, k):
+                            assert leq(i, k)
+
+    def test_covers_are_the_hasse_diagram(self):
+        for key in RANK_LE_3:
+            assert_covers_are_the_hasse_diagram(build(key)[1])
+
+    def test_cover_edge_with_a_larger_source_stabilizer_is_an_error(self, monkeypatch):
+        # the zero cocharacter (top of gl2-cotangent) gets the trivial
+        # stabilizer, so the diagonal stratum 3 under it has the larger one
+        import cohint.arrangement as arrangement
+
+        def shrunk(group, rep):
+            if any(rep):
+                return point_stabilizer(group, rep)
+            return group.subgroup([group.identity_index])
+
+        doc, _ = build("gl2-cotangent")
+        monkeypatch.setattr(arrangement, "point_stabilizer", shrunk)
+        with pytest.raises(InternalCheckError, match=r"stratum 3 .* stratum 4"):
+            enumerate_strata(doc.group_data(), doc.rep_data())
 
     def test_order_mirrors_flat_inclusion(self, gl2_strat):
         # flat(b) inside flat(a) iff a <= b
@@ -143,7 +163,27 @@ class TestOrder:
                     for row in b.flat.basis
                     for u in list(a.zero_v) + list(a.zero_g)
                 )
-                assert inside == leq(a, b)
+                assert inside == gl2_strat.leq(a.index, b.index)
+
+
+def assert_covers_are_the_hasse_diagram(strat):
+    """covers against the Hasse diagram of zero-set inclusion, and the order
+    against the inclusion itself, both by brute force over all strata."""
+    zero = [(frozenset(s.zero_v), frozenset(s.zero_g)) for s in strat.strata]
+    count = len(zero)
+
+    def leq(a, b):
+        return zero[a][0] <= zero[b][0] and zero[a][1] <= zero[b][1]
+
+    for b in range(count):
+        covered = tuple(
+            a for a in range(count)
+            if a != b and leq(a, b)
+            and not any(c not in (a, b) and leq(a, c) and leq(c, b) for c in range(count))
+        )
+        assert strat.covers[b] == covered, b
+        for a in range(count):
+            assert strat.leq(a, b) == leq(a, b), (a, b)
 
 
 class TestGroupActionOnStrata:
@@ -225,6 +265,10 @@ class TestGl4PermutationAction:
         assert [sub.members for sub in strat.point_stabilizers] == point_stabs
         for k, orbit in enumerate(strat.orbits):
             assert all(strat.orbit_of[i] == k for i in orbit)
+
+    def test_covers_are_the_hasse_diagram(self, spec, counts):
+        assert_covers_are_the_hasse_diagram(self.stratify(spec))
+
 
 class TestStabilizers:
     def test_point_inside_set_stabilizer(self):

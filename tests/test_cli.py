@@ -235,6 +235,23 @@ class TestMain:
         assert "strata:" in out
         assert "flat_dim=2" in out
 
+    def test_text_format_error_has_no_command_line(self, capsys):
+        argv = ["verify", "--catalog", "nosuch", "--format", "text"]
+        assert main(argv) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert out.startswith("status: validation_failed\nerror: ")
+        assert "command" not in out
+
+    @pytest.mark.parametrize("command", ["strata", "verify", "molien", "validate"])
+    def test_orbit_is_rejected_outside_bps(self, command, capsys):
+        argv = [command, "--catalog", "gl2-cotangent", "--orbit", "99"]
+        assert main(argv) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "validation_failed"
+        assert out["error"] == f"--orbit applies only to bps, not to {command}"
+        with pytest.raises(InputError, match="--orbit applies only to bps"):
+            run(command, catalog_emit("gl2-cotangent"), orbit=0)
+
     def test_group_cap_flag(self, capsys):
         code = main(["validate", "--catalog", "trivial:sl3", "--group-cap", "2"])
         assert code == EXIT_VALIDATION

@@ -5,6 +5,8 @@ import pytest
 from cohint import (
     InputError,
     Poly,
+    catalog_keys,
+    enumerate_strata,
     invariant_basis,
     rref_span,
     substitute,
@@ -12,11 +14,15 @@ from cohint import (
 )
 from cohint import integrality as I
 from cohint.arrangement import generic_points
-from cohint.polyalg import monomials_of_degree
+from cohint.documents import document_from_dict
+from cohint.polyalg import kernel_sum, monomials_of_degree
 from cohint.weyl import point_stabilizer
 
-from conftest import bps_spaces, build
+from conftest import bps_spaces, build, gl_document
 
+# The fixed catalog keys, and one instance of each parametrised family.
+CATALOG_KEYS = tuple(k for k in catalog_keys() if "<" not in k) + (
+    "gl2-cotangent:3", "sl2-irrep:3", "sl2-adjoint:2")
 RANK2_KEYS = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:5", "sl2-adjoint:2", "trivial:sl3")
 
 
@@ -254,14 +260,57 @@ class TestJGraded:
                     expected = _j_dim_by_image_intersection(strat, s, p)
                     assert I.j_graded(strat, s, p).dim == expected, (key, s.index, p)
 
+    @pytest.mark.parametrize("key", CATALOG_KEYS + ("gl3-cotangent",))
+    def test_covers_span_what_every_lower_stratum_spans(self, key):
+        # every degree bps_space asks for, up to two past the vanishing bound
+        if key == "gl3-cotangent":
+            doc = document_from_dict(gl_document(3, "cotangent", 1, 1))
+            strat = enumerate_strata(doc.group_data(), doc.rep_data())
+        else:
+            strat = build(key)[1]
+        for s in strat.strata:
+            for p in range(s.dims.dim_v_fixed // 2 + 3):
+                expected = _j_graded_from_every_lower_stratum(strat, s, p)
+                assert I.j_graded(strat, s, p) == expected, (s.index, p)
+
+
+def strict_lower(strat, stratum):
+    """Every stratum strictly below the given one."""
+    return [mu for mu in strat.strata
+            if mu.index != stratum.index and strat.leq(mu.index, stratum.index)]
+
+
+def product_of_powers(forms, exps, n):
+    mono = Poly.constant(n, 1)
+    for i, k in enumerate(exps):
+        if k:
+            mono = mono * forms[i] ** k
+    return mono
+
+
+def _j_graded_from_every_lower_stratum(strat, stratum, p):
+    """The induced submodule spanned from every stratum strictly below, not
+    only from the covers."""
+    n = strat.group.rank
+    u_forms = [Poly.linear(b) for b in strat.u_bases[stratum.index]]
+    levi = strat.point_stabilizers[stratum.index].elements()
+    generators = []
+    for mu in strict_lower(strat, stratum):
+        form = I.kernel(strat, mu, stratum).form
+        d = p - form.degree
+        if d < 0:
+            continue
+        for exps in monomials_of_degree(len(u_forms), d):
+            generators.append(kernel_sum(product_of_powers(u_forms, exps, n), form, levi))
+    return rref_span(generators, p, n)
+
 
 def _j_dim_by_image_intersection(strat, stratum, p):
     """Independent route: span all inductions from below inside degree p and
     intersect with the polynomials in the stratum's reduced variables."""
     n = strat.group.rank
     images = []
-    for j in strat.strictly_below(stratum.index):
-        mu = strat.strata[j]
+    for mu in strict_lower(strat, stratum):
         shift = I.kernel(strat, mu, stratum).form.degree
         d = p - shift
         if d < 0:
@@ -276,13 +325,8 @@ def _j_dim_by_image_intersection(strat, stratum, p):
                 images.append(out)
     span = rref_span(images, p, n)
     u_forms = [Poly.linear(b) for b in strat.u_bases[stratum.index]]
-    u_monomials = []
-    for exps in monomials_of_degree(len(u_forms), p):
-        mono = Poly.constant(n, 1)
-        for i, k in enumerate(exps):
-            if k:
-                mono = mono * u_forms[i] ** k
-        u_monomials.append(mono)
+    u_monomials = [product_of_powers(u_forms, exps, n)
+                   for exps in monomials_of_degree(len(u_forms), p)]
     pure = rref_span(u_monomials, p, n)
     stacked = rref_span(list(span.polys()) + list(pure.polys()), p, n)
     return span.dim + pure.dim - stacked.dim
