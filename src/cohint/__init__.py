@@ -18,7 +18,6 @@ from .errors import CohintError, InputError, InternalCheckError, VerificationErr
 from .integrality import (
     BpsSpace,
     EpsilonCharacter,
-    InductionKernel,
     bps_space,
     epsilon,
     induct,

@@ -201,10 +201,11 @@ def enumerate_strata(
     cut is one dimension down, so the cuts of F are exactly the flats
     covering F in the order.  Once a cut G is found, the hyperplanes through
     G are skipped: each of them cuts F in G again."""
+    n = group.rank
+    # The report's one enumeration is its finiteness check, reported first.
+    weyl = enumerate_group(group.weyl_generators, n, cap)
     if symmetry_class(rep) is SymmetryClass.NOT_WEAKLY_SYMMETRIC:
         raise InputError("stratification requires a weakly symmetric weight multiset")
-    n = group.rank
-    weyl = enumerate_group(group.weyl_generators, n, cap)
 
     v_supports = rep.v_weights.nonzero_supports()
     g_supports = group.g_weights.nonzero_supports()

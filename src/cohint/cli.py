@@ -125,22 +125,25 @@ def _verify_section(strat: Stratification, max_degree: int) -> tuple[dict, bool]
 
 def run(command: str, document: InputDocument, *, max_degree: int | None = None,
         orbit: int | None = None) -> tuple[dict, int]:
-    """Execute one command on a parsed document; returns (report, exit code)."""
+    """Execute one command on a parsed document; returns (report, exit code).
+
+    The document is validated here, once; the one enumeration of its group,
+    bounded by document.group_cap, checks that the group is finite."""
+    group = document.group_data()
+    rep = document.rep_data()
+    warnings = group.validate()
+    rep.validate(group)
     if max_degree is not None and max_degree < 0:
         raise InputError(f"max_degree: expected a nonnegative integer, got {max_degree}")
     if orbit is not None and command != "bps":
         raise InputError(f"--orbit applies only to bps, not to {command}")
     report: dict = {"command": command, "input": document.to_dict()}
-    group = document.group_data()
-    rep = document.rep_data()
 
     if command == "validate":
-        warnings = group.validate(document.group_cap)
-        rep.validate(group)
+        weyl = enumerate_group(group.weyl_generators, group.rank, document.group_cap)
         sclass = symmetry_class(rep)
         report["symmetry_class"] = sclass.value
         report["warnings"] = warnings
-        weyl = enumerate_group(group.weyl_generators, group.rank, document.group_cap)
         report["weyl_order"] = weyl.order
         if sclass.value == "not_weakly_symmetric":
             report["status"] = "validation_failed"
@@ -261,6 +264,15 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "catalog":
+            for flag, given in (
+                ("--input", args.input is not None),
+                ("--orbit", args.orbit is not None),
+                ("--max-degree", args.max_degree is not None),
+                ("--group-cap", args.group_cap is not None),
+                ("--format text", args.format == "text"),
+            ):
+                if given:
+                    raise InputError(f"{flag} applies only to the report commands, not to catalog")
             if args.catalog:
                 doc = catalog_emit(args.catalog)
                 print(json.dumps(doc.to_dict(), indent=2))
@@ -276,12 +288,11 @@ def main(argv=None) -> int:
                     text = handle.read()
             except (OSError, UnicodeDecodeError) as exc:
                 raise InputError(f"cannot read --input {args.input}: {exc}") from exc
-            doc = parse_input(text, args.group_cap)
+            doc = parse_input(text)
         else:
             doc = catalog_emit(args.catalog)
-            if args.group_cap is not None:
-                doc = replace(doc, group_cap=args.group_cap)
-                doc.group_data().validate(doc.group_cap)
+        if args.group_cap is not None:
+            doc = replace(doc, group_cap=args.group_cap)
         report, code = run(
             args.command, doc, max_degree=args.max_degree, orbit=args.orbit
         )

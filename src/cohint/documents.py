@@ -1,10 +1,10 @@
 """Input documents: the JSON schema, parsing with located errors, and the
-construction of validated lattice data."""
+construction of lattice data."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InputError
 from .lattice import (
@@ -130,22 +130,12 @@ def document_from_dict(raw: dict) -> InputDocument:
     )
 
 
-def parse_input(text: str, group_cap: int | None = None) -> InputDocument:
-    """Parse and fully validate a JSON input document.
+def parse_input(text: str) -> InputDocument:
+    """Parse a JSON input document against the schema, with located errors.
 
-    Lattice invariants (generator invertibility, group finiteness within the
-    cap, weight stability) are enforced here; weak symmetry is not, so that
-    classification itself can be reported downstream.  A given group_cap
-    replaces the document's own before validation.
-    """
+    The lattice invariants are checked by cli.run, once per report."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
-    doc = document_from_dict(raw)
-    if group_cap is not None:
-        doc = replace(doc, group_cap=group_cap)
-    group = doc.group_data()
-    group.validate(doc.group_cap)
-    doc.rep_data().validate(group)
-    return doc
+    return document_from_dict(raw)

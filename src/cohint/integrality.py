@@ -41,17 +41,6 @@ from .weyl import (
 
 
 @dataclass(frozen=True)
-class InductionKernel:
-    source: Stratum
-    target: Stratum
-    form: KernelForm
-
-    @property
-    def degree(self) -> int:
-        return self.form.degree
-
-
-@dataclass(frozen=True)
 class EpsilonCharacter:
     """The +/-1 character of a stratum stabilizer measuring how the induction
     kernel transforms."""
@@ -126,10 +115,10 @@ def _zero_slice_forms(strat: Stratification, target: Stratum, mu_rep) -> tuple:
     return tuple(num), tuple(den)
 
 
-def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> InductionKernel:
+def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> KernelForm:
     """Induction kernel from the class of mu into the target stratum."""
     num, den = _zero_slice_forms(strat, target, mu.rep)
-    return InductionKernel(mu, target, KernelForm(num, den, Fraction(1)))
+    return KernelForm(num, den, Fraction(1))
 
 
 def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
@@ -138,7 +127,7 @@ def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
     w_target = strat.point_stabilizers[target.index]
     stab = point_stabilizer(strat.weyl, mu.rep)
     h = strat.weyl.subgroup(set(stab.members) & set(w_target.members))
-    return h, coset_representatives(h, w_target), kernel(strat, mu, target).form
+    return h, coset_representatives(h, w_target), kernel(strat, mu, target)
 
 
 def induct(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
@@ -156,7 +145,7 @@ def epsilon(strat: Stratification, stratum: Stratum) -> EpsilonCharacter:
     """Character by which the stratum stabilizer rescales the kernel,
     computed by exact evaluation at two generic points."""
     wl = strat.set_stabilizers[stratum.index]
-    form = kernel(strat, stratum, strat.top).form
+    form = kernel(strat, stratum, strat.top)
     points = generic_points(strat.all_supports(), strat.group.rank, 2)
     values: dict[int, Fraction] = {}
     for idx in wl.members:
@@ -211,7 +200,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     generators = []
     for j in strat.covers[stratum.index]:
         mu = strat.strata[j]
-        form = kernel(strat, mu, stratum).form
+        form = kernel(strat, mu, stratum)
         d = p - form.degree
         if d < 0:
             continue

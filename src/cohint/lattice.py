@@ -101,10 +101,11 @@ class GroupData:
     def dim(self) -> int:
         return self.g_weights.total()
 
-    def validate(self, cap: int = DEFAULT_GROUP_CAP) -> list[str]:
-        """Check all structural invariants; returns non-fatal warnings."""
-        from .weyl import enumerate_group  # local import to avoid a cycle
+    def validate(self) -> list[str]:
+        """Check the structural invariants; returns non-fatal warnings.
 
+        Finiteness of the group is checked by its one enumeration
+        (weyl.enumerate_group), which every report builds."""
         if self.rank < 1:
             raise InputError("rank must be a positive integer")
         for k, gen in enumerate(self.weyl_generators):
@@ -115,7 +116,6 @@ class GroupData:
         for w, _ in self.g_weights:
             if len(w) != self.rank:
                 raise InputError(f"g_weights entry {w} has wrong length (rank is {self.rank})")
-        enumerate_group(self.weyl_generators, self.rank, cap)
         for k, gen in enumerate(self.weyl_generators):
             if self.g_weights.transformed(gen) != self.g_weights:
                 raise InputError(f"g_weights are not stable under weyl_generators[{k}]")

@@ -79,10 +79,6 @@ class Poly:
             return False
         return p is None or degs == {p}
 
-    def leading(self) -> tuple[Exponents, Fraction]:
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
-
     def coefficient_vector(self, monomials: Sequence[Exponents]) -> tuple[Fraction, ...]:
         return tuple(self.terms.get(m, Fraction(0)) for m in monomials)
 

@@ -359,7 +359,7 @@ class TestPropertySuite:
             _, strat = build(key)
             n = strat.group.rank
             s = strat.strata[0]
-            form = I.kernel(strat, s, strat.top).form
+            form = I.kernel(strat, s, strat.top)
             stab = point_stabilizer(strat.weyl, s.rep)
             h = strat.weyl.subgroup(
                 set(stab.members) & set(strat.point_stabilizers[strat.top_index].members)

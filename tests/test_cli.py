@@ -44,7 +44,7 @@ class TestParseInput:
         bad = json.loads(json.dumps(GL2_DOC))
         bad["weyl_generators"] = [[[2, 0], [0, 1]]]
         with pytest.raises(InputError, match="invertible"):
-            parse_input(json.dumps(bad))
+            run("validate", parse_input(json.dumps(bad)))
 
     def test_unstable_v_weights(self):
         bad = json.loads(json.dumps(GL2_DOC))
@@ -53,7 +53,7 @@ class TestParseInput:
             {"alpha": [-1, 0], "multiplicity": 1},
         ]
         with pytest.raises(InputError, match="stable"):
-            parse_input(json.dumps(bad))
+            run("validate", parse_input(json.dumps(bad)))
 
     def test_infinite_group(self):
         bad = json.loads(json.dumps(GL2_DOC))
@@ -62,7 +62,9 @@ class TestParseInput:
         bad["v_weights"] = []
         bad["options"] = {"group_cap": 50}
         with pytest.raises(InputError, match="not finite"):
-            parse_input(json.dumps(bad))
+            run("validate", parse_input(json.dumps(bad)))
+        with pytest.raises(InputError, match="not finite"):
+            run("strata", parse_input(json.dumps(bad)))
 
     def test_not_weakly_symmetric_parses(self):
         doc = json.loads(json.dumps(GL2_DOC))
@@ -267,6 +269,48 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert "group not finite within cap (cap=2)" in out["error"]
         assert "raise --group-cap" in out["error"]
+
+    @pytest.mark.parametrize("command", ["validate", "strata", "verify"])
+    @pytest.mark.parametrize("source", ["input", "catalog"])
+    @pytest.mark.parametrize("group_cap", [[], ["--group-cap", "100"]], ids=["no-cap", "cap"])
+    def test_each_report_enumerates_its_group_once(
+        self, command, source, group_cap, monkeypatch, tmp_path, capsys
+    ):
+        from cohint import arrangement, cli, weyl
+
+        calls = []
+        enumerate_group = weyl.enumerate_group
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_group(*args, **kwargs)
+
+        for module in (weyl, arrangement, cli):
+            monkeypatch.setattr(module, "enumerate_group", counting)
+        if source == "input":
+            path = tmp_path / "gl2.json"
+            path.write_text(json.dumps(GL2_DOC))
+            argv = [command, "--input", str(path)]
+        else:
+            argv = [command, "--catalog", "gl2-cotangent"]
+        assert main([*argv, *group_cap, "--max-degree", "2"]) == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--input", ["--input", "doc.json"]),
+            ("--orbit", ["--orbit", "0"]),
+            ("--max-degree", ["--max-degree", "2"]),
+            ("--group-cap", ["--group-cap", "100"]),
+            ("--format text", ["--format", "text"]),
+        ],
+    )
+    def test_catalog_rejects_report_flags(self, flag, argv, capsys):
+        for key in (["--catalog", "gl2-cotangent"], []):
+            assert main(["catalog", *key, *argv]) == EXIT_VALIDATION
+            out = capsys.readouterr().out
+            assert f"{flag} applies only to the report commands, not to catalog" in out
 
     def test_internal_assertion_exit_code(self, monkeypatch, capsys):
         from cohint import cli

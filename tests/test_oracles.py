@@ -69,7 +69,7 @@ class TestKernelSumOracle:
     def test_induction_matches_rational_functions(self):
         _, strat = build("trivial:sl3")
         dense = strat.strata[0]
-        form = I.kernel(strat, dense, strat.top).form
+        form = I.kernel(strat, dense, strat.top)
         xs = sympy.symbols("x1 x2")
         stab = point_stabilizer(strat.weyl, dense.rep)
         h = strat.weyl.subgroup(

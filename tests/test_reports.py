@@ -1,4 +1,5 @@
-"""Golden stdout of ``strata``, ``verify`` and ``bps`` reports.
+"""Golden stdout of ``strata``, ``verify``, ``bps`` and ``validate`` reports,
+and of the error reports of documents that fail validation.
 
 Each SHA-256 below is the hash of the JSON report the command prints.  The
 ``strata`` hashes were recorded before the group layer stopped building a
@@ -6,7 +7,10 @@ multiplication table; the reports carry every stratum's orbit and stabilizer
 orders, so these hashes pin them byte for byte.  The ``verify`` and ``bps``
 hashes were recorded before BPS spaces, kernel characters, the averaged form
 and induction data were memoised on the stratification; they pin every DT
-table, kernel character and ledger row.
+table, kernel character and ledger row.  The ``validate`` and error hashes
+were recorded while the parser still validated every document and enumerated
+its group; they pin the reported Weyl group orders, warnings and the error
+that a document failing several checks reports.
 """
 
 import hashlib
@@ -14,7 +18,7 @@ import json
 
 import pytest
 
-from cohint.cli import EXIT_OK, main
+from cohint.cli import EXIT_OK, EXIT_VALIDATION, main
 
 from conftest import gl_document
 
@@ -165,10 +169,111 @@ GL4_DOCUMENTS = {
 }
 
 
-def stdout_sha256(argv, capsys) -> str:
+# Reports of ``validate`` over the catalog keys and the gl4 documents above.
+VALIDATE_CATALOG = {
+    "adjoint:gl2":
+        "3a45735d99a17beac3d406c4ece7d91a30237d012daba7b0819fa65dab8a1b7a",
+    "adjoint:gl3":
+        "c7e3e3ac9c5d9159a0b3e4b32963cfbf3b9946a80c65c0c4540097f3c09ddc3e",
+    "adjoint:sl2":
+        "5cfb208f234a8215f5181f66e311d0c6126739b99dc7077696833f4a3a2536e4",
+    "adjoint:sl3":
+        "1099d93ec677e97aa35ff05bacc533fc7758de61d78129a1159391273e315c36",
+    "adjoint:torus2":
+        "e320177b62e583deeaf0bf2659f5aada289fa75836a1dddbedd49c26b7f1a0ff",
+    "gl2-cotangent":
+        "98c55a5fb26ebae6e25e32a5752e19a4ca77e542aae7298314c4d8943836cc8c",
+    "gl2-cotangent:3":
+        "28f65ee8d2519bdd51a76f3565c572eaadebd41384332dd01a47f51d8bb3c0c0",
+    "sl2-adjoint:2":
+        "bf03bf85b6049e1dd4b0f4ac4e6e89f69ed9b8c3afa32ba45e808f8dac27d5f5",
+    "sl2-irrep:3":
+        "bc44ca63e194fb7f9cd54ff3bf1f2ac27cd3bd98e0bad1df100050ab594cb20b",
+    "torus2-cotangent":
+        "65db1ff1bcc2bcb9a23d8bb4909bafd9b668308949799c34656f7adc98901dfb",
+    "trivial:gl2":
+        "c3a223c9832239be1ff848c9f41a4d4794879829324550115c2e154689ad274c",
+    "trivial:gl3":
+        "f688a79b58c602840ba6205423217f6090408a75bd79d55c13a57e5311b2142e",
+    "trivial:sl2":
+        "a0a0094bf5343341be96286ee39941a07bc0de2d4a59a4cbe07743ab07c199d2",
+    "trivial:sl3":
+        "ac2e190641705ca65c66b81fdb624d58287df081f14d463bc9b50c298728967a",
+    "trivial:torus2":
+        "4bc93c0c69f5d4201b68ec7e2cc8ea1aac912fa68c485e437e39875f86265458",
+}
+VALIDATE_GL4 = {
+    ("adjoint", 1, 0):
+        "8075d0a75ba075b717cbba81b3c0f086403dc27b8393b71c31b3f5f268ee4713",
+    ("adjoint", 3, 2):
+        "b9e6bcfb650fb7f4c969e074fefdd764301434f32e019698020314af1f3ca926",
+    ("cotangent", 1, 0):
+        "6e0f9063019ba124934abec9298d63dc76b2479c73d5bec9a95784a0a223a0c6",
+    ("cotangent", 2, 4):
+        "8d33e1018a93f8ee964401de5077d38d9c169d7e03a140e7bae4121a443cbf5b",
+}
+
+
+def _gl2_edited(**fields) -> dict:
+    doc = gl_document(2, "cotangent", 1, 0)
+    doc.update(fields)
+    return doc
+
+
+# Documents that fail validation; the shear generates an infinite group.  The
+# last one also fails weak symmetry, and reports the infinite group.
+ERROR_DOCUMENTS = {
+    "infinite-group": _gl2_edited(
+        weyl_generators=[[[1, 1], [0, 1]]],
+        g_weights=[{"alpha": [0, 0], "multiplicity": 2}],
+        v_weights=[],
+        options={"group_cap": 50},
+    ),
+    "infinite-group-not-weakly-symmetric": _gl2_edited(
+        weyl_generators=[[[1, 1], [0, 1]]],
+        g_weights=[{"alpha": [0, 0], "multiplicity": 2}],
+        v_weights=[{"alpha": [1, 0], "multiplicity": 1}],
+        options={"group_cap": 50},
+    ),
+    "non-invertible-generator": _gl2_edited(weyl_generators=[[[2, 0], [0, 1]]]),
+    "unstable-v-weights": _gl2_edited(
+        v_weights=[{"alpha": [1, 0], "multiplicity": 1}, {"alpha": [-1, 0], "multiplicity": 1}],
+    ),
+}
+
+# Error reports of (command, document) above, all with exit code 1.
+ERROR_REPORTS = {
+    ("strata", "infinite-group"):
+        "a623200219abf2374bed3ca85922de2ee1fec1a1abf25c52fc9dbf1d4ad8736e",
+    ("validate", "infinite-group"):
+        "a623200219abf2374bed3ca85922de2ee1fec1a1abf25c52fc9dbf1d4ad8736e",
+    ("strata", "infinite-group-not-weakly-symmetric"):
+        "a623200219abf2374bed3ca85922de2ee1fec1a1abf25c52fc9dbf1d4ad8736e",
+    ("validate", "infinite-group-not-weakly-symmetric"):
+        "a623200219abf2374bed3ca85922de2ee1fec1a1abf25c52fc9dbf1d4ad8736e",
+    ("strata", "non-invertible-generator"):
+        "b62a1935e4acb423c6a9a795faae237d6e190fceefac43857eceb913a6daefd5",
+    ("validate", "non-invertible-generator"):
+        "b62a1935e4acb423c6a9a795faae237d6e190fceefac43857eceb913a6daefd5",
+    ("strata", "unstable-v-weights"):
+        "a134d3e245bf874062930e5164866dc1235b34fcc9ae98e016e565e3fbad712a",
+    ("validate", "unstable-v-weights"):
+        "a134d3e245bf874062930e5164866dc1235b34fcc9ae98e016e565e3fbad712a",
+}
+
+# Error reports of ``<command> --catalog trivial:sl3 --group-cap 2`` (|W| = 6).
+CATALOG_CAP_ERRORS = {
+    "strata":
+        "1ab927e6122cccc05abed3baf7d7ea89d172caf1cc587619a1c0e8ced93d89e5",
+    "validate":
+        "1ab927e6122cccc05abed3baf7d7ea89d172caf1cc587619a1c0e8ced93d89e5",
+}
+
+
+def stdout_sha256(argv, capsys, expected_code=EXIT_OK) -> str:
     code = main(argv)
     out = capsys.readouterr().out
-    assert code == EXIT_OK, out
+    assert code == expected_code, out
     return hashlib.sha256(out.encode()).hexdigest()
 
 
@@ -191,3 +296,29 @@ def test_gl4_strata_report(spec, tmp_path, capsys):
 )
 def test_catalog_computed_report(argv, key, capsys):
     assert stdout_sha256([*argv, "--catalog", key], capsys) == COMPUTED[argv][key]
+
+
+@pytest.mark.parametrize("key", sorted(VALIDATE_CATALOG))
+def test_catalog_validate_report(key, capsys):
+    assert stdout_sha256(["validate", "--catalog", key], capsys) == VALIDATE_CATALOG[key]
+
+
+@pytest.mark.parametrize("spec", sorted(VALIDATE_GL4), ids=lambda s: "-".join(map(str, s)))
+def test_gl4_validate_report(spec, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(gl_document(4, *spec)))
+    assert stdout_sha256(["validate", "--input", str(path)], capsys) == VALIDATE_GL4[spec]
+
+
+@pytest.mark.parametrize("command,name", sorted(ERROR_REPORTS), ids="-".join)
+def test_error_report(command, name, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(ERROR_DOCUMENTS[name]))
+    digest = stdout_sha256([command, "--input", str(path)], capsys, EXIT_VALIDATION)
+    assert digest == ERROR_REPORTS[(command, name)]
+
+
+@pytest.mark.parametrize("command", sorted(CATALOG_CAP_ERRORS))
+def test_catalog_group_cap_error_report(command, capsys):
+    argv = [command, "--catalog", "trivial:sl3", "--group-cap", "2"]
+    assert stdout_sha256(argv, capsys, EXIT_VALIDATION) == CATALOG_CAP_ERRORS[command]
