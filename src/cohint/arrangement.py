@@ -20,7 +20,6 @@ from .lattice import (
     SymmetryClass,
     Weight,
     numeric_invariants,
-    pairing,
     primitive_ray,
     symmetry_class,
     DEFAULT_GROUP_CAP,
@@ -100,26 +99,21 @@ class Stratification:
 
 
 def representative_cocharacter(
-    flat: Flat, nonzero_supports, zero_supports, rank: int | None = None
+    flat: Flat, nonzero_supports, zero_supports, rank: int
 ) -> Cocharacter:
-    """Deterministic generic integer point of the flat: coefficients
-    (1, M, M^2, ...) over the basis rows for growing M.  The zero flat gets
-    the zero cocharacter.
+    """Deterministic generic integer point of the flat, in the lattice of the
+    given rank: coefficients (1, M, M^2, ...) over the basis rows for growing
+    M.  The zero flat gets the zero cocharacter.
 
     A support not vanishing on the flat pairs with the point to a nonzero
     polynomial in M of degree at most k - 1, so at most 1 + (k - 1) * |outside|
     values of M are tried."""
-    if not flat.basis:
-        if rank is None:
-            raise InputError("the zero flat needs an explicit rank")
-        return (0,) * rank
-    n = len(flat.basis[0])
     k = len(flat.basis)
     zero = set(zero_supports)
     outside = [u for u in nonzero_supports if u not in zero]
     for m in range(1, 2 + (k - 1) * len(outside)):
         lam = tuple(
-            sum(m**i * flat.basis[i][j] for i in range(k)) for j in range(n)
+            sum(m**i * flat.basis[i][j] for i in range(k)) for j in range(rank)
         )
         if all(dot(lam, u) != 0 for u in outside):
             return lam
@@ -169,14 +163,15 @@ def with_representative(strat: Stratification, stratum: Stratum, rep: Cocharacte
     return dataclasses.replace(stratum, rep=rep, dims=dims)
 
 
-def generic_points(supports, n: int, count: int, start: int = 2):
-    """Deterministic rational points (1, t, t^2, ...) avoiding all the given
-    weight hyperplanes; used for evaluation oracles.  Each nonzero support
-    vanishes at no more than n - 1 values of t, which bounds the search."""
+def generic_points(supports, n: int, count: int):
+    """Deterministic rational points (1, t, t^2, ...) for t = 2, 3, ...
+    avoiding all the given weight hyperplanes; used for evaluation oracles.
+    Each nonzero support vanishes at no more than n - 1 values of t, which
+    bounds the search."""
     supports = [u for u in supports if any(u)]
-    bound = start + count + (n - 1) * len(supports)
+    bound = 2 + count + (n - 1) * len(supports)
     points = []
-    t = start
+    t = 2
     while len(points) < count:
         if t == bound:
             raise InternalCheckError(
@@ -255,10 +250,7 @@ def enumerate_strata(
         zero_v = tuple(w for w in all_v if all(dot(b, w) == 0 for b in basis))
         zero_g = tuple(w for w in all_g if all(dot(b, w) == 0 for b in basis))
         zero_supports = tuple(w for w in zero_v + zero_g if any(w))
-        rep_cochar = (
-            (0,) * n if not basis else
-            representative_cocharacter(flat, nonzero_supports, zero_supports)
-        )
+        rep_cochar = representative_cocharacter(flat, nonzero_supports, zero_supports, n)
         dims = numeric_invariants(group, rep, rep_cochar)
         zero_g_total = sum(group.g_weights.multiplicity(w) for w in zero_g)
         if dims.dim_g_fixed != zero_g_total:

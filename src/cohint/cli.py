@@ -282,6 +282,8 @@ def main(argv=None) -> int:
 
         if bool(args.input) == bool(args.catalog):
             parser.error("exactly one of --input or --catalog is required")
+        if args.group_cap is not None and args.group_cap < 1:
+            raise InputError(f"--group-cap: expected a positive integer, got {args.group_cap}")
         if args.input:
             try:
                 with open(args.input, "r", encoding="utf-8") as handle:

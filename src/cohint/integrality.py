@@ -28,6 +28,7 @@ from .polyalg import (
     kernel_sum,
     monomials_of_degree,
     orthogonal_complement,
+    power_products,
     rref_span,
     substitute,
 )
@@ -117,8 +118,7 @@ def _zero_slice_forms(strat: Stratification, target: Stratum, mu_rep) -> tuple:
 
 def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> KernelForm:
     """Induction kernel from the class of mu into the target stratum."""
-    num, den = _zero_slice_forms(strat, target, mu.rep)
-    return KernelForm(num, den, Fraction(1))
+    return KernelForm(*_zero_slice_forms(strat, target, mu.rep))
 
 
 def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
@@ -127,7 +127,7 @@ def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
     w_target = strat.point_stabilizers[target.index]
     stab = point_stabilizer(strat.weyl, mu.rep)
     h = strat.weyl.subgroup(set(stab.members) & set(w_target.members))
-    return h, coset_representatives(h, w_target), kernel(strat, mu, target)
+    return h, coset_representatives(h, w_target), once(strat, kernel, mu, target)
 
 
 def induct(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
@@ -145,7 +145,7 @@ def epsilon(strat: Stratification, stratum: Stratum) -> EpsilonCharacter:
     """Character by which the stratum stabilizer rescales the kernel,
     computed by exact evaluation at two generic points."""
     wl = strat.set_stabilizers[stratum.index]
-    form = kernel(strat, stratum, strat.top)
+    form = once(strat, kernel, stratum, strat.top)
     points = generic_points(strat.all_supports(), strat.group.rank, 2)
     values: dict[int, Fraction] = {}
     for idx in wl.members:
@@ -196,20 +196,13 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     n = strat.group.rank
     u_basis = strat.u_bases[stratum.index]
     levi = strat.point_stabilizers[stratum.index].elements()
-    base_polys = [Poly.linear(b) for b in u_basis]
     generators = []
     for j in strat.covers[stratum.index]:
-        mu = strat.strata[j]
-        form = kernel(strat, mu, stratum)
-        d = p - form.degree
-        if d < 0:
-            continue
-        for exps in monomials_of_degree(len(u_basis), d):
-            mono = Poly.constant(n, 1)
-            for i, k in enumerate(exps):
-                if k:
-                    mono = mono * base_polys[i] ** k
-            generators.append(kernel_sum(mono, form, levi))
+        form = once(strat, kernel, strat.strata[j], stratum)
+        generators.extend(
+            kernel_sum(mono, form, levi)
+            for mono in power_products(u_basis, p - form.degree, n)
+        )
     return rref_span(generators, p, n)
 
 
@@ -228,16 +221,14 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
     pieces: dict[int, GradedBasis] = {}
     ambient_dims: dict[int, int] = {}
     induced_dims: dict[int, int] = {}
-    for p in range(p_max + 1):
+    for p in range(p_max + 3):
         ambient = invariant_basis(levi, p, u_basis)
         sub = j_graded(strat, stratum, p)
-        pieces[p] = orthogonal_complement(sub, ambient, b)
-        ambient_dims[p] = ambient.dim
-        induced_dims[p] = sub.dim
-    for p in (p_max + 1, p_max + 2):
-        ambient = invariant_basis(levi, p, u_basis)
-        sub = j_graded(strat, stratum, p)
-        if sub.dim != ambient.dim:
+        if p <= p_max:
+            pieces[p] = orthogonal_complement(sub, ambient, b)
+            ambient_dims[p] = ambient.dim
+            induced_dims[p] = sub.dim
+        elif sub.dim != ambient.dim:
             raise InternalCheckError(
                 f"induced submodule fails to fill degree {p} past the vanishing bound "
                 f"at stratum {stratum.index} ({sub.dim} < {ambient.dim})"
@@ -357,7 +348,7 @@ def target_series(strat: Stratification, cutoff: int) -> tuple[Fraction, ...]:
 def verify_hilbert(strat: Stratification, cutoff: int) -> HilbertResult:
     """Degree-by-degree equality of the invariant-ring dimensions with the
     shifted isotypic series summed over the orbit representatives."""
-    target = target_series(strat, cutoff)
+    target = once(strat, target_series, cutoff)
     totals = [Fraction(0)] * (cutoff + 1)
     for s in strat.orbit_representatives():
         r = s.dims.r_lambda
@@ -401,7 +392,7 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
     induction and test that the images form a basis of the invariant ring in
     each degree."""
     n = strat.group.rank
-    target = target_series(strat, cutoff)
+    target = once(strat, target_series, cutoff)
 
     rows = []
     for p in range(cutoff + 1):
@@ -413,19 +404,15 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
                 continue
             bps = once(strat, bps_space, s)
             eps = once(strat, epsilon, s)
-            form_polys = [Poly.linear(u) for u in once(strat, _flat_complement_forms, s)]
+            forms = once(strat, _flat_complement_forms, s)
             for a, basis in bps.pieces.items():
                 if basis.dim == 0 or a > m:
                     continue
-                b_deg = m - a
+                products = list(power_products(forms, m - a, n))
                 projections = []
                 for f in basis.polys():
-                    for exps in monomials_of_degree(len(form_polys), b_deg):
-                        g = f
-                        for i, k in enumerate(exps):
-                            if k:
-                                g = g * form_polys[i] ** k
-                        proj = _isotypic_projection(strat, eps, g)
+                    for g in products:
+                        proj = _isotypic_projection(strat, eps, f * g)
                         if not proj.is_zero():
                             projections.append(proj)
                 iso_basis = rref_span(projections, m, n)
@@ -441,13 +428,20 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
     return IsomorphismResult(tuple(rows), all(r.bijective for r in rows))
 
 
-def _invariant_test_functions(strat, h: Subgroup, max_degree: int, limit: int = 3):
+# Associativity checks the first ASSOCIATIVITY_CHAINS chains, each on the first
+# TEST_FUNCTIONS invariant averages of monomials up to TEST_FUNCTION_DEGREE.
+ASSOCIATIVITY_CHAINS = 20
+TEST_FUNCTIONS = 3
+TEST_FUNCTION_DEGREE = 3
+
+
+def _invariant_test_functions(strat, h: Subgroup):
     """Deterministic list of subgroup-invariant polynomials of small degree."""
     n = strat.group.rank
     out = [Poly.constant(n, 1)]
-    for d in range(1, max_degree + 1):
+    for d in range(1, TEST_FUNCTION_DEGREE + 1):
         for exps in monomials_of_degree(n, d):
-            if len(out) >= limit:
+            if len(out) >= TEST_FUNCTIONS:
                 return out
             f = average_over(h, Poly.monomial(n, exps))
             if not f.is_zero() and f not in out:
@@ -455,14 +449,12 @@ def _invariant_test_functions(strat, h: Subgroup, max_degree: int, limit: int = 
     return out
 
 
-def verify_associativity(
-    strat: Stratification, samples: int = 20, max_f_degree: int = 3
-) -> AssociativityResult:
+def verify_associativity(strat: Stratification) -> AssociativityResult:
     """Composition law on aligned chains: inducting in two stages agrees with
     inducting directly once the smallest representative is sign-aligned.
-    The first `samples` chains i <= j <= k in lexicographic order are used,
-    the strict ones (i < j < k) before the degenerate ones; a stratum's index
-    is below that of every stratum above it."""
+    The first ASSOCIATIVITY_CHAINS chains i <= j <= k in lexicographic order
+    are used, the strict ones (i < j < k) before the degenerate ones; a
+    stratum's index is below that of every stratum above it."""
     count = len(strat.strata)
     chains = (
         (i, j, k)
@@ -474,14 +466,14 @@ def verify_associativity(
     )
     supports = strat.all_supports()
     rows = []
-    for chain in itertools.islice(chains, samples):
+    for chain in itertools.islice(chains, ASSOCIATIVITY_CHAINS):
         i, j, k = chain
         s1, s2, s3 = strat.strata[i], strat.strata[j], strat.strata[k]
         nu = align_representative(s1, s2.rep, supports)
         s1_aligned = with_representative(strat, s1, nu)
         h = point_stabilizer(strat.weyl, nu)
         ok = True
-        funcs = _invariant_test_functions(strat, h, max_f_degree)
+        funcs = _invariant_test_functions(strat, h)
         for f in funcs:
             direct = induct(strat, f, s1_aligned, s3)
             staged = induct(strat, induct(strat, f, s1_aligned, s2), s2, s3)

@@ -8,15 +8,15 @@ row-echelon bases and their pivots are reproducible.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import factorial, gcd, lcm, prod
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalCheckError
 from .lattice import Weight
-from .matrices import QMatrix, mat_vec, nullspace, rref, saturate_span, solve_combination
+from .matrices import QMatrix, dot, mat_vec, nullspace, rref, saturate_span, solve_combination
 from .weyl import Subgroup, WeylElement
 
 Exponents = tuple[int, ...]
@@ -46,9 +46,8 @@ class Poly:
         return cls(nvars, {} if c == 0 else {(0,) * nvars: c})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Exponents, c=1) -> "Poly":
-        c = Fraction(c)
-        return cls(nvars, {} if c == 0 else {tuple(exps): c})
+    def monomial(cls, nvars: int, exps: Exponents) -> "Poly":
+        return cls(nvars, {tuple(exps): Fraction(1)})
 
     @classmethod
     def linear(cls, coeffs: Sequence) -> "Poly":
@@ -71,13 +70,8 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def is_homogeneous(self, p: int | None = None) -> bool:
-        degs = {sum(e) for e in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return p is None or degs == {p}
+    def is_homogeneous(self, p: int) -> bool:
+        return all(sum(e) == p for e in self.terms)
 
     def coefficient_vector(self, monomials: Sequence[Exponents]) -> tuple[Fraction, ...]:
         return tuple(self.terms.get(m, Fraction(0)) for m in monomials)
@@ -178,6 +172,18 @@ def monomials_of_degree(nvars: int, p: int) -> tuple[Exponents, ...]:
     return tuple(gen(nvars, p))
 
 
+def power_products(forms: Sequence[Sequence], d: int, nvars: int) -> Iterator[Poly]:
+    """The products prod_i forms[i]^e_i of the linear forms over the exponents
+    e of total degree d, in the order of monomials_of_degree(len(forms), d)."""
+    linear = [Poly.linear(u) for u in forms]
+    for exps in monomials_of_degree(len(forms), d):
+        mono = Poly.constant(nvars, 1)
+        for form, k in zip(linear, exps):
+            if k:
+                mono = mono * form ** k
+        yield mono
+
+
 def apply_linear_map(f: Poly, matrix) -> Poly:
     """Substitute x_i -> sum_j matrix[j][i] x_j (the action on linear forms
     that sends the i-th coordinate form to matrix applied to it)."""
@@ -243,18 +249,17 @@ def exact_divide(f: Poly, ell: Sequence) -> Poly:
 
 @dataclass(frozen=True)
 class KernelForm:
-    """Ratio of products of integer linear forms times a rational scalar."""
+    """Ratio of products of integer linear forms."""
 
     numerator: tuple[Weight, ...]
     denominator: tuple[Weight, ...]
-    scalar: Fraction = Fraction(1)
 
     @property
     def degree(self) -> int:
         return len(self.numerator) - len(self.denominator)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        value = Fraction(self.scalar)
+        value = Fraction(1)
         for a in self.numerator:
             value *= Fraction(sum(x * y for x, y in zip(a, point)))
         for b in self.denominator:
@@ -265,7 +270,6 @@ class KernelForm:
         return KernelForm(
             tuple(mat_vec(w.matrix, a) for a in self.numerator),
             tuple(mat_vec(w.matrix, b) for b in self.denominator),
-            self.scalar,
         )
 
 
@@ -314,7 +318,7 @@ def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement]) -> Poly:
             raise InternalCheckError(
                 f"kernel sum is not polynomial: {exc}"
             ) from exc
-    return total.scaled(k.scalar)
+    return total
 
 
 @dataclass(frozen=True)
@@ -325,7 +329,7 @@ class GradedBasis:
     degree: int
     monomials: tuple[Exponents, ...]
     rows: tuple[tuple[Fraction, ...], ...]
-    pivots: tuple[int, ...] = field(default=())
+    pivots: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -354,9 +358,6 @@ class GradedBasis:
             return None
         return tuple(coords)
 
-    def contains(self, f: Poly) -> bool:
-        return self.coordinates(f) is not None
-
 
 def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
     """Row-reduced span of homogeneous polynomials of the given degree."""
@@ -382,65 +383,39 @@ def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis
         for b in basis:
             if solve_combination(basis, mat_vec(w.matrix, b)) is None:
                 raise InputError("span of the forms is not stable under the subgroup")
-    base_polys = [Poly.linear(b) for b in basis]
-    vectors = []
-    for exps in monomials_of_degree(len(basis), p):
-        mono = Poly.constant(nvars, 1)
-        for i, k in enumerate(exps):
-            if k:
-                mono = mono * base_polys[i] ** k
-        vectors.append(average_over(h, mono))
+    vectors = [average_over(h, mono) for mono in power_products(basis, p, nvars)]
     return rref_span(vectors, p, nvars)
 
 
-@lru_cache(maxsize=None)
-def _monomial_inner(e1: Exponents, e2: Exponents, b: QMatrix) -> Fraction:
-    """Permanent pairing of two monomials induced multiplicatively from b."""
-    if sum(e1) != sum(e2):
-        return Fraction(0)
-    if sum(e1) == 0:
-        return Fraction(1)
-    i = next(k for k, v in enumerate(e1) if v)
-    e1r = tuple(v - (1 if k == i else 0) for k, v in enumerate(e1))
-    total = Fraction(0)
-    for j, vj in enumerate(e2):
-        if vj:
-            e2r = tuple(v - (1 if k == j else 0) for k, v in enumerate(e2))
-            total += vj * b[i][j] * _monomial_inner(e1r, e2r, b)
-    return total
+def _dual(f: Poly, b: QMatrix, monomials: Sequence[Exponents]) -> tuple[Fraction, ...]:
+    """The vector d over the monomials with <f, g>_b = sum_m d_m g_m for every
+    g spanned by them: d_m = (f o b)_m * m!, where f o b = apply_linear_map(f, b)
+    and m! = prod_i m_i!."""
+    image = apply_linear_map(f, b).terms
+    return tuple(
+        image[m] * prod(factorial(k) for k in m) if m in image else Fraction(0)
+        for m in monomials
+    )
 
 
 def poly_inner(f: Poly, g: Poly, b: QMatrix) -> Fraction:
-    """Degree-p inner product induced from the bilinear form b on linear forms."""
-    total = Fraction(0)
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            total += c1 * c2 * _monomial_inner(e1, e2, b)
-    return total
+    """The inner product f(b.d)g induced from the symmetric form b on linear
+    forms: sum_e (f o b)_e * e! * g_e.  On monomials it is the permanent of b
+    over the factors of the two monomials; different degrees pair to 0."""
+    monomials = tuple(g.terms)
+    return Fraction(dot(_dual(f, b, monomials), g.coefficient_vector(monomials)))
 
 
 def orthogonal_complement(sub: GradedBasis, ambient: GradedBasis, b: QMatrix) -> GradedBasis:
-    """Complement of sub inside ambient, orthogonal for the b-induced product."""
-    ambient_polys = ambient.polys()
+    """Complement of sub inside ambient, orthogonal for poly_inner under b:
+    the combinations of ambient rows that every sub row's dual vector kills."""
     sub_polys = sub.polys()
-    for f in sub_polys:
-        if not ambient.contains(f):
-            raise InputError("sub basis is not contained in the ambient space")
+    if any(ambient.coordinates(f) is None for f in sub_polys):
+        raise InputError("sub basis is not contained in the ambient space")
     if not sub_polys:
         return ambient
-    gram = [
-        [poly_inner(af, sf, b) for sf in sub_polys]
-        for af in ambient_polys
-    ]
-    # left-kernel of the Gram pairing: combinations of ambient rows orthogonal to sub
-    constraints = [tuple(gram[i][j] for i in range(len(ambient_polys)))
-                   for j in range(len(sub_polys))]
-    coeffs = nullspace(constraints, len(ambient_polys))
-    out = []
-    for c in coeffs:
-        f = Poly.zero(ambient.nvars)
-        for ci, af in zip(c, ambient_polys):
-            if ci:
-                f = f + af.scaled(ci)
-        out.append(f)
-    return rref_span(out, ambient.degree, ambient.nvars)
+    duals = [_dual(f, b, ambient.monomials) for f in sub_polys]
+    coeffs = nullspace([[dot(d, row) for row in ambient.rows] for d in duals], ambient.dim)
+    combos = [[dot(c, column) for column in zip(*ambient.rows)] for c in coeffs]
+    rows, pivots = rref(combos, len(ambient.monomials))
+    return GradedBasis(ambient.nvars, ambient.degree, ambient.monomials, rows, pivots)

@@ -84,7 +84,7 @@ class TestRepresentatives:
         # (0, 1) vanishes on the flat spanned by (1, 0) but is not listed as
         # zero, so no point of the flat avoids it
         with pytest.raises(InternalCheckError, match=r"\(\(1, 0\),\)"):
-            representative_cocharacter(Flat(((1, 0),)), [(0, 1)], [])
+            representative_cocharacter(Flat(((1, 0),)), [(0, 1)], [], 2)
 
     def test_full_space_skips_non_generic_point(self, gl2_strat):
         # (1,1) lies on the root hyperplane, so the search must move on

@@ -270,6 +270,22 @@ class TestMain:
         assert "group not finite within cap (cap=2)" in out["error"]
         assert "raise --group-cap" in out["error"]
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("source", ["input", "catalog"])
+    def test_group_cap_below_one_is_rejected(self, cap, source, tmp_path, capsys):
+        if source == "input":
+            path = tmp_path / "gl2.json"
+            path.write_text(json.dumps(GL2_DOC))
+            argv = ["validate", "--input", str(path)]
+        else:
+            argv = ["validate", "--catalog", "torus2-cotangent"]
+        assert main([*argv, "--group-cap", cap]) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out == {
+            "status": "validation_failed",
+            "error": f"--group-cap: expected a positive integer, got {cap}",
+        }
+
     @pytest.mark.parametrize("command", ["validate", "strata", "verify"])
     @pytest.mark.parametrize("source", ["input", "catalog"])
     @pytest.mark.parametrize("group_cap", [[], ["--group-cap", "100"]], ids=["no-cap", "cap"])
@@ -331,9 +347,10 @@ class TestMain:
     def test_each_bps_space_is_built_once(self, monkeypatch):
         from cohint import integrality
 
-        built, signs, forms = [], [], []
+        built, signs, forms, kernels, series = [], [], [], [], []
         bps_space, epsilon = integrality.bps_space, integrality.epsilon
         averaged_form = integrality.averaged_form
+        kernel, target_series = integrality.kernel, integrality.target_series
 
         def counting(strat, stratum):
             built.append(stratum.index)
@@ -347,15 +364,27 @@ class TestMain:
             forms.append(group.order)
             return averaged_form(group)
 
+        def counting_kernel(strat, mu, target):
+            kernels.append((mu, target))
+            return kernel(strat, mu, target)
+
+        def counting_series(strat, cutoff):
+            series.append(cutoff)
+            return target_series(strat, cutoff)
+
         monkeypatch.setattr(integrality, "bps_space", counting)
         monkeypatch.setattr(integrality, "epsilon", counting_epsilon)
         monkeypatch.setattr(integrality, "averaged_form", counting_form)
+        monkeypatch.setattr(integrality, "kernel", counting_kernel)
+        monkeypatch.setattr(integrality, "target_series", counting_series)
         doc = catalog_emit("gl2-cotangent")
         strat = enumerate_strata(doc.group_data(), doc.rep_data())
         assert main(["verify", "--catalog", "gl2-cotangent"]) == EXIT_OK
         assert len(built) == len(strat.orbits)
         assert sorted(signs) == sorted(members[0] for members in strat.orbits)
         assert len(forms) == 1
+        assert kernels and len(set(kernels)) == len(kernels)
+        assert len(series) == 1
         built.clear()
         assert main(["bps", "--catalog", "gl2-cotangent", "--orbit", "0"]) == EXIT_OK
         assert built == [strat.orbits[0][0]]

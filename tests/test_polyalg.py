@@ -20,6 +20,9 @@ from cohint import (
 )
 from cohint.matrices import dot, mat_vec
 from cohint.polyalg import ExactDivisionError, average_over, monomials_of_degree, poly_inner
+from cohint.weyl import averaged_form
+
+from conftest import build
 
 SWAP = ((0, 1), (1, 0))
 S2 = enumerate_group((SWAP,), 2)
@@ -164,7 +167,7 @@ class TestKernelSum:
             return divide(f, ell)
 
         monkeypatch.setattr(polyalg, "exact_divide", recording)
-        k = KernelForm(((1, 0),), ((2, -2),), Fraction(3, 5))
+        k = KernelForm(((1, 0),), ((2, -2),))
         f = x(0) ** 2 + (x(0) * x(1)).scaled(3)
         assert_matches_direct_sum(f, k, S2.elements)
         assert divisors == [(1, -1)]
@@ -294,6 +297,72 @@ class TestOrthogonalComplement:
         sub = rref_span([x(1)], 1, 2)
         with pytest.raises(InputError, match="contained"):
             orthogonal_complement(sub, ambient, IDENTITY_FORM)
+
+
+def permanent_inner(f, g, b):
+    """Reference pairing: on monomials, the sum over the matchings of the
+    factors of the first with those of the second of the product of the
+    entries of b, expanded recursively on the first variable."""
+
+    def monomial_inner(e1, e2):
+        if sum(e1) != sum(e2):
+            return Fraction(0)
+        if sum(e1) == 0:
+            return Fraction(1)
+        i = next(k for k, v in enumerate(e1) if v)
+        e1r = tuple(v - (k == i) for k, v in enumerate(e1))
+        return sum(
+            (vj * b[i][j] * monomial_inner(e1r, tuple(v - (k == j) for k, v in enumerate(e2)))
+             for j, vj in enumerate(e2) if vj),
+            Fraction(0),
+        )
+
+    return sum(
+        (c1 * c2 * monomial_inner(e1, e2)
+         for e1, c1 in f.terms.items() for e2, c2 in g.terms.items()),
+        Fraction(0),
+    )
+
+
+SL3_FORM = averaged_form(build("adjoint:sl3")[1].weyl)
+RATIONAL_FORM = tuple(
+    tuple(Fraction(v) for v in row)
+    for row in ((2, Fraction(1, 2), -1), (Fraction(1, 2), Fraction(-3, 4), 3), (-1, 3, 5))
+)
+
+
+def dense(nvars, degree, coefficient):
+    """Every monomial of the degree, with coefficient(i) on the i-th."""
+    return Poly(nvars, {
+        m: Fraction(coefficient(i))
+        for i, m in enumerate(monomials_of_degree(nvars, degree)) if coefficient(i)
+    })
+
+
+class TestPairing:
+    @pytest.mark.parametrize("form", [SL3_FORM, RATIONAL_FORM], ids=["sl3", "rational3x3"])
+    @pytest.mark.parametrize("degree", range(6))
+    def test_matches_the_permanent(self, form, degree):
+        n = len(form)
+        f = dense(n, degree, lambda i: i + 1)
+        g = dense(n, degree, lambda i: (-1) ** i * Fraction(i * i + 1, i + 2))
+        monos = [Poly.monomial(n, m) for m in monomials_of_degree(n, degree)[:4]]
+        for a in [f, g, *monos]:
+            for c in [g, *monos]:
+                assert poly_inner(a, c, form) == permanent_inner(a, c, form)
+        assert poly_inner(f, dense(n, degree + 1, lambda i: 1), form) == 0
+
+    def test_complement_under_the_sl3_form(self):
+        ambient = rref_span(
+            [Poly.monomial(2, m) for m in monomials_of_degree(2, 4)], 4, 2
+        )
+        sub = rref_span([x(0) ** 4 + x(0) * x(1) ** 3, (x(0) - x(1).scaled(2)) ** 4], 4, 2)
+        comp = orthogonal_complement(sub, ambient, SL3_FORM)
+        assert comp.dim == ambient.dim - sub.dim
+        for f in comp.polys():
+            for g in sub.polys():
+                assert permanent_inner(f, g, SL3_FORM) == 0
+                assert permanent_inner(g, f, SL3_FORM) == 0
 
 
 class TestAverageOver:
