@@ -55,6 +55,11 @@ def _require(cond: bool, location: str, message: str) -> None:
         raise InputError(f"{location}: {message}")
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer; bool is an int subclass but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_weights(raw, location: str, rank: int) -> WeightMultiset:
     _require(isinstance(raw, list), location, "expected a list of weight entries")
     pairs = []
@@ -65,13 +70,13 @@ def _parse_weights(raw, location: str, rank: int) -> WeightMultiset:
         _require(
             isinstance(alpha, list)
             and len(alpha) == rank
-            and all(isinstance(c, int) for c in alpha),
+            and all(_is_int(c) for c in alpha),
             f"{loc}.alpha",
             f"expected a list of {rank} integers",
         )
         mult = entry.get("multiplicity", 1)
         _require(
-            isinstance(mult, int) and mult >= 1,
+            _is_int(mult) and mult >= 1,
             f"{loc}.multiplicity",
             "expected a positive integer",
         )
@@ -84,7 +89,7 @@ def document_from_dict(raw: dict) -> InputDocument:
     name = raw.get("name", "input")
     _require(isinstance(name, str), "name", "expected a string")
     rank = raw.get("rank")
-    _require(isinstance(rank, int) and rank >= 1, "rank", "expected a positive integer")
+    _require(_is_int(rank) and rank >= 1, "rank", "expected a positive integer")
     gens_raw = raw.get("weyl_generators", [])
     _require(isinstance(gens_raw, list), "weyl_generators", "expected a list of matrices")
     gens = []
@@ -96,7 +101,7 @@ def document_from_dict(raw: dict) -> InputDocument:
             and all(
                 isinstance(row, list)
                 and len(row) == rank
-                and all(isinstance(x, int) for x in row)
+                and all(_is_int(x) for x in row)
                 for row in g
             ),
             loc,
@@ -109,13 +114,13 @@ def document_from_dict(raw: dict) -> InputDocument:
     _require(isinstance(options, dict), "options", "expected an object")
     max_degree = options.get("max_degree")
     _require(
-        max_degree is None or (isinstance(max_degree, int) and max_degree >= 0),
+        max_degree is None or (_is_int(max_degree) and max_degree >= 0),
         "options.max_degree",
         "expected a nonnegative integer",
     )
     group_cap = options.get("group_cap", DEFAULT_GROUP_CAP)
     _require(
-        isinstance(group_cap, int) and group_cap >= 1,
+        _is_int(group_cap) and group_cap >= 1,
         "options.group_cap",
         "expected a positive integer",
     )

@@ -57,8 +57,6 @@ class EpsilonCharacter:
 class BpsSpace:
     stratum: Stratum
     pieces: dict[int, GradedBasis]
-    ambient_dims: dict[int, int]
-    induced_dims: dict[int, int]
     w_matrices: dict[int, dict[int, tuple[tuple[Fraction, ...], ...]]]
     dt_table: dict[int, int]
     euler: int
@@ -87,9 +85,10 @@ def _invariant_form(strat: Stratification):
     return averaged_form(strat.weyl)
 
 
-def _zero_slice_forms(strat: Stratification, target: Stratum, mu_rep) -> tuple:
-    """Linear forms of the kernel: negative-slice weights of the target's
-    fixed data, with multiplicity, sliced by the source representative."""
+def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> KernelForm:
+    """Induction kernel from the class of mu into the target stratum: the
+    negative-slice weights of the target's fixed data, with multiplicity,
+    sliced by mu's representative."""
     num: list[Weight] = []
     den: list[Weight] = []
     pos_v = pos_g = 0
@@ -97,28 +96,24 @@ def _zero_slice_forms(strat: Stratification, target: Stratum, mu_rep) -> tuple:
     zero_g = set(target.zero_g)
     for w, m in strat.rep.v_weights:
         if w in zero_v:
-            p = pairing(mu_rep, w)
+            p = pairing(mu.rep, w)
             if p < 0:
                 num.extend([w] * m)
             elif p > 0:
                 pos_v += m
     for w, m in strat.group.g_weights:
         if w in zero_g:
-            p = pairing(mu_rep, w)
+            p = pairing(mu.rep, w)
             if p < 0:
                 den.extend([w] * m)
             elif p > 0:
                 pos_g += m
     if len(num) != pos_v or len(den) != pos_g:
         raise InternalCheckError(
-            "negative and positive slices differ in size; data is not weakly symmetric"
+            f"kernel from stratum {mu.index} into stratum {target.index}: negative and "
+            "positive slices differ in size; data is not weakly symmetric"
         )
-    return tuple(num), tuple(den)
-
-
-def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> KernelForm:
-    """Induction kernel from the class of mu into the target stratum."""
-    return KernelForm(*_zero_slice_forms(strat, target, mu.rep))
+    return KernelForm(tuple(num), tuple(den))
 
 
 def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
@@ -154,29 +149,41 @@ def epsilon(strat: Stratification, stratum: Stratum) -> EpsilonCharacter:
         ratios = [form.evaluate(pt) / moved.evaluate(pt) for pt in points]
         if ratios[0] != ratios[1]:
             raise InternalCheckError(
-                f"kernel ratio is not constant for element {idx}: {ratios}"
+                f"stratum {stratum.index}: kernel ratio is not constant "
+                f"for element {idx}: {ratios}"
             )
         if ratios[0] not in (Fraction(1), Fraction(-1)):
             raise InternalCheckError(
-                f"kernel character takes a value outside +/-1: {ratios[0]} at element {idx}"
+                f"stratum {stratum.index}: kernel character takes a value outside "
+                f"+/-1: {ratios[0]} at element {idx}"
             )
         values[idx] = ratios[0]
-    if values[strat.weyl.identity_index] != 1:
-        raise InternalCheckError("kernel character is not 1 on the identity")
+    identity = strat.weyl.identity_index
+    if values[identity] != 1:
+        raise InternalCheckError(
+            f"stratum {stratum.index}: kernel character is not 1 on the identity "
+            f"(element {identity})"
+        )
     for a in wl.members:
         for b in wl.members:
             if values[strat.weyl.product(a, b)] != values[a] * values[b]:
-                raise InternalCheckError("kernel character is not multiplicative")
+                raise InternalCheckError(
+                    f"stratum {stratum.index}: kernel character is not multiplicative "
+                    f"on elements {a} and {b}"
+                )
     return EpsilonCharacter(wl, values)
 
 
 def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     """Degree-p slice of the induced submodule of lambda = stratum: the span
-    of sum_{w in W_lambda} w(f * k_{mu->lambda}) over f in Sym(U_lambda) and
-    the strata mu that lambda covers.  Here k_{mu->lambda} is the kernel,
-    W_lambda the point stabilizer and U_lambda the reduced variables.
+    of the inductions sum_{c in W_lambda/H} c(f * k_{mu->lambda}) of the
+    H-invariants f of Sym(U_lambda), over the strata mu that lambda covers.
+    Here k_{mu->lambda} is the kernel, W_lambda the point stabilizer, H its
+    intersection with the stabilizer of mu's representative, and U_lambda the
+    reduced variables; the cosets and kernel are those of induct.
 
-    The strata further down add nothing, because induction composes:
+    This is the span of sum_{w in W_lambda} w(f * k_{mu->lambda}) over all
+    f in Sym(U_lambda) and every mu below lambda:
     (a) The span from mu does not depend on mu's generic representative.
         Moving it across the hyperplane of a ray rho swaps the kernel's
         forms on rho for those on -rho.  Inside zero(lambda) there are as
@@ -190,20 +197,23 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
         where g = sum_{v in W_nu} v(f * k_{mu->nu}) lies in Sym(U_lambda).
         Hence the span from mu lies in the span from nu, and every
         mu < lambda lies under some cover of lambda.
+    (c) H fixes mu's representative and preserves zero(lambda), so it
+        permutes the kernel's forms and k_{mu->lambda} is H-invariant.  Then
+            sum_{w in W_lambda} w(f * k_{mu->lambda})
+                = |H| sum_{c in W_lambda/H} c(avg_H(f) * k_{mu->lambda}),
+        and avg_H maps Sym(U_lambda) onto its H-invariants.
     enumerate_strata checks that W_nu lies in W_lambda on every cover edge."""
     if p < 0:
         raise InputError("degree must be nonnegative")
-    n = strat.group.rank
     u_basis = strat.u_bases[stratum.index]
-    levi = strat.point_stabilizers[stratum.index].elements()
     generators = []
     for j in strat.covers[stratum.index]:
-        form = once(strat, kernel, strat.strata[j], stratum)
+        h, cosets, form = once(strat, _induction_data, strat.strata[j], stratum)
         generators.extend(
-            kernel_sum(mono, form, levi)
-            for mono in power_products(u_basis, p - form.degree, n)
+            kernel_sum(f, form, cosets)
+            for f in invariant_basis(h, p - form.degree, u_basis).polys()
         )
-    return rref_span(generators, p, n)
+    return rref_span(generators, p, strat.group.rank)
 
 
 def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
@@ -219,15 +229,11 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
     p_max = v_dim // 2
 
     pieces: dict[int, GradedBasis] = {}
-    ambient_dims: dict[int, int] = {}
-    induced_dims: dict[int, int] = {}
     for p in range(p_max + 3):
         ambient = invariant_basis(levi, p, u_basis)
         sub = j_graded(strat, stratum, p)
         if p <= p_max:
             pieces[p] = orthogonal_complement(sub, ambient, b)
-            ambient_dims[p] = ambient.dim
-            induced_dims[p] = sub.dim
         elif sub.dim != ambient.dim:
             raise InternalCheckError(
                 f"induced submodule fails to fill degree {p} past the vanishing bound "
@@ -246,7 +252,8 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
                 coords = basis.coordinates(substitute(w, f))
                 if coords is None:
                     raise InternalCheckError(
-                        "BPS piece is not stable under the stratum stabilizer"
+                        f"stratum {stratum.index}: BPS piece of degree {p} is not "
+                        f"stable under element {idx} of the stratum stabilizer"
                     )
                 rows.append(coords)
             mats[p] = tuple(rows)
@@ -265,7 +272,7 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
                 )
             dt_table[i] = dim
     euler = sum(dim if i % 2 == 0 else -dim for i, dim in dt_table.items())
-    return BpsSpace(stratum, pieces, ambient_dims, induced_dims, w_matrices, dt_table, euler)
+    return BpsSpace(stratum, pieces, w_matrices, dt_table, euler)
 
 
 def isotypic_series(
@@ -422,7 +429,9 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
         rank = rref_span(images, p, n).dim
         t = target[p]
         if t.denominator != 1:
-            raise InternalCheckError("invariant-ring series has a non-integer coefficient")
+            raise InternalCheckError(
+                f"invariant-ring series has a non-integer coefficient {t} in degree {p}"
+            )
         t_int = int(t)
         rows.append(IsomorphismRow(p, t_int, domain_dim, rank, t_int == domain_dim == rank))
     return IsomorphismResult(tuple(rows), all(r.bijective for r in rows))

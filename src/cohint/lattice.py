@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
-from .matrices import IntMatrix, det, mat_vec
+from .matrices import IntMatrix, int_inverse, mat_vec
 
 Weight = tuple[int, ...]
 Cocharacter = tuple[int, ...]
@@ -111,8 +111,12 @@ class GroupData:
         for k, gen in enumerate(self.weyl_generators):
             if len(gen) != self.rank or any(len(row) != self.rank for row in gen):
                 raise InputError(f"weyl_generators[{k}] is not a {self.rank}x{self.rank} matrix")
-            if abs(det(gen)) != 1:
-                raise InputError(f"weyl_generators[{k}] is not invertible over the integers")
+            try:
+                int_inverse(gen)
+            except ValueError:
+                raise InputError(
+                    f"weyl_generators[{k}] is not invertible over the integers"
+                ) from None
         for w, _ in self.g_weights:
             if len(w) != self.rank:
                 raise InputError(f"g_weights entry {w} has wrong length (rank is {self.rank})")

@@ -37,49 +37,17 @@ def dot(u: Sequence, v: Sequence) -> int | Fraction:
     return sum(x * y for x, y in zip(u, v))
 
 
-def det(m: Sequence[Sequence]) -> Fraction:
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            d = -d
-        d *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return d
-
-
 def int_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix that is invertible over the integers (det = +/-1)."""
+    """Inverse of a matrix that is invertible over the integers (det = +/-1),
+    read off the reduced row echelon form of [m | I]."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = Fraction(1) / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not invertible over the integers")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    red, pivots = rref([tuple(row) + e for row, e in zip(m, identity(n))], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    inverse = [row[n:] for row in red]
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise ValueError("matrix is not invertible over the integers")
+    return tuple(tuple(int(x) for x in row) for row in inverse)
 
 
 def rref(rows: Iterable[Sequence], ncols: int) -> tuple[QMatrix, tuple[int, ...]]:

@@ -46,6 +46,7 @@ RANK2_ORACLE_KEYS = (
     "sl2-irrep:5",
     "sl2-adjoint:2",
     "trivial:sl3",
+    "adjoint:sl3",
 )
 
 

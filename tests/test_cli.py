@@ -40,6 +40,26 @@ class TestParseInput:
         with pytest.raises(InputError, match=r"v_weights\[0\].alpha"):
             parse_input(json.dumps(bad))
 
+    @pytest.mark.parametrize("edit,location", [
+        (lambda d, b: d.update(rank=b), r"^rank: expected a positive integer$"),
+        (lambda d, b: d.update(weyl_generators=[[[0, b], [1, 0]]]),
+         r"^weyl_generators\[0\]: expected a 2x2 integer matrix$"),
+        (lambda d, b: d["v_weights"][0].update(alpha=[b, 0]),
+         r"^v_weights\[0\].alpha: expected a list of 2 integers$"),
+        (lambda d, b: d["g_weights"][1].update(multiplicity=b),
+         r"^g_weights\[1\].multiplicity: expected a positive integer$"),
+        (lambda d, b: d.update(options={"max_degree": b}),
+         r"^options.max_degree: expected a nonnegative integer$"),
+        (lambda d, b: d.update(options={"group_cap": b}),
+         r"^options.group_cap: expected a positive integer$"),
+    ], ids=["rank", "generator-entry", "alpha", "multiplicity", "max_degree", "group_cap"])
+    @pytest.mark.parametrize("boolean", [True, False])
+    def test_boolean_is_not_an_integer(self, edit, location, boolean):
+        bad = json.loads(json.dumps(GL2_DOC))
+        edit(bad, boolean)
+        with pytest.raises(InputError, match=location):
+            parse_input(json.dumps(bad))
+
     def test_non_invertible_generator(self):
         bad = json.loads(json.dumps(GL2_DOC))
         bad["weyl_generators"] = [[[2, 0], [0, 1]]]

@@ -4,7 +4,9 @@ import pytest
 
 from cohint import (
     InputError,
+    InternalCheckError,
     Poly,
+    catalog_emit,
     catalog_keys,
     enumerate_strata,
     invariant_basis,
@@ -15,7 +17,7 @@ from cohint import (
 from cohint import integrality as I
 from cohint.arrangement import generic_points
 from cohint.documents import document_from_dict
-from cohint.polyalg import kernel_sum, monomials_of_degree
+from cohint.polyalg import KernelForm, kernel_sum, monomials_of_degree
 from cohint.weyl import point_stabilizer
 
 from conftest import bps_spaces, build, gl_document
@@ -24,6 +26,9 @@ from conftest import bps_spaces, build, gl_document
 CATALOG_KEYS = tuple(k for k in catalog_keys() if "<" not in k) + (
     "gl2-cotangent:3", "sl2-irrep:3", "sl2-adjoint:2")
 RANK2_KEYS = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:5", "sl2-adjoint:2", "trivial:sl3")
+# On adjoint:sl3's edges into the top, H has order 2 in W_lambda of order 6 and
+# the kernel has two numerator and two denominator forms.
+ORACLE_KEYS = RANK2_KEYS + ("adjoint:sl3",)
 
 
 def x(i, n=2):
@@ -253,7 +258,7 @@ class TestJGraded:
             I.j_graded(gl2_strat, gl2_strat.top, -1)
 
     def test_matches_image_intersection_oracle(self):
-        for key in RANK2_KEYS:
+        for key in ORACLE_KEYS:
             _, strat = build(key)
             for s in strat.strata:
                 for p in range(4):
@@ -290,7 +295,9 @@ def product_of_powers(forms, exps, n):
 
 def _j_graded_from_every_lower_stratum(strat, stratum, p):
     """The induced submodule spanned from every stratum strictly below, not
-    only from the covers."""
+    only from the covers, by the sum over every element of the point
+    stabilizer on monomials of the reduced variables, not by induct's coset
+    sum on invariants."""
     n = strat.group.rank
     u_forms = [Poly.linear(b) for b in strat.u_bases[stratum.index]]
     levi = strat.point_stabilizers[stratum.index].elements()
@@ -392,6 +399,54 @@ class TestBpsSpace:
                     ma = space.w_matrices[a][p]
                     mb = space.w_matrices[b][p]
                     assert mat_mul(mb, ma) == space.w_matrices[ab][p]
+
+
+class TestLocatedInternalErrors:
+    """Each internal check names where it failed; the failures are forced by
+    patching one dependency, on a stratification no other test shares."""
+
+    @pytest.fixture
+    def strat(self):
+        doc = catalog_emit("gl2-cotangent")
+        return enumerate_strata(doc.group_data(), doc.rep_data())
+
+    def test_kernel_names_source_and_target(self, strat, monkeypatch):
+        monkeypatch.setattr(I, "pairing", lambda cochar, weight: -1)
+        with pytest.raises(InternalCheckError, match=(
+            r"^kernel from stratum 1 into stratum 4: negative and positive slices "
+            r"differ in size; data is not weakly symmetric$"
+        )):
+            I.kernel(strat, strat.strata[1], strat.top)
+
+    def test_epsilon_names_stratum_and_element(self, strat, monkeypatch):
+        generic = strat.strata[0]
+        first = strat.set_stabilizers[generic.index].members[0]
+        # an extra numerator form x2 makes the ratio 1/x2, which is not constant
+        monkeypatch.setattr(KernelForm, "transformed", lambda self, w: KernelForm(
+            self.numerator + ((0, 1),), self.denominator))
+        with pytest.raises(InternalCheckError, match=(
+            rf"^stratum 0: kernel ratio is not constant for element {first}: "
+        )):
+            I.epsilon(strat, generic)
+
+    def test_bps_space_names_stratum_degree_and_element(self, strat, monkeypatch):
+        generic = strat.strata[0]
+        assert I.bps_space(strat, generic).piece_dims() == {0: 1}
+        first = strat.set_stabilizers[generic.index].members[0]
+        monkeypatch.setattr(I, "substitute", lambda w, f: f * x(0))
+        with pytest.raises(InternalCheckError, match=(
+            rf"^stratum 0: BPS piece of degree 0 is not stable under element {first} "
+            r"of the stratum stabilizer$"
+        )):
+            I.bps_space(strat, generic)
+
+    def test_verify_isomorphism_names_the_degree(self, strat, monkeypatch):
+        monkeypatch.setattr(
+            I, "target_series", lambda strat, cutoff: (Fraction(1, 2),) * (cutoff + 1))
+        with pytest.raises(InternalCheckError, match=(
+            r"^invariant-ring series has a non-integer coefficient 1/2 in degree 0$"
+        )):
+            I.verify_isomorphism(strat, 2)
 
 
 class TestIsotypicSeries:

@@ -11,6 +11,7 @@ from cohint import (
     slice_weights,
     symmetry_class,
 )
+from cohint.matrices import identity, int_inverse, mat_mul
 from cohint.weyl import char_action, cochar_action
 
 from conftest import build
@@ -159,6 +160,29 @@ class TestGroupDataValidation:
         g = GroupData("bad", 2, (((1, 0), (0, 2)),), ws(((0, 0), 2)))
         with pytest.raises(InputError, match="invertible"):
             g.validate()
+
+    @pytest.mark.parametrize("gen,reason", [
+        (((1, 2), (2, 4)), "singular"),
+        (((1, 1), (-1, 1)), "not invertible over the integers"),
+    ])
+    def test_generator_without_an_integer_inverse(self, gen, reason):
+        # rank 1 and det 2: int_inverse tells the two apart, validate does not
+        with pytest.raises(ValueError, match=reason):
+            int_inverse(gen)
+        g = GroupData("bad", 2, (((0, 1), (1, 0)), gen), ws(((0, 0), 2)))
+        with pytest.raises(InputError, match=r"^weyl_generators\[1\] is not invertible "
+                                              r"over the integers$"):
+            g.validate()
+
+    def test_sl3_generators_have_integer_inverses(self):
+        doc, _ = build("trivial:sl3")
+        gens = doc.group_data().weyl_generators
+        assert gens
+        for gen in gens:
+            inv = int_inverse(gen)
+            assert mat_mul(gen, inv) == identity(2)
+            assert mat_mul(inv, gen) == identity(2)
+            assert all(isinstance(x, int) for row in inv for x in row)
 
     def test_missing_zero_weight(self):
         g = GroupData("bad", 2, (), ws(((0, 0), 1)))
