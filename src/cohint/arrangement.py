@@ -20,7 +20,7 @@ from .lattice import (
     SymmetryClass,
     Weight,
     numeric_invariants,
-    primitive_ray,
+    ray,
     symmetry_class,
     DEFAULT_GROUP_CAP,
 )
@@ -204,7 +204,7 @@ def enumerate_strata(
 
     v_supports = rep.v_weights.nonzero_supports()
     g_supports = group.g_weights.nonzero_supports()
-    hyperplanes = tuple(sorted({_canonical_normal(u) for u in v_supports + g_supports}))
+    hyperplanes = tuple(sorted({ray(u)[0] for u in v_supports + g_supports}))
 
     full_space = int_kernel((), n)
     flats: dict[IntMatrix, tuple[int, ...]] = {}
@@ -254,10 +254,10 @@ def enumerate_strata(
         dims = numeric_invariants(group, rep, rep_cochar)
         zero_g_total = sum(group.g_weights.multiplicity(w) for w in zero_g)
         if dims.dim_g_fixed != zero_g_total:
-            raise InternalCheckError("zero-set bookkeeping disagrees with slice counts")
+            raise InternalCheckError(f"stratum {idx}: zero sets disagree with the slice counts")
         u_basis = saturate_span(list(zero_supports), n)
         if len(u_basis) + flat.dim != n:
-            raise InternalCheckError("flat dimension and zero-set span do not fill the rank")
+            raise InternalCheckError(f"stratum {idx}: flat and zero-set span do not fill the rank")
         strata.append(Stratum(idx, flat, zero_v, zero_g, rep_cochar, dims))
         u_bases.append(u_basis)
 
@@ -265,10 +265,11 @@ def enumerate_strata(
     below: list[frozenset[int]] = []
     for i in range(count):
         below.append(frozenset({i}).union(*(below[c] for c in covers[i])))
-    maxima = [i for i in range(count) if len(below[i]) == count]
-    if len(maxima) != 1:
-        raise InternalCheckError("the stratum order does not have a unique maximum")
-    top_index = maxima[0]
+    # In a finite order, a unique maximal element is the maximum.
+    maximal = sorted(set(range(count)).difference(*covers))
+    if len(maximal) != 1:
+        raise InternalCheckError(f"the stratum order has maximal strata {maximal}, not one")
+    top_index = maximal[0]
 
     # One permutation of the weights per element: a stratum is determined by
     # the indices of its zero supports, and its image under w has the image
@@ -308,7 +309,9 @@ def enumerate_strata(
         ps = point_stabilizer(weyl, s.rep)
         ss = set_stabilizer(weyl, action, zero_set)
         if not set(ps.members) <= set(ss.members):
-            raise InternalCheckError("pointwise stabilizer is not inside the setwise stabilizer")
+            raise InternalCheckError(
+                f"stratum {s.index}: pointwise stabilizer is not inside the setwise stabilizer"
+            )
         # integrality.j_graded spans from the covers only, which needs the
         # point stabilizer of each cover inside this one.
         for j in covers[s.index]:
@@ -336,8 +339,3 @@ def enumerate_strata(
         top_index=top_index,
     )
 
-
-def _canonical_normal(u: Weight) -> Weight:
-    ray = primitive_ray(u)
-    lead = next(c for c in ray if c != 0)
-    return ray if lead > 0 else tuple(-c for c in ray)

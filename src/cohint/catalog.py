@@ -99,11 +99,11 @@ def _cotangent_weights(rank: int, copies: int):
 
 def catalog_emit(key: str) -> InputDocument:
     """The exact lattice data for a catalog key."""
-    base, _, param = key.partition(":")
-    if base == "torus2-cotangent" and not param:
+    base, colon, param = key.partition(":")
+    if base == "torus2-cotangent" and not colon:
         return _document(key, "torus2", _cotangent_weights(2, 1))
     if base == "gl2-cotangent":
-        copies = 1 if not param else _positive_int(param, key, minimum=0)
+        copies = 1 if not colon else _positive_int(param, key, minimum=0)
         return _document(key, "gl2", _cotangent_weights(2, copies) if copies else [])
     if base == "sl2-irrep":
         d = _positive_int(param, key, minimum=1)

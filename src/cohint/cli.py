@@ -137,6 +137,8 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
         raise InputError(f"max_degree: expected a nonnegative integer, got {max_degree}")
     if orbit is not None and command != "bps":
         raise InputError(f"--orbit applies only to bps, not to {command}")
+    if max_degree is not None and command not in ("verify", "molien"):
+        raise InputError(f"--max-degree applies only to verify and molien, not to {command}")
     report: dict = {"command": command, "input": document.to_dict()}
 
     if command == "validate":

@@ -13,12 +13,11 @@ from .arrangement import (
     Stratification,
     Stratum,
     align_representative,
-    generic_points,
     with_representative,
 )
 from .errors import InputError, InternalCheckError
-from .lattice import Weight, pairing
-from .matrices import mat_vec, nullspace, restrict_action, det_one_minus_q, series_inverse
+from .lattice import Weight, WeightMultiset, ray, slice_weights
+from .matrices import mat_vec, nullspace, restrict_action
 from .polyalg import (
     GradedBasis,
     KernelForm,
@@ -89,31 +88,18 @@ def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> KernelForm:
     """Induction kernel from the class of mu into the target stratum: the
     negative-slice weights of the target's fixed data, with multiplicity,
     sliced by mu's representative."""
-    num: list[Weight] = []
-    den: list[Weight] = []
-    pos_v = pos_g = 0
-    zero_v = set(target.zero_v)
-    zero_g = set(target.zero_g)
-    for w, m in strat.rep.v_weights:
-        if w in zero_v:
-            p = pairing(mu.rep, w)
-            if p < 0:
-                num.extend([w] * m)
-            elif p > 0:
-                pos_v += m
-    for w, m in strat.group.g_weights:
-        if w in zero_g:
-            p = pairing(mu.rep, w)
-            if p < 0:
-                den.extend([w] * m)
-            elif p > 0:
-                pos_g += m
-    if len(num) != pos_v or len(den) != pos_g:
-        raise InternalCheckError(
-            f"kernel from stratum {mu.index} into stratum {target.index}: negative and "
-            "positive slices differ in size; data is not weakly symmetric"
-        )
-    return KernelForm(tuple(num), tuple(den))
+    slices = []
+    for weights, zero in ((strat.rep.v_weights, set(target.zero_v)),
+                          (strat.group.g_weights, set(target.zero_g))):
+        inside = WeightMultiset(tuple((w, m) for w, m in weights if w in zero))
+        neg, _, pos = slice_weights(inside, mu.rep)
+        if neg.total() != pos.total():
+            raise InternalCheckError(
+                f"kernel from stratum {mu.index} into stratum {target.index}: negative and "
+                "positive slices differ in size; data is not weakly symmetric"
+            )
+        slices.append(tuple(w for w, m in neg for _ in range(m)))
+    return KernelForm(*slices)
 
 
 def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
@@ -136,28 +122,41 @@ def induct(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly
     return kernel_sum(f, form, cosets)
 
 
+def _factored(form: KernelForm) -> tuple[dict[Weight, int], Fraction]:
+    """(exponents, c) with form == c * prod_key key^exponents[key] over the
+    rays of its linear forms."""
+    exponents: dict[Weight, int] = {}
+    c = Fraction(1)
+    for forms, sign in ((form.numerator, 1), (form.denominator, -1)):
+        for key, scale in map(ray, forms):
+            exponents[key] = exponents.get(key, 0) + sign
+            c *= scale ** sign
+    return {key: e for key, e in exponents.items() if e}, c
+
+
 def epsilon(strat: Stratification, stratum: Stratum) -> EpsilonCharacter:
-    """Character by which the stratum stabilizer rescales the kernel,
-    computed by exact evaluation at two generic points."""
+    """Character by which the stratum stabilizer rescales the kernel: the
+    ratio of the scalars of k and w(k) factored over rays.  The polynomial
+    ring is a UFD, so the ratio k / w(k) is constant exactly when the two
+    exponent maps agree."""
     wl = strat.set_stabilizers[stratum.index]
     form = once(strat, kernel, stratum, strat.top)
-    points = generic_points(strat.all_supports(), strat.group.rank, 2)
+    exponents, scale = _factored(form)
     values: dict[int, Fraction] = {}
     for idx in wl.members:
-        w = strat.weyl.elements[idx]
-        moved = form.transformed(w)
-        ratios = [form.evaluate(pt) / moved.evaluate(pt) for pt in points]
-        if ratios[0] != ratios[1]:
+        moved, moved_scale = _factored(form.transformed(strat.weyl.elements[idx]))
+        if moved != exponents:
             raise InternalCheckError(
                 f"stratum {stratum.index}: kernel ratio is not constant "
-                f"for element {idx}: {ratios}"
+                f"for element {idx}: ray exponents {exponents} against {moved}"
             )
-        if ratios[0] not in (Fraction(1), Fraction(-1)):
+        ratio = scale / moved_scale
+        if ratio not in (Fraction(1), Fraction(-1)):
             raise InternalCheckError(
                 f"stratum {stratum.index}: kernel character takes a value outside "
-                f"+/-1: {ratios[0]} at element {idx}"
+                f"+/-1: {ratio} at element {idx}"
             )
-        values[idx] = ratios[0]
+        values[idx] = ratio
     identity = strat.weyl.identity_index
     if values[identity] != 1:
         raise InternalCheckError(
@@ -209,6 +208,8 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     generators = []
     for j in strat.covers[stratum.index]:
         h, cosets, form = once(strat, _induction_data, strat.strata[j], stratum)
+        if p < form.degree:
+            continue
         generators.extend(
             kernel_sum(f, form, cosets)
             for f in invariant_basis(h, p - form.degree, u_basis).polys()
@@ -282,26 +283,15 @@ def isotypic_series(
     space tensored with the polynomial ring of the stratum's flat."""
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
-    wl = eps.subgroup
     flat_basis = strat.strata[bps.stratum.index].flat.basis
-    coeffs = [Fraction(0)] * (cutoff + 1)
-    for idx in wl.members:
+    elements = []
+    for idx in eps.subgroup.members:
         w = strat.weyl.elements[idx]
         restricted = restrict_action(w.cochar_matrix, flat_basis) if flat_basis else ()
-        inv = series_inverse(det_one_minus_q(restricted), cutoff)
-        eps_inv = Fraction(1) / eps.value(idx)
-        for a, basis in bps.pieces.items():
-            if basis.dim == 0 or a > cutoff:
-                continue
-            trace = sum(
-                bps.w_matrices[idx][a][i][i] for i in range(basis.dim)
-            )
-            if trace == 0:
-                continue
-            for m in range(a, cutoff + 1):
-                coeffs[m] += eps_inv * trace * inv[m - a]
-    scale = Fraction(1, wl.order)
-    return tuple(c * scale for c in coeffs)
+        mats = bps.w_matrices[idx]
+        traces = [sum(row[i] for i, row in enumerate(mats.get(a, ()))) for a in bps.pieces]
+        elements.append((restricted, [t / eps.value(idx) for t in traces]))
+    return molien_coefficients(elements, cutoff)
 
 
 @dataclass(frozen=True)
@@ -348,7 +338,7 @@ class AssociativityResult:
 
 def target_series(strat: Stratification, cutoff: int) -> tuple[Fraction, ...]:
     """Graded dimensions of the full invariant ring of the Weyl group."""
-    elements = [(w.matrix, Fraction(1)) for w in strat.weyl.elements]
+    elements = [(w.matrix, (1,)) for w in strat.weyl.elements]
     return molien_coefficients(elements, cutoff)
 
 

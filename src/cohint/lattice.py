@@ -9,8 +9,10 @@ integer arithmetic.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Sequence
 
 from .errors import InputError, InternalCheckError
 from .matrices import IntMatrix, int_inverse, mat_vec
@@ -81,10 +83,18 @@ def pairing(lam: Cocharacter, alpha: Weight) -> int:
     return sum(a * b for a, b in zip(lam, alpha))
 
 
-def primitive_ray(alpha: Weight) -> Weight:
-    """Primitive direction of a nonzero weight: divide by the gcd, keep the sign."""
-    g = math.gcd(*(abs(c) for c in alpha))
-    return tuple(c // g for c in alpha)
+def ray(form: Sequence) -> tuple[Weight, Fraction]:
+    """(key, c) with form == c * key, where key is the primitive integer vector
+    with positive first nonzero entry, so forms equal up to a nonzero multiple
+    share one key."""
+    coeffs = [Fraction(x) for x in form]
+    lead = next((x for x in coeffs if x), None)
+    if lead is None:
+        raise InputError("cannot divide by the zero form")
+    c = Fraction(gcd(*(x.numerator for x in coeffs)), lcm(*(x.denominator for x in coeffs)))
+    if lead < 0:
+        c = -c
+    return tuple(int(x / c) for x in coeffs), c
 
 
 @dataclass(frozen=True)
@@ -163,12 +173,13 @@ def symmetry_class(rep: RepresentationData) -> SymmetryClass:
     ws = rep.v_weights
     if ws.negated() == ws:
         return SymmetryClass.SYMMETRIC
-    rays: dict[Weight, int] = {}
+    # Multiplicity on the positive minus the negative side of each ray.
+    balance: dict[Weight, int] = {}
     for w, m in ws:
-        key = primitive_ray(w) if any(w) else w
-        rays[key] = rays.get(key, 0) + m
-    neg_rays = {tuple(-c for c in k): m for k, m in rays.items()}
-    if rays == neg_rays:
+        if any(w):
+            key, c = ray(w)
+            balance[key] = balance.get(key, 0) + (m if c > 0 else -m)
+    if not any(balance.values()):
         return SymmetryClass.WEAKLY_SYMMETRIC
     return SymmetryClass.NOT_WEAKLY_SYMMETRIC
 

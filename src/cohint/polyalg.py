@@ -11,11 +11,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalCheckError
-from .lattice import Weight
+from .lattice import Weight, ray
 from .matrices import QMatrix, dot, mat_vec, nullspace, rref, saturate_span, solve_combination
 from .weyl import Subgroup, WeylElement
 
@@ -220,30 +220,29 @@ def average_over(h: Subgroup, f: Poly) -> Poly:
 
 
 def exact_divide(f: Poly, ell: Sequence) -> Poly:
-    """Quotient q with q * ell == f; raises ExactDivisionError on a remainder."""
+    """Quotient q with q * ell == f; raises ExactDivisionError on a remainder.
+    One pass down the degree k in the pivot, ell's first variable with a
+    nonzero coefficient: a term of degree k gives a quotient term that changes
+    only terms of degree k - 1; what is left at degree 0 is the remainder."""
     coeffs = [Fraction(c) for c in ell]
     if all(c == 0 for c in coeffs):
         raise InputError("cannot divide by the zero form")
     pivot = next(i for i, c in enumerate(coeffs) if c != 0)
-    num = dict(f.terms)
+    rest = [(j, c) for j, c in enumerate(coeffs) if c and j != pivot]
+    slices = [{} for _ in range(1 + max((e[pivot] for e in f.terms), default=0))]
+    for e, c in f.terms.items():
+        slices[e[pivot]][e] = c
     quot: dict[Exponents, Fraction] = {}
-    while num:
-        lead = max(num, key=lambda t: (sum(t), t))
-        if lead[pivot] == 0:
-            raise ExactDivisionError(f"not divisible by linear form {tuple(ell)}")
-        c = num[lead]
-        qexp = tuple(k - (1 if i == pivot else 0) for i, k in enumerate(lead))
-        qc = c / coeffs[pivot]
-        quot[qexp] = qc
-        for j, cj in enumerate(coeffs):
-            if cj == 0:
-                continue
-            e = tuple(k + (1 if i == j else 0) for i, k in enumerate(qexp))
-            s = num.get(e, Fraction(0)) - qc * cj
-            if s:
-                num[e] = s
-            else:
-                num.pop(e, None)
+    for k in range(len(slices) - 1, 0, -1):
+        for e, c in slices[k].items():
+            if c:
+                q = e[:pivot] + (k - 1,) + e[pivot + 1:]
+                quot[q] = qc = c / coeffs[pivot]
+                for j, cj in rest:
+                    m = q[:j] + (q[j] + 1,) + q[j + 1:]
+                    slices[k - 1][m] = slices[k - 1].get(m, 0) - qc * cj
+    if any(slices[0].values()):
+        raise ExactDivisionError(f"not divisible by linear form {tuple(ell)}")
     return Poly(f.nvars, quot)
 
 
@@ -273,20 +272,6 @@ class KernelForm:
         )
 
 
-def _normalised(form: Sequence) -> tuple[tuple[int, ...], Fraction]:
-    """(key, c) with form == c * key, where key is the primitive integer vector
-    with positive first nonzero entry, so forms equal up to a nonzero multiple
-    share one key."""
-    coeffs = [Fraction(x) for x in form]
-    lead = next((x for x in coeffs if x), None)
-    if lead is None:
-        raise InputError("cannot divide by the zero form")
-    c = Fraction(gcd(*(x.numerator for x in coeffs)), lcm(*(x.denominator for x in coeffs)))
-    if lead < 0:
-        c = -c
-    return tuple(int(x / c) for x in coeffs), c
-
-
 def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement]) -> Poly:
     """sum_w w(f * k) over the coset representatives, by clearing the least
     common denominator of the distinct linear forms and dividing each of its
@@ -301,7 +286,7 @@ def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement]) -> Poly:
         factors: Counter = Counter()
         scale = Fraction(1)
         for b in k.denominator:
-            key, c = _normalised(mat_vec(w.matrix, b))
+            key, c = ray(mat_vec(w.matrix, b))
             factors[key] += 1
             scale *= c
         common |= factors

@@ -194,17 +194,19 @@ def averaged_form(group: WeylGroup) -> QMatrix:
 
 
 def molien_coefficients(
-    elements: Sequence[tuple[Sequence[Sequence], Fraction | int]], cutoff: int
+    elements: Sequence[tuple[Sequence[Sequence], Sequence]], cutoff: int
 ) -> tuple[Fraction, ...]:
-    """Series coefficients of (1/N) sum_i s_i / det(I - q M_i) through q^cutoff."""
+    """Series coefficients of (1/N) sum_i P_i(q) / det(I - q M_i) through
+    q^cutoff, for pairs (M_i, coefficients of the polynomial P_i)."""
     n = len(elements)
     if n == 0:
         raise InputError("molien_coefficients needs at least one element")
     total = [Fraction(0)] * (cutoff + 1)
-    for matrix, scalar in elements:
+    for matrix, numerator in elements:
         inv = series_inverse(det_one_minus_q(matrix), cutoff)
-        s = Fraction(scalar)
-        for p in range(cutoff + 1):
-            total[p] += s * inv[p]
+        for a, s in enumerate(numerator):
+            if s:
+                for p in range(a, cutoff + 1):
+                    total[p] += s * inv[p - a]
     scale = Fraction(1, n)
     return tuple(x * scale for x in total)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,8 @@ from cohint import (
     InputError,
     InternalCheckError,
     align_representative,
+    arrangement,
+    catalog_emit,
     enumerate_strata,
     numeric_invariants,
     representative_cocharacter,
@@ -354,3 +357,64 @@ class TestFlatCanonicalization:
     def test_kernel_is_saturated(self):
         # kernel of (2, 4) must contain the primitive (2, -1), not just (4, -2)
         assert int_kernel([(2, 4)], 2) == ((2, -1),)
+
+
+class TestLocatedStrataErrors:
+    """The internal checks of enumerate_strata name the stratum they failed
+    on; each failure is forced by patching one dependency."""
+
+    @staticmethod
+    def strata_of(key):
+        doc = catalog_emit(key)
+        return enumerate_strata(doc.group_data(), doc.rep_data())
+
+    def test_zero_set_bookkeeping(self, monkeypatch):
+        def off_by_one(group, rep, lam):
+            dims = numeric_invariants(group, rep, lam)
+            return dataclasses.replace(dims, dim_g_fixed=dims.dim_g_fixed + 1)
+
+        monkeypatch.setattr(arrangement, "numeric_invariants", off_by_one)
+        with pytest.raises(InternalCheckError, match=(
+            r"^stratum 0: zero sets disagree with the slice counts$"
+        )):
+            self.strata_of("gl2-cotangent")
+
+    def test_flat_dimension(self, monkeypatch):
+        # the generic stratum has no zero supports, so the first to fail is 1
+        monkeypatch.setattr(arrangement, "saturate_span", lambda rows, n: ())
+        with pytest.raises(InternalCheckError, match=(
+            r"^stratum 1: flat and zero-set span do not fill the rank$"
+        )):
+            self.strata_of("gl2-cotangent")
+
+    def test_pointwise_inside_setwise_stabilizer(self, monkeypatch):
+        strat = self.strata_of("gl2-cotangent")
+        first = next(i for i, ps in enumerate(strat.point_stabilizers) if ps.order > 1)
+        monkeypatch.setattr(arrangement, "set_stabilizer",
+                            lambda group, action, sets: group.subgroup([group.identity_index]))
+        with pytest.raises(InternalCheckError, match=(
+            rf"^stratum {first}: pointwise stabilizer is not inside the setwise stabilizer$"
+        )):
+            self.strata_of("gl2-cotangent")
+
+    def test_unique_maximum_names_the_maximal_strata(self, monkeypatch):
+        # adjoint:gl3 has three hyperplanes meeting in the line (1, 1, 1).  Cut
+        # from the first hyperplane's plane, the line comes back as 2 * (1, 1, 1):
+        # a second flat on which every hyperplane vanishes, so two strata are
+        # maximal.
+        strat = self.strata_of("adjoint:gl3")
+        first = strat.hyperplanes[0]
+        kernel = arrangement.int_kernel
+
+        def doubled(rows, n):
+            basis = kernel(rows, n)
+            if len(rows) == 2 and tuple(rows[0]) == first:
+                return tuple(tuple(2 * c for c in row) for row in basis)
+            return basis
+
+        monkeypatch.setattr(arrangement, "int_kernel", doubled)
+        count = len(strat.strata)
+        with pytest.raises(InternalCheckError, match=(
+            rf"^the stratum order has maximal strata \[{count - 1}, {count}\], not one$"
+        )):
+            self.strata_of("adjoint:gl3")

@@ -115,6 +115,22 @@ class TestCatalog:
         with pytest.raises(InputError, match="unknown"):
             catalog_emit("so5-spin")
 
+    @pytest.mark.parametrize("key", ["gl2-cotangent:", "sl2-irrep:", "sl2-adjoint:"])
+    def test_empty_parameter_is_not_an_integer(self, key, capsys):
+        with pytest.raises(InputError, match=f"^catalog key '{key}' needs an integer parameter$"):
+            catalog_emit(key)
+        assert main(["validate", "--catalog", key]) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"status": "validation_failed",
+                       "error": f"catalog key '{key}' needs an integer parameter"}
+
+    def test_fixed_key_with_a_colon_is_unknown(self, capsys):
+        with pytest.raises(InputError, match="^unknown catalog key 'torus2-cotangent:'$"):
+            catalog_emit("torus2-cotangent:")
+        assert main(["validate", "--catalog", "torus2-cotangent:"]) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "unknown catalog key 'torus2-cotangent:'"
+
     def test_all_emitted_documents_validate(self):
         keys = [
             "torus2-cotangent",
@@ -274,6 +290,22 @@ class TestMain:
         with pytest.raises(InputError, match="--orbit applies only to bps"):
             run(command, catalog_emit("gl2-cotangent"), orbit=0)
 
+    @pytest.mark.parametrize("command", ["validate", "strata", "bps"])
+    def test_max_degree_is_rejected_outside_verify_and_molien(self, command, capsys):
+        argv = [command, "--catalog", "gl2-cotangent", "--max-degree", "3"]
+        assert main(argv) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"status": "validation_failed", "error": (
+            f"--max-degree applies only to verify and molien, not to {command}")}
+        with pytest.raises(InputError, match="^--max-degree applies only to verify and molien"):
+            run(command, catalog_emit("gl2-cotangent"), max_degree=3)
+
+    @pytest.mark.parametrize("command", ["validate", "strata", "bps"])
+    def test_document_max_degree_is_accepted_by_every_report(self, command):
+        doc = document_from_dict({**GL2_DOC, "options": {"max_degree": 3}})
+        assert doc.max_degree == 3
+        assert run(command, doc)[1] == EXIT_OK
+
     def test_group_cap_flag(self, capsys):
         code = main(["validate", "--catalog", "trivial:sl3", "--group-cap", "2"])
         assert code == EXIT_VALIDATION
@@ -329,7 +361,8 @@ class TestMain:
             argv = [command, "--input", str(path)]
         else:
             argv = [command, "--catalog", "gl2-cotangent"]
-        assert main([*argv, *group_cap, "--max-degree", "2"]) == EXIT_OK
+        degree = ["--max-degree", "2"] if command == "verify" else []
+        assert main([*argv, *group_cap, *degree]) == EXIT_OK
         assert len(calls) == 1
 
     @pytest.mark.parametrize(

@@ -224,6 +224,35 @@ class TestEpsilon:
                 eps = I.epsilon(strat, s)
                 assert all(v * v == 1 for v in eps.values.values())
 
+    def test_matches_two_point_evaluation_oracle(self):
+        for key in ORACLE_KEYS:
+            _, strat = build(key)
+            points = generic_points(strat.all_supports(), strat.group.rank, 2)
+            for s in strat.orbit_representatives():
+                eps = I.epsilon(strat, s)
+                form = I.kernel(strat, s, strat.top)
+                for idx, value in eps.values.items():
+                    moved = form.transformed(strat.weyl.elements[idx])
+                    for pt in points:
+                        assert form.evaluate(pt) / moved.evaluate(pt) == value
+
+    def test_ratio_equal_at_both_generic_points_but_not_constant(self, monkeypatch):
+        # k * 6 x1^2 / (x2 (5 x1 - x2)) agrees with k at (1, 2) and (1, 3),
+        # the two generic points of gl2-cotangent, but the ratio is not constant
+        doc = catalog_emit("gl2-cotangent")
+        strat = enumerate_strata(doc.group_data(), doc.rep_data())
+        generic = strat.strata[0]
+        assert generic_points(strat.all_supports(), 2, 2) == ((1, 2), (1, 3))
+        extra = KernelForm(((6, 0), (1, 0)), ((0, 1), (5, -1)))
+        assert [extra.evaluate(pt) for pt in ((1, 2), (1, 3))] == [1, 1]
+        monkeypatch.setattr(KernelForm, "transformed", lambda self, w: KernelForm(
+            self.numerator + extra.numerator, self.denominator + extra.denominator))
+        first = strat.set_stabilizers[generic.index].members[0]
+        with pytest.raises(InternalCheckError, match=(
+            rf"^stratum 0: kernel ratio is not constant for element {first}: "
+        )):
+            I.epsilon(strat, generic)
+
     def test_twisted_equivariance(self):
         for key in ("gl2-cotangent", "sl2-irrep:6", "adjoint:gl2"):
             _, strat = build(key)
@@ -252,6 +281,22 @@ class TestJGraded:
     def test_sl2_odd_degree_vanishes(self):
         _, strat = build("sl2-irrep:4")
         assert I.j_graded(strat, strat.top, 1).dim == 0
+
+    def test_no_invariant_basis_at_negative_degree(self, monkeypatch):
+        # gl2-cotangent:3 has cover kernels of degree 2, 3 and 6
+        _, strat = build("gl2-cotangent:3")
+        degrees = []
+        basis = I.invariant_basis
+
+        def recording(h, p, forms):
+            degrees.append(p)
+            return basis(h, p, forms)
+
+        monkeypatch.setattr(I, "invariant_basis", recording)
+        for s in strat.strata:
+            for p in range(4):
+                I.j_graded(strat, s, p)
+        assert degrees and min(degrees) >= 0
 
     def test_negative_degree_rejected(self, gl2_strat):
         with pytest.raises(InputError):
@@ -411,7 +456,7 @@ class TestLocatedInternalErrors:
         return enumerate_strata(doc.group_data(), doc.rep_data())
 
     def test_kernel_names_source_and_target(self, strat, monkeypatch):
-        monkeypatch.setattr(I, "pairing", lambda cochar, weight: -1)
+        monkeypatch.setattr("cohint.lattice.pairing", lambda cochar, weight: -1)
         with pytest.raises(InternalCheckError, match=(
             r"^kernel from stratum 1 into stratum 4: negative and positive slices "
             r"differ in size; data is not weakly symmetric$"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cohint import (
@@ -11,6 +13,7 @@ from cohint import (
     slice_weights,
     symmetry_class,
 )
+from cohint.lattice import ray
 from cohint.matrices import identity, int_inverse, mat_mul
 from cohint.weyl import char_action, cochar_action
 
@@ -61,7 +64,33 @@ class TestPairing:
                         assert pairing(cochar_action(w, lam), char_action(w, alpha)) == pairing(lam, alpha)
 
 
+class TestRay:
+    def test_integer_form(self):
+        assert ray((4, -6, 0)) == ((2, -3, 0), Fraction(2))
+
+    def test_rational_form(self):
+        key, c = ray((Fraction(1, 2), Fraction(-3, 4)))
+        assert (key, c) == ((2, -3), Fraction(1, 4))
+
+    def test_negative_first_entry(self):
+        assert ray((0, -2, 4)) == ((0, 1, -2), Fraction(-2))
+
+    def test_zero_form(self):
+        with pytest.raises(InputError, match="^cannot divide by the zero form$"):
+            ray((0, 0))
+
+
 class TestSymmetryClass:
+    def test_rays_balance_with_multiplicity(self):
+        # 2 * (1, 0) against (-1, 0) and (-2, 0): the ray through (1, 0) has
+        # multiplicity 2 on each side; (0, 3) against (0, -1) balances too
+        rep = RepresentationData(ws(
+            ((1, 0), 2), ((-1, 0), 1), ((-2, 0), 1), ((0, 3), 1), ((0, -1), 1), ((0, 0), 4)
+        ))
+        assert symmetry_class(rep) is SymmetryClass.WEAKLY_SYMMETRIC
+        unbalanced = RepresentationData(ws(((1, 0), 2), ((-1, 0), 1), ((0, 0), 1)))
+        assert symmetry_class(unbalanced) is SymmetryClass.NOT_WEAKLY_SYMMETRIC
+
     def test_weakly_symmetric_rank1(self):
         rep = RepresentationData(ws(((1,), 1), ((-2,), 1)))
         assert symmetry_class(rep) is SymmetryClass.WEAKLY_SYMMETRIC

@@ -51,7 +51,7 @@ class TestSeriesOracles:
         _, strat = build(key)
         q = sympy.symbols("q")
         weyl = strat.weyl
-        mine = molien_coefficients([(w.matrix, 1) for w in weyl.elements], 8)
+        mine = molien_coefficients([(w.matrix, (1,)) for w in weyl.elements], 8)
         expr = (
             sum(
                 1 / (sympy.eye(weyl.rank) - q * sympy.Matrix(w.matrix)).det()

@@ -111,6 +111,24 @@ class TestExactDivide:
         with pytest.raises(InputError):
             exact_divide(x(0), (0, 0))
 
+    def test_remainder_only_at_pivot_degree_zero(self):
+        # x1^2 + x1 x2 + x2^2 = (x1 + x2)(x1) + x2^2: every term of positive
+        # degree in x1 divides, and the remainder x2^2 has x1-degree 0
+        f = x(0) ** 2 + x(0) * x(1) + x(1) ** 2
+        with pytest.raises(ExactDivisionError, match=r"^not divisible by linear form \(1, 0\)$"):
+            exact_divide(f, (1, 0))
+        with pytest.raises(ExactDivisionError):
+            exact_divide(f, (1, -1))
+
+    def test_fourth_power_roundtrip(self):
+        g = x(0).scaled(3) * x(1) - x(1) ** 2 + x(0) ** 2
+        f = (x(0) - x(1)) ** 4 * g
+        for k in range(4, 0, -1):
+            f = exact_divide(f, (1, -1))
+            assert f == (x(0) - x(1)) ** (k - 1) * g
+        with pytest.raises(ExactDivisionError):
+            exact_divide(f, (1, -1))
+
     @settings(max_examples=40, deadline=None)
     @given(small_polys, st.sampled_from([(1, 0), (1, -1), (2, 3), (0, 1)]))
     def test_roundtrip(self, q, ell):

@@ -236,7 +236,7 @@ class TestAveragedForm:
 class TestMolien:
     def test_symmetric_pair_of_variables(self):
         group = enumerate_group((SWAP,), 2)
-        elements = [(w.matrix, 1) for w in group.elements]
+        elements = [(w.matrix, (1,)) for w in group.elements]
         assert molien_coefficients(elements, 5) == tuple(
             Fraction(c) for c in (1, 1, 2, 2, 3, 3)
         )
@@ -244,22 +244,28 @@ class TestMolien:
     def test_sign_isotypic_part(self):
         group = enumerate_group((SWAP,), 2)
         elements = [
-            (w.matrix, 1 if w.index == group.identity_index else -1)
+            (w.matrix, (1,) if w.index == group.identity_index else (-1,))
             for w in group.elements
         ]
         assert molien_coefficients(elements, 5) == tuple(
             Fraction(c) for c in (0, 1, 1, 2, 2, 3)
         )
 
+    def test_numerator_shifts_the_series(self):
+        group = enumerate_group((SWAP,), 2)
+        plain = molien_coefficients([(w.matrix, (1,)) for w in group.elements], 5)
+        shifted = molien_coefficients([(w.matrix, (0, 1)) for w in group.elements], 5)
+        assert shifted == (Fraction(0),) + plain[:-1]
+
     def test_trivial_group_single_variable(self):
-        assert molien_coefficients([(((1,),), 1)], 3) == tuple(Fraction(1) for _ in range(4))
+        assert molien_coefficients([(((1,),), (1,))], 3) == tuple(Fraction(1) for _ in range(4))
 
     def test_matches_invariant_basis_dimensions(self):
         for key in ("gl2-cotangent", "trivial:sl3"):
             _, strat = build(key)
             group = strat.weyl
             n = group.rank
-            elements = [(w.matrix, 1) for w in group.elements]
+            elements = [(w.matrix, (1,)) for w in group.elements]
             series = molien_coefficients(elements, 4)
             coords = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
             for p in range(5):
@@ -276,7 +282,7 @@ class TestMolien:
             basis = strat.u_bases[s.index]
             if not basis:
                 continue
-            elements = [(restrict_action(w.matrix, basis), 1) for w in h.elements()]
+            elements = [(restrict_action(w.matrix, basis), (1,)) for w in h.elements()]
             series = molien_coefficients(elements, 4)
             for p in range(5):
                 assert series[p] == invariant_basis(h, p, basis).dim
