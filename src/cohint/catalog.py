@@ -15,6 +15,8 @@ where ``<group>`` is one of torus2, sl2, gl2, sl3, gl3.
 
 from __future__ import annotations
 
+import re
+
 from .documents import InputDocument
 from .errors import InputError
 from .lattice import DEFAULT_GROUP_CAP, WeightMultiset
@@ -125,10 +127,11 @@ def catalog_emit(key: str) -> InputDocument:
 
 
 def _positive_int(text: str, key: str, minimum: int) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise InputError(f"catalog key '{key}' needs an integer parameter") from exc
+    """The parameter as a plain ASCII decimal: no sign, whitespace, underscore
+    or leading zero, so that each document has one key."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", text):
+        raise InputError(f"catalog key '{key}' needs an integer parameter")
+    value = int(text)
     if value < minimum:
         raise InputError(f"catalog key '{key}' needs a parameter >= {minimum}")
     return value

@@ -111,15 +111,27 @@ def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
     return h, coset_representatives(h, w_target), once(strat, kernel, mu, target)
 
 
+def _induced(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
+    """kernel_sum of f over the induction data of mu into the target; a sum
+    that is not polynomial names the two strata."""
+    _, cosets, form = once(strat, _induction_data, mu, target)
+    try:
+        return kernel_sum(f, form, cosets)
+    except InternalCheckError as exc:
+        raise InternalCheckError(
+            f"induction from stratum {mu.index} into stratum {target.index}: {exc}"
+        ) from exc
+
+
 def induct(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
     """Coset-sum induction of f from the class of mu into the target."""
-    h, cosets, form = once(strat, _induction_data, mu, target)
+    h, _, _ = once(strat, _induction_data, mu, target)
     for w in h.elements():
         if substitute(w, f) != f:
             raise InputError(
                 "induction input must be invariant under the source stabilizer"
             )
-    return kernel_sum(f, form, cosets)
+    return _induced(strat, f, mu, target)
 
 
 def _factored(form: KernelForm) -> tuple[dict[Weight, int], Fraction]:
@@ -207,11 +219,12 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     u_basis = strat.u_bases[stratum.index]
     generators = []
     for j in strat.covers[stratum.index]:
-        h, cosets, form = once(strat, _induction_data, strat.strata[j], stratum)
+        mu = strat.strata[j]
+        h, _, form = once(strat, _induction_data, mu, stratum)
         if p < form.degree:
             continue
         generators.extend(
-            kernel_sum(f, form, cosets)
+            _induced(strat, f, mu, stratum)
             for f in invariant_basis(h, p - form.degree, u_basis).polys()
         )
     return rref_span(generators, p, strat.group.rank)

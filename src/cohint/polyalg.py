@@ -186,25 +186,46 @@ def power_products(forms: Sequence[Sequence], d: int, nvars: int) -> Iterator[Po
 
 def apply_linear_map(f: Poly, matrix) -> Poly:
     """Substitute x_i -> sum_j matrix[j][i] x_j (the action on linear forms
-    that sends the i-th coordinate form to matrix applied to it)."""
+    that sends the i-th coordinate form to matrix applied to it).
+
+    When every column i has one nonzero entry a_i, in row j_i (a signed
+    permutation, say), c*x^e goes to c*prod a_i^e_i * prod x_{j_i}^e_i: the
+    exponents only move.  Otherwise each term is expanded from the powers of
+    the column images, image^k = image^(k-1) * image, each built once per
+    call.  Either way the terms are added into one dict, so terms that land
+    on one monomial merge and cancel."""
     n = f.nvars
-    images = [Poly.linear(tuple(matrix[j][i] for j in range(n))) for i in range(n)]
-    powers: dict[tuple[int, int], Poly] = {}
+    columns = [[(j, matrix[j][i]) for j in range(n) if matrix[j][i]] for i in range(n)]
+    acc: dict[Exponents, Fraction] = {}
+    if all(len(column) == 1 for column in columns):
+        moves = [(i, j, a) for i, [(j, a)] in enumerate(columns)]
+        for e, c in f.terms.items():
+            moved = [0] * n
+            for i, j, a in moves:
+                k = e[i]
+                if k:
+                    moved[j] += k
+                    if a != 1:
+                        c *= a ** k
+            moved = tuple(moved)
+            acc[moved] = acc.get(moved, 0) + c
+    else:
+        images = [Poly.linear(tuple(matrix[j][i] for j in range(n))) for i in range(n)]
+        powers: dict[tuple[int, int], Poly] = {}
 
-    def power(i: int, k: int) -> Poly:
-        key = (i, k)
-        if key not in powers:
-            powers[key] = images[i] ** k
-        return powers[key]
+        def power(i: int, k: int) -> Poly:
+            if (i, k) not in powers:
+                powers[i, k] = images[i] if k == 1 else power(i, k - 1) * images[i]
+            return powers[i, k]
 
-    total = Poly.zero(n)
-    for e, c in f.terms.items():
-        term = Poly.constant(n, c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * power(i, k)
-        total = total + term
-    return total
+        for e, c in f.terms.items():
+            term = Poly.constant(n, c)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * power(i, k)
+            for m, v in term.terms.items():
+                acc[m] = acc.get(m, 0) + v
+    return Poly(n, {m: v for m, v in acc.items() if v})
 
 
 def substitute(w: WeylElement, f: Poly) -> Poly:

@@ -124,6 +124,16 @@ class TestCatalog:
         assert out == {"status": "validation_failed",
                        "error": f"catalog key '{key}' needs an integer parameter"}
 
+    @pytest.mark.parametrize("key", [
+        "sl2-irrep:1_0", "sl2-irrep: 3", "gl2-cotangent:+2", "sl2-irrep:\u0663", "sl2-irrep:03",
+    ])
+    def test_parameter_is_a_plain_decimal(self, key, capsys):
+        # int() reads each of these, which would give one document several names
+        assert main(["validate", "--catalog", key]) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"status": "validation_failed",
+                       "error": f"catalog key '{key}' needs an integer parameter"}
+
     def test_fixed_key_with_a_colon_is_unknown(self, capsys):
         with pytest.raises(InputError, match="^unknown catalog key 'torus2-cotangent:'$"):
             catalog_emit("torus2-cotangent:")

@@ -17,7 +17,8 @@ from cohint import (
 from cohint import integrality as I
 from cohint.arrangement import generic_points
 from cohint.documents import document_from_dict
-from cohint.polyalg import KernelForm, kernel_sum, monomials_of_degree
+from cohint import polyalg
+from cohint.polyalg import ExactDivisionError, KernelForm, kernel_sum, monomials_of_degree
 from cohint.weyl import point_stabilizer
 
 from conftest import bps_spaces, build, gl_document
@@ -484,6 +485,21 @@ class TestLocatedInternalErrors:
             r"of the stratum stabilizer$"
         )):
             I.bps_space(strat, generic)
+
+    @pytest.mark.parametrize("caller", ["induct", "j_graded"])
+    def test_kernel_sum_names_source_target_and_form(self, strat, monkeypatch, caller):
+        def not_divisible(f, ell):
+            raise ExactDivisionError(f"not divisible by linear form {tuple(ell)}")
+
+        monkeypatch.setattr(polyalg, "exact_divide", not_divisible)
+        with pytest.raises(InternalCheckError, match=(
+            r"^induction from stratum 1 into stratum 4: kernel sum is not polynomial: "
+            r"not divisible by linear form \(1, -1\)$"
+        )):
+            if caller == "induct":
+                I.induct(strat, Poly.constant(2, 1), strat.strata[1], strat.top)
+            else:
+                I.j_graded(strat, strat.top, 1)
 
     def test_verify_isomorphism_names_the_degree(self, strat, monkeypatch):
         monkeypatch.setattr(

@@ -18,8 +18,15 @@ from cohint import (
     rref_span,
     substitute,
 )
+from cohint.catalog import GROUPS
 from cohint.matrices import dot, mat_vec
-from cohint.polyalg import ExactDivisionError, average_over, monomials_of_degree, poly_inner
+from cohint.polyalg import (
+    ExactDivisionError,
+    apply_linear_map,
+    average_over,
+    monomials_of_degree,
+    poly_inner,
+)
 from cohint.weyl import averaged_form
 
 from conftest import build
@@ -38,6 +45,12 @@ def x(i, n=2):
 
 def swap_element():
     return next(w for w in S2.elements if w.matrix == SWAP)
+
+
+SL3_ROTATION = next(
+    w for w in enumerate_group(GROUPS["sl3"]["generators"], 2).elements
+    if w.matrix == ((0, -1), (1, -1))
+)
 
 
 small_polys = st.builds(
@@ -90,8 +103,60 @@ class TestSubstitute:
     @settings(max_examples=40, deadline=None)
     @given(small_polys, small_polys)
     def test_respects_products(self, f, g):
-        w = swap_element()
-        assert substitute(w, f * g) == substitute(w, f) * substitute(w, g)
+        # a monomial matrix and one that is expanded
+        for w in (swap_element(), SL3_ROTATION):
+            assert substitute(w, f * g) == substitute(w, f) * substitute(w, g)
+
+
+def is_monomial_matrix(matrix):
+    return all(sum(1 for row in matrix if row[i]) == 1 for i in range(len(matrix)))
+
+
+class TestApplyLinearMap:
+    """apply_linear_map(f, M) is f composed with M transposed; the monomial
+    matrices, which only move exponents, and the others, which are expanded,
+    both agree with that evaluation oracle."""
+
+    POINTS = ((2, 3, 5), (-1, 4, Fraction(1, 3)), (7, -2, 1), (0, 1, -6))
+
+    @staticmethod
+    def assert_matches_oracle(f, matrix, points):
+        image = apply_linear_map(f, matrix)
+        for point in points:
+            moved = mat_vec(tuple(zip(*matrix)), point)
+            assert image.evaluate(point) == f.evaluate(moved)
+
+    def test_every_gl3_element_moves_exponents(self, monkeypatch):
+        gl3 = build("adjoint:gl3")[1].weyl
+        f = dense(3, 4, lambda i: (-1) ** i * (i + 1)) + x(2, 3) ** 2 - Poly.constant(3, 7)
+        # the monomial path multiplies no polynomials
+        monkeypatch.setattr(Poly, "__mul__", lambda self, other: pytest.fail("expanded"))
+        for w in gl3.elements:
+            assert is_monomial_matrix(w.matrix)
+            self.assert_matches_oracle(f, w.matrix, self.POINTS)
+
+    def test_every_sl3_element(self):
+        sl3 = build("adjoint:sl3")[1].weyl
+        assert sum(not is_monomial_matrix(w.matrix) for w in sl3.elements) == 4
+        f = dense(2, 5, lambda i: Fraction(i - 2, i + 1)) + x(0) ** 3 * x(1) - x(1)
+        for w in sl3.elements:
+            self.assert_matches_oracle(f, w.matrix, [p[:2] for p in self.POINTS])
+
+    def test_singular_monomial_matrix_merges_and_cancels(self):
+        matrix = ((1, 1), (0, 0))
+        assert apply_linear_map(x(0) - x(1), matrix) == Poly.zero(2)
+        f = x(0) ** 2 - (x(0) * x(1)).scaled(3) + x(1) ** 2
+        assert apply_linear_map(f, matrix) == (x(0) ** 2).scaled(-1)
+        self.assert_matches_oracle(f, matrix, [p[:2] for p in self.POINTS])
+
+    def test_rational_diagonal_form(self):
+        b = ((Fraction(1, 2), 0, 0), (0, Fraction(-3, 4), 0), (0, 0, Fraction(5, 3)))
+        f = x(0, 3) ** 2 * x(1, 3) + (x(1, 3) * x(2, 3) ** 3).scaled(Fraction(2, 7))
+        assert apply_linear_map(f, b) == (
+            (x(0, 3) ** 2 * x(1, 3)).scaled(Fraction(-3, 16))
+            + (x(1, 3) * x(2, 3) ** 3).scaled(Fraction(2, 7) * Fraction(-3, 4) * Fraction(125, 27))
+        )
+        self.assert_matches_oracle(f, b, self.POINTS)
 
 
 class TestExactDivide:
