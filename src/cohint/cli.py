@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import integrality
 from .arrangement import Stratification, enumerate_strata
 from .catalog import catalog_emit, catalog_keys
-from .documents import InputDocument, parse_input
+from .documents import MAX_DEGREE, InputDocument, parse_input
 from .errors import InputError, InternalCheckError, VerificationError
 from .lattice import symmetry_class
 from .weyl import enumerate_group
@@ -135,6 +135,8 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
     rep.validate(group)
     if max_degree is not None and max_degree < 0:
         raise InputError(f"max_degree: expected a nonnegative integer, got {max_degree}")
+    if max_degree is not None and max_degree > MAX_DEGREE:
+        raise InputError(f"max_degree: expected at most {MAX_DEGREE}, got {max_degree}")
     if orbit is not None and command != "bps":
         raise InputError(f"--orbit applies only to bps, not to {command}")
     if max_degree is not None and command not in ("verify", "molien"):

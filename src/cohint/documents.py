@@ -15,6 +15,11 @@ from .lattice import (
 )
 from .matrices import IntMatrix
 
+# The largest degree verify and molien accept, from --max-degree or from
+# options.max_degree.  Both build their series and graded spaces degree by
+# degree up to it, so a larger bound would only exhaust memory or time.
+MAX_DEGREE = 64
+
 
 @dataclass(frozen=True)
 class InputDocument:
@@ -117,6 +122,11 @@ def document_from_dict(raw: dict) -> InputDocument:
         max_degree is None or (_is_int(max_degree) and max_degree >= 0),
         "options.max_degree",
         "expected a nonnegative integer",
+    )
+    _require(
+        max_degree is None or max_degree <= MAX_DEGREE,
+        "options.max_degree",
+        f"expected at most {MAX_DEGREE}, got {max_degree}",
     )
     group_cap = options.get("group_cap", DEFAULT_GROUP_CAP)
     _require(

@@ -23,6 +23,7 @@ from .polyalg import (
     KernelForm,
     Poly,
     average_over,
+    coset_sum,
     invariant_basis,
     kernel_sum,
     monomials_of_degree,
@@ -103,20 +104,23 @@ def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> KernelForm:
 
 
 def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
-    """The source stabilizer inside the target's, its coset representatives
-    and the kernel form of the induction from the class of mu."""
+    """The source stabilizer H inside the target's, the kernel form of the
+    induction from the class of mu, and the CosetSum of that kernel over the
+    coset representatives of H, which every kernel sum of this induction
+    shares."""
     w_target = strat.point_stabilizers[target.index]
     stab = point_stabilizer(strat.weyl, mu.rep)
     h = strat.weyl.subgroup(set(stab.members) & set(w_target.members))
-    return h, coset_representatives(h, w_target), once(strat, kernel, mu, target)
+    form = once(strat, kernel, mu, target)
+    return h, form, coset_sum(form, coset_representatives(h, w_target))
 
 
 def _induced(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
     """kernel_sum of f over the induction data of mu into the target; a sum
     that is not polynomial names the two strata."""
-    _, cosets, form = once(strat, _induction_data, mu, target)
+    _, form, sums = once(strat, _induction_data, mu, target)
     try:
-        return kernel_sum(f, form, cosets)
+        return kernel_sum(f, form, sums)
     except InternalCheckError as exc:
         raise InternalCheckError(
             f"induction from stratum {mu.index} into stratum {target.index}: {exc}"
@@ -220,7 +224,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     generators = []
     for j in strat.covers[stratum.index]:
         mu = strat.strata[j]
-        h, _, form = once(strat, _induction_data, mu, stratum)
+        h, form, _ = once(strat, _induction_data, mu, stratum)
         if p < form.degree:
             continue
         generators.extend(

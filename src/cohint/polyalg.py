@@ -1,8 +1,11 @@
 """Exact sparse multivariate polynomial algebra over Q.
 
-Polynomials are dictionaries from exponent tuples to nonzero Fractions.  The
-monomial order is graded lexicographic with x1 > x2 > ..., fixed globally so
-row-echelon bases and their pivots are reproducible.
+Polynomials are dictionaries from exponent tuples to nonzero exact rationals,
+each an int or a Fraction: the two compare and hash alike by value, so a
+coefficient's type never changes an equality, a key or a report.  Kernel sums
+run over ints (see kernel_sum).  The monomial order is graded lexicographic
+with x1 > x2 > ..., fixed globally so row-echelon bases and their pivots are
+reproducible.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalCheckError
@@ -20,6 +23,7 @@ from .matrices import QMatrix, dot, mat_vec, nullspace, rref, saturate_span, sol
 from .weyl import Subgroup, WeylElement
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
 
 
 class ExactDivisionError(ArithmeticError):
@@ -31,7 +35,7 @@ class Poly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Exponents, Fraction]):
+    def __init__(self, nvars: int, terms: dict[Exponents, Coefficient]):
         self.nvars = nvars
         self.terms = terms
 
@@ -42,20 +46,18 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
-        c = Fraction(c)
-        return cls(nvars, {} if c == 0 else {(0,) * nvars: c})
+        return cls(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponents) -> "Poly":
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def linear(cls, coeffs: Sequence) -> "Poly":
         n = len(coeffs)
         terms = {}
         for i, c in enumerate(coeffs):
-            c = Fraction(c)
-            if c != 0:
+            if c:
                 e = [0] * n
                 e[i] = 1
                 terms[tuple(e)] = c
@@ -90,7 +92,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            s = acc.get(e, Fraction(0)) + c
+            s = acc.get(e, 0) + c
             if s:
                 acc[e] = s
             else:
@@ -104,17 +106,16 @@ class Poly:
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def scaled(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
+        if not c:
             return Poly.zero(self.nvars)
         return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, Fraction(0)) + c1 * c2
+                s = acc.get(e, 0) + c1 * c2
                 if s:
                     acc[e] = s
                 else:
@@ -196,7 +197,7 @@ def apply_linear_map(f: Poly, matrix) -> Poly:
     on one monomial merge and cancel."""
     n = f.nvars
     columns = [[(j, matrix[j][i]) for j in range(n) if matrix[j][i]] for i in range(n)]
-    acc: dict[Exponents, Fraction] = {}
+    acc: dict[Exponents, Coefficient] = {}
     if all(len(column) == 1 for column in columns):
         moves = [(i, j, a) for i, [(j, a)] in enumerate(columns)]
         for e, c in f.terms.items():
@@ -243,22 +244,26 @@ def average_over(h: Subgroup, f: Poly) -> Poly:
 def exact_divide(f: Poly, ell: Sequence) -> Poly:
     """Quotient q with q * ell == f; raises ExactDivisionError on a remainder.
     One pass down the degree k in the pivot, ell's first variable with a
-    nonzero coefficient: a term of degree k gives a quotient term that changes
-    only terms of degree k - 1; what is left at degree 0 is the remainder."""
-    coeffs = [Fraction(c) for c in ell]
-    if all(c == 0 for c in coeffs):
+    nonzero coefficient p: a term c of degree k gives the quotient term c / p,
+    which changes only terms of degree k - 1; what is left at degree 0 is the
+    remainder.  c / p is the int c // p when p divides c, so an integer f
+    over a primitive integer ell (a ray key) has an integer quotient (Gauss's
+    lemma), and a Fraction otherwise."""
+    if not any(ell):
         raise InputError("cannot divide by the zero form")
-    pivot = next(i for i, c in enumerate(coeffs) if c != 0)
-    rest = [(j, c) for j, c in enumerate(coeffs) if c and j != pivot]
+    pivot = next(i for i, c in enumerate(ell) if c)
+    p = ell[pivot]
+    rest = [(j, c) for j, c in enumerate(ell) if c and j != pivot]
     slices = [{} for _ in range(1 + max((e[pivot] for e in f.terms), default=0))]
     for e, c in f.terms.items():
         slices[e[pivot]][e] = c
-    quot: dict[Exponents, Fraction] = {}
+    quot: dict[Exponents, Coefficient] = {}
     for k in range(len(slices) - 1, 0, -1):
         for e, c in slices[k].items():
             if c:
                 q = e[:pivot] + (k - 1,) + e[pivot + 1:]
-                quot[q] = qc = c / coeffs[pivot]
+                qc, r = divmod(c, p)
+                quot[q] = qc = Fraction(c, p) if r else qc
                 for j, cj in rest:
                     m = q[:j] + (q[j] + 1,) + q[j + 1:]
                     slices[k - 1][m] = slices[k - 1].get(m, 0) - qc * cj
@@ -293,38 +298,74 @@ class KernelForm:
         )
 
 
-def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement]) -> Poly:
-    """sum_w w(f * k) over the coset representatives, by clearing the least
-    common denominator of the distinct linear forms and dividing each of its
-    factors back out exactly."""
-    n = f.nvars
-    terms = []
+@dataclass(frozen=True)
+class CosetSum:
+    """What sum_w w(f * k) over the coset representatives w needs besides f.
+    common holds the rays of the least common denominator of the moved
+    denominator forms, with multiplicity.  Each term (w, factors, m) adds
+    w(f) * prod(factors) * m / (denominator * prod(common)): the factors are
+    w's numerator forms and the common rays that w's own denominator lacks,
+    and m / denominator is the inverse of the scalar of w's denominator."""
+
+    terms: tuple[tuple[WeylElement, tuple[Poly, ...], int], ...]
+    denominator: int
+    common: tuple[Weight, ...]
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+def coset_sum(k: KernelForm, cosets: Sequence[WeylElement]) -> CosetSum:
+    """The CosetSum of the kernel k over the coset representatives."""
+    moved = []
     common: Counter = Counter()
     for w in cosets:
-        term = substitute(w, f)
-        for a in k.numerator:
-            term = term * Poly.linear(mat_vec(w.matrix, a))
-        factors: Counter = Counter()
-        scale = Fraction(1)
-        for b in k.denominator:
-            key, c = ray(mat_vec(w.matrix, b))
-            factors[key] += 1
-            scale *= c
+        rays = [ray(mat_vec(w.matrix, b)) for b in k.denominator]
+        factors = Counter(key for key, _ in rays)
         common |= factors
-        terms.append((term, factors, scale))
-    total = Poly.zero(n)
-    for term, factors, scale in terms:
-        for key in (common - factors).elements():
-            term = term * Poly.linear(key)
-        total = total + term.scaled(1 / scale)
-    for key in common.elements():
+        moved.append((w, factors, 1 / prod((c for _, c in rays), start=Fraction(1))))
+    denominator = lcm(*(inverse.denominator for _, _, inverse in moved))
+    terms = tuple(
+        (w,
+         tuple(Poly.linear(mat_vec(w.matrix, a)) for a in k.numerator)
+         + tuple(Poly.linear(key) for key in (common - factors).elements()),
+         inverse.numerator * (denominator // inverse.denominator))
+        for w, factors, inverse in moved
+    )
+    return CosetSum(terms, denominator, tuple(common.elements()))
+
+
+def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement] | CosetSum) -> Poly:
+    """sum_w w(f * k) over the coset representatives, by clearing the least
+    common denominator of the distinct linear forms and dividing each of its
+    factors back out exactly.  cosets may be the CosetSum that
+    coset_sum(k, cosets) built, so that sums over one kernel share it.
+
+    The sum runs over ints: f's content denominator d is cleared once, so
+    with integer Weyl matrices and forms every product and the sum are
+    integer polynomials, each division by a primitive ray stays integral,
+    and each output coefficient is one Fraction over d * denominator."""
+    data = cosets if isinstance(cosets, CosetSum) else coset_sum(k, cosets)
+    n = f.nvars
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    cleared = Poly(n, {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()})
+    acc: dict[Exponents, Coefficient] = {}
+    for w, factors, multiplier in data.terms:
+        term = substitute(w, cleared)
+        for form in factors:
+            term = term * form
+        for e, c in term.terms.items():
+            acc[e] = acc.get(e, 0) + multiplier * c
+    total = Poly(n, {e: c for e, c in acc.items() if c})
+    for key in data.common:
         try:
             total = exact_divide(total, key)
         except ExactDivisionError as exc:
             raise InternalCheckError(
                 f"kernel sum is not polynomial: {exc}"
             ) from exc
-    return total
+    scale = d * data.denominator
+    return Poly(n, {e: Fraction(c, scale) for e, c in total.terms.items()})
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,11 @@ def verify_all(key: str):
     return verify_hilbert(strat, 8), verify_isomorphism(strat, 8), verify_associativity(strat)
 
 
+def is_monomial_matrix(matrix) -> bool:
+    """Every column has exactly one nonzero entry."""
+    return all(sum(1 for row in matrix if row[i]) == 1 for i in range(len(matrix)))
+
+
 def gl_document(n: int, kind: str, m: int, z: int) -> dict:
     """gl_n acting by its adjoint, or on C^n + (C^n)*, as an input document."""
     unit = [[int(k == i) for k in range(n)] for i in range(n)]

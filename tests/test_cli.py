@@ -4,7 +4,7 @@ import pytest
 
 from cohint import InputError, catalog_emit, catalog_keys, enumerate_strata, parse_input
 from cohint.cli import EXIT_OK, EXIT_VALIDATION, main, run
-from cohint.documents import document_from_dict
+from cohint.documents import MAX_DEGREE, document_from_dict
 
 GL2_DOC = {
     "name": "gl2-cotangent",
@@ -276,6 +276,38 @@ class TestMain:
         assert out["error"].startswith("max_degree:")
         with pytest.raises(InputError, match="max_degree"):
             run(command, catalog_emit("adjoint:gl2"), max_degree=-1)
+
+    @pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 10**8, 10**20 - 1])
+    @pytest.mark.parametrize("command", ["verify", "molien"])
+    def test_max_degree_above_the_bound_is_rejected(self, command, degree, capsys):
+        # 10**20 - 1 overflowed a list size in molien_coefficients and 10**8
+        # never ended; both now stop before any work
+        argv = [command, "--catalog", "adjoint:gl2", "--max-degree", str(degree)]
+        assert main(argv) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"status": "validation_failed",
+                       "error": f"max_degree: expected at most {MAX_DEGREE}, got {degree}"}
+        with pytest.raises(InputError, match=f"^max_degree: expected at most {MAX_DEGREE}"):
+            run(command, catalog_emit("adjoint:gl2"), max_degree=degree)
+
+    def test_max_degree_at_the_bound_is_accepted(self):
+        assert MAX_DEGREE >= 16  # the degree the benchmark's sweep verifies to
+        report, code = run("molien", catalog_emit("adjoint:gl2"), max_degree=MAX_DEGREE)
+        assert code == EXIT_OK
+        assert len(report["molien"]) == MAX_DEGREE + 1
+
+    @pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 10**20])
+    def test_document_max_degree_above_the_bound_is_rejected(self, degree, tmp_path, capsys):
+        message = f"options.max_degree: expected at most {MAX_DEGREE}, got {degree}"
+        with pytest.raises(InputError, match=f"^{message}$"):
+            document_from_dict({**GL2_DOC, "options": {"max_degree": degree}})
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**GL2_DOC, "options": {"max_degree": degree}}))
+        assert main(["molien", "--input", str(path)]) == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "validation_failed", "error": message}
+        assert document_from_dict(
+            {**GL2_DOC, "options": {"max_degree": MAX_DEGREE}}).max_degree == MAX_DEGREE
 
     def test_text_format(self, capsys):
         assert main(["strata", "--catalog", "torus2-cotangent", "--format", "text"]) == EXIT_OK

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohint import Poly, molien_coefficients, substitute
+from cohint import KernelForm, Poly, enumerate_group, kernel_sum, molien_coefficients, substitute
 from cohint import integrality as I
 from cohint.matrices import det_one_minus_q, int_kernel, solve_combination
-from cohint.polyalg import monomials_of_degree
+from cohint.polyalg import average_over, coset_sum, invariant_basis, monomials_of_degree
 from cohint.weyl import coset_representatives, point_stabilizer
 
-from conftest import build
+from conftest import build, is_monomial_matrix
 
 sympy = pytest.importorskip("sympy")
 
@@ -65,31 +65,90 @@ class TestSeriesOracles:
             assert c == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
 
 
+def sympy_kernel_sum(f, form, cosets, xs):
+    """sum_w w(f * k) over the cosets as one cancelled sympy rational function."""
+    total = 0
+    for w in cosets:
+        moved = form.transformed(w)
+        num = sympy.prod([form_to_sympy(a, xs) for a in moved.numerator] or [1])
+        den = sympy.prod([form_to_sympy(b, xs) for b in moved.denominator] or [1])
+        total += to_sympy(substitute(w, f), xs) * num / den
+    return sympy.cancel(sympy.together(total))
+
+
+def induction_data(strat, source, target):
+    """The source stabilizer inside the target's and its coset representatives."""
+    stab = point_stabilizer(strat.weyl, source.rep)
+    w_target = strat.point_stabilizers[target.index]
+    h = strat.weyl.subgroup(set(stab.members) & set(w_target.members))
+    return h, coset_representatives(h, w_target)
+
+
 class TestKernelSumOracle:
     def test_induction_matches_rational_functions(self):
         _, strat = build("trivial:sl3")
         dense = strat.strata[0]
         form = I.kernel(strat, dense, strat.top)
         xs = sympy.symbols("x1 x2")
-        stab = point_stabilizer(strat.weyl, dense.rep)
-        h = strat.weyl.subgroup(
-            set(stab.members) & set(strat.point_stabilizers[strat.top_index].members)
-        )
-        cosets = coset_representatives(h, strat.point_stabilizers[strat.top_index])
+        h, cosets = induction_data(strat, dense, strat.top)
         for exps in monomials_of_degree(2, 5)[:3]:
             f = Poly.zero(2)
             for w in h.elements():
                 f = f + substitute(w, Poly.monomial(2, exps))
             mine = to_sympy(I.induct(strat, f, dense, strat.top), xs)
-            total = 0
-            for w in cosets:
-                m = w.matrix
-                moved = form.transformed(w)
-                wf = to_sympy(substitute(w, f), xs)
-                num = sympy.prod([form_to_sympy(a, xs) for a in moved.numerator] or [1])
-                den = sympy.prod([form_to_sympy(b, xs) for b in moved.denominator] or [1])
-                total += wf * num / den
-            assert sympy.simplify(sympy.cancel(sympy.together(total)) - mine) == 0
+            total = sympy_kernel_sum(f, form, cosets, xs)
+            assert sympy.simplify(total - mine) == 0
+
+    def test_adjoint_sl3_takes_the_expanded_substitution(self):
+        # sl3's Weyl group acts on its rank-2 lattice by matrices that are not
+        # monomial, so these sums go through the expanded substitution path
+        _, strat = build("adjoint:sl3")
+        xs = sympy.symbols("x1 x2")
+        checked = 0
+        for s in strat.strata:
+            if s.index == strat.top.index:
+                continue
+            h, cosets = induction_data(strat, s, strat.top)
+            form = I.kernel(strat, s, strat.top)
+            if not any(not is_monomial_matrix(w.matrix) for w in cosets):
+                continue
+            for f in invariant_basis(h, 2, strat.u_bases[strat.top.index]).polys():
+                mine = to_sympy(I.induct(strat, f, s, strat.top), xs)
+                assert sympy.expand(sympy_kernel_sum(f, form, cosets, xs) - mine) == 0
+                checked += 1
+        assert checked
+
+    def test_non_integral_coefficients(self):
+        # f's coefficients have the denominators 3, 5 and |H|: kernel_sum
+        # clears their least common multiple once and divides it back out
+        _, strat = build("gl2-cotangent:2")
+        xs = sympy.symbols("x1 x2")
+        for s in strat.strata:
+            if s.index == strat.top.index:
+                continue
+            h, cosets = induction_data(strat, s, strat.top)
+            form = I.kernel(strat, s, strat.top)
+            f = (average_over(h, Poly.monomial(2, (2, 1))).scaled(Fraction(2, 3))
+                 + average_over(h, Poly.monomial(2, (0, 1))).scaled(Fraction(-1, 5)))
+            assert any(Fraction(c).denominator != 1 for c in f.terms.values())
+            mine = to_sympy(I.induct(strat, f, s, strat.top), xs)
+            assert sympy.expand(sympy_kernel_sum(f, form, cosets, xs) - mine) == 0
+
+    def test_ray_scalars_differ_across_cosets(self):
+        # the rays of w(2, -2, 0) and w(3, 0, -3) carry the scalars +-2 and +-3,
+        # so the cosets' denominators are 6 or -6: the terms go over the
+        # common denominator 6 with multipliers of both signs
+        s3 = enumerate_group((((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+                              ((1, 0, 0), (0, 0, 1), (0, 1, 0))), 3)
+        k = KernelForm(((1, 0, 0), (0, 1, 0)), ((2, -2, 0), (3, 0, -3)))
+        data = coset_sum(k, s3.elements)
+        assert data.denominator == 6
+        assert {m for *_, m in data.terms} == {1, -1}
+        xs = sympy.symbols("x1 x2 x3")
+        for f in (Poly.linear((1, 2, 0)) ** 2,
+                  Poly.linear((Fraction(1, 2), 0, -3)) * Poly.linear((1, 1, 1))):
+            mine = to_sympy(kernel_sum(f, k, s3.elements), xs)
+            assert sympy.expand(sympy_kernel_sum(f, k, s3.elements, xs) - mine) == 0
 
 
 int_rows = st.lists(

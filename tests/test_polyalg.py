@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +25,13 @@ from cohint.polyalg import (
     ExactDivisionError,
     apply_linear_map,
     average_over,
+    coset_sum,
     monomials_of_degree,
     poly_inner,
 )
 from cohint.weyl import averaged_form
 
-from conftest import build
+from conftest import build, is_monomial_matrix
 
 SWAP = ((0, 1), (1, 0))
 S2 = enumerate_group((SWAP,), 2)
@@ -47,10 +49,8 @@ def swap_element():
     return next(w for w in S2.elements if w.matrix == SWAP)
 
 
-SL3_ROTATION = next(
-    w for w in enumerate_group(GROUPS["sl3"]["generators"], 2).elements
-    if w.matrix == ((0, -1), (1, -1))
-)
+SL3 = enumerate_group(GROUPS["sl3"]["generators"], 2)
+SL3_ROTATION = next(w for w in SL3.elements if w.matrix == ((0, -1), (1, -1)))
 
 
 small_polys = st.builds(
@@ -61,6 +61,18 @@ small_polys = st.builds(
         max_size=4,
     ),
 )
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+rational_polys = st.builds(
+    lambda terms: Poly(2, terms),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        rationals.filter(bool),
+        max_size=4,
+    ),
+)
+rational_forms = st.tuples(rationals, rationals)
 
 
 class TestPolyBasics:
@@ -106,10 +118,6 @@ class TestSubstitute:
         # a monomial matrix and one that is expanded
         for w in (swap_element(), SL3_ROTATION):
             assert substitute(w, f * g) == substitute(w, f) * substitute(w, g)
-
-
-def is_monomial_matrix(matrix):
-    return all(sum(1 for row in matrix if row[i]) == 1 for i in range(len(matrix)))
 
 
 class TestApplyLinearMap:
@@ -193,6 +201,31 @@ class TestExactDivide:
             assert f == (x(0) - x(1)) ** (k - 1) * g
         with pytest.raises(ExactDivisionError):
             exact_divide(f, (1, -1))
+
+    def test_integer_polynomial_over_a_ray_key_has_int_coefficients(self):
+        q = Poly.linear((3, 5)) * Poly.linear((2, -7)) ** 2
+        for key in ((1, -1), (2, 3), (0, 1)):
+            quotient = exact_divide(q * Poly.linear(key), key)
+            assert quotient == q
+            assert all(type(c) is int for c in quotient.terms.values())
+
+    def test_integer_polynomial_with_a_remainder_still_raises(self):
+        f = x(0) ** 2 + x(1) ** 2
+        for ell in ((1, 1), (2, 1), (1, -3)):
+            with pytest.raises(ExactDivisionError):
+                exact_divide(f, ell)
+
+    def test_non_primitive_form_gives_fractions(self):
+        quotient = exact_divide(x(0) ** 2 - x(1) ** 2, (2, -2))
+        assert quotient == (x(0) + x(1)).scaled(Fraction(1, 2))
+        assert quotient.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+
+    def test_rational_form_divides(self):
+        ell = (Fraction(1, 2), Fraction(-3, 4))
+        q = x(0) ** 2 + (x(0) * x(1)).scaled(Fraction(2, 3)) - Poly.constant(2, 5)
+        assert exact_divide(q * Poly.linear(ell), ell) == q
+        with pytest.raises(ExactDivisionError):
+            exact_divide(q * Poly.linear(ell) + x(1), ell)
 
     @settings(max_examples=40, deadline=None)
     @given(small_polys, st.sampled_from([(1, 0), (1, -1), (2, 3), (0, 1)]))
@@ -278,6 +311,39 @@ class TestKernelSum:
         k = KernelForm(((1, 0, 0), (0, 1, 0)), ((2, -2, 0), (1, 0, -1)))
         f = Poly.linear((1, 2, 0)) ** 2
         assert_matches_direct_sum(f, k, s3.elements)
+
+    def test_common_denominator_of_distinct_scalars(self):
+        # kernel_sum reads only each element's matrix.  Scaling by 2 and 3
+        # gives the denominator form 2(x1 + x2) the scalars 4 and 6, so the
+        # two terms go over the common denominator 12 with multipliers 3 and 2
+        # (the scalars of invertible integer matrices differ only in sign)
+        cosets = [SimpleNamespace(matrix=((c, 0), (0, c))) for c in (2, 3)]
+        k = KernelForm(((1, 0),), ((2, 2),))
+        data = coset_sum(k, cosets)
+        assert (data.denominator, [m for *_, m in data.terms]) == (12, [3, 2])
+        assert kernel_sum(x(1) * (x(0) + x(1)), k, data) == (
+            (x(0) * x(1)).scaled(Fraction(13, 2)))
+        assert_matches_direct_sum(x(1) * (x(0) + x(1)), k, cosets)
+
+    def test_a_prepared_coset_sum_gives_the_same_sum(self):
+        k = KernelForm(((1, -1), (1, 0)), ((1, -1), (-1, 1)))
+        data = coset_sum(k, S2.elements)
+        assert len(data) == len(S2.elements)
+        for f in (Poly.constant(2, 1), x(0) ** 3 + (x(0) * x(1)).scaled(Fraction(1, 2))):
+            assert kernel_sum(f, k, data) == kernel_sum(f, k, S2.elements)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_polys, st.lists(rational_forms, max_size=2),
+           st.lists(rational_forms.filter(any), min_size=1, max_size=2),
+           st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    def test_matches_the_direct_sum(self, g, numerator, denominator, picks):
+        # f = g * prod(denominator) makes every coset's term polynomial, so any
+        # set of sl3 elements (monomial and expanded ones) may stand as cosets
+        f = g
+        for b in denominator:
+            f = f * Poly.linear(b)
+        k = KernelForm(tuple(numerator), tuple(denominator))
+        assert_matches_direct_sum(f, k, [SL3.elements[i] for i in picks])
 
 
 def assert_matches_direct_sum(f, k, cosets, count=6):
