@@ -189,6 +189,13 @@ def epsilon(strat: Stratification, stratum: Stratum) -> EpsilonCharacter:
     return EpsilonCharacter(wl, values)
 
 
+def _invariants(strat: Stratification, members: tuple[int, ...], p: int, forms) -> GradedBasis:
+    """invariant_basis of the subgroup of strat.weyl with these member
+    indices, as a builder for once: keyed by the indices rather than the
+    Subgroup, whose hash would walk the parent group."""
+    return invariant_basis(strat.weyl.subgroup(members), p, forms)
+
+
 def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     """Degree-p slice of the induced submodule of lambda = stratum: the span
     of the inductions sum_{c in W_lambda/H} c(f * k_{mu->lambda}) of the
@@ -229,7 +236,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
             continue
         generators.extend(
             _induced(strat, f, mu, stratum)
-            for f in invariant_basis(h, p - form.degree, u_basis).polys()
+            for f in once(strat, _invariants, h.members, p - form.degree, u_basis).polys()
         )
     return rref_span(generators, p, strat.group.rank)
 
@@ -248,7 +255,7 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
 
     pieces: dict[int, GradedBasis] = {}
     for p in range(p_max + 3):
-        ambient = invariant_basis(levi, p, u_basis)
+        ambient = once(strat, _invariants, levi.members, p, u_basis)
         sub = j_graded(strat, stratum, p)
         if p <= p_max:
             pieces[p] = orthogonal_complement(sub, ambient, b)
@@ -381,17 +388,6 @@ def verify_hilbert(strat: Stratification, cutoff: int) -> HilbertResult:
     return HilbertResult(rows, all(r.match for r in rows))
 
 
-def _isotypic_projection(
-    strat: Stratification, eps: EpsilonCharacter, f: Poly
-) -> Poly:
-    wl = eps.subgroup
-    total = Poly.zero(f.nvars)
-    for idx in wl.members:
-        w = strat.weyl.elements[idx]
-        total = total + substitute(w, f).scaled(Fraction(1) / eps.value(idx))
-    return total.scaled(Fraction(1, wl.order))
-
-
 def _flat_complement_forms(strat: Stratification, stratum: Stratum):
     """Forms spanning the invariant complement of the stratum's reduced
     variables; they realize the polynomial ring of the flat inside the
@@ -426,7 +422,7 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
                 projections = []
                 for f in basis.polys():
                     for g in products:
-                        proj = _isotypic_projection(strat, eps, f * g)
+                        proj = average_over(eps.subgroup, f * g, eps.values)
                         if not proj.is_zero():
                             projections.append(proj)
                 iso_basis = rref_span(projections, m, n)

@@ -2,16 +2,21 @@
 
 Everything here works on tuples of tuples so results are hashable and can be
 used as canonical dictionary keys (deduplicating flats, group elements).  No
-floating point anywhere; rational work uses ``fractions.Fraction``.
+floating point anywhere.  A rational entry is an ``int`` or a
+``fractions.Fraction``: the two compare and hash alike by value.  Row
+reduction runs over primitive integer rows and divides once per pivot row at
+the end (see ``rref``); the series and characteristic polynomials use
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
-QMatrix = tuple[tuple[Fraction, ...], ...]
+QMatrix = tuple[tuple[int | Fraction, ...], ...]
 IntVector = tuple[int, ...]
 
 
@@ -50,27 +55,55 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(int(x) for x in row) for row in inverse)
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries; a zero row (gcd 0) is kept."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def quotient(x: int | Fraction, p: int) -> int | Fraction:
+    """x / p: the int x // p when p divides x, a Fraction otherwise."""
+    q, r = divmod(x, p)
+    return Fraction(x, p) if r else q
+
+
 def rref(rows: Iterable[Sequence], ncols: int) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over Q; returns (nonzero rows, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form over Q; returns (nonzero rows, pivot columns).
+    Pivots are sought in the first ncols columns; later columns ride along.
+
+    Fraction-free: each row is cleared to integers with one lcm of its
+    denominators.  Eliminating column c with pivot p in row r takes
+    row_i <- p * row_i - a * row_r, a = row_i[c], and divides the new row by
+    the gcd of its entries, so every row stays a primitive integer row.  Each
+    pivot row is divided by its pivot once at the end, an entry becoming an
+    int when p divides it and a Fraction otherwise.  The reduced row echelon
+    form over Q is unique, so the rows equal those of elimination over
+    Fractions entry for entry."""
+    mat = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        mat.append(_primitive([x.numerator * (d // x.denominator) for x in row]))
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == len(mat):
             break
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        top = mat[r]
+        p = top[c]
+        for i, row in enumerate(mat):
+            a = row[c]
+            if a and i != r:
+                mat[i] = _primitive([p * x - a * y for x, y in zip(row, top)])
         pivots.append(c)
         r += 1
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    reduced = tuple(
+        tuple(quotient(x, row[c]) for x in row) for row, c in zip(mat, pivots)
+    )
+    return reduced, tuple(pivots)
 
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> QMatrix:
@@ -79,8 +112,8 @@ def nullspace(rows: Iterable[Sequence], ncols: int) -> QMatrix:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -red[i][f]
         basis.append(tuple(v))
@@ -96,12 +129,11 @@ def solve_combination(basis_rows: Sequence[Sequence], target: Sequence):
     n = len(target)
     if k == 0:
         return () if all(x == 0 for x in target) else None
-    aug = [[Fraction(basis_rows[i][j]) for i in range(k)] + [Fraction(target[j])]
-           for j in range(n)]
+    aug = [[basis_rows[i][j] for i in range(k)] + [target[j]] for j in range(n)]
     red, pivots = rref(aug, k + 1)
     if k in pivots:
         return None
-    coeffs = [Fraction(0)] * k
+    coeffs = [0] * k
     for i, p in enumerate(pivots):
         coeffs[p] = red[i][k]
     return tuple(coeffs)

@@ -15,11 +15,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, ray
-from .matrices import QMatrix, dot, mat_vec, nullspace, rref, saturate_span, solve_combination
+from .matrices import (
+    QMatrix,
+    dot,
+    mat_vec,
+    nullspace,
+    quotient,
+    rref,
+    saturate_span,
+    solve_combination,
+)
 from .weyl import Subgroup, WeylElement
 
 Exponents = tuple[int, ...]
@@ -75,8 +85,8 @@ class Poly:
     def is_homogeneous(self, p: int) -> bool:
         return all(sum(e) == p for e in self.terms)
 
-    def coefficient_vector(self, monomials: Sequence[Exponents]) -> tuple[Fraction, ...]:
-        return tuple(self.terms.get(m, Fraction(0)) for m in monomials)
+    def coefficient_vector(self, monomials: Sequence[Exponents]) -> tuple[Coefficient, ...]:
+        return tuple(self.terms.get(m, 0) for m in monomials)
 
     def evaluate(self, point: Sequence) -> Fraction:
         total = Fraction(0)
@@ -114,7 +124,7 @@ class Poly:
         acc: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = acc.get(e, 0) + c1 * c2
                 if s:
                     acc[e] = s
@@ -234,11 +244,20 @@ def substitute(w: WeylElement, f: Poly) -> Poly:
     return apply_linear_map(f, w.matrix)
 
 
-def average_over(h: Subgroup, f: Poly) -> Poly:
-    total = Poly.zero(f.nvars)
-    for w in h.elements():
-        total = total + substitute(w, f)
-    return total.scaled(Fraction(1, h.order))
+def average_over(
+    h: Subgroup, f: Poly, character: Mapping[int, Coefficient] | None = None
+) -> Poly:
+    """(1/|h|) sum_w w(f) over the elements w of h, or, given a +/-1
+    character on h's member indices, (1/|h|) sum_w character(w) w(f).  Every
+    substituted polynomial is added into one dict, and the sum is scaled
+    once."""
+    acc: dict[Exponents, Coefficient] = {}
+    for idx, w in zip(h.members, h.elements()):
+        negate = character is not None and character[idx] < 0
+        for e, c in substitute(w, f).terms.items():
+            acc[e] = acc.get(e, 0) + (-c if negate else c)
+    scale = Fraction(1, h.order)
+    return Poly(f.nvars, {e: c * scale for e, c in acc.items() if c})
 
 
 def exact_divide(f: Poly, ell: Sequence) -> Poly:
@@ -262,8 +281,7 @@ def exact_divide(f: Poly, ell: Sequence) -> Poly:
         for e, c in slices[k].items():
             if c:
                 q = e[:pivot] + (k - 1,) + e[pivot + 1:]
-                qc, r = divmod(c, p)
-                quot[q] = qc = Fraction(c, p) if r else qc
+                quot[q] = qc = quotient(c, p)
                 for j, cj in rest:
                     m = q[:j] + (q[j] + 1,) + q[j + 1:]
                     slices[k - 1][m] = slices[k - 1].get(m, 0) - qc * cj
@@ -375,7 +393,7 @@ class GradedBasis:
     nvars: int
     degree: int
     monomials: tuple[Exponents, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: QMatrix
     pivots: tuple[int, ...]
 
     @property
@@ -394,7 +412,7 @@ class GradedBasis:
         if any(c for m, c in f.terms.items() if m not in monomials):
             return None
         vec = list(f.coefficient_vector(self.monomials))
-        coords = [Fraction(0)] * len(self.rows)
+        coords = [0] * len(self.rows)
         for i, p in enumerate(self.pivots):
             c = vec[p]
             if c:
@@ -434,13 +452,13 @@ def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis
     return rref_span(vectors, p, nvars)
 
 
-def _dual(f: Poly, b: QMatrix, monomials: Sequence[Exponents]) -> tuple[Fraction, ...]:
+def _dual(f: Poly, b: QMatrix, monomials: Sequence[Exponents]) -> tuple[Coefficient, ...]:
     """The vector d over the monomials with <f, g>_b = sum_m d_m g_m for every
     g spanned by them: d_m = (f o b)_m * m!, where f o b = apply_linear_map(f, b)
     and m! = prod_i m_i!."""
     image = apply_linear_map(f, b).terms
     return tuple(
-        image[m] * prod(factorial(k) for k in m) if m in image else Fraction(0)
+        image[m] * prod(factorial(k) for k in m) if m in image else 0
         for m in monomials
     )
 
