@@ -195,7 +195,16 @@ def enumerate_strata(
     The closure cuts each flat F by the hyperplanes not containing it.  Each
     cut is one dimension down, so the cuts of F are exactly the flats
     covering F in the order.  Once a cut G is found, the hyperplanes through
-    G are skipped: each of them cuts F in G again."""
+    G are skipped: each of them cuts F in G again.
+
+    Each point stabilizer W_lam is searched among the members of the set
+    stabilizer, which contains it.  The closure checks that the cochar_matrix
+    C_w of every element is the transpose of the inverse of its matrix M_w,
+    so if C_w lam = lam then <lam, M_w u> = <C_w lam, M_w u> = <lam, u> for
+    every weight u.  The representative lam is generic, so the supports
+    vanishing on it are the stratum's zero sets; w maps each of them into
+    itself, and onto itself since it permutes the weights of V and of g,
+    which are each W-stable."""
     n = group.rank
     # The report's one enumeration is its finiteness check, reported first.
     weyl = enumerate_group(group.weyl_generators, n, cap)
@@ -306,12 +315,8 @@ def enumerate_strata(
     point_stabs = []
     set_stabs = []
     for s, zero_set in zip(strata, zero_sets):
-        ps = point_stabilizer(weyl, s.rep)
         ss = set_stabilizer(weyl, action, zero_set)
-        if not set(ps.members) <= set(ss.members):
-            raise InternalCheckError(
-                f"stratum {s.index}: pointwise stabilizer is not inside the setwise stabilizer"
-            )
+        ps = point_stabilizer(ss, s.rep)
         # integrality.j_graded spans from the covers only, which needs the
         # point stabilizer of each cover inside this one.
         for j in covers[s.index]:

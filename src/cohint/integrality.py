@@ -109,8 +109,7 @@ def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
     coset representatives of H, which every kernel sum of this induction
     shares."""
     w_target = strat.point_stabilizers[target.index]
-    stab = point_stabilizer(strat.weyl, mu.rep)
-    h = strat.weyl.subgroup(set(stab.members) & set(w_target.members))
+    h = point_stabilizer(w_target, mu.rep)
     form = once(strat, kernel, mu, target)
     return h, form, coset_sum(form, coset_representatives(h, w_target))
 
@@ -483,7 +482,7 @@ def verify_associativity(strat: Stratification) -> AssociativityResult:
         s1, s2, s3 = strat.strata[i], strat.strata[j], strat.strata[k]
         nu = align_representative(s1, s2.rep, supports)
         s1_aligned = with_representative(strat, s1, nu)
-        h = point_stabilizer(strat.weyl, nu)
+        h = point_stabilizer(strat.weyl.full_subgroup(), nu)
         ok = True
         funcs = _invariant_test_functions(strat, h)
         for f in funcs:

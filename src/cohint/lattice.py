@@ -200,6 +200,19 @@ def slice_weights(
     )
 
 
+def _zero_and_positive(ws: WeightMultiset, lam: Cocharacter) -> tuple[int, int]:
+    """Total multiplicity of the weights pairing to zero, and to a positive
+    number, with lam."""
+    zero = pos = 0
+    for w, m in ws:
+        p = pairing(lam, w)
+        if p == 0:
+            zero += m
+        elif p > 0:
+            pos += m
+    return zero, pos
+
+
 @dataclass(frozen=True)
 class NumericInvariants:
     dim_v_fixed: int
@@ -214,12 +227,10 @@ def numeric_invariants(
     """Fixed-space dimensions and the shifts d_lambda, r_lambda at a cocharacter."""
     if symmetry_class(rep) is SymmetryClass.NOT_WEAKLY_SYMMETRIC:
         raise InputError("numeric invariants require a weakly symmetric weight multiset")
-    _, v_zero, v_pos = slice_weights(rep.v_weights, lam)
-    _, g_zero, g_pos = slice_weights(group.g_weights, lam)
-    dim_v = v_zero.total()
-    dim_g = g_zero.total()
+    dim_v, v_pos = _zero_and_positive(rep.v_weights, lam)
+    dim_g, g_pos = _zero_and_positive(group.g_weights, lam)
     d_lambda = dim_v - dim_g
-    r_lambda = v_pos.total() - g_pos.total()
+    r_lambda = v_pos - g_pos
     d0 = rep.dim - group.dim
     if d_lambda + 2 * r_lambda != d0:
         raise InternalCheckError(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .lattice import Cocharacter, Weight, DEFAULT_GROUP_CAP
 from .matrices import (
     IntMatrix,
@@ -39,11 +39,18 @@ class WeylGroup:
     and an index lookup; each element's inverse is tracked by the closure.
 
     Elements are ordered by their matrix entries (flattened, lexicographic),
-    which fixes every downstream basis and coset choice.
+    which fixes every downstream basis and coset choice.  closure lists
+    (element, parent, k) for every element but the identity, in the
+    breadth-first order of the closure that reached it first as
+    parent * generators[k].
     """
 
     def __init__(
-        self, inverses: dict[IntMatrix, IntMatrix], rank: int, generators: Sequence[IntMatrix]
+        self,
+        inverses: dict[IntMatrix, IntMatrix],
+        reached_from: dict[IntMatrix, tuple[IntMatrix, int]],
+        rank: int,
+        generators: Sequence[IntMatrix],
     ):
         mats = sorted(inverses)
         self.rank = rank
@@ -54,6 +61,10 @@ class WeylGroup:
         self.inv = tuple(self._index[inverses[m]] for m in mats)
         self.identity_index = self._index[identity(rank)]
         self.generators = tuple(self._index[g] for g in generators)
+        index = self._index
+        self.closure = tuple(
+            (index[m], index[parent], k) for m, (parent, k) in reached_from.items()
+        )
 
     @property
     def order(self) -> int:
@@ -88,7 +99,11 @@ def enumerate_group(
     generators: Sequence[IntMatrix], rank: int, cap: int = DEFAULT_GROUP_CAP
 ) -> WeylGroup:
     """Breadth-first closure of the generators; errors out past the cap.
-    The inverse of m*g is inv(g)*inv(m), so inverses cost one product each."""
+    The inverse of m*g is inv(g)*inv(m), so inverses cost one product each.
+    Each inverse is checked to invert its element: an element's
+    cochar_matrix is the transpose of its inverse, and enumerate_strata's
+    search for point stabilizers inside set stabilizers relies on that
+    pairing."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
     gen_inverses = []
     for g in gens:
@@ -98,14 +113,22 @@ def enumerate_group(
             raise InputError(f"generator {g} is not invertible over the integers") from exc
     one = identity(rank)
     inverses = {one: one}
+    reached_from: dict[IntMatrix, tuple[IntMatrix, int]] = {}
     frontier = [one]
     while frontier:
         new = []
         for m in frontier:
-            for g, g_inv in zip(gens, gen_inverses):
+            for k, (g, g_inv) in enumerate(zip(gens, gen_inverses)):
                 prod = mat_mul(m, g)
                 if prod not in inverses:
-                    inverses[prod] = mat_mul(g_inv, inverses[m])
+                    inverse = mat_mul(g_inv, inverses[m])
+                    if mat_mul(inverse, prod) != one:
+                        raise InternalCheckError(
+                            f"group element {prod}: the closure's inverse {inverse} "
+                            "does not invert it"
+                        )
+                    inverses[prod] = inverse
+                    reached_from[prod] = (m, k)
                     new.append(prod)
                     if len(inverses) > cap:
                         raise InputError(
@@ -113,7 +136,7 @@ def enumerate_group(
                             "check the generators or raise --group-cap"
                         )
         frontier = new
-    return WeylGroup(inverses, rank, gens)
+    return WeylGroup(inverses, reached_from, rank, gens)
 
 
 def char_action(w: WeylElement, alpha: Weight) -> Weight:
@@ -124,28 +147,39 @@ def cochar_action(w: WeylElement, lam: Cocharacter) -> Cocharacter:
     return mat_vec(w.cochar_matrix, lam)
 
 
-def point_stabilizer(group: WeylGroup, lam: Cocharacter) -> Subgroup:
-    """Elements fixing the cocharacter lam, compared row by row so that most
-    elements are rejected after one row."""
+def point_stabilizer(candidates: Subgroup, lam: Cocharacter) -> Subgroup:
+    """The members of candidates fixing the cocharacter lam, compared row by
+    row so that most members are rejected after one row.  Searching a
+    subgroup known to contain the whole stabilizer gives the stabilizer."""
     lam = tuple(lam)
-    return group.subgroup(
-        w.index for w in group.elements
-        if all(dot(row, lam) == x for row, x in zip(w.cochar_matrix, lam))
-    )
+    elements = candidates.parent.elements
+    return Subgroup(candidates.parent, tuple(
+        i for i in candidates.members
+        if all(dot(row, lam) == x for row, x in zip(elements[i].cochar_matrix, lam))
+    ))
 
 
 def permutation_action(group: WeylGroup, points: Sequence[Weight]) -> tuple[tuple[int, ...], ...]:
     """images[w][p]: the index in points of the character action of element w
-    on points[p].  The points must form a union of orbits."""
+    on points[p].  The points must form a union of orbits, which is checked
+    on the generators: generators that permute a finite set make the group
+    permute it.  Each element's row is its parent's row composed with its
+    generator's, (m * g) . p = m . (g . p), in the order of the closure."""
     index = {p: i for i, p in enumerate(points)}
     try:
-        return tuple(
-            tuple(index[char_action(w, p)] for p in points) for w in group.elements
-        )
+        gen_perms = [
+            tuple(index[char_action(group.elements[g], p)] for p in points)
+            for g in group.generators
+        ]
     except KeyError as exc:
         raise InputError(
             f"the group does not permute the weights: {exc.args[0]} is not among them"
         ) from exc
+    images: list = [None] * group.order
+    images[group.identity_index] = tuple(range(len(points)))
+    for element, parent, k in group.closure:
+        images[element] = tuple(map(images[parent].__getitem__, gen_perms[k]))
+    return tuple(images)
 
 
 def set_stabilizer(

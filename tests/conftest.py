@@ -4,10 +4,12 @@ session; everything derived from a stratification is memoised on it."""
 from __future__ import annotations
 
 import functools
+import re
 
 import pytest
 
 from cohint import catalog_emit, enumerate_strata
+from cohint.catalog import catalog_keys
 from cohint.integrality import (
     bps_space,
     once,
@@ -15,6 +17,10 @@ from cohint.integrality import (
     verify_hilbert,
     verify_isomorphism,
 )
+
+
+# Every catalog key, a parametric one with the argument 3.
+CATALOG_INSTANCES = tuple(re.sub(r"<\w+>", "3", key) for key in catalog_keys())
 
 
 @functools.cache

@@ -283,7 +283,7 @@ class TestPropertySuite:
                 for t in strat.strata:
                     if s.index == t.index or not strat.leq(s.index, t.index):
                         continue
-                    stab = point_stabilizer(strat.weyl, s.rep)
+                    stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)
                     h = strat.weyl.subgroup(
                         set(stab.members)
                         & set(strat.point_stabilizers[t.index].members)
@@ -361,7 +361,7 @@ class TestPropertySuite:
             n = strat.group.rank
             s = strat.strata[0]
             form = I.kernel(strat, s, strat.top)
-            stab = point_stabilizer(strat.weyl, s.rep)
+            stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)
             h = strat.weyl.subgroup(
                 set(stab.members) & set(strat.point_stabilizers[strat.top_index].members)
             )

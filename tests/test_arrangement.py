@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -16,11 +17,12 @@ from cohint import (
     with_representative,
 )
 from cohint.arrangement import generic_points
+from cohint.cli import EXIT_INTERNAL, main
 from cohint.documents import document_from_dict
-from cohint.matrices import dot, hnf, int_kernel
+from cohint.matrices import dot, hnf, identity, int_kernel
 from cohint.weyl import char_action, cochar_action, point_stabilizer
 
-from conftest import build, gl_document
+from conftest import CATALOG_INSTANCES, build, gl_document
 
 RANK_LE_3 = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:4", "trivial:sl3", "adjoint:gl3")
 
@@ -147,10 +149,10 @@ class TestOrder:
         # stabilizer, so the diagonal stratum 3 under it has the larger one
         import cohint.arrangement as arrangement
 
-        def shrunk(group, rep):
+        def shrunk(candidates, rep):
             if any(rep):
-                return point_stabilizer(group, rep)
-            return group.subgroup([group.identity_index])
+                return point_stabilizer(candidates, rep)
+            return candidates.parent.subgroup([candidates.parent.identity_index])
 
         doc, _ = build("gl2-cotangent")
         monkeypatch.setattr(arrangement, "point_stabilizer", shrunk)
@@ -273,6 +275,64 @@ class TestGl4PermutationAction:
         assert_covers_are_the_hasse_diagram(self.stratify(spec))
 
 
+def scanned_point_stabilizer(weyl, lam):
+    """Indices of every element of the group fixing lam."""
+    return tuple(w.index for w in weyl.elements if cochar_action(w, lam) == lam)
+
+
+# The swap of two coordinates with V = +/-(1, 1) and no roots: the generic
+# representative (1, 1) is fixed by the swap, the one of the flat
+# x1 + x2 = 0 is not, so the cover edge between them fails its check.
+SWAP_WITHOUT_ROOTS = {
+    "name": "swap-without-roots",
+    "rank": 2,
+    "weyl_generators": [[[0, 1], [1, 0]]],
+    "g_weights": [{"alpha": [0, 0], "multiplicity": 2}],
+    "v_weights": [{"alpha": [1, 1], "multiplicity": 1},
+                  {"alpha": [-1, -1], "multiplicity": 1}],
+}
+
+
+class TestPointStabilizerOracle:
+    """Each point stabilizer, searched among the members of its stratum's set
+    stabilizer, against a scan of the whole group."""
+
+    @staticmethod
+    def assert_scans_agree(strat):
+        for s in strat.strata:
+            assert strat.point_stabilizers[s.index].members == scanned_point_stabilizer(
+                strat.weyl, s.rep), s.index
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_catalog(self, key):
+        self.assert_scans_agree(build(key)[1])
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
+    def test_gl(self, n, kind):
+        doc = document_from_dict(gl_document(n, kind, 1, 0))
+        self.assert_scans_agree(enumerate_strata(doc.group_data(), doc.rep_data()))
+
+    def test_swap_without_roots_fails_at_the_cover_edge(self, monkeypatch, tmp_path, capsys):
+        searched = []
+
+        def checked(candidates, lam):
+            found = point_stabilizer(candidates, lam)
+            assert found.members == scanned_point_stabilizer(candidates.parent, lam)
+            searched.append(found.order)
+            return found
+
+        monkeypatch.setattr(arrangement, "point_stabilizer", checked)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(SWAP_WITHOUT_ROOTS))
+        assert main(["strata", "--input", str(path)]) == EXIT_INTERNAL
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == (
+            "the point stabilizer of stratum 0 is not inside that of stratum 1, which covers it"
+        )
+        assert searched == [2, 1]
+
+
 class TestStabilizers:
     def test_point_inside_set_stabilizer(self):
         for key in RANK_LE_3:
@@ -387,13 +447,16 @@ class TestLocatedStrataErrors:
         )):
             self.strata_of("gl2-cotangent")
 
-    def test_pointwise_inside_setwise_stabilizer(self, monkeypatch):
-        strat = self.strata_of("gl2-cotangent")
-        first = next(i for i, ps in enumerate(strat.point_stabilizers) if ps.order > 1)
-        monkeypatch.setattr(arrangement, "set_stabilizer",
-                            lambda group, action, sets: group.subgroup([group.identity_index]))
+    def test_closure_inverse_pairs_with_its_element(self, monkeypatch):
+        # point stabilizers are searched inside set stabilizers because each
+        # element's cocharacter action is its inverse transposed; a generator
+        # inverse reported as the identity breaks that pairing at the swap
+        import cohint.weyl as weyl
+
+        monkeypatch.setattr(weyl, "int_inverse", lambda m: identity(len(m)))
         with pytest.raises(InternalCheckError, match=(
-            rf"^stratum {first}: pointwise stabilizer is not inside the setwise stabilizer$"
+            r"^group element \(\(0, 1\), \(1, 0\)\): the closure's inverse "
+            r"\(\(1, 0\), \(0, 1\)\) does not invert it$"
         )):
             self.strata_of("gl2-cotangent")
 

@@ -133,7 +133,7 @@ class TestInduct:
                 for t in strat.strata:
                     if s.index == t.index or not strat.leq(s.index, t.index):
                         continue
-                    stab = point_stabilizer(strat.weyl, s.rep)
+                    stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)
                     h = strat.weyl.subgroup(
                         set(stab.members)
                         & set(strat.point_stabilizers[t.index].members)
@@ -177,7 +177,7 @@ class TestInduct:
                 d = p - shift
                 images = []
                 if d >= 0:
-                    stab = point_stabilizer(gl2_strat.weyl, s.rep)
+                    stab = point_stabilizer(gl2_strat.weyl.full_subgroup(), s.rep)
                     for f in invariant_basis(stab, d, unit_forms(2)).polys():
                         images.append(I.induct(gl2_strat, f, s, gl2_strat.top))
                 spans.append(rref_span(images, p, 2).rows)
@@ -368,7 +368,7 @@ def _j_dim_by_image_intersection(strat, stratum, p):
         d = p - shift
         if d < 0:
             continue
-        stab = point_stabilizer(strat.weyl, mu.rep)
+        stab = point_stabilizer(strat.weyl.full_subgroup(), mu.rep)
         h = strat.weyl.subgroup(
             set(stab.members) & set(strat.point_stabilizers[stratum.index].members)
         )

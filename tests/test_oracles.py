@@ -78,7 +78,7 @@ def sympy_kernel_sum(f, form, cosets, xs):
 
 def induction_data(strat, source, target):
     """The source stabilizer inside the target's and its coset representatives."""
-    stab = point_stabilizer(strat.weyl, source.rep)
+    stab = point_stabilizer(strat.weyl.full_subgroup(), source.rep)
     w_target = strat.point_stabilizers[target.index]
     h = strat.weyl.subgroup(set(stab.members) & set(w_target.members))
     return h, coset_representatives(h, w_target)

@@ -168,6 +168,16 @@ GL4_DOCUMENTS = {
         "bd073e9af7a4b4b352335729ca01dbd533d87d25aae0cf38d8121c498c39b78a",
 }
 
+# ``strata`` reports of gl5 acting by its adjoint and on C^5 + (C^5)*, recorded
+# while every point stabilizer was a scan of the whole Weyl group and every
+# element's weight permutation was read off its own matrix.
+GL5_DOCUMENTS = {
+    ("adjoint", 1, 0):
+        "ca572bf55df410ef9cf5d8766dd7ffc59e1af4fad4cc1195787b43d08416864b",
+    ("cotangent", 1, 0):
+        "1d3099d1868c8c75015d57f7a1e0bbde0f3380340ee75fa4b8a5e1eef5e378b2",
+}
+
 
 # Reports of ``validate`` over the catalog keys and the gl4 documents above.
 VALIDATE_CATALOG = {
@@ -287,6 +297,13 @@ def test_gl4_strata_report(spec, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(gl_document(4, *spec)))
     assert stdout_sha256(["strata", "--input", str(path)], capsys) == GL4_DOCUMENTS[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(GL5_DOCUMENTS), ids=lambda s: "-".join(map(str, s)))
+def test_gl5_strata_report(spec, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(gl_document(5, *spec)))
+    assert stdout_sha256(["strata", "--input", str(path)], capsys) == GL5_DOCUMENTS[spec]
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,11 @@ from cohint import (
     point_stabilizer,
     set_stabilizer,
 )
-from cohint.matrices import identity, int_inverse, mat_mul, transpose
+from cohint.documents import document_from_dict
+from cohint.matrices import identity, int_inverse, mat_mul, mat_vec, transpose
 from cohint.weyl import char_action, cochar_action, permutation_action
 
-from conftest import build
+from conftest import CATALOG_INSTANCES, build, gl_document
 
 SWAP = ((0, 1), (1, 0))
 
@@ -126,15 +127,15 @@ class TestActions:
 class TestStabilizers:
     def test_point_stabilizer_whole_group(self):
         group = enumerate_group((SWAP,), 2)
-        assert point_stabilizer(group, (1, 1)).order == 2
+        assert point_stabilizer(group.full_subgroup(), (1, 1)).order == 2
 
     def test_point_stabilizer_trivial(self):
         group = enumerate_group((SWAP,), 2)
-        assert point_stabilizer(group, (-1, 0)).order == 1
+        assert point_stabilizer(group.full_subgroup(), (-1, 0)).order == 1
 
     def test_point_stabilizer_rank1_sign(self):
         group = enumerate_group((((-1,),),), 1)
-        assert point_stabilizer(group, (1,)).order == 1
+        assert point_stabilizer(group.full_subgroup(), (1,)).order == 1
 
     def test_set_stabilizer_of_empty_zero_set(self, gl2_strat):
         sub = stabilizer_of_zero_sets(gl2_strat, gl2_strat.strata[0])
@@ -159,6 +160,56 @@ class TestStabilizers:
     def test_permutation_action_needs_stable_points(self, gl2_strat):
         with pytest.raises(InputError, match="does not permute"):
             permutation_action(gl2_strat.weyl, ((1, 0),))
+
+
+def direct_action_table(group, points):
+    """images[w][p] from each element's own matrix."""
+    return tuple(
+        tuple(points.index(mat_vec(w.matrix, p)) for p in points) for w in group.elements
+    )
+
+
+def weights_and_group(doc):
+    group, rep = doc.group_data(), doc.rep_data()
+    points = tuple(sorted(set(rep.v_weights.supports()) | set(group.g_weights.supports())))
+    return enumerate_group(group.weyl_generators, group.rank), points
+
+
+class TestPermutationActionAlongTheClosure:
+    """Rows composed along the closure against the table read off every
+    element's matrix, on the weights of each input; the catalog includes sl3
+    on its rank-2 lattice (adjoint:sl3, trivial:sl3)."""
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_catalog(self, key):
+        group, points = weights_and_group(build(key)[0])
+        assert permutation_action(group, points) == direct_action_table(group, points)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
+    def test_gl(self, n, kind):
+        group, points = weights_and_group(document_from_dict(gl_document(n, kind, 1, 0)))
+        assert permutation_action(group, points) == direct_action_table(group, points)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_trivial_group(self, rank):
+        group = enumerate_group((), rank)
+        points = tuple(tuple(int(i == j) * s for j in range(rank))
+                       for i in range(rank) for s in (-1, 1))
+        assert group.closure == ()
+        assert permutation_action(group, points) == (tuple(range(2 * rank)),)
+        assert permutation_action(group, ()) == ((),)
+
+    def test_closure_reaches_each_element_once_from_an_earlier_one(self):
+        group = enumerate_group(adjacent_transpositions(4), 4)
+        seen = {group.identity_index}
+        for element, parent, k in group.closure:
+            assert parent in seen and element not in seen
+            generator = group.elements[group.generators[k]].matrix
+            assert group.elements[element].matrix == mat_mul(
+                group.elements[parent].matrix, generator)
+            seen.add(element)
+        assert seen == set(range(group.order))
 
 
 class TestCosets:
