@@ -198,9 +198,8 @@ def enumerate_strata(
     G are skipped: each of them cuts F in G again.
 
     Each point stabilizer W_lam is searched among the members of the set
-    stabilizer, which contains it.  The closure checks that the cochar_matrix
-    C_w of every element is the transpose of the inverse of its matrix M_w,
-    so if C_w lam = lam then <lam, M_w u> = <C_w lam, M_w u> = <lam, u> for
+    stabilizer, which contains it.  w fixes lam exactly when M_w^T lam = lam (see
+    point_stabilizer), and then <lam, M_w u> = <M_w^T lam, u> = <lam, u> for
     every weight u.  The representative lam is generic, so the supports
     vanishing on it are the stratum's zero sets; w maps each of them into
     itself, and onto itself since it permutes the weights of V and of g,

@@ -17,7 +17,7 @@ from .arrangement import (
 )
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, WeightMultiset, ray, slice_weights
-from .matrices import mat_vec, nullspace, restrict_action
+from .matrices import mat_vec, nullspace, restrict_action, transpose
 from .polyalg import (
     GradedBasis,
     KernelForm,
@@ -303,14 +303,21 @@ def isotypic_series(
     strat: Stratification, bps: BpsSpace, eps: EpsilonCharacter, cutoff: int
 ) -> tuple[Fraction, ...]:
     """Graded dimensions of the kernel-character isotypic part of the BPS
-    space tensored with the polynomial ring of the stratum's flat."""
+    space tensored with the polynomial ring of the stratum's flat.
+
+    Each element w of the stabilizer maps the flat F onto itself by the
+    contragredient C_w = (M_w^T)^-1, so M_w^T does too, and w's Molien term
+    restricts M_w^T to F.  Both give the same det(I - q A): M_w^T|F is
+    rational of finite order, so its eigenvalues are roots of unity closed
+    under complex conjugation, and its inverse has the conjugate
+    eigenvalues, the same multiset."""
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
     flat_basis = strat.strata[bps.stratum.index].flat.basis
     elements = []
     for idx in eps.subgroup.members:
         w = strat.weyl.elements[idx]
-        restricted = restrict_action(w.cochar_matrix, flat_basis) if flat_basis else ()
+        restricted = restrict_action(transpose(w.matrix), flat_basis) if flat_basis else ()
         mats = bps.w_matrices[idx]
         traces = [sum(row[i] for i, row in enumerate(mats.get(a, ()))) for a in bps.pieces]
         elements.append((restricted, [t / eps.value(idx) for t in traces]))

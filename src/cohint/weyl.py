@@ -26,17 +26,18 @@ from .matrices import (
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One group element: its action on the character lattice and the
-    contragredient (inverse-transpose) action on the cocharacter lattice."""
+    """One group element and its action on the character lattice.  Its
+    action on the cocharacter lattice is the contragredient (M^T)^-1, which
+    is never stored: every question asked of it is answered through M^T
+    (point_stabilizer, integrality.isotypic_series)."""
 
     index: int
     matrix: IntMatrix
-    cochar_matrix: IntMatrix
 
 
 class WeylGroup:
     """Fully enumerated finite matrix group.  A product is one matrix product
-    and an index lookup; each element's inverse is tracked by the closure.
+    and an index lookup.
 
     Elements are ordered by their matrix entries (flattened, lexicographic),
     which fixes every downstream basis and coset choice.  closure lists
@@ -47,23 +48,19 @@ class WeylGroup:
 
     def __init__(
         self,
-        inverses: dict[IntMatrix, IntMatrix],
-        reached_from: dict[IntMatrix, tuple[IntMatrix, int]],
+        reached_from: dict[IntMatrix, tuple[IntMatrix, int] | None],
         rank: int,
         generators: Sequence[IntMatrix],
     ):
-        mats = sorted(inverses)
+        mats = sorted(reached_from)
         self.rank = rank
-        self._index = {m: i for i, m in enumerate(mats)}
-        self.elements = tuple(
-            WeylElement(i, m, transpose(inverses[m])) for i, m in enumerate(mats)
-        )
-        self.inv = tuple(self._index[inverses[m]] for m in mats)
-        self.identity_index = self._index[identity(rank)]
-        self.generators = tuple(self._index[g] for g in generators)
-        index = self._index
+        self._index = index = {m: i for i, m in enumerate(mats)}
+        self.elements = tuple(WeylElement(i, m) for i, m in enumerate(mats))
+        self.identity_index = index[identity(rank)]
+        self.generators = tuple(index[g] for g in generators)
         self.closure = tuple(
-            (index[m], index[parent], k) for m, (parent, k) in reached_from.items()
+            (index[m], index[source[0]], source[1])
+            for m, source in reached_from.items() if source is not None
         )
 
     @property
@@ -99,44 +96,32 @@ def enumerate_group(
     generators: Sequence[IntMatrix], rank: int, cap: int = DEFAULT_GROUP_CAP
 ) -> WeylGroup:
     """Breadth-first closure of the generators; errors out past the cap.
-    The inverse of m*g is inv(g)*inv(m), so inverses cost one product each.
-    Each inverse is checked to invert its element: an element's
-    cochar_matrix is the transpose of its inverse, and enumerate_strata's
-    search for point stabilizers inside set stabilizers relies on that
-    pairing."""
+    Each element costs one product per generator, and no inverse of an
+    element is computed."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
-    gen_inverses = []
     for g in gens:
         try:
-            gen_inverses.append(int_inverse(g))
+            int_inverse(g)
         except ValueError as exc:
             raise InputError(f"generator {g} is not invertible over the integers") from exc
     one = identity(rank)
-    inverses = {one: one}
-    reached_from: dict[IntMatrix, tuple[IntMatrix, int]] = {}
+    reached_from: dict[IntMatrix, tuple[IntMatrix, int] | None] = {one: None}
     frontier = [one]
     while frontier:
         new = []
         for m in frontier:
-            for k, (g, g_inv) in enumerate(zip(gens, gen_inverses)):
+            for k, g in enumerate(gens):
                 prod = mat_mul(m, g)
-                if prod not in inverses:
-                    inverse = mat_mul(g_inv, inverses[m])
-                    if mat_mul(inverse, prod) != one:
-                        raise InternalCheckError(
-                            f"group element {prod}: the closure's inverse {inverse} "
-                            "does not invert it"
-                        )
-                    inverses[prod] = inverse
+                if prod not in reached_from:
                     reached_from[prod] = (m, k)
                     new.append(prod)
-                    if len(inverses) > cap:
+                    if len(reached_from) > cap:
                         raise InputError(
                             f"group not finite within cap (cap={cap}); "
                             "check the generators or raise --group-cap"
                         )
         frontier = new
-    return WeylGroup(inverses, reached_from, rank, gens)
+    return WeylGroup(reached_from, rank, gens)
 
 
 def char_action(w: WeylElement, alpha: Weight) -> Weight:
@@ -144,18 +129,21 @@ def char_action(w: WeylElement, alpha: Weight) -> Weight:
 
 
 def cochar_action(w: WeylElement, lam: Cocharacter) -> Cocharacter:
-    return mat_vec(w.cochar_matrix, lam)
+    """The contragredient action (M_w^T)^-1 lam, computed on demand."""
+    return mat_vec(transpose(int_inverse(w.matrix)), lam)
 
 
 def point_stabilizer(candidates: Subgroup, lam: Cocharacter) -> Subgroup:
-    """The members of candidates fixing the cocharacter lam, compared row by
-    row so that most members are rejected after one row.  Searching a
-    subgroup known to contain the whole stabilizer gives the stabilizer."""
+    """The members w of candidates fixing the cocharacter lam.  The
+    contragredient (M_w^T)^-1 fixes lam exactly when M_w^T does, so lam is
+    compared with M_w^T lam column by column of M_w, and most members are
+    rejected after one column.  Searching a subgroup known to contain the
+    whole stabilizer gives the stabilizer."""
     lam = tuple(lam)
     elements = candidates.parent.elements
     return Subgroup(candidates.parent, tuple(
         i for i in candidates.members
-        if all(dot(row, lam) == x for row, x in zip(elements[i].cochar_matrix, lam))
+        if all(dot(col, lam) == x for col, x in zip(zip(*elements[i].matrix), lam))
     ))
 
 

@@ -19,7 +19,8 @@ from cohint.arrangement import generic_points
 from cohint.documents import document_from_dict
 from cohint import polyalg
 from cohint.polyalg import ExactDivisionError, KernelForm, kernel_sum, monomials_of_degree
-from cohint.weyl import point_stabilizer
+from cohint.matrices import int_inverse, restrict_action, transpose
+from cohint.weyl import molien_coefficients, point_stabilizer
 
 from conftest import bps_spaces, build, gl_document
 
@@ -528,6 +529,28 @@ class TestIsotypicSeries:
         eps = I.epsilon(gl2_strat, gl2_strat.strata[4])
         series = I.isotypic_series(gl2_strat, space, eps, 4)
         assert series == tuple(Fraction(0) for _ in range(5))
+
+    @pytest.mark.parametrize("key", ["adjoint:sl3", "trivial:sl3", "gl2-cotangent"])
+    def test_transpose_matches_the_contragredient(self, key):
+        """isotypic_series restricts M_w^T to the flat; the Molien sum over the
+        contragredient restrictions (M_w^-1)^T is the same series.  On sl3's
+        rank-2 lattice M_w^T and M_w^-1 differ."""
+        _, strat = build(key)
+        if key.endswith("sl3"):
+            assert any(transpose(w.matrix) != int_inverse(w.matrix) for w in strat.weyl.elements)
+        for s, space in bps_spaces(key).items():
+            eps = I.once(strat, I.epsilon, strat.strata[s])
+            flat = strat.strata[s].flat.basis
+            elements = []
+            for idx in eps.subgroup.members:
+                cochar = transpose(int_inverse(strat.weyl.elements[idx].matrix))
+                mats = space.w_matrices[idx]
+                traces = [sum(row[i] for i, row in enumerate(mats.get(a, ()))) for a in space.pieces]
+                elements.append((
+                    restrict_action(cochar, flat) if flat else (),
+                    [Fraction(t) / eps.value(idx) for t in traces],
+                ))
+            assert I.isotypic_series(strat, space, eps, 6) == molien_coefficients(elements, 6), s
 
 
 class TestVerification:

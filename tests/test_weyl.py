@@ -62,11 +62,12 @@ class TestEnumerateGroup:
 
     def test_tables_are_closed_with_identity_and_inverses(self):
         group = enumerate_group(S3_RANK3, 3)
+        index = {w.matrix: w.index for w in group.elements}
         n = group.order
-        for i in range(n):
-            assert group.product(i, group.inv[i]) == group.identity_index
+        for w in group.elements:
+            assert group.product(w.index, index[int_inverse(w.matrix)]) == group.identity_index
             for j in range(n):
-                assert 0 <= group.product(i, j) < n
+                assert 0 <= group.product(w.index, j) < n
 
     def test_element_order_is_by_matrix_entries(self):
         group = enumerate_group((SWAP,), 2)
@@ -86,14 +87,22 @@ class TestTableFreeGroup:
 
     def test_inverse_gives_the_identity(self, n):
         group = enumerate_group(adjacent_transpositions(n), n)
-        for i in range(group.order):
-            assert group.product(i, group.inv[i]) == group.identity_index
-            assert group.product(group.inv[i], i) == group.identity_index
+        index = {w.matrix: w.index for w in group.elements}
+        for i, w in enumerate(group.elements):
+            inverse = index[int_inverse(w.matrix)]
+            assert group.product(i, inverse) == group.identity_index
+            assert group.product(inverse, i) == group.identity_index
 
     def test_cochar_matrix_is_the_inverse_transpose(self, n):
+        # the columns of the cocharacter matrix C_w, as rows, form C_w^T; it
+        # inverts M_w, and the cocharacter matrix of w^-1 is M_w^T
         group = enumerate_group(adjacent_transpositions(n), n)
+        index = {w.matrix: w.index for w in group.elements}
+        units = identity(n)
         for w in group.elements:
-            assert w.cochar_matrix == transpose(int_inverse(w.matrix))
+            assert mat_mul(tuple(cochar_action(w, e) for e in units), w.matrix) == units
+            w_inv = group.elements[index[int_inverse(w.matrix)]]
+            assert tuple(cochar_action(w_inv, e) for e in units) == w.matrix
 
     def test_generators_index_the_generator_matrices(self, n):
         gens = adjacent_transpositions(n)
