@@ -1,8 +1,8 @@
 """Command line interface: ``cohint <command>`` with JSON or text reports.
 
 Commands: validate, strata, bps, verify, molien, catalog.  Exit codes:
-0 success/pass, 1 validation failure, 2 verification mismatch, 3 internal
-assertion failure.
+0 success/pass, 1 validation failure (a usage error included), 2
+verification mismatch, 3 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -251,8 +251,15 @@ def _emit(report: dict, fmt: str) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation failure (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cohint",
         description="Exact strata, BPS spaces, refined DT invariants and "
         "integrality verification for weakly symmetric representation data.",
@@ -264,9 +271,10 @@ def main(argv=None) -> int:
     parser.add_argument("--group-cap", type=int, default=None)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--orbit", type=int, default=None)
-    args = parser.parse_args(argv)
-
+    fmt = "json"
     try:
+        args = parser.parse_args(argv)
+        fmt = args.format
         if args.command == "catalog":
             for flag, given in (
                 ("--input", args.input is not None),
@@ -285,7 +293,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if bool(args.input) == bool(args.catalog):
-            parser.error("exactly one of --input or --catalog is required")
+            raise InputError("exactly one of --input or --catalog is required")
         if args.group_cap is not None and args.group_cap < 1:
             raise InputError(f"--group-cap: expected a positive integer, got {args.group_cap}")
         if args.input:
@@ -302,16 +310,16 @@ def main(argv=None) -> int:
         report, code = run(
             args.command, doc, max_degree=args.max_degree, orbit=args.orbit
         )
-        sys.stdout.write(_emit(report, args.format))
+        sys.stdout.write(_emit(report, fmt))
         return code
     except InputError as exc:
-        sys.stdout.write(_emit({"status": "validation_failed", "error": str(exc)}, args.format))
+        sys.stdout.write(_emit({"status": "validation_failed", "error": str(exc)}, fmt))
         return EXIT_VALIDATION
     except VerificationError as exc:
-        sys.stdout.write(_emit({"status": "verification_failed", "error": str(exc)}, args.format))
+        sys.stdout.write(_emit({"status": "verification_failed", "error": str(exc)}, fmt))
         return EXIT_VERIFICATION
     except InternalCheckError as exc:
-        sys.stdout.write(_emit({"status": "internal_error", "error": str(exc)}, args.format))
+        sys.stdout.write(_emit({"status": "internal_error", "error": str(exc)}, fmt))
         return EXIT_INTERNAL
 
 

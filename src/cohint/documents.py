@@ -60,6 +60,13 @@ def _require(cond: bool, location: str, message: str) -> None:
         raise InputError(f"{location}: {message}")
 
 
+def _known_keys(raw: dict, prefix: str, keys: tuple[str, ...]) -> None:
+    """Reject keys outside keys: a misspelt one would be ignored, and its
+    field would silently take its default."""
+    for key in raw:
+        _require(key in keys, f"{prefix}{key}", "unknown key")
+
+
 def _is_int(x) -> bool:
     """True for a JSON integer; bool is an int subclass but not one."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -71,6 +78,7 @@ def _parse_weights(raw, location: str, rank: int) -> WeightMultiset:
     for i, entry in enumerate(raw):
         loc = f"{location}[{i}]"
         _require(isinstance(entry, dict), loc, "expected an object")
+        _known_keys(entry, f"{loc}.", ("alpha", "multiplicity"))
         alpha = entry.get("alpha")
         _require(
             isinstance(alpha, list)
@@ -91,6 +99,7 @@ def _parse_weights(raw, location: str, rank: int) -> WeightMultiset:
 
 def document_from_dict(raw: dict) -> InputDocument:
     _require(isinstance(raw, dict), "document", "expected a JSON object")
+    _known_keys(raw, "", ("name", "rank", "weyl_generators", "g_weights", "v_weights", "options"))
     name = raw.get("name", "input")
     _require(isinstance(name, str), "name", "expected a string")
     rank = raw.get("rank")
@@ -117,6 +126,7 @@ def document_from_dict(raw: dict) -> InputDocument:
     v_weights = _parse_weights(raw.get("v_weights", []), "v_weights", rank)
     options = raw.get("options", {})
     _require(isinstance(options, dict), "options", "expected an object")
+    _known_keys(options, "options.", ("max_degree", "group_cap"))
     max_degree = options.get("max_degree")
     _require(
         max_degree is None or (_is_int(max_degree) and max_degree >= 0),

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -59,6 +60,22 @@ class TestParseInput:
         edit(bad, boolean)
         with pytest.raises(InputError, match=location):
             parse_input(json.dumps(bad))
+
+    @pytest.mark.parametrize("edit,location", [
+        (lambda d: d.update(v_weigths=d.pop("v_weights")), "v_weigths"),
+        (lambda d: d.update(options={"max_degre": 3}), "options.max_degre"),
+        (lambda d: d["g_weights"][1].update(multiplicty=d["g_weights"][1].pop("multiplicity")),
+         r"g_weights\[1\].multiplicty"),
+    ], ids=["top-level", "options", "weight-entry"])
+    def test_unknown_key_is_rejected(self, edit, location, tmp_path, capsys):
+        bad = json.loads(json.dumps(GL2_DOC))
+        edit(bad)
+        with pytest.raises(InputError, match=f"^{location}: unknown key$"):
+            parse_input(json.dumps(bad))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(bad))
+        assert main(["validate", "--input", str(path)]) == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().out)["status"] == "validation_failed"
 
     def test_non_invertible_generator(self):
         bad = json.loads(json.dumps(GL2_DOC))
@@ -166,6 +183,18 @@ class TestCatalog:
         doc = catalog_emit("gl2-cotangent")
         again = document_from_dict(doc.to_dict())
         assert again == doc
+        with_degree = replace(doc, max_degree=3)
+        assert document_from_dict(with_degree.to_dict()) == with_degree
+
+    @pytest.mark.parametrize("key", ["gl2-cotangent:3", "sl2-irrep:4", "adjoint:sl3"])
+    def test_emitted_document_reads_back_through_input(self, key, tmp_path, capsys):
+        assert main(["catalog", "--catalog", key]) == EXIT_OK
+        path = tmp_path / "doc.json"
+        path.write_text(capsys.readouterr().out)
+        assert main(["strata", "--input", str(path)]) == EXIT_OK
+        via_input = json.loads(capsys.readouterr().out)
+        assert main(["strata", "--catalog", key]) == EXIT_OK
+        assert via_input == json.loads(capsys.readouterr().out)
 
 
 class TestRunCommands:
@@ -321,6 +350,27 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("status: validation_failed\nerror: ")
         assert "command" not in out
+
+    @pytest.mark.parametrize("argv,error", [
+        (["verify"], "exactly one of --input or --catalog is required"),
+        (["frob", "--catalog", "gl2-cotangent"], "argument command: invalid choice: 'frob'"),
+        (["verify", "--catalog", "gl2-cotangent", "--max-degree", "abc"],
+         "argument --max-degree: invalid int value: 'abc'"),
+        # no format was parsed, so the report is JSON
+        (["strata", "--catalog", "gl2-cotangent", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+    ], ids=["no-source", "unknown-command", "non-integer-degree", "unknown-format"])
+    def test_usage_error_is_a_validation_failure(self, argv, error, capsys):
+        assert main(argv) == EXIT_VALIDATION
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "validation_failed"
+        assert out["error"].startswith(error)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cohint")
 
     @pytest.mark.parametrize("command", ["strata", "verify", "molien", "validate"])
     def test_orbit_is_rejected_outside_bps(self, command, capsys):
