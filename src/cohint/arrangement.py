@@ -198,9 +198,9 @@ def enumerate_strata(
     G are skipped: each of them cuts F in G again.
 
     Each point stabilizer W_lam is searched among the members of the set
-    stabilizer, which contains it.  w fixes lam exactly when M_w^T lam = lam (see
-    point_stabilizer), and then <lam, M_w u> = <M_w^T lam, u> = <lam, u> for
-    every weight u.  The representative lam is generic, so the supports
+    stabilizer, which contains it.  w fixes lam exactly when M_w^T lam = lam
+    (see point_stabilizer), and then <lam, M_w u> = <M_w^T lam, u> = <lam, u>
+    for every weight u.  The representative lam is generic, so the supports
     vanishing on it are the stratum's zero sets; w maps each of them into
     itself, and onto itself since it permutes the weights of V and of g,
     which are each W-stable."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError
 from .lattice import Cocharacter, Weight, DEFAULT_GROUP_CAP
 from .matrices import (
     IntMatrix,

@@ -545,7 +545,8 @@ class TestIsotypicSeries:
             for idx in eps.subgroup.members:
                 cochar = transpose(int_inverse(strat.weyl.elements[idx].matrix))
                 mats = space.w_matrices[idx]
-                traces = [sum(row[i] for i, row in enumerate(mats.get(a, ()))) for a in space.pieces]
+                traces = [sum(row[i] for i, row in enumerate(mats.get(a, ())))
+                          for a in space.pieces]
                 elements.append((
                     restrict_action(cochar, flat) if flat else (),
                     [Fraction(t) / eps.value(idx) for t in traces],
