@@ -14,7 +14,7 @@ from .arrangement import (
 )
 from .catalog import catalog_emit, catalog_keys
 from .documents import InputDocument, parse_input
-from .errors import CohintError, InputError, InternalCheckError, VerificationError
+from .errors import CohintError, InputError, InternalCheckError
 from .integrality import (
     BpsSpace,
     EpsilonCharacter,

@@ -18,7 +18,7 @@ from . import integrality
 from .arrangement import Stratification, enumerate_strata
 from .catalog import catalog_emit, catalog_keys
 from .documents import MAX_DEGREE, InputDocument, parse_input
-from .errors import InputError, InternalCheckError, VerificationError
+from .errors import InputError, InternalCheckError
 from .lattice import symmetry_class
 from .weyl import enumerate_group
 
@@ -315,9 +315,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stdout.write(_emit({"status": "validation_failed", "error": str(exc)}, fmt))
         return EXIT_VALIDATION
-    except VerificationError as exc:
-        sys.stdout.write(_emit({"status": "verification_failed", "error": str(exc)}, fmt))
-        return EXIT_VERIFICATION
     except InternalCheckError as exc:
         sys.stdout.write(_emit({"status": "internal_error", "error": str(exc)}, fmt))
         return EXIT_INTERNAL

@@ -61,8 +61,7 @@ def _require(cond: bool, location: str, message: str) -> None:
 
 
 def _known_keys(raw: dict, prefix: str, keys: tuple[str, ...]) -> None:
-    """Reject keys outside keys: a misspelt one would be ignored, and its
-    field would silently take its default."""
+    """Reject keys outside keys: a misspelt one would silently be ignored."""
     for key in raw:
         _require(key in keys, f"{prefix}{key}", "unknown key")
 

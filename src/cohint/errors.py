@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-The three classes map onto the CLI exit codes: bad input (1), a failed
-verification ledger (2), and violated internal assumptions such as an
-induction numerator that does not divide out (3).
+The two classes map onto CLI exit codes: bad input (1) and violated
+internal assumptions such as an induction numerator that does not divide
+out (3).  A failed verification ledger (2) is a report, not an exception.
 """
 
 
@@ -12,10 +12,6 @@ class CohintError(Exception):
 
 class InputError(CohintError):
     """Malformed or mathematically inadmissible input data."""
-
-
-class VerificationError(CohintError):
-    """A verification ledger reported a mismatch."""
 
 
 class InternalCheckError(CohintError):

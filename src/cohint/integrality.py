@@ -305,12 +305,11 @@ def isotypic_series(
     """Graded dimensions of the kernel-character isotypic part of the BPS
     space tensored with the polynomial ring of the stratum's flat.
 
-    Each element w of the stabilizer maps the flat F onto itself by the
-    contragredient C_w = (M_w^T)^-1, so M_w^T does too, and w's Molien term
-    restricts M_w^T to F.  Both give the same det(I - q A): M_w^T|F is
-    rational of finite order, so its eigenvalues are roots of unity closed
-    under complex conjugation, and its inverse has the conjugate
-    eigenvalues, the same multiset."""
+    Each stabilizer element w maps the flat F onto itself by C_w =
+    (M_w^T)^-1, hence by M_w^T, whose restriction gives w's Molien term:
+    M_w^T|F is rational of finite order, so its eigenvalues are roots of
+    unity closed under conjugation, and its inverse C_w|F has the conjugate
+    eigenvalues, the same multiset, hence the same det(I - q A)."""
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
     flat_basis = strat.strata[bps.stratum.index].flat.basis

@@ -26,10 +26,8 @@ from .matrices import (
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One group element and its action on the character lattice.  Its
-    action on the cocharacter lattice is the contragredient (M^T)^-1, which
-    is never stored: every question asked of it is answered through M^T
-    (point_stabilizer, integrality.isotypic_series)."""
+    """One group element and its action M on the character lattice; the
+    cocharacter action (M^T)^-1 is asked for only through M^T."""
 
     index: int
     matrix: IntMatrix
