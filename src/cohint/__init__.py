@@ -17,7 +17,6 @@ from .documents import InputDocument, parse_input
 from .errors import CohintError, InputError, InternalCheckError
 from .integrality import (
     BpsSpace,
-    EpsilonCharacter,
     bps_space,
     epsilon,
     induct,

@@ -154,10 +154,9 @@ def align_representative(child: Stratum, parent_rep: Cocharacter, supports) -> C
 
 def with_representative(strat: Stratification, stratum: Stratum, rep: Cocharacter) -> Stratum:
     """Copy of the stratum carrying another valid generic representative."""
+    zero = set(stratum.zero_v) | set(stratum.zero_g)
     for u in strat.all_supports():
-        vanishes = dot(rep, u) == 0
-        in_zero = u in set(stratum.zero_v) | set(stratum.zero_g)
-        if vanishes != in_zero:
+        if (dot(rep, u) == 0) != (u in zero):
             raise InputError(f"{rep} is not a generic representative of stratum {stratum.index}")
     dims = numeric_invariants(strat.group, strat.rep, rep)
     return dataclasses.replace(stratum, rep=rep, dims=dims)
@@ -281,15 +280,13 @@ def enumerate_strata(
 
     # One permutation of the weights per element: a stratum is determined by
     # the indices of its zero supports, and its image under w has the image
-    # indices as zero supports.
+    # indices as zero supports.  V's and g's supports are each W-stable, so w
+    # maps the union of a stratum's two zero sets onto itself exactly when it
+    # maps both of them onto themselves.
     points = tuple(sorted(set(all_v) | set(all_g)))
     action = permutation_action(weyl, points)
     point_index = {p: i for i, p in enumerate(points)}
-    zero_sets = [
-        (frozenset(point_index[w] for w in s.zero_v), frozenset(point_index[w] for w in s.zero_g))
-        for s in strata
-    ]
-    keys = [zv | zg for zv, zg in zero_sets]
+    keys = [frozenset(point_index[w] for w in s.zero_v + s.zero_g) for s in strata]
     index_of = {key: i for i, key in enumerate(keys)}
 
     # Orbits under the generators are orbits under the group, and generators
@@ -313,8 +310,8 @@ def enumerate_strata(
 
     point_stabs = []
     set_stabs = []
-    for s, zero_set in zip(strata, zero_sets):
-        ss = set_stabilizer(weyl, action, zero_set)
+    for s, key in zip(strata, keys):
+        ss = set_stabilizer(weyl, action, (key,))
         ps = point_stabilizer(ss, s.rep)
         # integrality.j_graded spans from the covers only, which needs the
         # point stabilizer of each cover inside this one.

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import integrality
@@ -34,6 +34,14 @@ def _q(value):
     """JSON-friendly exact number: int when integral, 'a/b' string otherwise."""
     f = Fraction(value)
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def _plain(fields) -> dict:
+    """dict_factory for asdict: a Fraction as _q, a tuple as a list."""
+    return {
+        k: _q(v) if isinstance(v, Fraction) else list(v) if isinstance(v, tuple) else v
+        for k, v in fields
+    }
 
 
 def _default_max_degree(strat: Stratification) -> int:
@@ -82,45 +90,24 @@ def _bps_section(strat: Stratification, orbits: Iterable[int]) -> list[dict]:
                 },
                 "euler": space.euler,
                 "total_dim": space.total_dim,
-                "epsilon": {str(i): _q(v) for i, v in sorted(eps.values.items())},
+                "epsilon": {str(i): _q(v) for i, v in sorted(eps.items())},
             }
         )
     return sections
 
 
 def _verify_section(strat: Stratification, max_degree: int) -> tuple[dict, bool]:
-    hilbert = integrality.verify_hilbert(strat, max_degree)
-    iso = integrality.verify_isomorphism(strat, max_degree)
-    assoc = integrality.verify_associativity(strat)
-    section = {
-        "hilbert": [
-            {
-                "degree": r.degree,
-                "target": _q(r.target),
-                "total": _q(r.total),
-                "match": r.match,
-            }
-            for r in hilbert.rows
-        ],
-        "isomorphism": [
-            {
-                "degree": r.degree,
-                "target_dim": r.target_dim,
-                "domain_dim": r.domain_dim,
-                "image_rank": r.image_rank,
-                "bijective": r.bijective,
-            }
-            for r in iso.rows
-        ],
-        "associativity": [
-            {"chain": list(r.chain), "functions": r.functions, "ok": r.ok}
-            for r in assoc.rows
-        ],
-        "hilbert_passed": hilbert.passed,
-        "isomorphism_passed": iso.passed,
-        "associativity_passed": assoc.passed,
+    ledgers = {
+        "hilbert": integrality.verify_hilbert(strat, max_degree),
+        "isomorphism": integrality.verify_isomorphism(strat, max_degree),
+        "associativity": integrality.verify_associativity(strat),
     }
-    return section, hilbert.passed and iso.passed and assoc.passed
+    section = {
+        name: [asdict(row, dict_factory=_plain) for row in ledger.rows]
+        for name, ledger in ledgers.items()
+    }
+    section.update((f"{name}_passed", ledger.passed) for name, ledger in ledgers.items())
+    return section, all(ledger.passed for ledger in ledgers.values())
 
 
 def run(command: str, document: InputDocument, *, max_degree: int | None = None,
@@ -142,10 +129,10 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
     if max_degree is not None and command not in ("verify", "molien"):
         raise InputError(f"--max-degree applies only to verify and molien, not to {command}")
     report: dict = {"command": command, "input": document.to_dict()}
+    sclass = symmetry_class(rep)
 
     if command == "validate":
         weyl = enumerate_group(group.weyl_generators, group.rank, document.group_cap)
-        sclass = symmetry_class(rep)
         report["symmetry_class"] = sclass.value
         report["warnings"] = warnings
         report["weyl_order"] = weyl.order
@@ -157,7 +144,7 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
         return report, EXIT_OK
 
     strat = enumerate_strata(group, rep, document.group_cap)
-    report["symmetry_class"] = symmetry_class(rep).value
+    report["symmetry_class"] = sclass.value
     report["strata_count"] = len(strat.strata)
     report["orbit_count"] = len(strat.orbits)
 

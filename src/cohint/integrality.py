@@ -42,22 +42,13 @@ from .weyl import (
 
 
 @dataclass(frozen=True)
-class EpsilonCharacter:
-    """The +/-1 character of a stratum stabilizer measuring how the induction
-    kernel transforms."""
-
-    subgroup: Subgroup
-    values: dict[int, Fraction]
-
-    def value(self, member_index: int) -> Fraction:
-        return self.values[member_index]
-
-
-@dataclass(frozen=True)
 class BpsSpace:
+    """pieces[p] is the degree-p piece for p = 0..p_max; traces[idx] holds the
+    trace of stabilizer element idx on each piece, in the same order."""
+
     stratum: Stratum
     pieces: dict[int, GradedBasis]
-    w_matrices: dict[int, dict[int, tuple[tuple[Fraction, ...], ...]]]
+    traces: dict[int, tuple[Fraction, ...]]
     dt_table: dict[int, int]
     euler: int
 
@@ -149,8 +140,9 @@ def _factored(form: KernelForm) -> tuple[dict[Weight, int], Fraction]:
     return {key: e for key, e in exponents.items() if e}, c
 
 
-def epsilon(strat: Stratification, stratum: Stratum) -> EpsilonCharacter:
-    """Character by which the stratum stabilizer rescales the kernel: the
+def epsilon(strat: Stratification, stratum: Stratum) -> dict[int, Fraction]:
+    """Character by which the stratum stabilizer rescales the kernel, as
+    {member index: +/-1} in the member order of strat.set_stabilizers: the
     ratio of the scalars of k and w(k) factored over rays.  The polynomial
     ring is a UFD, so the ratio k / w(k) is constant exactly when the two
     exponent maps agree."""
@@ -185,14 +177,13 @@ def epsilon(strat: Stratification, stratum: Stratum) -> EpsilonCharacter:
                     f"stratum {stratum.index}: kernel character is not multiplicative "
                     f"on elements {a} and {b}"
                 )
-    return EpsilonCharacter(wl, values)
+    return values
 
 
-def _invariants(strat: Stratification, members: tuple[int, ...], p: int, forms) -> GradedBasis:
-    """invariant_basis of the subgroup of strat.weyl with these member
-    indices, as a builder for once: keyed by the indices rather than the
-    Subgroup, whose hash would walk the parent group."""
-    return invariant_basis(strat.weyl.subgroup(members), p, forms)
+def _invariants(strat: Stratification, h: Subgroup, p: int, forms) -> GradedBasis:
+    """invariant_basis(h, p, forms) as a builder for once, keyed by the
+    subgroup: its members and its parent group, which hashes by identity."""
+    return invariant_basis(h, p, forms)
 
 
 def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
@@ -235,7 +226,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
             continue
         generators.extend(
             _induced(strat, f, mu, stratum)
-            for f in once(strat, _invariants, h.members, p - form.degree, u_basis).polys()
+            for f in once(strat, _invariants, h, p - form.degree, u_basis).polys()
         )
     return rref_span(generators, p, strat.group.rank)
 
@@ -254,7 +245,7 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
 
     pieces: dict[int, GradedBasis] = {}
     for p in range(p_max + 3):
-        ambient = once(strat, _invariants, levi.members, p, u_basis)
+        ambient = once(strat, _invariants, levi, p, u_basis)
         sub = j_graded(strat, stratum, p)
         if p <= p_max:
             pieces[p] = orthogonal_complement(sub, ambient, b)
@@ -264,24 +255,22 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
                 f"at stratum {stratum.index} ({sub.dim} < {ambient.dim})"
             )
 
-    w_matrices: dict[int, dict[int, tuple]] = {}
+    traces: dict[int, tuple] = {}
     for idx in wl.members:
         w = strat.weyl.elements[idx]
-        mats: dict[int, tuple] = {}
+        diagonal = []
         for p, basis in pieces.items():
-            if basis.dim == 0:
-                continue
-            rows = []
-            for f in basis.polys():
+            trace = 0
+            for i, f in enumerate(basis.polys()):
                 coords = basis.coordinates(substitute(w, f))
                 if coords is None:
                     raise InternalCheckError(
                         f"stratum {stratum.index}: BPS piece of degree {p} is not "
                         f"stable under element {idx} of the stratum stabilizer"
                     )
-                rows.append(coords)
-            mats[p] = tuple(rows)
-        w_matrices[idx] = mats
+                trace += coords[i]
+            diagonal.append(trace)
+        traces[idx] = tuple(diagonal)
 
     d_lambda = stratum.dims.d_lambda
     dt_table: dict[int, int] = {}
@@ -296,11 +285,11 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
                 )
             dt_table[i] = dim
     euler = sum(dim if i % 2 == 0 else -dim for i, dim in dt_table.items())
-    return BpsSpace(stratum, pieces, w_matrices, dt_table, euler)
+    return BpsSpace(stratum, pieces, traces, dt_table, euler)
 
 
 def isotypic_series(
-    strat: Stratification, bps: BpsSpace, eps: EpsilonCharacter, cutoff: int
+    strat: Stratification, bps: BpsSpace, eps: dict[int, Fraction], cutoff: int
 ) -> tuple[Fraction, ...]:
     """Graded dimensions of the kernel-character isotypic part of the BPS
     space tensored with the polynomial ring of the stratum's flat.
@@ -314,12 +303,10 @@ def isotypic_series(
         raise InputError("cutoff must be nonnegative")
     flat_basis = strat.strata[bps.stratum.index].flat.basis
     elements = []
-    for idx in eps.subgroup.members:
+    for idx, sign in eps.items():
         w = strat.weyl.elements[idx]
         restricted = restrict_action(transpose(w.matrix), flat_basis) if flat_basis else ()
-        mats = bps.w_matrices[idx]
-        traces = [sum(row[i] for i, row in enumerate(mats.get(a, ()))) for a in bps.pieces]
-        elements.append((restricted, [t / eps.value(idx) for t in traces]))
+        elements.append((restricted, [t / sign for t in bps.traces[idx]]))
     return molien_coefficients(elements, cutoff)
 
 
@@ -332,24 +319,12 @@ class HilbertRow:
 
 
 @dataclass(frozen=True)
-class HilbertResult:
-    rows: tuple[HilbertRow, ...]
-    passed: bool
-
-
-@dataclass(frozen=True)
 class IsomorphismRow:
     degree: int
     target_dim: int
     domain_dim: int
     image_rank: int
     bijective: bool
-
-
-@dataclass(frozen=True)
-class IsomorphismResult:
-    rows: tuple[IsomorphismRow, ...]
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -360,8 +335,10 @@ class AssociativityRow:
 
 
 @dataclass(frozen=True)
-class AssociativityResult:
-    rows: tuple[AssociativityRow, ...]
+class Ledger:
+    """The rows of one verification ledger, and whether every row passed."""
+
+    rows: tuple
     passed: bool
 
 
@@ -371,7 +348,7 @@ def target_series(strat: Stratification, cutoff: int) -> tuple[Fraction, ...]:
     return molien_coefficients(elements, cutoff)
 
 
-def verify_hilbert(strat: Stratification, cutoff: int) -> HilbertResult:
+def verify_hilbert(strat: Stratification, cutoff: int) -> Ledger:
     """Degree-by-degree equality of the invariant-ring dimensions with the
     shifted isotypic series summed over the orbit representatives."""
     target = once(strat, target_series, cutoff)
@@ -390,7 +367,7 @@ def verify_hilbert(strat: Stratification, cutoff: int) -> HilbertResult:
         HilbertRow(p, target[p], totals[p], target[p] == totals[p])
         for p in range(cutoff + 1)
     )
-    return HilbertResult(rows, all(r.match for r in rows))
+    return Ledger(rows, all(r.match for r in rows))
 
 
 def _flat_complement_forms(strat: Stratification, stratum: Stratum):
@@ -402,7 +379,7 @@ def _flat_complement_forms(strat: Stratification, stratum: Stratum):
     return nullspace(constraints, strat.group.rank)
 
 
-def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
+def verify_isomorphism(strat: Stratification, cutoff: int) -> Ledger:
     """Push an isotypic basis of every orbit's BPS-times-flat summand through
     induction and test that the images form a basis of the invariant ring in
     each degree."""
@@ -419,6 +396,7 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
                 continue
             bps = once(strat, bps_space, s)
             eps = once(strat, epsilon, s)
+            wl = strat.set_stabilizers[s.index]
             forms = once(strat, _flat_complement_forms, s)
             for a, basis in bps.pieces.items():
                 if basis.dim == 0 or a > m:
@@ -427,7 +405,7 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
                 projections = []
                 for f in basis.polys():
                     for g in products:
-                        proj = average_over(eps.subgroup, f * g, eps.values)
+                        proj = average_over(wl, f * g, eps)
                         if not proj.is_zero():
                             projections.append(proj)
                 iso_basis = rref_span(projections, m, n)
@@ -442,7 +420,7 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> IsomorphismResult:
             )
         t_int = int(t)
         rows.append(IsomorphismRow(p, t_int, domain_dim, rank, t_int == domain_dim == rank))
-    return IsomorphismResult(tuple(rows), all(r.bijective for r in rows))
+    return Ledger(tuple(rows), all(r.bijective for r in rows))
 
 
 # Associativity checks the first ASSOCIATIVITY_CHAINS chains, each on the first
@@ -466,7 +444,7 @@ def _invariant_test_functions(strat, h: Subgroup):
     return out
 
 
-def verify_associativity(strat: Stratification) -> AssociativityResult:
+def verify_associativity(strat: Stratification) -> Ledger:
     """Composition law on aligned chains: inducting in two stages agrees with
     inducting directly once the smallest representative is sign-aligned.
     The first ASSOCIATIVITY_CHAINS chains i <= j <= k in lexicographic order
@@ -498,4 +476,4 @@ def verify_associativity(strat: Stratification) -> AssociativityResult:
                 ok = False
                 break
         rows.append(AssociativityRow(chain, len(funcs), ok))
-    return AssociativityResult(tuple(rows), all(r.ok for r in rows))
+    return Ledger(tuple(rows), all(r.ok for r in rows))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError
 from .matrices import IntMatrix, int_inverse, mat_vec
 
 Weight = tuple[int, ...]
@@ -224,16 +224,18 @@ class NumericInvariants:
 def numeric_invariants(
     group: GroupData, rep: RepresentationData, lam: Cocharacter
 ) -> NumericInvariants:
-    """Fixed-space dimensions and the shifts d_lambda, r_lambda at a cocharacter."""
-    if symmetry_class(rep) is SymmetryClass.NOT_WEAKLY_SYMMETRIC:
-        raise InputError("numeric invariants require a weakly symmetric weight multiset")
+    """Fixed-space dimensions and the shifts d_lambda, r_lambda at a cocharacter.
+
+    d + 2r = dim V - dim g says that V has as many weights pairing
+    positively with lam as negatively, given that g has (its weights equal
+    their negation).  A weakly symmetric V balances at every lam."""
     dim_v, v_pos = _zero_and_positive(rep.v_weights, lam)
     dim_g, g_pos = _zero_and_positive(group.g_weights, lam)
     d_lambda = dim_v - dim_g
     r_lambda = v_pos - g_pos
-    d0 = rep.dim - group.dim
-    if d_lambda + 2 * r_lambda != d0:
-        raise InternalCheckError(
-            f"dimension identity failed at {lam}: d={d_lambda}, r={r_lambda}, expected {d0}"
+    if d_lambda + 2 * r_lambda != rep.dim - group.dim:
+        raise InputError(
+            "numeric invariants require a weakly symmetric weight multiset: "
+            f"the weights of V do not balance at {lam}"
         )
     return NumericInvariants(dim_v, dim_g, d_lambda, r_lambda)

@@ -99,7 +99,7 @@ class TestGl2Criterion:
         _, strat = build("gl2-cotangent")
         eps = I.epsilon(strat, strat.strata[0])
         swap = next(w for w in strat.weyl.elements if w.matrix == ((0, 1), (1, 0)))
-        check("gl2 epsilon(swap) == -1", eps.value(swap.index) == -1)
+        check("gl2 epsilon(swap) == -1", eps[swap.index] == -1)
 
     def test_verification_to_degree_eight(self):
         check("gl2 verify@8", ledgers_pass("gl2-cotangent"))
@@ -237,7 +237,7 @@ class TestTrivialRepresentationCriterion:
         _, strat = build(key)
         eps = I.epsilon(strat, strat.strata[0])
         refl = list(reflections(strat))
-        ok = bool(refl) and all(eps.value(w.index) == -1 for w in refl)
+        ok = bool(refl) and all(eps[w.index] == -1 for w in refl)
         check(f"trivial:{group} epsilon == -1 on every reflection", ok)
 
     @pytest.mark.parametrize("group", ["sl2", "gl2", "sl3"])
@@ -316,7 +316,7 @@ class TestPropertySuite:
             _, strat = build(key)
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)  # multiplicativity asserted inside
-                assert all(v in (Fraction(1), Fraction(-1)) for v in eps.values.values())
+                assert all(v in (Fraction(1), Fraction(-1)) for v in eps.values())
         check("property: kernel characters are multiplicative signs", True)
 
     def test_twisted_equivariance(self):
@@ -329,10 +329,10 @@ class TestPropertySuite:
                 for p in range(2):
                     for f in invariant_basis(levi, p, unit_forms(n)).polys():
                         base = I.induct(strat, f, s, strat.top)
-                        for idx in eps.subgroup.members:
+                        for idx in eps:
                             w = strat.weyl.elements[idx]
                             assert I.induct(strat, substitute(w, f), s, strat.top) == base.scaled(
-                                eps.value(idx)
+                                eps[idx]
                             )
         check("property: twisted equivariance of induction", True)
 

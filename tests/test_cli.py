@@ -486,8 +486,9 @@ class TestMain:
         assert out["status"] == "internal_error"
 
     def test_report_roundtrips_through_json(self):
-        report, _ = run("bps", catalog_emit("gl2-cotangent"))
-        assert json.loads(json.dumps(report)) == report
+        for command in ("bps", "verify"):
+            report, _ = run(command, catalog_emit("gl2-cotangent"))
+            assert json.loads(json.dumps(report)) == report
 
     def test_each_bps_space_is_built_once(self, monkeypatch):
         from cohint import integrality

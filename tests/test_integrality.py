@@ -200,31 +200,38 @@ class TestEpsilon:
     def test_gl2_generic_is_the_sign(self, gl2_strat):
         eps = I.epsilon(gl2_strat, gl2_strat.strata[0])
         swap = next(w for w in gl2_strat.weyl.elements if w.matrix == ((0, 1), (1, 0)))
-        assert eps.value(swap.index) == -1
+        assert eps[swap.index] == -1
 
     def test_trivial_rep_gives_sign_character(self):
         _, strat = build("trivial:sl2")
         eps = I.epsilon(strat, strat.strata[0])
         flip = next(w for w in strat.weyl.elements if w.matrix == ((-1,),))
-        assert eps.value(flip.index) == -1
+        assert eps[flip.index] == -1
 
     def test_trivial_stabilizer_is_constant_one(self, gl2_strat):
         eps = I.epsilon(gl2_strat, gl2_strat.strata[1])
-        assert set(eps.values.values()) == {Fraction(1)}
+        assert set(eps.values()) == {Fraction(1)}
 
     @pytest.mark.parametrize("d,expected", [(4, -1), (5, -1), (6, 1), (8, -1)])
     def test_sl2_irrep_parity(self, d, expected):
         _, strat = build(f"sl2-irrep:{d}")
         eps = I.epsilon(strat, strat.strata[0])
         flip = next(w for w in strat.weyl.elements if w.matrix == ((-1,),))
-        assert eps.value(flip.index) == expected
+        assert eps[flip.index] == expected
+
+    def test_keyed_by_the_set_stabilizer_members(self):
+        for key in RANK2_KEYS:
+            _, strat = build(key)
+            for s in strat.orbit_representatives():
+                eps = I.epsilon(strat, s)
+                assert tuple(eps) == strat.set_stabilizers[s.index].members
 
     def test_values_square_to_one(self):
         for key in RANK2_KEYS:
             _, strat = build(key)
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)
-                assert all(v * v == 1 for v in eps.values.values())
+                assert all(v * v == 1 for v in eps.values())
 
     def test_matches_two_point_evaluation_oracle(self):
         for key in ORACLE_KEYS:
@@ -233,7 +240,7 @@ class TestEpsilon:
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)
                 form = I.kernel(strat, s, strat.top)
-                for idx, value in eps.values.items():
+                for idx, value in eps.items():
                     moved = form.transformed(strat.weyl.elements[idx])
                     for pt in points:
                         assert form.evaluate(pt) / moved.evaluate(pt) == value
@@ -265,10 +272,10 @@ class TestEpsilon:
                 for p in range(3):
                     for f in invariant_basis(levi, p, unit_forms(n)).polys():
                         base = I.induct(strat, f, s, strat.top)
-                        for idx in eps.subgroup.members:
+                        for idx in eps:
                             w = strat.weyl.elements[idx]
                             twisted = I.induct(strat, substitute(w, f), s, strat.top)
-                            assert twisted == base.scaled(eps.value(idx))
+                            assert twisted == base.scaled(eps[idx])
 
 
 class TestJGraded:
@@ -431,21 +438,29 @@ class TestBpsSpace:
                 for i in space.dt_table:
                     assert low <= i <= high
 
-    def test_stabilizer_matrices_are_actions(self, gl2_strat):
+    def test_stabilizer_matrices_are_actions(self):
+        """The stabilizer acts on each BPS piece, and bps_space records the
+        trace of that action."""
         from cohint.matrices import mat_mul
 
-        # rows hold image coordinates, so composition reverses the order
-        space = bps_spaces("gl2-cotangent")[0]
-        wl = gl2_strat.set_stabilizers[0]
-        for a in wl.members:
-            for b in wl.members:
-                ab = gl2_strat.weyl.product(a, b)
+        def matrix(strat, idx, basis):
+            # rows hold image coordinates, so composition reverses the order
+            w = strat.weyl.elements[idx]
+            return tuple(basis.coordinates(substitute(w, f)) for f in basis.polys())
+
+        for key in ("gl2-cotangent", "adjoint:sl3"):
+            strat = build(key)[1]
+            for s, space in bps_spaces(key).items():
+                wl = strat.set_stabilizers[s]
                 for p, basis in space.pieces.items():
-                    if basis.dim == 0:
-                        continue
-                    ma = space.w_matrices[a][p]
-                    mb = space.w_matrices[b][p]
-                    assert mat_mul(mb, ma) == space.w_matrices[ab][p]
+                    for a in wl.members:
+                        ma = matrix(strat, a, basis)
+                        assert space.traces[a][p] == sum(row[i] for i, row in enumerate(ma))
+                        if basis.dim == 0:
+                            continue
+                        for b in wl.members:
+                            ab = strat.weyl.product(a, b)
+                            assert mat_mul(matrix(strat, b, basis), ma) == matrix(strat, ab, basis)
 
 
 class TestLocatedInternalErrors:
@@ -542,14 +557,11 @@ class TestIsotypicSeries:
             eps = I.once(strat, I.epsilon, strat.strata[s])
             flat = strat.strata[s].flat.basis
             elements = []
-            for idx in eps.subgroup.members:
+            for idx in eps:
                 cochar = transpose(int_inverse(strat.weyl.elements[idx].matrix))
-                mats = space.w_matrices[idx]
-                traces = [sum(row[i] for i, row in enumerate(mats.get(a, ())))
-                          for a in space.pieces]
                 elements.append((
                     restrict_action(cochar, flat) if flat else (),
-                    [Fraction(t) / eps.value(idx) for t in traces],
+                    [Fraction(t) / eps[idx] for t in space.traces[idx]],
                 ))
             assert I.isotypic_series(strat, space, eps, 6) == molien_coefficients(elements, 6), s
 

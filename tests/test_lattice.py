@@ -171,6 +171,15 @@ class TestNumericInvariants:
         with pytest.raises(InputError):
             numeric_invariants(doc.group_data(), rep, (1, 0))
 
+    def test_unbalanced_weights_name_the_cocharacter(self):
+        doc, _ = build("gl2-cotangent")
+        rep = RepresentationData(ws(((1, 0), 1)))
+        with pytest.raises(InputError, match=(
+            r"^numeric invariants require a weakly symmetric weight multiset: "
+            r"the weights of V do not balance at \(1, 0\)$"
+        )):
+            numeric_invariants(doc.group_data(), rep, (1, 0))
+
     def test_identity_holds_on_all_strata(self):
         for key in ("gl2-cotangent:2", "sl2-adjoint:3", "adjoint:gl3"):
             doc, strat = build(key)

@@ -156,6 +156,16 @@ COMPUTED = {
     },
 }
 
+# Text reports of ``verify --max-degree 6 --format text``, recorded while the
+# ledger rows of the JSON report were written out field by field; they pin the
+# text rendering of every ledger row.
+TEXT_VERIFY = {
+    "adjoint:sl3":
+        "7ea59e009a4266740fbdd7868f273243ec85daa18cb46b96abb0ae3904957a92",
+    "gl2-cotangent":
+        "13035d1ad14af697b9c1191cea2e6aae7804da490c8a8aafd12efe6aeb8e47c1",
+}
+
 # (kind, multiplicity of the nonzero v weights, multiplicity of the zero weight)
 GL4_DOCUMENTS = {
     ("adjoint", 1, 0):
@@ -313,6 +323,12 @@ def test_gl5_strata_report(spec, tmp_path, capsys):
 )
 def test_catalog_computed_report(argv, key, capsys):
     assert stdout_sha256([*argv, "--catalog", key], capsys) == COMPUTED[argv][key]
+
+
+@pytest.mark.parametrize("key", sorted(TEXT_VERIFY))
+def test_catalog_text_verify_report(key, capsys):
+    argv = ["verify", "--catalog", key, "--max-degree", "6", "--format", "text"]
+    assert stdout_sha256(argv, capsys) == TEXT_VERIFY[key]
 
 
 @pytest.mark.parametrize("key", sorted(VALIDATE_CATALOG))
