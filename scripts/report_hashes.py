@@ -7,7 +7,7 @@ checkout's ``src/``, so running one copy of this script from the roots of two
 checkouts and diffing the outputs shows whether a change kept every report
 byte-identical.  It needs nothing beyond the standard library.
 
-The set (324 reports):
+The set:
 - ``verify --max-degree 8``, ``verify``, ``bps``, ``bps --orbit 1``,
   ``strata``, ``strata --format text``, ``molien``, ``molien --max-degree 8``,
   ``validate`` and ``verify --max-degree 6 --format text`` on 30 catalog keys:
@@ -16,7 +16,11 @@ The set (324 reports):
 - ``validate``, ``strata`` and ``molien --max-degree 8`` on gl_n acting by its
   adjoint and on C^n + (C^n)*, for n = 3, 4, 5, through ``--input``;
 - ``verify --max-degree 8``, ``bps`` and ``bps --orbit 1`` on the two n = 3
-  documents.
+  documents;
+- ``validate`` and ``strata``, each in JSON and in text, on nine malformed
+  ``--input`` documents: one per lattice rule of validation, an infinite
+  group under a cap of 50, and one that validates with a multiplicity
+  warning (36 reports, 360 in all).
 
 The output is one JSON object ``{argv: [exit code, sha256]}``; an ``--input``
 argv names its document instead of the temporary file it was read from.
@@ -46,6 +50,12 @@ CATALOG_COMMANDS = (
 )
 DOCUMENT_COMMANDS = (("validate",), ("strata",), ("molien", "--max-degree", "8"))
 RANK3_COMMANDS = (("verify", "--max-degree", "8"), ("bps",), ("bps", "--orbit", "1"))
+MALFORMED_COMMANDS = (
+    ("validate",),
+    ("validate", "--format", "text"),
+    ("strata",),
+    ("strata", "--format", "text"),
+)
 
 
 def catalog_keys(listed) -> list[str]:
@@ -81,6 +91,35 @@ def gl_document(n: int, kind: str) -> dict:
     }
 
 
+def malformed_documents() -> list[dict]:
+    """gl_2 on C^2 + (C^2)* with one field replaced, named after what is
+    wrong with it."""
+    zero = {"alpha": [0, 0], "multiplicity": 2}
+    roots = [{"alpha": [1, -1], "multiplicity": 1}, {"alpha": [-1, 1], "multiplicity": 1}]
+    edits = {
+        "non-invertible": {"weyl_generators": [[[2, 0], [0, 1]]]},
+        "singular": {"weyl_generators": [[[1, 0], [0, 0]]]},
+        "unstable-g": {"g_weights": [zero, {"alpha": [1, 0]}, {"alpha": [-1, 0]}]},
+        "missing-zero-weight": {"g_weights": [{"alpha": [0, 0], "multiplicity": 1}, *roots]},
+        "g-not-negation-closed": {"g_weights": [zero, {"alpha": [1, 1]}]},
+        "unstable-v": {"v_weights": [{"alpha": [1, 0]}, {"alpha": [-1, 0]}]},
+        "not-weakly-symmetric": {"v_weights": [{"alpha": [1, 0]}, {"alpha": [0, 1]}]},
+        "infinite-group": {
+            "weyl_generators": [[[1, 1], [0, 1]]],
+            "g_weights": [zero],
+            "v_weights": [],
+            "options": {"group_cap": 50},
+        },
+        "multiplicity-warning": {
+            "g_weights": [zero, *({**r, "multiplicity": 2} for r in roots)],
+        },
+    }
+    return [
+        {**gl_document(2, "cotangent"), "name": f"malformed-{name}", **fields}
+        for name, fields in edits.items()
+    ]
+
+
 def report(main, argv: list[str]) -> list:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -98,18 +137,21 @@ def main() -> int:
         for command in CATALOG_COMMANDS:
             argv = [command[0], "--catalog", key, *command[1:]]
             hashes[" ".join(argv)] = report(cli_main, argv)
+    documents = []
+    for n in (3, 4, 5):
+        for kind in ("adjoint", "cotangent"):
+            commands = DOCUMENT_COMMANDS + (RANK3_COMMANDS if n == 3 else ())
+            documents.append((gl_document(n, kind), commands))
+    documents += [(doc, MALFORMED_COMMANDS) for doc in malformed_documents()]
     with tempfile.TemporaryDirectory() as tmp:
-        for n in (3, 4, 5):
-            for kind in ("adjoint", "cotangent"):
-                doc = gl_document(n, kind)
-                path = os.path.join(tmp, f"{doc['name']}.json")
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(doc, handle)
-                commands = DOCUMENT_COMMANDS + (RANK3_COMMANDS if n == 3 else ())
-                for command in commands:
-                    argv = [command[0], "--input", path, *command[1:]]
-                    name = " ".join([command[0], "--input", doc["name"], *command[1:]])
-                    hashes[name] = report(cli_main, argv)
+        for doc, commands in documents:
+            path = os.path.join(tmp, f"{doc['name']}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            for command in commands:
+                argv = [command[0], "--input", path, *command[1:]]
+                name = " ".join([command[0], "--input", doc["name"], *command[1:]])
+                hashes[name] = report(cli_main, argv)
     json.dump(hashes, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

@@ -30,9 +30,7 @@ from .integrality import (
     verify_isomorphism,
 )
 from .lattice import (
-    GroupData,
     NumericInvariants,
-    RepresentationData,
     SymmetryClass,
     WeightMultiset,
     numeric_invariants,
@@ -57,7 +55,6 @@ from .weyl import (
     WeylGroup,
     averaged_form,
     char_action,
-    cochar_action,
     coset_representatives,
     enumerate_group,
     molien_coefficients,

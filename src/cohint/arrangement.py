@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from .documents import InputDocument
 from .errors import InputError, InternalCheckError
 from .lattice import (
     Cocharacter,
-    GroupData,
     NumericInvariants,
-    RepresentationData,
     SymmetryClass,
     Weight,
     numeric_invariants,
     ray,
     symmetry_class,
-    DEFAULT_GROUP_CAP,
 )
 from .matrices import IntMatrix, dot, int_kernel, saturate_span
 from .weyl import (
@@ -59,8 +57,7 @@ class Stratum:
 
 @dataclass(frozen=True)
 class Stratification:
-    group: GroupData
-    rep: RepresentationData
+    document: InputDocument
     weyl: WeylGroup
     hyperplanes: tuple[Weight, ...]
     strata: tuple[Stratum, ...]
@@ -92,8 +89,8 @@ class Stratification:
     def all_supports(self) -> tuple[Weight, ...]:
         return tuple(
             sorted(
-                set(self.rep.v_weights.nonzero_supports())
-                | set(self.group.g_weights.nonzero_supports())
+                set(self.document.v_weights.nonzero_supports())
+                | set(self.document.g_weights.nonzero_supports())
             )
         )
 
@@ -158,7 +155,7 @@ def with_representative(strat: Stratification, stratum: Stratum, rep: Cocharacte
     for u in strat.all_supports():
         if (dot(rep, u) == 0) != (u in zero):
             raise InputError(f"{rep} is not a generic representative of stratum {stratum.index}")
-    dims = numeric_invariants(strat.group, strat.rep, rep)
+    dims = numeric_invariants(strat.document.g_weights, strat.document.v_weights, rep)
     return dataclasses.replace(stratum, rep=rep, dims=dims)
 
 
@@ -183,11 +180,7 @@ def generic_points(supports, n: int, count: int):
     return tuple(points)
 
 
-def enumerate_strata(
-    group: GroupData,
-    rep: RepresentationData,
-    cap: int = DEFAULT_GROUP_CAP,
-) -> Stratification:
+def enumerate_strata(document: InputDocument) -> Stratification:
     """Close the weight hyperplanes under intersection and attach all
     per-stratum data: zero-sets, representatives, order, orbits, stabilizers.
 
@@ -203,14 +196,16 @@ def enumerate_strata(
     vanishing on it are the stratum's zero sets; w maps each of them into
     itself, and onto itself since it permutes the weights of V and of g,
     which are each W-stable."""
-    n = group.rank
-    # The report's one enumeration is its finiteness check, reported first.
-    weyl = enumerate_group(group.weyl_generators, n, cap)
-    if symmetry_class(rep) is SymmetryClass.NOT_WEAKLY_SYMMETRIC:
+    n = document.rank
+    g_weights, v_weights = document.g_weights, document.v_weights
+    # The report's one enumeration, within the document's cap, is its
+    # finiteness check, reported first.
+    weyl = enumerate_group(document.weyl_generators, n, document.group_cap)
+    if symmetry_class(v_weights) is SymmetryClass.NOT_WEAKLY_SYMMETRIC:
         raise InputError("stratification requires a weakly symmetric weight multiset")
 
-    v_supports = rep.v_weights.nonzero_supports()
-    g_supports = group.g_weights.nonzero_supports()
+    v_supports = v_weights.nonzero_supports()
+    g_supports = g_weights.nonzero_supports()
     hyperplanes = tuple(sorted({ray(u)[0] for u in v_supports + g_supports}))
 
     full_space = int_kernel((), n)
@@ -249,8 +244,8 @@ def enumerate_strata(
 
     strata = []
     u_bases = []
-    all_v = rep.v_weights.supports()
-    all_g = group.g_weights.supports()
+    all_v = v_weights.supports()
+    all_g = g_weights.supports()
     nonzero_supports = tuple(sorted(set(v_supports) | set(g_supports)))
     for idx, basis in enumerate(ordered):
         flat = Flat(basis)
@@ -258,8 +253,8 @@ def enumerate_strata(
         zero_g = tuple(w for w in all_g if all(dot(b, w) == 0 for b in basis))
         zero_supports = tuple(w for w in zero_v + zero_g if any(w))
         rep_cochar = representative_cocharacter(flat, nonzero_supports, zero_supports, n)
-        dims = numeric_invariants(group, rep, rep_cochar)
-        zero_g_total = sum(group.g_weights.multiplicity(w) for w in zero_g)
+        dims = numeric_invariants(g_weights, v_weights, rep_cochar)
+        zero_g_total = sum(g_weights.multiplicity(w) for w in zero_g)
         if dims.dim_g_fixed != zero_g_total:
             raise InternalCheckError(f"stratum {idx}: zero sets disagree with the slice counts")
         u_basis = saturate_span(list(zero_supports), n)
@@ -325,8 +320,7 @@ def enumerate_strata(
         set_stabs.append(ss)
 
     return Stratification(
-        group=group,
-        rep=rep,
+        document=document,
         weyl=weyl,
         hyperplanes=hyperplanes,
         strata=tuple(strata),

@@ -116,10 +116,7 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
 
     The document is validated here, once; the one enumeration of its group,
     bounded by document.group_cap, checks that the group is finite."""
-    group = document.group_data()
-    rep = document.rep_data()
-    warnings = group.validate()
-    rep.validate(group)
+    warnings = document.validate()
     if max_degree is not None and max_degree < 0:
         raise InputError(f"max_degree: expected a nonnegative integer, got {max_degree}")
     if max_degree is not None and max_degree > MAX_DEGREE:
@@ -129,10 +126,10 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
     if max_degree is not None and command not in ("verify", "molien"):
         raise InputError(f"--max-degree applies only to verify and molien, not to {command}")
     report: dict = {"command": command, "input": document.to_dict()}
-    sclass = symmetry_class(rep)
+    sclass = symmetry_class(document.v_weights)
 
     if command == "validate":
-        weyl = enumerate_group(group.weyl_generators, group.rank, document.group_cap)
+        weyl = enumerate_group(document.weyl_generators, document.rank, document.group_cap)
         report["symmetry_class"] = sclass.value
         report["warnings"] = warnings
         report["weyl_order"] = weyl.order
@@ -143,7 +140,7 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
         report["status"] = "ok"
         return report, EXIT_OK
 
-    strat = enumerate_strata(group, rep, document.group_cap)
+    strat = enumerate_strata(document)
     report["symmetry_class"] = sclass.value
     report["strata_count"] = len(strat.strata)
     report["orbit_count"] = len(strat.orbits)

@@ -1,5 +1,5 @@
 """Input documents: the JSON schema, parsing with located errors, and the
-construction of lattice data."""
+lattice rules a document must satisfy."""
 
 from __future__ import annotations
 
@@ -7,13 +7,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .lattice import (
-    DEFAULT_GROUP_CAP,
-    GroupData,
-    RepresentationData,
-    WeightMultiset,
-)
-from .matrices import IntMatrix
+from .lattice import DEFAULT_GROUP_CAP, WeightMultiset
+from .matrices import IntMatrix, int_inverse
 
 # The largest degree verify and molien accept, from --max-degree or from
 # options.max_degree.  Both build their series and graded spaces degree by
@@ -23,6 +18,9 @@ MAX_DEGREE = 64
 
 @dataclass(frozen=True)
 class InputDocument:
+    """The lattice data of one quotient stack V/G: the Weyl generators acting
+    on the character lattice of G, the adjoint weights and the weights of V."""
+
     name: str
     rank: int
     weyl_generators: tuple[IntMatrix, ...]
@@ -31,11 +29,45 @@ class InputDocument:
     max_degree: int | None
     group_cap: int = DEFAULT_GROUP_CAP
 
-    def group_data(self) -> GroupData:
-        return GroupData(self.name, self.rank, self.weyl_generators, self.g_weights)
+    def validate(self) -> list[str]:
+        """Check the lattice rules; returns non-fatal warnings.
 
-    def rep_data(self) -> RepresentationData:
-        return RepresentationData(self.v_weights)
+        Finiteness of the group is checked by its one enumeration
+        (weyl.enumerate_group), which every report builds."""
+        if self.rank < 1:
+            raise InputError("rank must be a positive integer")
+        for k, gen in enumerate(self.weyl_generators):
+            if len(gen) != self.rank or any(len(row) != self.rank for row in gen):
+                raise InputError(f"weyl_generators[{k}] is not a {self.rank}x{self.rank} matrix")
+            try:
+                int_inverse(gen)
+            except ValueError:
+                raise InputError(
+                    f"weyl_generators[{k}] is not invertible over the integers"
+                ) from None
+        self._check_weights("g_weights", self.g_weights)
+        zero = tuple(0 for _ in range(self.rank))
+        if self.g_weights.multiplicity(zero) != self.rank:
+            raise InputError(
+                "g_weights must contain the zero weight with multiplicity equal to the rank"
+            )
+        if self.g_weights.negated() != self.g_weights:
+            raise InputError("g_weights must equal their negation as a multiset")
+        self._check_weights("v_weights", self.v_weights)
+        return [
+            f"nonzero adjoint weight {w} has multiplicity {m}; "
+            "formulas remain well-defined but the data is unusual"
+            for w, m in self.g_weights if any(w) and m > 1
+        ]
+
+    def _check_weights(self, label: str, ws: WeightMultiset) -> None:
+        """Each weight has length rank, and the generators fix the multiset."""
+        for w, _ in ws:
+            if len(w) != self.rank:
+                raise InputError(f"{label} entry {w} has wrong length (rank is {self.rank})")
+        for k, gen in enumerate(self.weyl_generators):
+            if ws.transformed(gen) != ws:
+                raise InputError(f"{label} are not stable under weyl_generators[{k}]")
 
     def to_dict(self) -> dict:
         doc = {
@@ -157,7 +189,8 @@ def document_from_dict(raw: dict) -> InputDocument:
 def parse_input(text: str) -> InputDocument:
     """Parse a JSON input document against the schema, with located errors.
 
-    The lattice invariants are checked by cli.run, once per report."""
+    The lattice rules are checked by InputDocument.validate, which cli.run
+    calls once per report."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -81,8 +81,8 @@ def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> KernelForm:
     negative-slice weights of the target's fixed data, with multiplicity,
     sliced by mu's representative."""
     slices = []
-    for weights, zero in ((strat.rep.v_weights, set(target.zero_v)),
-                          (strat.group.g_weights, set(target.zero_g))):
+    for weights, zero in ((strat.document.v_weights, set(target.zero_v)),
+                          (strat.document.g_weights, set(target.zero_g))):
         inside = WeightMultiset(tuple((w, m) for w, m in weights if w in zero))
         neg, _, pos = slice_weights(inside, mu.rep)
         if neg.total() != pos.total():
@@ -228,7 +228,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
             _induced(strat, f, mu, stratum)
             for f in once(strat, _invariants, h, p - form.degree, u_basis).polys()
         )
-    return rref_span(generators, p, strat.group.rank)
+    return rref_span(generators, p, strat.document.rank)
 
 
 def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
@@ -376,14 +376,14 @@ def _flat_complement_forms(strat: Stratification, stratum: Stratum):
     ambient ring."""
     b = once(strat, _invariant_form)
     constraints = [mat_vec(b, u) for u in strat.u_bases[stratum.index]]
-    return nullspace(constraints, strat.group.rank)
+    return nullspace(constraints, strat.document.rank)
 
 
 def verify_isomorphism(strat: Stratification, cutoff: int) -> Ledger:
     """Push an isotypic basis of every orbit's BPS-times-flat summand through
     induction and test that the images form a basis of the invariant ring in
     each degree."""
-    n = strat.group.rank
+    n = strat.document.rank
     target = once(strat, target_series, cutoff)
 
     rows = []
@@ -432,7 +432,7 @@ TEST_FUNCTION_DEGREE = 3
 
 def _invariant_test_functions(strat, h: Subgroup):
     """Deterministic list of subgroup-invariant polynomials of small degree."""
-    n = strat.group.rank
+    n = strat.document.rank
     out = [Poly.constant(n, 1)]
     for d in range(1, TEST_FUNCTION_DEGREE + 1):
         for exps in monomials_of_degree(n, d):

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InputError
-from .matrices import IntMatrix, int_inverse, mat_vec
+from .matrices import IntMatrix, mat_vec
 
 Weight = tuple[int, ...]
 Cocharacter = tuple[int, ...]
@@ -97,85 +97,12 @@ def ray(form: Sequence) -> tuple[Weight, Fraction]:
     return tuple(int(x / c) for x in coeffs), c
 
 
-@dataclass(frozen=True)
-class GroupData:
-    """Lattice-level description of a reductive group: rank, Weyl generators
-    acting on the character lattice, and the adjoint weight multiset."""
-
-    name: str
-    rank: int
-    weyl_generators: tuple[IntMatrix, ...]
-    g_weights: WeightMultiset
-
-    @property
-    def dim(self) -> int:
-        return self.g_weights.total()
-
-    def validate(self) -> list[str]:
-        """Check the structural invariants; returns non-fatal warnings.
-
-        Finiteness of the group is checked by its one enumeration
-        (weyl.enumerate_group), which every report builds."""
-        if self.rank < 1:
-            raise InputError("rank must be a positive integer")
-        for k, gen in enumerate(self.weyl_generators):
-            if len(gen) != self.rank or any(len(row) != self.rank for row in gen):
-                raise InputError(f"weyl_generators[{k}] is not a {self.rank}x{self.rank} matrix")
-            try:
-                int_inverse(gen)
-            except ValueError:
-                raise InputError(
-                    f"weyl_generators[{k}] is not invertible over the integers"
-                ) from None
-        for w, _ in self.g_weights:
-            if len(w) != self.rank:
-                raise InputError(f"g_weights entry {w} has wrong length (rank is {self.rank})")
-        for k, gen in enumerate(self.weyl_generators):
-            if self.g_weights.transformed(gen) != self.g_weights:
-                raise InputError(f"g_weights are not stable under weyl_generators[{k}]")
-        zero = tuple(0 for _ in range(self.rank))
-        if self.g_weights.multiplicity(zero) != self.rank:
-            raise InputError(
-                "g_weights must contain the zero weight with multiplicity equal to the rank"
-            )
-        if self.g_weights.negated() != self.g_weights:
-            raise InputError("g_weights must equal their negation as a multiset")
-        warnings = []
-        for w, m in self.g_weights:
-            if any(w) and m > 1:
-                warnings.append(
-                    f"nonzero adjoint weight {w} has multiplicity {m}; "
-                    "formulas remain well-defined but the data is unusual"
-                )
-        return warnings
-
-
-@dataclass(frozen=True)
-class RepresentationData:
-    """Lattice-level description of a representation: its weight multiset."""
-
-    v_weights: WeightMultiset
-
-    @property
-    def dim(self) -> int:
-        return self.v_weights.total()
-
-    def validate(self, group: GroupData) -> None:
-        for w, _ in self.v_weights:
-            if len(w) != group.rank:
-                raise InputError(f"v_weights entry {w} has wrong length (rank is {group.rank})")
-        for k, gen in enumerate(group.weyl_generators):
-            if self.v_weights.transformed(gen) != self.v_weights:
-                raise InputError(f"v_weights are not stable under weyl_generators[{k}]")
-
-
-def symmetry_class(rep: RepresentationData) -> SymmetryClass:
-    ws = rep.v_weights
-    if ws.negated() == ws:
+def symmetry_class(v_weights: WeightMultiset) -> SymmetryClass:
+    if v_weights.negated() == v_weights:
         return SymmetryClass.SYMMETRIC
     # Multiplicity on the positive minus the negative side of each ray.
     balance: dict[Weight, int] = {}
-    for w, m in ws:
+    for w, m in v_weights:
         if any(w):
             key, c = ray(w)
             balance[key] = balance.get(key, 0) + (m if c > 0 else -m)
@@ -222,18 +149,18 @@ class NumericInvariants:
 
 
 def numeric_invariants(
-    group: GroupData, rep: RepresentationData, lam: Cocharacter
+    g_weights: WeightMultiset, v_weights: WeightMultiset, lam: Cocharacter
 ) -> NumericInvariants:
     """Fixed-space dimensions and the shifts d_lambda, r_lambda at a cocharacter.
 
     d + 2r = dim V - dim g says that V has as many weights pairing
     positively with lam as negatively, given that g has (its weights equal
     their negation).  A weakly symmetric V balances at every lam."""
-    dim_v, v_pos = _zero_and_positive(rep.v_weights, lam)
-    dim_g, g_pos = _zero_and_positive(group.g_weights, lam)
+    dim_v, v_pos = _zero_and_positive(v_weights, lam)
+    dim_g, g_pos = _zero_and_positive(g_weights, lam)
     d_lambda = dim_v - dim_g
     r_lambda = v_pos - g_pos
-    if d_lambda + 2 * r_lambda != rep.dim - group.dim:
+    if d_lambda + 2 * r_lambda != v_weights.total() - g_weights.total():
         raise InputError(
             "numeric invariants require a weakly symmetric weight multiset: "
             f"the weights of V do not balance at {lam}"

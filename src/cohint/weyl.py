@@ -16,11 +16,9 @@ from .matrices import (
     det_one_minus_q,
     dot,
     identity,
-    int_inverse,
     mat_mul,
     mat_vec,
     series_inverse,
-    transpose,
 )
 
 
@@ -95,22 +93,24 @@ def enumerate_group(
 ) -> WeylGroup:
     """Breadth-first closure of the generators; errors out past the cap.
     Each element costs one product per generator, and no inverse of an
-    element is computed."""
+    element is computed.
+
+    Right multiplication by an invertible generator g permutes a finite
+    closure, so some element m has m * g = I, and m is g's integer inverse.
+    A generator that no element inverts is not invertible over the integers."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
-    for g in gens:
-        try:
-            int_inverse(g)
-        except ValueError as exc:
-            raise InputError(f"generator {g} is not invertible over the integers") from exc
     one = identity(rank)
     reached_from: dict[IntMatrix, tuple[IntMatrix, int] | None] = {one: None}
+    inverted: set[int] = set()
     frontier = [one]
     while frontier:
         new = []
         for m in frontier:
             for k, g in enumerate(gens):
                 prod = mat_mul(m, g)
-                if prod not in reached_from:
+                if prod == one:
+                    inverted.add(k)
+                elif prod not in reached_from:
                     reached_from[prod] = (m, k)
                     new.append(prod)
                     if len(reached_from) > cap:
@@ -119,16 +119,14 @@ def enumerate_group(
                             "check the generators or raise --group-cap"
                         )
         frontier = new
+    for k, g in enumerate(gens):
+        if k not in inverted:
+            raise InputError(f"generator {g} is not invertible over the integers")
     return WeylGroup(reached_from, rank, gens)
 
 
 def char_action(w: WeylElement, alpha: Weight) -> Weight:
     return mat_vec(w.matrix, alpha)
-
-
-def cochar_action(w: WeylElement, lam: Cocharacter) -> Cocharacter:
-    """The contragredient action (M_w^T)^-1 lam, computed on demand."""
-    return mat_vec(transpose(int_inverse(w.matrix)), lam)
 
 
 def point_stabilizer(candidates: Subgroup, lam: Cocharacter) -> Subgroup:

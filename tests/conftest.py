@@ -27,7 +27,7 @@ CATALOG_INSTANCES = tuple(re.sub(r"<\w+>", "3", key) for key in catalog_keys())
 def build(key: str):
     """(document, stratification) for a catalog key."""
     doc = catalog_emit(key)
-    return doc, enumerate_strata(doc.group_data(), doc.rep_data())
+    return doc, enumerate_strata(doc)
 
 
 def bps_spaces(key: str):

@@ -204,7 +204,7 @@ class TestSl2AdjointCriterion:
 
 
 def reflections(strat):
-    ident = identity(strat.group.rank)
+    ident = identity(strat.document.rank)
     for w in strat.weyl.elements:
         if w.matrix == ident:
             continue
@@ -214,7 +214,7 @@ def reflections(strat):
             tuple(a - b for a, b in zip(row_w, row_i))
             for row_w, row_i in zip(w.matrix, ident)
         )
-        _, pivots = rref(delta, strat.group.rank)
+        _, pivots = rref(delta, strat.document.rank)
         if len(pivots) == 1:
             yield w
 
@@ -226,7 +226,7 @@ class TestTrivialRepresentationCriterion:
         _, strat = build(key)
         dims = orbit_dims(key)
         ok = all(
-            dim == (1 if strat.strata[idx].flat.dim == strat.group.rank else 0)
+            dim == (1 if strat.strata[idx].flat.dim == strat.document.rank else 0)
             for idx, dim in dims.items()
         )
         check(f"trivial:{group} BPS concentrated on the dense orbit", ok, str(dims))
@@ -252,7 +252,7 @@ class TestAdjointCriterion:
         _, strat = build(key)
         dims = orbit_dims(key)
         ok = all(
-            dim == (1 if strat.strata[idx].flat.dim == strat.group.rank else 0)
+            dim == (1 if strat.strata[idx].flat.dim == strat.document.rank else 0)
             for idx, dim in dims.items()
         )
         check(f"adjoint:{group} BPS concentrated on the dense orbit", ok, str(dims))
@@ -261,7 +261,7 @@ class TestAdjointCriterion:
     def test_degree_zero_map_is_group_order(self, group, order):
         key = f"adjoint:{group}"
         _, strat = build(key)
-        n = strat.group.rank
+        n = strat.document.rank
         out = I.induct(strat, Poly.constant(n, 1), strat.strata[0], strat.top)
         check(f"adjoint:{group} degree-0 map is x{order}", out == Poly.constant(n, order))
 
@@ -278,7 +278,7 @@ class TestPropertySuite:
     def test_degree_preservation(self):
         for key in ALL_KEYS:
             _, strat = build(key)
-            n = strat.group.rank
+            n = strat.document.rank
             for s in strat.strata:
                 for t in strat.strata:
                     if s.index == t.index or not strat.leq(s.index, t.index):
@@ -322,7 +322,7 @@ class TestPropertySuite:
     def test_twisted_equivariance(self):
         for key in ALL_KEYS:
             _, strat = build(key)
-            n = strat.group.rank
+            n = strat.document.rank
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)
                 levi = strat.point_stabilizers[s.index]
@@ -358,7 +358,7 @@ class TestPropertySuite:
     def test_kernel_sum_evaluation_oracle(self):
         for key in ("gl2-cotangent", "trivial:sl3", "sl2-irrep:6"):
             _, strat = build(key)
-            n = strat.group.rank
+            n = strat.document.rank
             s = strat.strata[0]
             form = I.kernel(strat, s, strat.top)
             stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)

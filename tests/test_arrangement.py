@@ -46,18 +46,18 @@ class TestStratumCounts:
 
     def test_not_weakly_symmetric_rejected(self):
         doc, _ = build("gl2-cotangent")
-        from cohint import RepresentationData, WeightMultiset
+        from cohint import WeightMultiset
 
-        bad = RepresentationData(
-            WeightMultiset.from_pairs([((1, 0), 1), ((0, 1), 1)])
+        bad = dataclasses.replace(
+            doc, v_weights=WeightMultiset.from_pairs([((1, 0), 1), ((0, 1), 1)])
         )
         with pytest.raises(InputError):
-            enumerate_strata(doc.group_data(), bad)
+            enumerate_strata(bad)
 
     def test_full_space_and_total_intersection_present(self):
         for key in RANK_LE_3:
             _, strat = build(key)
-            n = strat.group.rank
+            n = strat.document.rank
             dims = [s.flat.dim for s in strat.strata]
             assert n in dims
             assert strat.top.flat.basis == int_kernel(list(strat.hyperplanes), n)
@@ -66,7 +66,7 @@ class TestStratumCounts:
         # oracle: distinct subspaces arising as intersections of hyperplane subsets
         for key in RANK_LE_3:
             _, strat = build(key)
-            n = strat.group.rank
+            n = strat.document.rank
             hyps = strat.hyperplanes
             kernels = set()
             for size in range(len(hyps) + 1):
@@ -106,7 +106,7 @@ class TestRepresentatives:
     def test_flat_dim_plus_zero_span_is_rank(self):
         for key in RANK_LE_3:
             _, strat = build(key)
-            n = strat.group.rank
+            n = strat.document.rank
             for s in strat.strata:
                 assert s.flat.dim + len(strat.u_bases[s.index]) == n
 
@@ -157,7 +157,7 @@ class TestOrder:
         doc, _ = build("gl2-cotangent")
         monkeypatch.setattr(arrangement, "point_stabilizer", shrunk)
         with pytest.raises(InternalCheckError, match=r"stratum 3 .* stratum 4"):
-            enumerate_strata(doc.group_data(), doc.rep_data())
+            enumerate_strata(doc)
 
     def test_order_mirrors_flat_inclusion(self, gl2_strat):
         # flat(b) inside flat(a) iff a <= b
@@ -254,7 +254,7 @@ class TestGl4PermutationAction:
     @staticmethod
     def stratify(spec):
         doc = document_from_dict(gl_document(4, *spec))
-        return enumerate_strata(doc.group_data(), doc.rep_data())
+        return enumerate_strata(doc)
 
     def test_closed_form_counts(self, spec, counts):
         strat = self.stratify(spec)
@@ -315,7 +315,7 @@ class TestPointStabilizerOracle:
     @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
     def test_gl(self, n, kind):
         doc = document_from_dict(gl_document(n, kind, 1, 0))
-        self.assert_scans_agree(enumerate_strata(doc.group_data(), doc.rep_data()))
+        self.assert_scans_agree(enumerate_strata(doc))
 
     def test_swap_without_roots_fails_at_the_cover_edge(self, monkeypatch, tmp_path, capsys):
         searched = []
@@ -361,12 +361,11 @@ class TestRepresentativeIndependence:
     def test_dimension_counts_agree_at_second_representative(self):
         for key in ("gl2-cotangent", "trivial:sl3"):
             doc, strat = build(key)
-            group, rep = doc.group_data(), doc.rep_data()
             for s in strat.strata:
                 if not any(s.rep):
                     continue
                 other = tuple(-c for c in s.rep)
-                dims = numeric_invariants(group, rep, other)
+                dims = numeric_invariants(doc.g_weights, doc.v_weights, other)
                 assert dims == s.dims
 
     def test_with_representative_validates(self, gl2_strat):
@@ -431,11 +430,11 @@ class TestLocatedStrataErrors:
     @staticmethod
     def strata_of(key):
         doc = catalog_emit(key)
-        return enumerate_strata(doc.group_data(), doc.rep_data())
+        return enumerate_strata(doc)
 
     def test_zero_set_bookkeeping(self, monkeypatch):
-        def off_by_one(group, rep, lam):
-            dims = numeric_invariants(group, rep, lam)
+        def off_by_one(g_weights, v_weights, lam):
+            dims = numeric_invariants(g_weights, v_weights, lam)
             return dataclasses.replace(dims, dim_g_fixed=dims.dim_g_fixed + 1)
 
         monkeypatch.setattr(arrangement, "numeric_invariants", off_by_one)

@@ -524,7 +524,7 @@ class TestMain:
         monkeypatch.setattr(integrality, "kernel", counting_kernel)
         monkeypatch.setattr(integrality, "target_series", counting_series)
         doc = catalog_emit("gl2-cotangent")
-        strat = enumerate_strata(doc.group_data(), doc.rep_data())
+        strat = enumerate_strata(doc)
         assert main(["verify", "--catalog", "gl2-cotangent"]) == EXIT_OK
         assert len(built) == len(strat.orbits)
         assert sorted(signs) == sorted(members[0] for members in strat.orbits)

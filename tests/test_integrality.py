@@ -129,7 +129,7 @@ class TestInduct:
     def test_degree_preservation(self):
         for key in ("gl2-cotangent", "sl2-irrep:5", "adjoint:gl2"):
             _, strat = build(key)
-            n = strat.group.rank
+            n = strat.document.rank
             for s in strat.strata:
                 for t in strat.strata:
                     if s.index == t.index or not strat.leq(s.index, t.index):
@@ -236,7 +236,7 @@ class TestEpsilon:
     def test_matches_two_point_evaluation_oracle(self):
         for key in ORACLE_KEYS:
             _, strat = build(key)
-            points = generic_points(strat.all_supports(), strat.group.rank, 2)
+            points = generic_points(strat.all_supports(), strat.document.rank, 2)
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)
                 form = I.kernel(strat, s, strat.top)
@@ -249,7 +249,7 @@ class TestEpsilon:
         # k * 6 x1^2 / (x2 (5 x1 - x2)) agrees with k at (1, 2) and (1, 3),
         # the two generic points of gl2-cotangent, but the ratio is not constant
         doc = catalog_emit("gl2-cotangent")
-        strat = enumerate_strata(doc.group_data(), doc.rep_data())
+        strat = enumerate_strata(doc)
         generic = strat.strata[0]
         assert generic_points(strat.all_supports(), 2, 2) == ((1, 2), (1, 3))
         extra = KernelForm(((6, 0), (1, 0)), ((0, 1), (5, -1)))
@@ -265,7 +265,7 @@ class TestEpsilon:
     def test_twisted_equivariance(self):
         for key in ("gl2-cotangent", "sl2-irrep:6", "adjoint:gl2"):
             _, strat = build(key)
-            n = strat.group.rank
+            n = strat.document.rank
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)
                 levi = strat.point_stabilizers[s.index]
@@ -324,7 +324,7 @@ class TestJGraded:
         # every degree bps_space asks for, up to two past the vanishing bound
         if key == "gl3-cotangent":
             doc = document_from_dict(gl_document(3, "cotangent", 1, 1))
-            strat = enumerate_strata(doc.group_data(), doc.rep_data())
+            strat = enumerate_strata(doc)
         else:
             strat = build(key)[1]
         for s in strat.strata:
@@ -352,7 +352,7 @@ def _j_graded_from_every_lower_stratum(strat, stratum, p):
     only from the covers, by the sum over every element of the point
     stabilizer on monomials of the reduced variables, not by induct's coset
     sum on invariants."""
-    n = strat.group.rank
+    n = strat.document.rank
     u_forms = [Poly.linear(b) for b in strat.u_bases[stratum.index]]
     levi = strat.point_stabilizers[stratum.index].elements()
     generators = []
@@ -369,7 +369,7 @@ def _j_graded_from_every_lower_stratum(strat, stratum, p):
 def _j_dim_by_image_intersection(strat, stratum, p):
     """Independent route: span all inductions from below inside degree p and
     intersect with the polynomials in the stratum's reduced variables."""
-    n = strat.group.rank
+    n = strat.document.rank
     images = []
     for mu in strict_lower(strat, stratum):
         shift = I.kernel(strat, mu, stratum).degree
@@ -448,11 +448,16 @@ class TestBpsSpace:
             w = strat.weyl.elements[idx]
             return tuple(basis.coordinates(substitute(w, f)) for f in basis.polys())
 
-        for key in ("gl2-cotangent", "adjoint:sl3"):
+        # gl2-cotangent:4 has a 2-dimensional piece (stratum 4, degree 2)
+        # with |W_set| = 2, so 2x2 matrices are multiplied there.
+        largest = 0
+        for key in ("gl2-cotangent", "adjoint:sl3", "gl2-cotangent:4"):
             strat = build(key)[1]
             for s, space in bps_spaces(key).items():
                 wl = strat.set_stabilizers[s]
                 for p, basis in space.pieces.items():
+                    if len(wl.members) > 1:
+                        largest = max(largest, basis.dim)
                     for a in wl.members:
                         ma = matrix(strat, a, basis)
                         assert space.traces[a][p] == sum(row[i] for i, row in enumerate(ma))
@@ -461,6 +466,7 @@ class TestBpsSpace:
                         for b in wl.members:
                             ab = strat.weyl.product(a, b)
                             assert mat_mul(matrix(strat, b, basis), ma) == matrix(strat, ab, basis)
+        assert largest >= 2
 
 
 class TestLocatedInternalErrors:
@@ -470,7 +476,7 @@ class TestLocatedInternalErrors:
     @pytest.fixture
     def strat(self):
         doc = catalog_emit("gl2-cotangent")
-        return enumerate_strata(doc.group_data(), doc.rep_data())
+        return enumerate_strata(doc)
 
     def test_kernel_names_source_and_target(self, strat, monkeypatch):
         monkeypatch.setattr("cohint.lattice.pairing", lambda cochar, weight: -1)
@@ -595,7 +601,7 @@ class TestVerification:
     def test_adjoint_degree_zero_is_group_order(self):
         for key, order in (("adjoint:gl2", 2), ("adjoint:gl3", 6)):
             _, strat = build(key)
-            n = strat.group.rank
+            n = strat.document.rank
             generic = strat.strata[0]
             out = I.induct(strat, Poly.constant(n, 1), generic, strat.top)
             assert out == Poly.constant(n, order)

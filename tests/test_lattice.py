@@ -1,11 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from cohint import (
-    GroupData,
+    InputDocument,
     InputError,
-    RepresentationData,
     SymmetryClass,
     WeightMultiset,
     numeric_invariants,
@@ -14,14 +14,18 @@ from cohint import (
     symmetry_class,
 )
 from cohint.lattice import ray
-from cohint.matrices import identity, int_inverse, mat_mul
-from cohint.weyl import char_action, cochar_action
+from cohint.matrices import identity, int_inverse, mat_mul, mat_vec, transpose
+from cohint.weyl import char_action
 
 from conftest import build
 
 
 def ws(*pairs):
     return WeightMultiset.from_pairs(pairs)
+
+
+def document(rank, generators, g_weights, v_weights=WeightMultiset(())):
+    return InputDocument("input", rank, generators, g_weights, v_weights, None)
 
 
 class TestWeightMultiset:
@@ -59,9 +63,11 @@ class TestPairing:
             weights = strat.all_supports()
             cochars = [s.rep for s in strat.strata]
             for w in strat.weyl.elements:
+                contragredient = transpose(int_inverse(w.matrix))
                 for lam in cochars:
                     for alpha in weights:
-                        assert pairing(cochar_action(w, lam), char_action(w, alpha)) == pairing(lam, alpha)
+                        image = mat_vec(contragredient, lam)
+                        assert pairing(image, char_action(w, alpha)) == pairing(lam, alpha)
 
 
 class TestRay:
@@ -84,29 +90,25 @@ class TestSymmetryClass:
     def test_rays_balance_with_multiplicity(self):
         # 2 * (1, 0) against (-1, 0) and (-2, 0): the ray through (1, 0) has
         # multiplicity 2 on each side; (0, 3) against (0, -1) balances too
-        rep = RepresentationData(ws(
+        v_weights = ws(
             ((1, 0), 2), ((-1, 0), 1), ((-2, 0), 1), ((0, 3), 1), ((0, -1), 1), ((0, 0), 4)
-        ))
-        assert symmetry_class(rep) is SymmetryClass.WEAKLY_SYMMETRIC
-        unbalanced = RepresentationData(ws(((1, 0), 2), ((-1, 0), 1), ((0, 0), 1)))
+        )
+        assert symmetry_class(v_weights) is SymmetryClass.WEAKLY_SYMMETRIC
+        unbalanced = ws(((1, 0), 2), ((-1, 0), 1), ((0, 0), 1))
         assert symmetry_class(unbalanced) is SymmetryClass.NOT_WEAKLY_SYMMETRIC
 
     def test_weakly_symmetric_rank1(self):
-        rep = RepresentationData(ws(((1,), 1), ((-2,), 1)))
-        assert symmetry_class(rep) is SymmetryClass.WEAKLY_SYMMETRIC
+        assert symmetry_class(ws(((1,), 1), ((-2,), 1))) is SymmetryClass.WEAKLY_SYMMETRIC
 
     def test_symmetric_cotangent(self):
-        rep = RepresentationData(
-            ws(((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1))
-        )
-        assert symmetry_class(rep) is SymmetryClass.SYMMETRIC
+        v_weights = ws(((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1))
+        assert symmetry_class(v_weights) is SymmetryClass.SYMMETRIC
 
     def test_not_weakly_symmetric(self):
-        rep = RepresentationData(ws(((1,), 1)))
-        assert symmetry_class(rep) is SymmetryClass.NOT_WEAKLY_SYMMETRIC
+        assert symmetry_class(ws(((1,), 1))) is SymmetryClass.NOT_WEAKLY_SYMMETRIC
 
     def test_empty_is_symmetric(self):
-        assert symmetry_class(RepresentationData(WeightMultiset(()))) is SymmetryClass.SYMMETRIC
+        assert symmetry_class(WeightMultiset(())) is SymmetryClass.SYMMETRIC
 
 
 class TestSliceWeights:
@@ -148,54 +150,54 @@ class TestSliceWeights:
 class TestNumericInvariants:
     def test_gl2_axis_cocharacter(self):
         doc, _ = build("gl2-cotangent")
-        inv = numeric_invariants(doc.group_data(), doc.rep_data(), (-1, 0))
+        inv = numeric_invariants(doc.g_weights, doc.v_weights, (-1, 0))
         assert (inv.dim_v_fixed, inv.dim_g_fixed, inv.d_lambda, inv.r_lambda) == (2, 2, 0, 0)
 
     def test_gl2_generic_cocharacter(self):
         doc, _ = build("gl2-cotangent")
-        inv = numeric_invariants(doc.group_data(), doc.rep_data(), (-1, -2))
+        inv = numeric_invariants(doc.g_weights, doc.v_weights, (-1, -2))
         assert (inv.dim_v_fixed, inv.dim_g_fixed, inv.d_lambda, inv.r_lambda) == (0, 2, -2, 1)
 
     def test_zero_cocharacter(self):
         doc, _ = build("gl2-cotangent")
-        group, rep = doc.group_data(), doc.rep_data()
-        inv = numeric_invariants(group, rep, (0, 0))
-        assert inv.dim_v_fixed == rep.dim
-        assert inv.dim_g_fixed == group.dim
-        assert inv.d_lambda == rep.dim - group.dim
+        dim_v, dim_g = doc.v_weights.total(), doc.g_weights.total()
+        inv = numeric_invariants(doc.g_weights, doc.v_weights, (0, 0))
+        assert inv.dim_v_fixed == dim_v
+        assert inv.dim_g_fixed == dim_g
+        assert inv.d_lambda == dim_v - dim_g
         assert inv.r_lambda == 0
 
     def test_rejects_not_weakly_symmetric(self):
         doc, _ = build("gl2-cotangent")
-        rep = RepresentationData(ws(((1, 0), 1)))
         with pytest.raises(InputError):
-            numeric_invariants(doc.group_data(), rep, (1, 0))
+            numeric_invariants(doc.g_weights, ws(((1, 0), 1)), (1, 0))
 
     def test_unbalanced_weights_name_the_cocharacter(self):
         doc, _ = build("gl2-cotangent")
-        rep = RepresentationData(ws(((1, 0), 1)))
         with pytest.raises(InputError, match=(
             r"^numeric invariants require a weakly symmetric weight multiset: "
             r"the weights of V do not balance at \(1, 0\)$"
         )):
-            numeric_invariants(doc.group_data(), rep, (1, 0))
+            numeric_invariants(doc.g_weights, ws(((1, 0), 1)), (1, 0))
 
     def test_identity_holds_on_all_strata(self):
         for key in ("gl2-cotangent:2", "sl2-adjoint:3", "adjoint:gl3"):
             doc, strat = build(key)
-            d0 = doc.rep_data().dim - doc.group_data().dim
+            d0 = doc.v_weights.total() - doc.g_weights.total()
             for s in strat.strata:
                 assert s.dims.d_lambda + 2 * s.dims.r_lambda == d0
 
 
 class TestGroupDataValidation:
+    """The lattice rules of InputDocument.validate."""
+
     def test_catalog_groups_are_valid(self):
         for key in ("gl2-cotangent", "trivial:sl3", "adjoint:gl3"):
             doc, _ = build(key)
-            assert doc.group_data().validate() == []
+            assert doc.validate() == []
 
     def test_non_invertible_generator(self):
-        g = GroupData("bad", 2, (((1, 0), (0, 2)),), ws(((0, 0), 2)))
+        g = document(2, (((1, 0), (0, 2)),), ws(((0, 0), 2)))
         with pytest.raises(InputError, match="invertible"):
             g.validate()
 
@@ -207,14 +209,14 @@ class TestGroupDataValidation:
         # rank 1 and det 2: int_inverse tells the two apart, validate does not
         with pytest.raises(ValueError, match=reason):
             int_inverse(gen)
-        g = GroupData("bad", 2, (((0, 1), (1, 0)), gen), ws(((0, 0), 2)))
+        g = document(2, (((0, 1), (1, 0)), gen), ws(((0, 0), 2)))
         with pytest.raises(InputError, match=r"^weyl_generators\[1\] is not invertible "
                                               r"over the integers$"):
             g.validate()
 
     def test_sl3_generators_have_integer_inverses(self):
         doc, _ = build("trivial:sl3")
-        gens = doc.group_data().weyl_generators
+        gens = doc.weyl_generators
         assert gens
         for gen in gens:
             inv = int_inverse(gen)
@@ -223,28 +225,28 @@ class TestGroupDataValidation:
             assert all(isinstance(x, int) for row in inv for x in row)
 
     def test_missing_zero_weight(self):
-        g = GroupData("bad", 2, (), ws(((0, 0), 1)))
+        g = document(2, (), ws(((0, 0), 1)))
         with pytest.raises(InputError, match="zero weight"):
             g.validate()
 
     def test_unstable_adjoint_weights(self):
         swap = ((0, 1), (1, 0))
-        g = GroupData("bad", 2, (swap,), ws(((0, 0), 2), ((1, 0), 1), ((-1, 0), 1)))
+        g = document(2, (swap,), ws(((0, 0), 2), ((1, 0), 1), ((-1, 0), 1)))
         with pytest.raises(InputError, match="stable"):
             g.validate()
 
     def test_asymmetric_adjoint_weights(self):
-        g = GroupData("bad", 1, (), ws(((0,), 1), ((2,), 1)))
+        g = document(1, (), ws(((0,), 1), ((2,), 1)))
         with pytest.raises(InputError, match="negation"):
             g.validate()
 
     def test_multiplicity_warning(self):
-        g = GroupData("odd", 1, (), ws(((0,), 1), ((2,), 2), ((-2,), 2)))
+        g = document(1, (), ws(((0,), 1), ((2,), 2), ((-2,), 2)))
         warnings = g.validate()
         assert len(warnings) == 2
 
     def test_rep_stability_checked(self):
         doc, _ = build("gl2-cotangent")
-        rep = RepresentationData(ws(((1, 0), 1), ((-1, 0), 1)))
+        bad = dataclasses.replace(doc, v_weights=ws(((1, 0), 1), ((-1, 0), 1)))
         with pytest.raises(InputError, match="stable"):
-            rep.validate(doc.group_data())
+            bad.validate()

@@ -14,7 +14,7 @@ from cohint import (
 )
 from cohint.documents import document_from_dict
 from cohint.matrices import identity, int_inverse, mat_mul, mat_vec, transpose
-from cohint.weyl import char_action, cochar_action, permutation_action
+from cohint.weyl import char_action, permutation_action
 
 from conftest import CATALOG_INSTANCES, build, gl_document
 
@@ -34,10 +34,16 @@ def adjacent_transpositions(n: int):
 S3_RANK3 = adjacent_transpositions(3)
 
 
+def cochar_action(w, lam):
+    """The contragredient action (M_w^T)^-1 lam on cocharacters."""
+    return mat_vec(transpose(int_inverse(w.matrix)), lam)
+
+
 def stabilizer_of_zero_sets(strat, stratum):
     """Setwise stabilizer of a stratum's two zero-sets, through the
     permutation action on the sorted union of the weight supports."""
-    points = sorted(set(strat.rep.v_weights.supports()) | set(strat.group.g_weights.supports()))
+    doc = strat.document
+    points = sorted(set(doc.v_weights.supports()) | set(doc.g_weights.supports()))
     index = {p: i for i, p in enumerate(points)}
     action = permutation_action(strat.weyl, points)
     zero_sets = ([index[w] for w in stratum.zero_v], [index[w] for w in stratum.zero_g])
@@ -54,6 +60,18 @@ class TestEnumerateGroup:
     def test_infinite_group_hits_cap(self):
         with pytest.raises(InputError, match="not finite"):
             enumerate_group((((1, 1), (0, 1)),), 2, cap=100)
+
+    def test_singular_generator_is_not_invertible(self):
+        # the closure of P = diag(1, 0) is {I, P}: finite, but no m has m * P = I
+        with pytest.raises(InputError, match=(
+            r"^generator \(\(1, 0\), \(0, 0\)\) is not invertible over the integers$"
+        )):
+            enumerate_group((((1, 0), (0, 0)),), 2)
+
+    def test_rational_inverse_only_hits_cap(self):
+        # diag(2, 1) has no integer inverse, and its powers never close up
+        with pytest.raises(InputError, match="not finite"):
+            enumerate_group((((2, 0), (0, 1)),), 2, cap=50)
 
     def test_trivial_group(self):
         group = enumerate_group((), 2)
@@ -179,9 +197,8 @@ def direct_action_table(group, points):
 
 
 def weights_and_group(doc):
-    group, rep = doc.group_data(), doc.rep_data()
-    points = tuple(sorted(set(rep.v_weights.supports()) | set(group.g_weights.supports())))
-    return enumerate_group(group.weyl_generators, group.rank), points
+    points = tuple(sorted(set(doc.v_weights.supports()) | set(doc.g_weights.supports())))
+    return enumerate_group(doc.weyl_generators, doc.rank), points
 
 
 class TestPermutationActionAlongTheClosure:
