@@ -10,7 +10,10 @@ integer sublattices, so equality of strata is plain tuple equality.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from math import gcd
+
 from .documents import InputDocument
 from .errors import InputError, InternalCheckError
 from .lattice import (
@@ -22,7 +25,7 @@ from .lattice import (
     ray,
     symmetry_class,
 )
-from .matrices import IntMatrix, dot, int_kernel, saturate_span
+from .matrices import IntMatrix, dot, hnf, identity, int_kernel, mat_mul, saturate_span
 from .weyl import (
     Subgroup,
     WeylGroup,
@@ -59,6 +62,7 @@ class Stratum:
 class Stratification:
     document: InputDocument
     weyl: WeylGroup
+    symmetry_class: SymmetryClass
     hyperplanes: tuple[Weight, ...]
     strata: tuple[Stratum, ...]
     # a <= b iff b's flat lies in a's, i.e. a's zero-sets sit inside b's.
@@ -180,14 +184,35 @@ def generic_points(supports, n: int, count: int):
     return tuple(points)
 
 
+def restrict_arrangement(
+    basis: IntMatrix, hyperplanes: Sequence[Weight], incident: frozenset[int]
+) -> dict[Weight, list[int]]:
+    """The restriction of the arrangement to the flat with this basis
+    (Orlik-Terao, Arrangements of Hyperplanes, 1.3): each hyperplane h not in
+    incident restricts to the form r_h = (<b, h> for b in basis) on the flat,
+    and the hyperplanes are grouped by the primitive ray of r_h, with positive
+    first nonzero entry.  A form on the flat vanishing on ker r_h is a
+    multiple of r_h, so each group is the set of hyperplanes that cut the
+    flat in one and the same flat one dimension down."""
+    cuts: dict[Weight, list[int]] = {}
+    for i, h in enumerate(hyperplanes):
+        if i not in incident:
+            r = [dot(b, h) for b in basis]
+            g = gcd(*r)
+            if next(x for x in r if x) < 0:
+                g = -g
+            cuts.setdefault(tuple(x // g for x in r), []).append(i)
+    return cuts
+
+
 def enumerate_strata(document: InputDocument) -> Stratification:
     """Close the weight hyperplanes under intersection and attach all
     per-stratum data: zero-sets, representatives, order, orbits, stabilizers.
 
-    The closure cuts each flat F by the hyperplanes not containing it.  Each
-    cut is one dimension down, so the cuts of F are exactly the flats
-    covering F in the order.  Once a cut G is found, the hyperplanes through
-    G are skipped: each of them cuts F in G again.
+    The closure cuts each flat F by the hyperplanes not containing it, one
+    cut per group of restrict_arrangement.  Each cut is one dimension down,
+    so the cuts of F are exactly the flats covering F in the order, and the
+    hyperplanes containing a cut are those containing F and its group.
 
     Each point stabilizer W_lam is searched among the members of the set
     stabilizer, which contains it.  w fixes lam exactly when M_w^T lam = lam
@@ -201,45 +226,38 @@ def enumerate_strata(document: InputDocument) -> Stratification:
     # The report's one enumeration, within the document's cap, is its
     # finiteness check, reported first.
     weyl = enumerate_group(document.weyl_generators, n, document.group_cap)
-    if symmetry_class(v_weights) is SymmetryClass.NOT_WEAKLY_SYMMETRIC:
+    sclass = symmetry_class(v_weights)
+    if sclass is SymmetryClass.NOT_WEAKLY_SYMMETRIC:
         raise InputError("stratification requires a weakly symmetric weight multiset")
 
     v_supports = v_weights.nonzero_supports()
     g_supports = g_weights.nonzero_supports()
     hyperplanes = tuple(sorted({ray(u)[0] for u in v_supports + g_supports}))
+    hyperplane_of = {u: hyperplanes.index(ray(u)[0]) for u in set(v_supports + g_supports)}
 
-    full_space = int_kernel((), n)
-    flats: dict[IntMatrix, tuple[int, ...]] = {}
-
-    def containing(basis: IntMatrix) -> tuple[int, ...]:
-        return tuple(
-            i for i, h in enumerate(hyperplanes)
-            if all(dot(b, h) == 0 for b in basis)
-        )
-
-    cut_from: dict[IntMatrix, list[IntMatrix]] = {full_space: []}
-    queue = [full_space]
-    flats[full_space] = containing(full_space)
+    # A flat is keyed by its incidence set, the indices of the hyperplanes
+    # containing it; each distinct flat's basis is computed once.
+    flats: dict[frozenset[int], IntMatrix] = {frozenset(): identity(n)}
+    cut_from: dict[frozenset[int], list[frozenset[int]]] = {frozenset(): []}
+    queue = [frozenset()]
     while queue:
-        basis = queue.pop()
-        normals = [hyperplanes[i] for i in flats[basis]]
-        skip = set(flats[basis])
-        for i, h in enumerate(hyperplanes):
-            if i in skip:
-                continue
-            child = int_kernel(normals + [h], n)
+        incident = queue.pop()
+        basis = flats[incident]
+        for r, group in restrict_arrangement(basis, hyperplanes, incident).items():
+            child = incident.union(group)
             if child not in flats:
-                flats[child] = containing(child)
+                # basis is a Z-basis of the flat's lattice points, so the
+                # kernel of r_h in those coordinates maps onto the child's.
+                flats[child] = hnf(mat_mul(int_kernel([r], len(basis)), basis))
                 cut_from[child] = []
                 queue.append(child)
-            cut_from[child].append(basis)
-            skip.update(flats[child])
+            cut_from[child].append(incident)
 
     # Decreasing flat dimension: everything below a stratum has a smaller index.
-    ordered = sorted(flats, key=lambda b: (-len(b), b))
-    index_of_flat = {basis: idx for idx, basis in enumerate(ordered)}
+    ordered = sorted(flats, key=lambda key: (-len(flats[key]), flats[key]))
+    index_of_flat = {key: idx for idx, key in enumerate(ordered)}
     covers = tuple(
-        tuple(sorted(index_of_flat[parent] for parent in cut_from[basis])) for basis in ordered
+        tuple(sorted(index_of_flat[parent] for parent in cut_from[key])) for key in ordered
     )
 
     strata = []
@@ -247,10 +265,10 @@ def enumerate_strata(document: InputDocument) -> Stratification:
     all_v = v_weights.supports()
     all_g = g_weights.supports()
     nonzero_supports = tuple(sorted(set(v_supports) | set(g_supports)))
-    for idx, basis in enumerate(ordered):
-        flat = Flat(basis)
-        zero_v = tuple(w for w in all_v if all(dot(b, w) == 0 for b in basis))
-        zero_g = tuple(w for w in all_g if all(dot(b, w) == 0 for b in basis))
+    for idx, incident in enumerate(ordered):
+        flat = Flat(flats[incident])
+        zero_v = tuple(w for w in all_v if not any(w) or hyperplane_of[w] in incident)
+        zero_g = tuple(w for w in all_g if not any(w) or hyperplane_of[w] in incident)
         zero_supports = tuple(w for w in zero_v + zero_g if any(w))
         rep_cochar = representative_cocharacter(flat, nonzero_supports, zero_supports, n)
         dims = numeric_invariants(g_weights, v_weights, rep_cochar)
@@ -285,15 +303,27 @@ def enumerate_strata(document: InputDocument) -> Stratification:
     index_of = {key: i for i, key in enumerate(keys)}
 
     # Orbits under the generators are orbits under the group, and generators
-    # that permute the strata make the whole group permute them.
+    # that permute the strata make the whole group permute them.  Whether w
+    # stabilizes a stratum depends only on w's row, so each orbit's first
+    # stratum is scanned for its stabilizer rows, and a stratum reached as
+    # g.s gets the stabilizer g Stab(s) g^-1: the rows row_g o r o row_g^-1.
+    elements_of: dict[tuple[int, ...], list[int]] = {}
+    for w, row in enumerate(action):
+        elements_of.setdefault(row, []).append(w)
+    inverse_rows = {g: tuple(sorted(range(len(points)), key=action[g].__getitem__))
+                    for g in weyl.generators}
     orbit_of = [-1] * count
     orbits = []
+    set_stabs: list = [None] * count
     for i in range(count):
         if orbit_of[i] >= 0:
             continue
         orbit_of[i] = len(orbits)
+        set_stabs[i] = set_stabilizer(weyl, action, (keys[i],))
+        rows_of = {i: {action[w] for w in set_stabs[i].members}}
         members = [i]
         for j in members:
+            rows = rows_of.pop(j)
             for g in weyl.generators:
                 k = index_of.get(frozenset(action[g][p] for p in keys[j]))
                 if k is None:
@@ -301,12 +331,15 @@ def enumerate_strata(document: InputDocument) -> Stratification:
                 if orbit_of[k] < 0:
                     orbit_of[k] = len(orbits)
                     members.append(k)
+                    row_g, inverse = action[g], inverse_rows[g]
+                    rows_of[k] = {
+                        tuple(map(row_g.__getitem__, map(r.__getitem__, inverse))) for r in rows
+                    }
+                    set_stabs[k] = weyl.subgroup(w for r in rows_of[k] for w in elements_of[r])
         orbits.append(tuple(sorted(members)))
 
     point_stabs = []
-    set_stabs = []
-    for s, key in zip(strata, keys):
-        ss = set_stabilizer(weyl, action, (key,))
+    for s, ss in zip(strata, set_stabs):
         ps = point_stabilizer(ss, s.rep)
         # integrality.j_graded spans from the covers only, which needs the
         # point stabilizer of each cover inside this one.
@@ -317,11 +350,11 @@ def enumerate_strata(document: InputDocument) -> Stratification:
                     f"stratum {s.index}, which covers it"
                 )
         point_stabs.append(ps)
-        set_stabs.append(ss)
 
     return Stratification(
         document=document,
         weyl=weyl,
+        symmetry_class=sclass,
         hyperplanes=hyperplanes,
         strata=tuple(strata),
         covers=covers,

@@ -126,10 +126,10 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
     if max_degree is not None and command not in ("verify", "molien"):
         raise InputError(f"--max-degree applies only to verify and molien, not to {command}")
     report: dict = {"command": command, "input": document.to_dict()}
-    sclass = symmetry_class(document.v_weights)
 
     if command == "validate":
         weyl = enumerate_group(document.weyl_generators, document.rank, document.group_cap)
+        sclass = symmetry_class(document.v_weights)
         report["symmetry_class"] = sclass.value
         report["warnings"] = warnings
         report["weyl_order"] = weyl.order
@@ -141,7 +141,9 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
         return report, EXIT_OK
 
     strat = enumerate_strata(document)
-    report["symmetry_class"] = sclass.value
+    report["symmetry_class"] = strat.symmetry_class.value
+    if warnings:
+        report["warnings"] = warnings
     report["strata_count"] = len(strat.strata)
     report["orbit_count"] = len(strat.orbits)
 

@@ -92,13 +92,16 @@ def enumerate_group(
     generators: Sequence[IntMatrix], rank: int, cap: int = DEFAULT_GROUP_CAP
 ) -> WeylGroup:
     """Breadth-first closure of the generators; errors out past the cap.
-    Each element costs one product per generator, and no inverse of an
-    element is computed.
+    Each element costs one product per generator, read off the generator's
+    nonzero entries, and no inverse of an element is computed.
 
     Right multiplication by an invertible generator g permutes a finite
     closure, so some element m has m * g = I, and m is g's integer inverse.
     A generator that no element inverts is not invertible over the integers."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
+    # (m * g)[r][c] sums m[r][i] * g[i][c] over the nonzero entries of column
+    # c only: one entry per column of a signed permutation.
+    columns = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*g)] for g in gens]
     one = identity(rank)
     reached_from: dict[IntMatrix, tuple[IntMatrix, int] | None] = {one: None}
     inverted: set[int] = set()
@@ -106,8 +109,8 @@ def enumerate_group(
     while frontier:
         new = []
         for m in frontier:
-            for k, g in enumerate(gens):
-                prod = mat_mul(m, g)
+            for k, cols in enumerate(columns):
+                prod = tuple(tuple(sum(row[i] * x for i, x in col) for col in cols) for row in m)
                 if prod == one:
                     inverted.add(k)
                 elif prod not in reached_from:

@@ -20,7 +20,7 @@ from cohint.arrangement import generic_points
 from cohint.cli import EXIT_INTERNAL, main
 from cohint.documents import document_from_dict
 from cohint.matrices import dot, hnf, int_inverse, int_kernel, mat_vec, transpose
-from cohint.weyl import char_action, point_stabilizer
+from cohint.weyl import char_action, permutation_action, point_stabilizer, set_stabilizer
 
 from conftest import CATALOG_INSTANCES, build, gl_document
 
@@ -63,7 +63,8 @@ class TestStratumCounts:
             assert strat.top.flat.basis == int_kernel(list(strat.hyperplanes), n)
 
     def test_brute_force_flat_count(self):
-        # oracle: distinct subspaces arising as intersections of hyperplane subsets
+        # oracle: distinct subspaces arising as intersections of hyperplane
+        # subsets, as HNF bases, against the flats, one per stratum
         for key in RANK_LE_3:
             _, strat = build(key)
             n = strat.document.rank
@@ -73,6 +74,7 @@ class TestStratumCounts:
                 for subset in itertools.combinations(hyps, size):
                     kernels.add(int_kernel(list(subset), n))
             assert len(kernels) == len(strat.strata), key
+            assert kernels == {s.flat.basis for s in strat.strata}, key
 
 
 class TestRepresentatives:
@@ -176,19 +178,18 @@ def assert_covers_are_the_hasse_diagram(strat):
     against the inclusion itself, both by brute force over all strata."""
     zero = [(frozenset(s.zero_v), frozenset(s.zero_g)) for s in strat.strata]
     count = len(zero)
-
-    def leq(a, b):
-        return zero[a][0] <= zero[b][0] and zero[a][1] <= zero[b][1]
-
+    below = [
+        {a for a in range(count) if zero[a][0] <= zero[b][0] and zero[a][1] <= zero[b][1]}
+        for b in range(count)
+    ]
     for b in range(count):
-        covered = tuple(
-            a for a in range(count)
-            if a != b and leq(a, b)
-            and not any(c not in (a, b) and leq(a, c) and leq(c, b) for c in range(count))
-        )
+        strictly = below[b] - {b}
+        covered = tuple(sorted(
+            a for a in strictly if not any(a in below[c] for c in strictly - {a})
+        ))
         assert strat.covers[b] == covered, b
         for a in range(count):
-            assert strat.leq(a, b) == leq(a, b), (a, b)
+            assert strat.leq(a, b) == (a in below[b]), (a, b)
 
 
 class TestGroupActionOnStrata:
@@ -222,39 +223,38 @@ def brute_force_orbits_and_stabilizers(strat):
     stabilizers from every element's action on the weights and cocharacters."""
     index_of = {s.flat.basis: s.index for s in strat.strata}
     cochar_matrices = contragredients(strat.weyl)
-    orbits = set()
+    zero = (0,) * strat.document.rank
+    orbits, reached = [], set()
     for s in strat.strata:
+        if s.index in reached:
+            continue
         images = {
             index_of[hnf([mat_vec(c, b) for b in s.flat.basis])] for c in cochar_matrices
         }
-        orbits.add(tuple(sorted(images)))
+        orbits.append(tuple(sorted(images)))
+        reached.update(images)
+    image = [{a: char_action(w, a) for a in strat.all_supports() + (zero,)}
+             for w in strat.weyl.elements]
     set_stabs, point_stabs = [], []
     for s in strat.strata:
         zero_v, zero_g = frozenset(s.zero_v), frozenset(s.zero_g)
         set_stabs.append(tuple(
-            w.index for w in strat.weyl.elements
-            if frozenset(char_action(w, a) for a in zero_v) == zero_v
-            and frozenset(char_action(w, a) for a in zero_g) == zero_g
+            w for w, moved in enumerate(image)
+            if frozenset(moved[a] for a in zero_v) == zero_v
+            and frozenset(moved[a] for a in zero_g) == zero_g
         ))
         point_stabs.append(scanned_point_stabilizer(cochar_matrices, s.rep))
     return sorted(orbits), set_stabs, point_stabs
 
 
-@pytest.mark.parametrize(
-    "spec, counts",
-    [(("adjoint", 1, 0), (15, 5)), (("cotangent", 1, 1), (52, 12))],
-    ids=["adjoint", "cotangent"],
-)
-class TestGl4PermutationAction:
-    """gl4 with the adjoint has the set partitions of 4 points as strata
-    (Bell number 15) and the partitions of 4 as orbits (5); on C^4 + (C^4)*
-    it has the set partitions of 5 points (52) and sum_{k<=4} p(k) = 12
-    orbits."""
+class PermutationActionChecks:
+    """Strata of gl_rank acting by its adjoint, or on C^rank + (C^rank)*
+    plus a zero weight, against their closed-form counts and brute force."""
 
-    @staticmethod
-    def stratify(spec):
-        doc = document_from_dict(gl_document(4, *spec))
-        return enumerate_strata(doc)
+    rank = 0
+
+    def stratify(self, spec):
+        return enumerate_strata(document_from_dict(gl_document(self.rank, *spec)))
 
     def test_closed_form_counts(self, spec, counts):
         strat = self.stratify(spec)
@@ -271,6 +271,31 @@ class TestGl4PermutationAction:
 
     def test_covers_are_the_hasse_diagram(self, spec, counts):
         assert_covers_are_the_hasse_diagram(self.stratify(spec))
+
+
+@pytest.mark.parametrize(
+    "spec, counts",
+    [(("adjoint", 1, 0), (15, 5)), (("cotangent", 1, 1), (52, 12))],
+    ids=["adjoint", "cotangent"],
+)
+class TestGl4PermutationAction(PermutationActionChecks):
+    """gl4 with the adjoint has the set partitions of 4 points as strata
+    (Bell number 15) and the partitions of 4 as orbits (5); on C^4 + (C^4)*
+    it has the set partitions of 5 points (52) and sum_{k<=4} p(k) = 12
+    orbits."""
+
+    rank = 4
+
+
+@pytest.mark.parametrize(
+    "spec, counts",
+    [(("adjoint", 1, 0), (52, 7)), (("cotangent", 1, 1), (203, 19))],
+    ids=["adjoint", "cotangent"],
+)
+class TestGl5PermutationAction(PermutationActionChecks):
+    """gl5: Bell numbers 52 and 203, p(5) = 7 and sum_{k<=5} p(k) = 19."""
+
+    rank = 5
 
 
 def contragredients(weyl):
@@ -336,6 +361,69 @@ class TestPointStabilizerOracle:
             "the point stabilizer of stratum 0 is not inside that of stratum 1, which covers it"
         )
         assert searched == [2, 1]
+
+
+# -I fixes every weight: its row and the identity's are one row.
+MINUS_IDENTITY = {
+    "name": "minus-identity",
+    "rank": 2,
+    "weyl_generators": [[[-1, 0], [0, -1]]],
+    "g_weights": [{"alpha": [0, 0], "multiplicity": 2}],
+    "v_weights": [],
+}
+
+# gl2 times a torus, on C^2 + (C^2)*: the swap of the first two coordinates
+# permutes the strata x1 = 0 and x2 = 0, and diag(1, 1, -1) fixes every
+# weight, so the stabilizer reached along that orbit maps one row to two
+# elements.
+SWAP_AND_HIDDEN_SIGN = {
+    "name": "swap-and-hidden-sign",
+    "rank": 3,
+    "weyl_generators": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]],
+    "g_weights": [{"alpha": [0, 0, 0], "multiplicity": 3},
+                  {"alpha": [1, -1, 0], "multiplicity": 1},
+                  {"alpha": [-1, 1, 0], "multiplicity": 1}],
+    "v_weights": [{"alpha": a, "multiplicity": 1}
+                  for a in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])],
+}
+
+
+class TestSetStabilizerOracle:
+    """Each set stabilizer, scanned for an orbit's first stratum and
+    conjugated along the orbit otherwise, against a set_stabilizer scan of
+    the whole group."""
+
+    @staticmethod
+    def assert_scans_agree(strat):
+        doc = strat.document
+        points = sorted(set(doc.v_weights.supports()) | set(doc.g_weights.supports()))
+        index = {p: i for i, p in enumerate(points)}
+        action = permutation_action(strat.weyl, points)
+        for s in strat.strata:
+            zero_sets = ([index[w] for w in s.zero_v], [index[w] for w in s.zero_g])
+            assert strat.set_stabilizers[s.index] == set_stabilizer(
+                strat.weyl, action, zero_sets), s.index
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_catalog(self, key):
+        self.assert_scans_agree(build(key)[1])
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
+    def test_gl(self, n, kind):
+        self.assert_scans_agree(enumerate_strata(document_from_dict(gl_document(n, kind, 1, 0))))
+
+    def test_minus_identity_maps_one_row_to_two_elements(self):
+        strat = enumerate_strata(document_from_dict(MINUS_IDENTITY))
+        assert strat.set_stabilizers[0].order == 2
+        self.assert_scans_agree(strat)
+
+    def test_conjugated_row_maps_to_two_elements(self):
+        strat = enumerate_strata(document_from_dict(SWAP_AND_HIDDEN_SIGN))
+        assert [len(orbit) for orbit in strat.orbits] == [1, 2, 1, 1]
+        moved = strat.orbits[1][1]
+        assert strat.set_stabilizers[moved].order == 2
+        self.assert_scans_agree(strat)
 
 
 class TestStabilizers:
@@ -453,20 +541,20 @@ class TestLocatedStrataErrors:
 
     def test_unique_maximum_names_the_maximal_strata(self, monkeypatch):
         # adjoint:gl3 has three hyperplanes meeting in the line (1, 1, 1).  Cut
-        # from the first hyperplane's plane, the line comes back as 2 * (1, 1, 1):
-        # a second flat on which every hyperplane vanishes, so two strata are
-        # maximal.
+        # from the first hyperplane's plane, the line comes back with a fourth,
+        # absent hyperplane in its incidence set: a second flat on which every
+        # hyperplane vanishes, so two strata are maximal.
         strat = self.strata_of("adjoint:gl3")
-        first = strat.hyperplanes[0]
-        kernel = arrangement.int_kernel
+        absent = len(strat.hyperplanes)
+        restrict = arrangement.restrict_arrangement
 
-        def doubled(rows, n):
-            basis = kernel(rows, n)
-            if len(rows) == 2 and tuple(rows[0]) == first:
-                return tuple(tuple(2 * c for c in row) for row in basis)
-            return basis
+        def padded(basis, hyperplanes, incident):
+            cuts = restrict(basis, hyperplanes, incident)
+            if incident == {0}:
+                return {r: group + [absent] for r, group in cuts.items()}
+            return cuts
 
-        monkeypatch.setattr(arrangement, "int_kernel", doubled)
+        monkeypatch.setattr(arrangement, "restrict_arrangement", padded)
         count = len(strat.strata)
         with pytest.raises(InternalCheckError, match=(
             rf"^the stratum order has maximal strata \[{count - 1}, {count}\], not one$"

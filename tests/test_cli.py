@@ -457,6 +457,56 @@ class TestMain:
         assert main([*argv, *group_cap, *degree]) == EXIT_OK
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "strata", "bps", "verify", "molien"])
+    def test_multiplicity_warnings_on_every_report(self, command, tmp_path, capsys):
+        # the adjoint of gl2 with its roots doubled, in g and in V alike
+        weights = [{"alpha": [0, 0], "multiplicity": 2},
+                   {"alpha": [1, -1], "multiplicity": 2},
+                   {"alpha": [-1, 1], "multiplicity": 2}]
+        path = tmp_path / "doubled-roots.json"
+        path.write_text(json.dumps({**GL2_DOC, "g_weights": weights, "v_weights": weights}))
+        argv = [command, "--input", str(path)]
+        if command in ("verify", "molien"):
+            argv += ["--max-degree", "2"]
+        warnings = [
+            f"nonzero adjoint weight {w} has multiplicity 2; "
+            "formulas remain well-defined but the data is unusual"
+            for w in ((-1, 1), (1, -1))
+        ]
+        assert main(argv) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["warnings"] == warnings
+        keys = list(report)
+        assert keys[keys.index("symmetry_class") + 1] == "warnings"
+        assert main([*argv, "--format", "text"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("warning: ")] == [
+            f"warning: {w}" for w in warnings
+        ]
+
+    @pytest.mark.parametrize("command", ["strata", "bps", "verify", "molien"])
+    def test_no_warnings_key_without_warnings(self, command):
+        degree = {"max_degree": 2} if command in ("verify", "molien") else {}
+        report, _ = run(command, catalog_emit("gl2-cotangent"), **degree)
+        assert "warnings" not in report
+
+    @pytest.mark.parametrize("command", ["validate", "strata", "verify"])
+    def test_each_report_classifies_v_once(self, command, monkeypatch, capsys):
+        from cohint import arrangement, cli, lattice
+
+        calls = []
+        symmetry_class = lattice.symmetry_class
+
+        def counting(v_weights):
+            calls.append(v_weights)
+            return symmetry_class(v_weights)
+
+        for module in (lattice, arrangement, cli):
+            monkeypatch.setattr(module, "symmetry_class", counting)
+        degree = ["--max-degree", "2"] if command == "verify" else []
+        assert main([command, "--catalog", "gl2-cotangent", *degree]) == EXIT_OK
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "flag,argv",
         [

@@ -14,7 +14,7 @@ from cohint import (
 )
 from cohint.documents import document_from_dict
 from cohint.matrices import identity, int_inverse, mat_mul, mat_vec, transpose
-from cohint.weyl import char_action, permutation_action
+from cohint.weyl import WeylGroup, char_action, permutation_action
 
 from conftest import CATALOG_INSTANCES, build, gl_document
 
@@ -86,6 +86,29 @@ class TestEnumerateGroup:
             assert group.product(w.index, index[int_inverse(w.matrix)]) == group.identity_index
             for j in range(n):
                 assert 0 <= group.product(w.index, j) < n
+
+    def test_dense_generator_matches_a_mat_mul_closure(self):
+        # adjoint:sl3's generator ((1, -1), (0, -1)) has the column (-1, -1),
+        # with two nonzero entries
+        gens = build("adjoint:sl3")[0].weyl_generators
+        assert any(sum(1 for x in col if x) == 2 for g in gens for col in zip(*g))
+        one = identity(2)
+        reached_from = {one: None}
+        frontier = [one]
+        while frontier:
+            new = []
+            for m in frontier:
+                for k, g in enumerate(gens):
+                    prod = mat_mul(m, g)
+                    if prod not in reached_from:
+                        reached_from[prod] = (m, k)
+                        new.append(prod)
+            frontier = new
+        expected = WeylGroup(reached_from, 2, gens)
+        group = enumerate_group(gens, 2)
+        assert group.order == 6
+        assert group.elements == expected.elements
+        assert group.closure == expected.closure
 
     def test_element_order_is_by_matrix_entries(self):
         group = enumerate_group((SWAP,), 2)
