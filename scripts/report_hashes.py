@@ -17,10 +17,11 @@ The set:
   adjoint and on C^n + (C^n)*, for n = 3, 4, 5, through ``--input``;
 - ``verify --max-degree 8``, ``bps`` and ``bps --orbit 1`` on the two n = 3
   documents;
-- ``validate`` and ``strata``, each in JSON and in text, on nine malformed
+- ``validate`` and ``strata``, each in JSON and in text, on eleven malformed
   ``--input`` documents: one per lattice rule of validation, an infinite
-  group under a cap of 50, and one that validates with a multiplicity
-  warning (36 reports, 360 in all).
+  group under a cap of 50 (twice: once generated by a shear, once by two
+  reflections in the same root), and one that validates with a
+  multiplicity warning (44 reports, 368 in all).
 
 The output is one JSON object ``{argv: [exit code, sha256]}``; an ``--input``
 argv names its document instead of the temporary file it was read from.
@@ -112,6 +113,13 @@ def malformed_documents() -> list[dict]:
         },
         "multiplicity-warning": {
             "g_weights": [zero, *({**r, "multiplicity": 2} for r in roots)],
+        },
+        "no-root-reflection": {"g_weights": [zero]},
+        "root-reflection-infinite-group": {
+            "weyl_generators": [[[-1, 0], [0, 1]], [[-1, -2], [0, 1]]],
+            "g_weights": [zero, {"alpha": [1, 0]}, {"alpha": [-1, 0]}],
+            "v_weights": [],
+            "options": {"group_cap": 50},
         },
     }
     return [

@@ -163,27 +163,6 @@ def with_representative(strat: Stratification, stratum: Stratum, rep: Cocharacte
     return dataclasses.replace(stratum, rep=rep, dims=dims)
 
 
-def generic_points(supports, n: int, count: int):
-    """Deterministic rational points (1, t, t^2, ...) for t = 2, 3, ...
-    avoiding all the given weight hyperplanes; used for evaluation oracles.
-    Each nonzero support vanishes at no more than n - 1 values of t, which
-    bounds the search."""
-    supports = [u for u in supports if any(u)]
-    bound = 2 + count + (n - 1) * len(supports)
-    points = []
-    t = 2
-    while len(points) < count:
-        if t == bound:
-            raise InternalCheckError(
-                f"found {len(points)} of {count} generic points avoiding the supports {supports}"
-            )
-        pt = tuple(t**i for i in range(n))
-        if all(dot(pt, u) != 0 for u in supports):
-            points.append(pt)
-        t += 1
-    return tuple(points)
-
-
 def restrict_arrangement(
     basis: IntMatrix, hyperplanes: Sequence[Weight], incident: frozenset[int]
 ) -> dict[Weight, list[int]]:

@@ -7,8 +7,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .lattice import DEFAULT_GROUP_CAP, WeightMultiset
-from .matrices import IntMatrix, int_inverse
+from .lattice import DEFAULT_GROUP_CAP, Weight, WeightMultiset, ray
+from .matrices import IntMatrix, identity, int_inverse, mat_mul
 
 # The largest degree verify and molien accept, from --max-degree or from
 # options.max_degree.  Both build their series and graded spaces degree by
@@ -53,6 +53,10 @@ class InputDocument:
             )
         if self.g_weights.negated() != self.g_weights:
             raise InputError("g_weights must equal their negation as a multiset")
+        roots = {ray(w)[0] for w in self.g_weights.nonzero_supports()}
+        for k, gen in enumerate(self.weyl_generators):
+            if _reflection_ray(gen) not in roots:
+                raise InputError(f"weyl_generators[{k}] is not the reflection in a root of g_weights")
         self._check_weights("v_weights", self.v_weights)
         return [
             f"nonzero adjoint weight {w} has multiplicity {m}; "
@@ -85,6 +89,18 @@ class InputDocument:
         if self.max_degree is not None:
             doc["options"]["max_degree"] = self.max_degree
         return doc
+
+
+def _reflection_ray(gen: IntMatrix) -> Weight | None:
+    """The ray of the columns of gen - I when gen is a reflection: gen^2 = I
+    and every nonzero column of gen - I lies on that one ray.  None otherwise,
+    the identity included."""
+    n = len(gen)
+    if mat_mul(gen, gen) != identity(n):
+        return None
+    columns = (tuple(gen[i][j] - (i == j) for i in range(n)) for j in range(n))
+    rays = {ray(c)[0] for c in columns if any(c)}
+    return rays.pop() if len(rays) == 1 else None
 
 
 def _require(cond: bool, location: str, message: str) -> None:

@@ -88,16 +88,6 @@ class Poly:
     def coefficient_vector(self, monomials: Sequence[Exponents]) -> tuple[Coefficient, ...]:
         return tuple(self.terms.get(m, 0) for m in monomials)
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= Fraction(x) ** k
-            total += v
-        return total
-
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
         acc = dict(self.terms)
@@ -301,14 +291,6 @@ class KernelForm:
     def degree(self) -> int:
         return len(self.numerator) - len(self.denominator)
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        value = Fraction(1)
-        for a in self.numerator:
-            value *= Fraction(sum(x * y for x, y in zip(a, point)))
-        for b in self.denominator:
-            value /= Fraction(sum(x * y for x, y in zip(b, point)))
-        return value
-
     def transformed(self, w: WeylElement) -> "KernelForm":
         return KernelForm(
             tuple(mat_vec(w.matrix, a) for a in self.numerator),
@@ -463,17 +445,10 @@ def _dual(f: Poly, b: QMatrix, monomials: Sequence[Exponents]) -> tuple[Coeffici
     )
 
 
-def poly_inner(f: Poly, g: Poly, b: QMatrix) -> Fraction:
-    """The inner product f(b.d)g induced from the symmetric form b on linear
-    forms: sum_e (f o b)_e * e! * g_e.  On monomials it is the permanent of b
-    over the factors of the two monomials; different degrees pair to 0."""
-    monomials = tuple(g.terms)
-    return Fraction(dot(_dual(f, b, monomials), g.coefficient_vector(monomials)))
-
-
 def orthogonal_complement(sub: GradedBasis, ambient: GradedBasis, b: QMatrix) -> GradedBasis:
-    """Complement of sub inside ambient, orthogonal for poly_inner under b:
-    the combinations of ambient rows that every sub row's dual vector kills."""
+    """Complement of sub inside ambient, orthogonal for the inner product
+    f(b.d)g that b induces: the combinations of ambient rows that every sub
+    row's dual vector (see _dual) kills."""
     sub_polys = sub.polys()
     if any(ambient.coordinates(f) is None for f in sub_polys):
         raise InputError("sub basis is not contained in the ambient space")

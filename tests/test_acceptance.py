@@ -9,13 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from cohint import Poly, invariant_basis, substitute
+from cohint import Poly, enumerate_strata, invariant_basis, substitute
 from cohint import integrality as I
-from cohint.arrangement import generic_points
+from cohint.documents import document_from_dict
 from cohint.matrices import identity, rref
 from cohint.weyl import point_stabilizer
 
-from conftest import bps_spaces, build, verify_all
+from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document, verify_all
+from reference import evaluate, evaluate_kernel, generic_points
 from test_integrality import _j_dim_by_image_intersection
 
 ALL_KEYS = (
@@ -312,12 +313,22 @@ class TestPropertySuite:
         )
 
     def test_epsilon_multiplicative_signs(self):
-        for key in ALL_KEYS:
-            _, strat = build(key)
+        strats = [build(key)[1] for key in sorted(set(ALL_KEYS) | set(CATALOG_INSTANCES))]
+        strats += [
+            enumerate_strata(document_from_dict(gl_document(n, kind, 1, 0)))
+            for n in (3, 4) for kind in ("adjoint", "cotangent")
+        ]
+        ok = True
+        for strat in strats:
             for s in strat.orbit_representatives():
-                eps = I.epsilon(strat, s)  # multiplicativity asserted inside
-                assert all(v in (Fraction(1), Fraction(-1)) for v in eps.values())
-        check("property: kernel characters are multiplicative signs", True)
+                eps = I.epsilon(strat, s)
+                members = strat.set_stabilizers[s.index].members
+                ok = ok and all(eps[i] in (Fraction(1), Fraction(-1)) for i in members)
+                ok = ok and all(
+                    eps[strat.weyl.product(a, b)] == eps[a] * eps[b]
+                    for a in members for b in members
+                )
+        check("property: kernel characters are multiplicative signs", ok)
 
     def test_twisted_equivariance(self):
         for key in ALL_KEYS:
@@ -373,6 +384,7 @@ class TestPropertySuite:
             for pt in generic_points(strat.all_supports(), n, 5):
                 direct = Fraction(0)
                 for w in cosets:
-                    direct += substitute(w, f).evaluate(pt) * form.transformed(w).evaluate(pt)
-                assert out.evaluate(pt) == direct
+                    moved = evaluate_kernel(form.transformed(w), pt)
+                    direct += evaluate(substitute(w, f), pt) * moved
+                assert evaluate(out, pt) == direct
         check("property: kernel sums match rational evaluation at 5 points", True)

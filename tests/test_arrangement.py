@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 
@@ -16,13 +17,13 @@ from cohint import (
     representative_cocharacter,
     with_representative,
 )
-from cohint.arrangement import generic_points
-from cohint.cli import EXIT_INTERNAL, main
+from cohint.cli import EXIT_VALIDATION, main
 from cohint.documents import document_from_dict
 from cohint.matrices import dot, hnf, int_inverse, int_kernel, mat_vec, transpose
 from cohint.weyl import char_action, permutation_action, point_stabilizer, set_stabilizer
 
 from conftest import CATALOG_INSTANCES, build, gl_document
+from reference import generic_points
 
 RANK_LE_3 = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:4", "trivial:sl3", "adjoint:gl3")
 
@@ -311,6 +312,8 @@ def scanned_point_stabilizer(cochar_matrices, lam):
 # The swap of two coordinates with V = +/-(1, 1) and no roots: the generic
 # representative (1, 1) is fixed by the swap, the one of the flat
 # x1 + x2 = 0 is not, so the cover edge between them fails its check.
+# Validation rejects the document, since the swap is not the reflection in
+# a root; enumerate_strata, which does not validate, reaches the edge.
 SWAP_WITHOUT_ROOTS = {
     "name": "swap-without-roots",
     "rank": 2,
@@ -353,14 +356,17 @@ class TestPointStabilizerOracle:
             return found
 
         monkeypatch.setattr(arrangement, "point_stabilizer", checked)
+        with pytest.raises(InternalCheckError, match=(
+            "^the point stabilizer of stratum 0 is not inside that of stratum 1, which covers it$"
+        )):
+            enumerate_strata(document_from_dict(SWAP_WITHOUT_ROOTS))
+        assert searched == [2, 1]
+        # The swap is not the reflection in a root, so validation stops the CLI first.
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(SWAP_WITHOUT_ROOTS))
-        assert main(["strata", "--input", str(path)]) == EXIT_INTERNAL
+        assert main(["strata", "--input", str(path)]) == EXIT_VALIDATION
         report = json.loads(capsys.readouterr().out)
-        assert report["error"] == (
-            "the point stabilizer of stratum 0 is not inside that of stratum 1, which covers it"
-        )
-        assert searched == [2, 1]
+        assert report["error"] == "weyl_generators[0] is not the reflection in a root of g_weights"
 
 
 # -I fixes every weight: its row and the identity's are one row.
@@ -502,7 +508,46 @@ class TestAlignRepresentative:
         assert with_representative(gl2_strat, axis, nu).rep == nu
 
 
+def determinant(m) -> int:
+    """The Leibniz expansion; the empty matrix has determinant 1."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        total += (-1) ** inversions * math.prod(row[c] for row, c in zip(m, perm))
+    return total
+
+
+def maximal_minors_gcd(basis, n: int) -> int:
+    """The gcd of the k x k minors of a k x n matrix: 1 exactly when its rows
+    span a saturated sublattice of Z^n."""
+    return math.gcd(*(
+        determinant([[row[c] for c in columns] for row in basis])
+        for columns in itertools.combinations(range(n), len(basis))
+    ))
+
+
 class TestFlatCanonicalization:
+    @staticmethod
+    def assert_flats_saturated(strat):
+        for s in strat.strata:
+            assert maximal_minors_gcd(s.flat.basis, strat.document.rank) == 1, s.index
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_catalog_flats_are_saturated(self, key):
+        self.assert_flats_saturated(build(key)[1])
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
+    def test_gl_flats_are_saturated(self, n, kind):
+        doc = document_from_dict(gl_document(n, kind, 1, 0))
+        self.assert_flats_saturated(enumerate_strata(doc))
+
+    def test_minors_gcd(self):
+        assert maximal_minors_gcd(((2, 4),), 2) == 2
+        assert maximal_minors_gcd(((1, 1, 0), (0, 2, 1)), 3) == 1
+        assert maximal_minors_gcd(((1, 1), (1, -1)), 2) == 2
+        assert maximal_minors_gcd((), 3) == 1
+
     def test_hnf_identity(self):
         assert hnf([[2, 0], [0, 2], [1, 1]]) == ((1, 1), (0, 2))
 

@@ -93,15 +93,43 @@ class TestParseInput:
             run("validate", parse_input(json.dumps(bad)))
 
     def test_infinite_group(self):
+        # two reflections in the root (1, 0) whose product is a shear
         bad = json.loads(json.dumps(GL2_DOC))
-        bad["weyl_generators"] = [[[1, 1], [0, 1]]]
-        bad["g_weights"] = [{"alpha": [0, 0], "multiplicity": 2}]
+        bad["weyl_generators"] = [[[-1, 0], [0, 1]], [[-1, -2], [0, 1]]]
+        bad["g_weights"] = [{"alpha": [0, 0], "multiplicity": 2},
+                            {"alpha": [1, 0], "multiplicity": 1},
+                            {"alpha": [-1, 0], "multiplicity": 1}]
         bad["v_weights"] = []
         bad["options"] = {"group_cap": 50}
         with pytest.raises(InputError, match="not finite"):
             run("validate", parse_input(json.dumps(bad)))
         with pytest.raises(InputError, match="not finite"):
             run("strata", parse_input(json.dumps(bad)))
+
+    @pytest.mark.parametrize("rank,generator,g_weights", [
+        (2, [[1, 1], [0, 1]], [[0, 0]]),  # a shear
+        (2, [[-1, 0], [0, -1]], [[0, 0]]),  # -I
+        (2, [[0, -1], [1, 0]], [[0, 0]]),  # the rotation by 90 degrees
+        (2, [[0, 1], [1, 0]], [[0, 0]]),  # the swap, with the roots removed
+        (2, [[0, 1], [1, 0]], [[0, 0], [1, 1], [-1, -1]]),  # the swap, another root
+        (4, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [[0] * 4]),  # (12)(34)
+        (3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0] * 3]),  # a 3-cycle
+        (2, [[1, 0], [0, 1]], [[0, 0], [1, -1], [-1, 1]]),  # the identity
+    ])
+    def test_generator_not_a_root_reflection(self, rank, generator, g_weights):
+        zero = [0] * rank
+        doc = {
+            "rank": rank,
+            "weyl_generators": [generator],
+            "g_weights": [{"alpha": w, "multiplicity": rank if w == zero else 1}
+                          for w in g_weights],
+            "v_weights": [{"alpha": [s * int(i == k) for i in range(rank)]}
+                          for k in range(rank) for s in (1, -1)],
+        }
+        with pytest.raises(InputError, match=(
+            r"^weyl_generators\[0\] is not the reflection in a root of g_weights$"
+        )):
+            run("validate", parse_input(json.dumps(doc)))
 
     def test_not_weakly_symmetric_parses(self):
         doc = json.loads(json.dumps(GL2_DOC))

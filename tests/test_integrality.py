@@ -15,7 +15,6 @@ from cohint import (
     with_representative,
 )
 from cohint import integrality as I
-from cohint.arrangement import generic_points
 from cohint.documents import document_from_dict
 from cohint import polyalg
 from cohint.polyalg import ExactDivisionError, KernelForm, kernel_sum, monomials_of_degree
@@ -23,6 +22,7 @@ from cohint.matrices import int_inverse, restrict_action, transpose
 from cohint.weyl import molien_coefficients, point_stabilizer
 
 from conftest import bps_spaces, build, gl_document
+from reference import evaluate, evaluate_kernel, generic_points
 
 # The fixed catalog keys, and one instance of each parametrised family.
 CATALOG_KEYS = tuple(k for k in catalog_keys() if "<" not in k) + (
@@ -42,7 +42,7 @@ def unit_forms(n):
 
 
 def kernel_as_function(form, point):
-    return form.evaluate(point)
+    return evaluate_kernel(form, point)
 
 
 class TestKernel:
@@ -192,8 +192,8 @@ class TestInduct:
         for pt in generic_points(gl2_strat.all_supports(), 2, 5):
             direct = Fraction(0)
             for w in gl2_strat.weyl.elements:
-                direct += substitute(w, f).evaluate(pt) * form.transformed(w).evaluate(pt)
-            assert out.evaluate(pt) == direct
+                direct += evaluate(substitute(w, f), pt) * evaluate_kernel(form.transformed(w), pt)
+            assert evaluate(out, pt) == direct
 
 
 class TestEpsilon:
@@ -243,7 +243,7 @@ class TestEpsilon:
                 for idx, value in eps.items():
                     moved = form.transformed(strat.weyl.elements[idx])
                     for pt in points:
-                        assert form.evaluate(pt) / moved.evaluate(pt) == value
+                        assert evaluate_kernel(form, pt) / evaluate_kernel(moved, pt) == value
 
     def test_ratio_equal_at_both_generic_points_but_not_constant(self, monkeypatch):
         # k * 6 x1^2 / (x2 (5 x1 - x2)) agrees with k at (1, 2) and (1, 3),
@@ -253,7 +253,7 @@ class TestEpsilon:
         generic = strat.strata[0]
         assert generic_points(strat.all_supports(), 2, 2) == ((1, 2), (1, 3))
         extra = KernelForm(((6, 0), (1, 0)), ((0, 1), (5, -1)))
-        assert [extra.evaluate(pt) for pt in ((1, 2), (1, 3))] == [1, 1]
+        assert [evaluate_kernel(extra, pt) for pt in ((1, 2), (1, 3))] == [1, 1]
         monkeypatch.setattr(KernelForm, "transformed", lambda self, w: KernelForm(
             self.numerator + extra.numerator, self.denominator + extra.denominator))
         first = strat.set_stabilizers[generic.index].members[0]

@@ -27,11 +27,11 @@ from cohint.polyalg import (
     average_over,
     coset_sum,
     monomials_of_degree,
-    poly_inner,
 )
 from cohint.weyl import averaged_form
 
 from conftest import build, is_monomial_matrix
+from reference import evaluate, evaluate_kernel, poly_inner
 
 SWAP = ((0, 1), (1, 0))
 S2 = enumerate_group((SWAP,), 2)
@@ -89,7 +89,7 @@ class TestPolyBasics:
 
     def test_evaluate(self):
         f = x(0) ** 2 + x(1).scaled(3)
-        assert f.evaluate((2, 5)) == 19
+        assert evaluate(f, (2, 5)) == 19
 
     def test_monomials_order(self):
         assert monomials_of_degree(2, 2) == ((2, 0), (1, 1), (0, 2))
@@ -132,7 +132,7 @@ class TestApplyLinearMap:
         image = apply_linear_map(f, matrix)
         for point in points:
             moved = mat_vec(tuple(zip(*matrix)), point)
-            assert image.evaluate(point) == f.evaluate(moved)
+            assert evaluate(image, point) == evaluate(f, moved)
 
     def test_every_gl3_element_moves_exponents(self, monkeypatch):
         gl3 = build("adjoint:gl3")[1].weyl
@@ -359,10 +359,11 @@ def assert_matches_direct_sum(f, k, cosets, count=6):
         t += 1
     for pt in points:
         direct = sum(
-            (substitute(w, f).evaluate(pt) * k.transformed(w).evaluate(pt) for w in cosets),
+            (evaluate(substitute(w, f), pt) * evaluate_kernel(k.transformed(w), pt)
+             for w in cosets),
             Fraction(0),
         )
-        assert result.evaluate(pt) == direct
+        assert evaluate(result, pt) == direct
 
 
 class TestRrefSpan:

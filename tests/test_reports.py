@@ -10,7 +10,10 @@ and induction data were memoised on the stratification; they pin every DT
 table, kernel character and ledger row.  The ``validate`` and error hashes
 were recorded while the parser still validated every document and enumerated
 its group; they pin the reported Weyl group orders, warnings and the error
-that a document failing several checks reports.
+that a document failing several checks reports.  The four error hashes of
+the two shear documents were re-recorded when validation began to require every Weyl
+generator to be the reflection in a root; the group-cap error they pinned
+before is pinned by the root-reflection infinite group, unchanged.
 """
 
 import hashlib
@@ -240,8 +243,11 @@ def _gl2_edited(**fields) -> dict:
     return doc
 
 
-# Documents that fail validation; the shear generates an infinite group.  The
-# last one also fails weak symmetry, and reports the infinite group.
+# Documents that fail validation.  The shear would generate an infinite
+# group, but it is not the reflection in a root, which validation reports
+# first; the second shear document also fails weak symmetry, and reports the
+# shear.  Two reflections in the same root generate an infinite group, which
+# fails at the cap.
 ERROR_DOCUMENTS = {
     "infinite-group": _gl2_edited(
         weyl_generators=[[[1, 1], [0, 1]]],
@@ -255,6 +261,13 @@ ERROR_DOCUMENTS = {
         v_weights=[{"alpha": [1, 0], "multiplicity": 1}],
         options={"group_cap": 50},
     ),
+    "root-reflection-infinite-group": _gl2_edited(
+        weyl_generators=[[[-1, 0], [0, 1]], [[-1, -2], [0, 1]]],
+        g_weights=[{"alpha": [0, 0], "multiplicity": 2},
+                   {"alpha": [1, 0], "multiplicity": 1}, {"alpha": [-1, 0], "multiplicity": 1}],
+        v_weights=[],
+        options={"group_cap": 50},
+    ),
     "non-invertible-generator": _gl2_edited(weyl_generators=[[[2, 0], [0, 1]]]),
     "unstable-v-weights": _gl2_edited(
         v_weights=[{"alpha": [1, 0], "multiplicity": 1}, {"alpha": [-1, 0], "multiplicity": 1}],
@@ -264,12 +277,16 @@ ERROR_DOCUMENTS = {
 # Error reports of (command, document) above, all with exit code 1.
 ERROR_REPORTS = {
     ("strata", "infinite-group"):
-        "a623200219abf2374bed3ca85922de2ee1fec1a1abf25c52fc9dbf1d4ad8736e",
+        "aa21c1e09d7541a1cde3bc85fc7460e4bf165f63b367bdb74ce834b55ce6549a",
     ("validate", "infinite-group"):
-        "a623200219abf2374bed3ca85922de2ee1fec1a1abf25c52fc9dbf1d4ad8736e",
+        "aa21c1e09d7541a1cde3bc85fc7460e4bf165f63b367bdb74ce834b55ce6549a",
     ("strata", "infinite-group-not-weakly-symmetric"):
-        "a623200219abf2374bed3ca85922de2ee1fec1a1abf25c52fc9dbf1d4ad8736e",
+        "aa21c1e09d7541a1cde3bc85fc7460e4bf165f63b367bdb74ce834b55ce6549a",
     ("validate", "infinite-group-not-weakly-symmetric"):
+        "aa21c1e09d7541a1cde3bc85fc7460e4bf165f63b367bdb74ce834b55ce6549a",
+    ("strata", "root-reflection-infinite-group"):
+        "a623200219abf2374bed3ca85922de2ee1fec1a1abf25c52fc9dbf1d4ad8736e",
+    ("validate", "root-reflection-infinite-group"):
         "a623200219abf2374bed3ca85922de2ee1fec1a1abf25c52fc9dbf1d4ad8736e",
     ("strata", "non-invertible-generator"):
         "b62a1935e4acb423c6a9a795faae237d6e190fceefac43857eceb913a6daefd5",
