@@ -1,11 +1,17 @@
 """Exact sparse multivariate polynomial algebra over Q.
 
-Polynomials are dictionaries from exponent tuples to nonzero exact rationals,
-each an int or a Fraction: the two compare and hash alike by value, so a
-coefficient's type never changes an equality, a key or a report.  Kernel sums
-run over ints (see kernel_sum).  The monomial order is graded lexicographic
-with x1 > x2 > ..., fixed globally so row-echelon bases and their pivots are
-reproducible.
+Polynomials are dictionaries from packed monomial keys to nonzero exact
+rationals, each an int or a Fraction: the two compare and hash alike by value,
+so a coefficient's type never changes an equality, a key or a report.  Kernel
+sums run over ints (see kernel_sum).
+
+The key of x1^e1 ... xn^en is deg << B*n | e1 << B*(n-1) | ... | en with
+deg = e1 + ... + en, a packed exponent vector (Monagan and Pearce, CASC 2007):
+multiplying two monomials adds their keys.  With the degree in the top field,
+integer order on keys is the graded lexicographic order with x1 > x2 > ...,
+fixed globally so row-echelon bases and their pivots are reproducible.  No
+exponent exceeds the degree, so the fields stay apart while the degree is
+below 2^B; pack and Poly.__mul__ raise InternalCheckError past that.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
-from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalCheckError
@@ -35,17 +40,43 @@ from .weyl import Subgroup, WeylElement
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction
 
+B = 16
+MASK = (1 << B) - 1
+
+
+def pack(exps: Sequence[int]) -> int:
+    """The key of the monomial with these exponents."""
+    degree = key = sum(exps)
+    for k in exps:
+        key = key << B | k
+    # a negative exponent leaves a negative key, and one of 2^B or more a
+    # degree of 2^B or more
+    if key < 0 or degree >> B:
+        raise InternalCheckError(f"exponents {tuple(exps)} do not fit {B}-bit fields")
+    return key
+
+
+def unpack(key: int, nvars: int) -> Exponents:
+    """The exponents of the monomial in nvars variables with this key."""
+    return tuple(key >> B * (nvars - 1 - i) & MASK for i in range(nvars))
+
+
+def _unit(nvars: int, i: int) -> int:
+    """The key of the i-th variable: adding it raises that exponent by one."""
+    return 1 << B * nvars | 1 << B * (nvars - 1 - i)
+
 
 class ExactDivisionError(ArithmeticError):
     """A polynomial was not divisible by the given linear form."""
 
 
 class Poly:
-    """Sparse polynomial with exact rational coefficients."""
+    """Sparse polynomial with exact rational coefficients, keyed by packed
+    monomial keys (see pack)."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Exponents, Coefficient]):
+    def __init__(self, nvars: int, terms: dict[int, Coefficient]):
         self.nvars = nvars
         self.terms = terms
 
@@ -56,22 +87,16 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls(nvars, {0: c} if c else {})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponents) -> "Poly":
-        return cls(nvars, {tuple(exps): 1})
+        return cls(nvars, {pack(exps): 1})
 
     @classmethod
     def linear(cls, coeffs: Sequence) -> "Poly":
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return cls(n, terms)
+        return cls(n, {_unit(n, i): c for i, c in enumerate(coeffs) if c})
 
     # -- basic queries ------------------------------------------------
     def is_zero(self) -> bool:
@@ -80,12 +105,13 @@ class Poly:
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self.terms) >> B * self.nvars if self.terms else -1
 
     def is_homogeneous(self, p: int) -> bool:
-        return all(sum(e) == p for e in self.terms)
+        shift = B * self.nvars
+        return all(e >> shift == p for e in self.terms)
 
-    def coefficient_vector(self, monomials: Sequence[Exponents]) -> tuple[Coefficient, ...]:
+    def coefficient_vector(self, monomials: Sequence[int]) -> tuple[Coefficient, ...]:
         return tuple(self.terms.get(m, 0) for m in monomials)
 
     # -- arithmetic ---------------------------------------------------
@@ -111,15 +137,22 @@ class Poly:
         return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        acc: dict[Exponents, Coefficient] = {}
+        acc: dict[int, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 s = acc.get(e, 0) + c1 * c2
                 if s:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
+        # The top key of the product, the sum of the two top keys, comes from
+        # one term pair and never cancels; its degree field reaches 2^B
+        # exactly when a lower field may have carried into its neighbour.
+        if acc and max(acc) >> B * (self.nvars + 1):
+            raise InternalCheckError(
+                f"a product of degrees {self.degree} and {other.degree} overflows"
+                f" the {B}-bit exponent fields")
         return Poly(self.nvars, acc)
 
     def __pow__(self, k: int) -> "Poly":
@@ -128,8 +161,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -143,11 +177,11 @@ class Poly:
         if not self.terms:
             return "Poly(0)"
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
+        for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             mono = "*".join(
                 f"x{i + 1}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(e)
+                for i, k in enumerate(unpack(e, self.nvars))
                 if k
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
@@ -191,24 +225,24 @@ def apply_linear_map(f: Poly, matrix) -> Poly:
 
     When every column i has one nonzero entry a_i, in row j_i (a signed
     permutation, say), c*x^e goes to c*prod a_i^e_i * prod x_{j_i}^e_i: the
-    exponents only move.  Otherwise each term is expanded from the powers of
+    exponents only move, and the key of the image is the sum over i of e_i
+    unit keys of x_{j_i}.  Otherwise each term is expanded from the powers of
     the column images, image^k = image^(k-1) * image, each built once per
     call.  Either way the terms are added into one dict, so terms that land
     on one monomial merge and cancel."""
     n = f.nvars
     columns = [[(j, matrix[j][i]) for j in range(n) if matrix[j][i]] for i in range(n)]
-    acc: dict[Exponents, Coefficient] = {}
+    acc: dict[int, Coefficient] = {}
     if all(len(column) == 1 for column in columns):
-        moves = [(i, j, a) for i, [(j, a)] in enumerate(columns)]
+        moves = [(B * (n - 1 - i), _unit(n, j), a) for i, [(j, a)] in enumerate(columns)]
         for e, c in f.terms.items():
-            moved = [0] * n
-            for i, j, a in moves:
-                k = e[i]
+            moved = 0
+            for shift, unit, a in moves:
+                k = e >> shift & MASK
                 if k:
-                    moved[j] += k
+                    moved += k * unit
                     if a != 1:
                         c *= a ** k
-            moved = tuple(moved)
             acc[moved] = acc.get(moved, 0) + c
     else:
         images = [Poly.linear(tuple(matrix[j][i] for j in range(n))) for i in range(n)]
@@ -221,7 +255,7 @@ def apply_linear_map(f: Poly, matrix) -> Poly:
 
         for e, c in f.terms.items():
             term = Poly.constant(n, c)
-            for i, k in enumerate(e):
+            for i, k in enumerate(unpack(e, n)):
                 if k:
                     term = term * power(i, k)
             for m, v in term.terms.items():
@@ -241,7 +275,7 @@ def average_over(
     character on h's member indices, (1/|h|) sum_w character(w) w(f).  Every
     substituted polynomial is added into one dict, and the sum is scaled
     once."""
-    acc: dict[Exponents, Coefficient] = {}
+    acc: dict[int, Coefficient] = {}
     for idx, w in zip(h.members, h.elements()):
         negate = character is not None and character[idx] < 0
         for e, c in substitute(w, f).terms.items():
@@ -260,21 +294,24 @@ def exact_divide(f: Poly, ell: Sequence) -> Poly:
     lemma), and a Fraction otherwise."""
     if not any(ell):
         raise InputError("cannot divide by the zero form")
+    n = f.nvars
     pivot = next(i for i, c in enumerate(ell) if c)
     p = ell[pivot]
-    rest = [(j, c) for j, c in enumerate(ell) if c and j != pivot]
-    slices = [{} for _ in range(1 + max((e[pivot] for e in f.terms), default=0))]
+    shift, down = B * (n - 1 - pivot), _unit(n, pivot)
+    rest = [(_unit(n, j), c) for j, c in enumerate(ell) if c and j != pivot]
+    slices = [{} for _ in range(1 + max((e >> shift & MASK for e in f.terms), default=0))]
     for e, c in f.terms.items():
-        slices[e[pivot]][e] = c
-    quot: dict[Exponents, Coefficient] = {}
+        slices[e >> shift & MASK][e] = c
+    quot: dict[int, Coefficient] = {}
     for k in range(len(slices) - 1, 0, -1):
+        below = slices[k - 1]
         for e, c in slices[k].items():
             if c:
-                q = e[:pivot] + (k - 1,) + e[pivot + 1:]
+                q = e - down
                 quot[q] = qc = quotient(c, p)
-                for j, cj in rest:
-                    m = q[:j] + (q[j] + 1,) + q[j + 1:]
-                    slices[k - 1][m] = slices[k - 1].get(m, 0) - qc * cj
+                for unit, cj in rest:
+                    m = q + unit
+                    below[m] = below.get(m, 0) - qc * cj
     if any(slices[0].values()):
         raise ExactDivisionError(f"not divisible by linear form {tuple(ell)}")
     return Poly(f.nvars, quot)
@@ -302,12 +339,13 @@ class KernelForm:
 class CosetSum:
     """What sum_w w(f * k) over the coset representatives w needs besides f.
     common holds the rays of the least common denominator of the moved
-    denominator forms, with multiplicity.  Each term (w, factors, m) adds
-    w(f) * prod(factors) * m / (denominator * prod(common)): the factors are
-    w's numerator forms and the common rays that w's own denominator lacks,
-    and m / denominator is the inverse of the scalar of w's denominator."""
+    denominator forms, with multiplicity.  Each term (w, product, m) adds
+    w(f) * product * m / (denominator * prod(common)): product is the
+    product of w's numerator forms and of the common rays that w's own
+    denominator lacks, multiplied out once per CosetSum, and m / denominator
+    is the inverse of the scalar of w's denominator."""
 
-    terms: tuple[tuple[WeylElement, tuple[Poly, ...], int], ...]
+    terms: tuple[tuple[WeylElement, Poly, int], ...]
     denominator: int
     common: tuple[Weight, ...]
 
@@ -327,8 +365,9 @@ def coset_sum(k: KernelForm, cosets: Sequence[WeylElement]) -> CosetSum:
     denominator = lcm(*(inverse.denominator for _, _, inverse in moved))
     terms = tuple(
         (w,
-         tuple(Poly.linear(mat_vec(w.matrix, a)) for a in k.numerator)
-         + tuple(Poly.linear(key) for key in (common - factors).elements()),
+         prod(map(Poly.linear, [*(mat_vec(w.matrix, a) for a in k.numerator),
+                                *(common - factors).elements()]),
+              start=Poly.constant(len(w.matrix), 1)),
          inverse.numerator * (denominator // inverse.denominator))
         for w, factors, inverse in moved
     )
@@ -339,7 +378,9 @@ def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement] | CosetSum)
     """sum_w w(f * k) over the coset representatives, by clearing the least
     common denominator of the distinct linear forms and dividing each of its
     factors back out exactly.  cosets may be the CosetSum that
-    coset_sum(k, cosets) built, so that sums over one kernel share it.
+    coset_sum(k, cosets) built, so that sums over one kernel share it; each
+    coset then costs one substitution and one product, by its CosetSum
+    product.
 
     The sum runs over ints: f's content denominator d is cleared once, so
     with integer Weyl matrices and forms every product and the sum are
@@ -349,12 +390,9 @@ def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement] | CosetSum)
     n = f.nvars
     d = lcm(*(c.denominator for c in f.terms.values()))
     cleared = Poly(n, {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()})
-    acc: dict[Exponents, Coefficient] = {}
-    for w, factors, multiplier in data.terms:
-        term = substitute(w, cleared)
-        for form in factors:
-            term = term * form
-        for e, c in term.terms.items():
+    acc: dict[int, Coefficient] = {}
+    for w, product, multiplier in data.terms:
+        for e, c in (substitute(w, cleared) * product).terms.items():
             acc[e] = acc.get(e, 0) + multiplier * c
     total = Poly(n, {e: c for e, c in acc.items() if c})
     for key in data.common:
@@ -370,11 +408,12 @@ def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement] | CosetSum)
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Row-reduced basis of a space of homogeneous polynomials of one degree."""
+    """Row-reduced basis of a space of homogeneous polynomials of one degree,
+    over the keys of its monomials in descending order."""
 
     nvars: int
     degree: int
-    monomials: tuple[Exponents, ...]
+    monomials: tuple[int, ...]
     rows: QMatrix
     pivots: tuple[int, ...]
 
@@ -408,7 +447,7 @@ class GradedBasis:
 
 def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
     """Row-reduced span of homogeneous polynomials of the given degree."""
-    monos = monomials_of_degree(nvars, degree)
+    monos = tuple(map(pack, monomials_of_degree(nvars, degree)))
     rows = []
     for f in vectors:
         if f.is_zero():
@@ -434,13 +473,13 @@ def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis
     return rref_span(vectors, p, nvars)
 
 
-def _dual(f: Poly, b: QMatrix, monomials: Sequence[Exponents]) -> tuple[Coefficient, ...]:
-    """The vector d over the monomials with <f, g>_b = sum_m d_m g_m for every
-    g spanned by them: d_m = (f o b)_m * m!, where f o b = apply_linear_map(f, b)
-    and m! = prod_i m_i!."""
+def _dual(f: Poly, b: QMatrix, monomials: Sequence[int]) -> tuple[Coefficient, ...]:
+    """The vector d over the monomial keys with <f, g>_b = sum_m d_m g_m for
+    every g spanned by them: d_m = (f o b)_m * m!, where
+    f o b = apply_linear_map(f, b) and m! = prod_i m_i!."""
     image = apply_linear_map(f, b).terms
     return tuple(
-        image[m] * prod(factorial(k) for k in m) if m in image else 0
+        image[m] * prod(factorial(k) for k in unpack(m, f.nvars)) if m in image else 0
         for m in monomials
     )
 

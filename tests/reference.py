@@ -1,7 +1,7 @@
 """Reference computations that only the tests use: values of polynomials and
 kernel forms at rational points, generic points that avoid a set of weight
-hyperplanes, and the inner product of two polynomials under a symmetric form
-computed term by term."""
+hyperplanes, the inner product of two polynomials under a symmetric form
+computed term by term, and products over exponent tuples."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from math import factorial, prod
 
 from cohint.errors import InternalCheckError
 from cohint.matrices import dot
-from cohint.polyalg import apply_linear_map
+from cohint.polyalg import Poly, apply_linear_map, pack, unpack
 
 
 def evaluate(f, point) -> Fraction:
@@ -18,7 +18,7 @@ def evaluate(f, point) -> Fraction:
     total = Fraction(0)
     for e, c in f.terms.items():
         v = c
-        for x, k in zip(point, e):
+        for x, k in zip(point, unpack(e, f.nvars)):
             if k:
                 v *= Fraction(x) ** k
         total += v
@@ -62,5 +62,28 @@ def poly_inner(f, g, b) -> Fraction:
     over the factors of the two monomials; different degrees pair to 0."""
     image = apply_linear_map(f, b).terms
     return Fraction(sum(
-        image[e] * prod(factorial(k) for k in e) * c for e, c in g.terms.items() if e in image
+        image[e] * prod(factorial(k) for k in unpack(e, f.nvars)) * c
+        for e, c in g.terms.items() if e in image
     ))
+
+
+def exponent_terms(f) -> dict:
+    """The terms of f keyed by exponent tuples."""
+    return {unpack(e, f.nvars): c for e, c in f.terms.items()}
+
+
+def from_exponent_terms(nvars: int, terms: dict) -> Poly:
+    """The polynomial whose terms, keyed by exponent tuples, are given."""
+    return Poly(nvars, {pack(e): c for e, c in terms.items()})
+
+
+def multiply(f, g) -> dict:
+    """The terms of f * g keyed by exponent tuples, one term pair at a time:
+    each pair adds its exponents entry by entry and multiplies its
+    coefficients, and a sum that cancels drops out."""
+    out: dict = {}
+    for e1, c1 in exponent_terms(f).items():
+        for e2, c2 in exponent_terms(g).items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cohint import KernelForm, Poly, enumerate_group, kernel_sum, molien_coefficients, substitute
 from cohint import integrality as I
 from cohint.matrices import det_one_minus_q, int_kernel, solve_combination
-from cohint.polyalg import average_over, coset_sum, invariant_basis, monomials_of_degree
+from cohint.polyalg import average_over, coset_sum, invariant_basis, monomials_of_degree, unpack
 from cohint.weyl import coset_representatives, point_stabilizer
 
 from conftest import build, is_monomial_matrix
@@ -22,7 +22,7 @@ sympy = pytest.importorskip("sympy")
 def to_sympy(poly, xs):
     return sum(
         sympy.Rational(c.numerator, c.denominator)
-        * sympy.prod([x**k for x, k in zip(xs, e)])
+        * sympy.prod([x**k for x, k in zip(xs, unpack(e, poly.nvars))])
         for e, c in poly.terms.items()
     )
 

@@ -27,11 +27,20 @@ from cohint.polyalg import (
     average_over,
     coset_sum,
     monomials_of_degree,
+    pack,
+    unpack,
 )
 from cohint.weyl import averaged_form
 
 from conftest import build, is_monomial_matrix
-from reference import evaluate, evaluate_kernel, poly_inner
+from reference import (
+    evaluate,
+    evaluate_kernel,
+    exponent_terms,
+    from_exponent_terms,
+    multiply,
+    poly_inner,
+)
 
 SWAP = ((0, 1), (1, 0))
 S2 = enumerate_group((SWAP,), 2)
@@ -54,7 +63,7 @@ SL3_ROTATION = next(w for w in SL3.elements if w.matrix == ((0, -1), (1, -1)))
 
 
 small_polys = st.builds(
-    lambda terms: Poly(2, {e: Fraction(c) for e, c in terms.items() if c}),
+    lambda terms: from_exponent_terms(2, {e: Fraction(c) for e, c in terms.items() if c}),
     st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3)),
         st.integers(-5, 5),
@@ -65,7 +74,7 @@ small_polys = st.builds(
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 rational_polys = st.builds(
-    lambda terms: Poly(2, terms),
+    lambda terms: from_exponent_terms(2, terms),
     st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3)),
         rationals.filter(bool),
@@ -95,6 +104,101 @@ class TestPolyBasics:
         assert monomials_of_degree(2, 2) == ((2, 0), (1, 1), (0, 2))
         assert monomials_of_degree(0, 0) == ((),)
         assert monomials_of_degree(0, 2) == ()
+
+
+GL3 = build("adjoint:gl3")[1].weyl
+three_var_polys = st.builds(
+    lambda terms: from_exponent_terms(3, terms),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        st.one_of(st.integers(-6, 6), rationals).filter(bool),
+        max_size=5,
+    ),
+)
+POINTS3 = ((2, 3, 5), (-1, 4, Fraction(1, 3)), (7, -2, 1), (Fraction(-5, 2), 1, 6))
+
+
+class TestPackedKeys:
+    """Keys against exponent tuples: the products of the packed
+    representation agree with reference.multiply, which adds exponent tuples
+    entry by entry, and the substitutions, quotients and kernel sums with
+    evaluation at rational points."""
+
+    def test_key_order_is_graded_lex(self):
+        for n in range(4):
+            monos = [m for p in range(5, -1, -1) for m in monomials_of_degree(n, p)]
+            keys = [pack(m) for m in monos]
+            assert keys == sorted(keys, reverse=True)
+            assert [unpack(k, n) for k in keys] == monos
+
+    def test_unit_keys(self):
+        assert Poly.linear((0, 5, 0)).terms == {pack((0, 1, 0)): 5}
+        assert Poly.constant(3, 7).terms == {pack((0, 0, 0)): 7}
+        assert (x(0, 3) ** 2 * x(2, 3)).degree == 3
+
+    def test_repr_in_graded_lex_order(self):
+        f = x(1, 3) ** 2 + x(0, 3) - (x(0, 3) * x(2, 3)).scaled(3) + Poly.constant(3, 4)
+        assert repr(f) == "Poly(-3*x1*x3 + 1*x2^2 + 1*x1 + 4)"
+
+    @settings(max_examples=60, deadline=None)
+    @given(three_var_polys, three_var_polys, st.integers(0, 3))
+    def test_products_and_powers(self, f, g, k):
+        assert exponent_terms(f * g) == multiply(f, g)
+        power = {(0, 0, 0): 1}
+        for _ in range(k):
+            power = multiply(from_exponent_terms(3, power), f)
+        assert exponent_terms(f ** k) == power
+
+    @settings(max_examples=40, deadline=None)
+    @given(three_var_polys, st.integers(0, 5), small_polys, st.integers(0, 5))
+    def test_substitute_on_both_paths(self, f, i, g, j):
+        # every gl3 element moves exponents; sl3 has expanded elements
+        for w, h, points in ((GL3.elements[i], f, POINTS3),
+                             (SL3.elements[j], g, [p[:2] for p in POINTS3])):
+            image = substitute(w, h)
+            for point in points:
+                assert evaluate(image, point) == evaluate(h, mat_vec(tuple(zip(*w.matrix)), point))
+
+    @settings(max_examples=40, deadline=None)
+    @given(three_var_polys, st.sampled_from([(1, 0, 0), (0, 1, -1), (2, 0, 3), (1, -1, 1)]))
+    def test_exact_divide_undoes_the_reference_product(self, q, ell):
+        product = from_exponent_terms(3, multiply(q, Poly.linear(ell)))
+        quotient = exact_divide(product, ell)
+        assert exponent_terms(quotient) == exponent_terms(q)
+
+    @settings(max_examples=30, deadline=None)
+    @given(three_var_polys, st.lists(st.sampled_from([(1, 0, 0), (0, 2, -1), (1, 1, 1)]),
+                                     max_size=2),
+           st.lists(st.sampled_from([(1, -1, 0), (0, 1, -1), (2, 0, -2)]), min_size=1,
+                    max_size=2),
+           st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    def test_kernel_sum_over_gl3_cosets(self, g, numerator, denominator, picks):
+        f = g
+        for b in denominator:
+            f = f * Poly.linear(b)
+        k = KernelForm(tuple(numerator), tuple(denominator))
+        assert_matches_direct_sum(f, k, [GL3.elements[i] for i in picks])
+
+    def test_product_degree_guard(self):
+        half = 1 << 15
+        high = Poly.monomial(2, (half, 0))
+        assert exponent_terms(high * Poly.monomial(2, (0, half - 1))) == {(half, half - 1): 1}
+        with pytest.raises(InternalCheckError, match="overflows the 16-bit exponent fields"):
+            high * Poly.monomial(2, (0, half))
+        with pytest.raises(InternalCheckError):
+            high * high
+        with pytest.raises(InternalCheckError):
+            x(1) ** (1 << 16)
+        # no square beyond the last one the power needs
+        assert exponent_terms(x(1) ** (half + 1)) == {(0, half + 1): 1}
+
+    def test_pack_guard(self):
+        assert unpack(pack(((1 << 16) - 1, 0)), 2) == ((1 << 16) - 1, 0)
+        for exps in (((1 << 16), 0), (0, 0, 1 << 16), ((1 << 15), (1 << 15)), (2, -1)):
+            with pytest.raises(InternalCheckError, match="do not fit 16-bit fields"):
+                pack(exps)
+        with pytest.raises(InternalCheckError):
+            Poly.monomial(1, (1 << 16,))
 
 
 class TestSubstitute:
@@ -218,7 +322,7 @@ class TestExactDivide:
     def test_non_primitive_form_gives_fractions(self):
         quotient = exact_divide(x(0) ** 2 - x(1) ** 2, (2, -2))
         assert quotient == (x(0) + x(1)).scaled(Fraction(1, 2))
-        assert quotient.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+        assert exponent_terms(quotient) == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
 
     def test_rational_form_divides(self):
         ell = (Fraction(1, 2), Fraction(-3, 4))
@@ -469,7 +573,7 @@ def permanent_inner(f, g, b):
 
     return sum(
         (c1 * c2 * monomial_inner(e1, e2)
-         for e1, c1 in f.terms.items() for e2, c2 in g.terms.items()),
+         for e1, c1 in exponent_terms(f).items() for e2, c2 in exponent_terms(g).items()),
         Fraction(0),
     )
 
@@ -483,7 +587,7 @@ RATIONAL_FORM = tuple(
 
 def dense(nvars, degree, coefficient):
     """Every monomial of the degree, with coefficient(i) on the i-th."""
-    return Poly(nvars, {
+    return from_exponent_terms(nvars, {
         m: Fraction(coefficient(i))
         for i, m in enumerate(monomials_of_degree(nvars, degree)) if coefficient(i)
     })

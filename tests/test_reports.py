@@ -360,7 +360,7 @@ def test_gl4_validate_report(spec, tmp_path, capsys):
     assert stdout_sha256(["validate", "--input", str(path)], capsys) == VALIDATE_GL4[spec]
 
 
-@pytest.mark.parametrize("command,name", sorted(ERROR_REPORTS), ids="-".join)
+@pytest.mark.parametrize("command,name", sorted(ERROR_REPORTS))
 def test_error_report(command, name, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(ERROR_DOCUMENTS[name]))
