@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import gcd
 
 from .documents import InputDocument
 from .errors import InputError, InternalCheckError
@@ -154,13 +153,14 @@ def align_representative(child: Stratum, parent_rep: Cocharacter, supports) -> C
 
 
 def with_representative(strat: Stratification, stratum: Stratum, rep: Cocharacter) -> Stratum:
-    """Copy of the stratum carrying another valid generic representative."""
+    """Copy of the stratum carrying another valid generic representative.  Its
+    dims stay: they count the weights in the zero sets, which the check below
+    matches, and r = (dim V - dim g - d) / 2 for weakly symmetric V."""
     zero = set(stratum.zero_v) | set(stratum.zero_g)
     for u in strat.all_supports():
         if (dot(rep, u) == 0) != (u in zero):
             raise InputError(f"{rep} is not a generic representative of stratum {stratum.index}")
-    dims = numeric_invariants(strat.document.g_weights, strat.document.v_weights, rep)
-    return dataclasses.replace(stratum, rep=rep, dims=dims)
+    return dataclasses.replace(stratum, rep=rep)
 
 
 def restrict_arrangement(
@@ -169,18 +169,14 @@ def restrict_arrangement(
     """The restriction of the arrangement to the flat with this basis
     (Orlik-Terao, Arrangements of Hyperplanes, 1.3): each hyperplane h not in
     incident restricts to the form r_h = (<b, h> for b in basis) on the flat,
-    and the hyperplanes are grouped by the primitive ray of r_h, with positive
-    first nonzero entry.  A form on the flat vanishing on ker r_h is a
-    multiple of r_h, so each group is the set of hyperplanes that cut the
-    flat in one and the same flat one dimension down."""
+    and the hyperplanes are grouped by the key of ray(r_h), the primitive ray
+    with positive first nonzero entry.  A form on the flat vanishing on
+    ker r_h is a multiple of r_h, so each group is the set of hyperplanes that
+    cut the flat in one and the same flat one dimension down."""
     cuts: dict[Weight, list[int]] = {}
     for i, h in enumerate(hyperplanes):
         if i not in incident:
-            r = [dot(b, h) for b in basis]
-            g = gcd(*r)
-            if next(x for x in r if x) < 0:
-                g = -g
-            cuts.setdefault(tuple(x // g for x in r), []).append(i)
+            cuts.setdefault(ray([dot(b, h) for b in basis])[0], []).append(i)
     return cuts
 
 

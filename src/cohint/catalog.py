@@ -21,29 +21,20 @@ from .documents import InputDocument
 from .errors import InputError
 from .lattice import DEFAULT_GROUP_CAP, WeightMultiset
 
-_S2_SWAP = ((0, 1), (1, 0))
 # S3 on the rank-2 weight lattice of SL3: the swap of the first two coordinate
 # characters and the swap of the last two (which sends e2 to -e1-e2).
 _SL3_GEN = (((0, 1), (1, 0)), ((1, -1), (0, -1)))
 
 
-def _perm_matrix(n: int, i: int, j: int):
-    rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    rows[i][i] = rows[j][j] = 0
-    rows[i][j] = rows[j][i] = 1
-    return tuple(tuple(r) for r in rows)
-
-
-def _gl_roots(n: int):
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                root = [0] * n
-                root[i] = 1
-                root[j] = -1
-                out.append((tuple(root), 1))
-    return out
+def _gl(n: int) -> dict:
+    """GL_n on its diagonal torus: the Weyl generators are the adjacent
+    transpositions of the coordinates, and the adjoint weights are zero with
+    multiplicity n and the roots e_i - e_j."""
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    swaps = tuple((*e[:i], e[i + 1], e[i], *e[i + 2:]) for i in range(n - 1))
+    roots = [(tuple(a - b for a, b in zip(e[i], e[j])), 1)
+             for i in range(n) for j in range(n) if i != j]
+    return {"rank": n, "generators": swaps, "g_weights": [((0,) * n, n)] + roots}
 
 
 GROUPS: dict[str, dict] = {
@@ -57,22 +48,14 @@ GROUPS: dict[str, dict] = {
         "generators": (((-1,),),),
         "g_weights": [((0,), 1), ((2,), 1), ((-2,), 1)],
     },
-    "gl2": {
-        "rank": 2,
-        "generators": (_S2_SWAP,),
-        "g_weights": [((0, 0), 2), ((1, -1), 1), ((-1, 1), 1)],
-    },
+    "gl2": _gl(2),
     "sl3": {
         "rank": 2,
         "generators": _SL3_GEN,
         "g_weights": [((0, 0), 2)]
         + [(w, 1) for w in ((1, -1), (-1, 1), (2, 1), (-2, -1), (1, 2), (-1, -2))],
     },
-    "gl3": {
-        "rank": 3,
-        "generators": (_perm_matrix(3, 0, 1), _perm_matrix(3, 1, 2)),
-        "g_weights": [((0, 0, 0), 3)] + _gl_roots(3),
-    },
+    "gl3": _gl(3),
 }
 
 

@@ -130,13 +130,14 @@ def induct(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly
 
 def _factored(form: KernelForm) -> tuple[dict[Weight, int], Fraction]:
     """(exponents, c) with form == c * prod_key key^exponents[key] over the
-    rays of its linear forms."""
+    rays of its linear forms.  c is a Fraction: each ray's scale, an int or
+    a Fraction, multiplies or divides it; an int to the power -1 is a float."""
     exponents: dict[Weight, int] = {}
     c = Fraction(1)
     for forms, sign in ((form.numerator, 1), (form.denominator, -1)):
         for key, scale in map(ray, forms):
             exponents[key] = exponents.get(key, 0) + sign
-            c *= scale ** sign
+            c = c * scale if sign > 0 else c / scale
     return {key: e for key, e in exponents.items() if e}, c
 
 

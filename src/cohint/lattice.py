@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InputError
-from .matrices import IntMatrix, mat_vec
+from .matrices import IntMatrix, mat_vec, quotient
 
 Weight = tuple[int, ...]
 Cocharacter = tuple[int, ...]
@@ -83,18 +83,20 @@ def pairing(lam: Cocharacter, alpha: Weight) -> int:
     return sum(a * b for a, b in zip(lam, alpha))
 
 
-def ray(form: Sequence) -> tuple[Weight, Fraction]:
+def ray(form: Sequence) -> tuple[Weight, int | Fraction]:
     """(key, c) with form == c * key, where key is the primitive integer vector
     with positive first nonzero entry, so forms equal up to a nonzero multiple
-    share one key."""
-    coeffs = [Fraction(x) for x in form]
-    lead = next((x for x in coeffs if x), None)
-    if lead is None:
+    share one key.  The form is cleared once by the lcm d of its entries'
+    denominators; with g the signed gcd of the cleared entries, c = g / d, an
+    int for an integer form and a Fraction otherwise (matrices.quotient)."""
+    d = lcm(*(x.denominator for x in form))
+    cleared = [x.numerator * (d // x.denominator) for x in form]
+    g = gcd(*cleared)
+    if not g:
         raise InputError("cannot divide by the zero form")
-    c = Fraction(gcd(*(x.numerator for x in coeffs)), lcm(*(x.denominator for x in coeffs)))
-    if lead < 0:
-        c = -c
-    return tuple(int(x / c) for x in coeffs), c
+    if next(x for x in cleared if x) < 0:
+        g = -g
+    return tuple([x // g for x in cleared]), quotient(g, d)
 
 
 def symmetry_class(v_weights: WeightMultiset) -> SymmetryClass:
@@ -114,17 +116,13 @@ def symmetry_class(v_weights: WeightMultiset) -> SymmetryClass:
 def slice_weights(
     ws: WeightMultiset, lam: Cocharacter
 ) -> tuple[WeightMultiset, WeightMultiset, WeightMultiset]:
-    """Partition a weight multiset by the sign of the pairing with lam."""
+    """Partition a weight multiset by the sign of the pairing with lam; each
+    part of a sorted, deduplicated multiset is itself one."""
     neg, zero, pos = [], [], []
     for w, m in ws:
         p = pairing(lam, w)
         (neg if p < 0 else zero if p == 0 else pos).append((w, m))
-    empty = WeightMultiset(())
-    return (
-        WeightMultiset.from_pairs(neg) if neg else empty,
-        WeightMultiset.from_pairs(zero) if zero else empty,
-        WeightMultiset.from_pairs(pos) if pos else empty,
-    )
+    return WeightMultiset(tuple(neg)), WeightMultiset(tuple(zero)), WeightMultiset(tuple(pos))
 
 
 def _zero_and_positive(ws: WeightMultiset, lam: Cocharacter) -> tuple[int, int]:

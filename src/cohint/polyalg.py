@@ -32,7 +32,6 @@ from .matrices import (
     nullspace,
     quotient,
     rref,
-    saturate_span,
     solve_combination,
 )
 from .weyl import Subgroup, WeylElement
@@ -409,7 +408,8 @@ def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement] | CosetSum)
 @dataclass(frozen=True)
 class GradedBasis:
     """Row-reduced basis of a space of homogeneous polynomials of one degree,
-    over the keys of its monomials in descending order."""
+    over monomial keys in descending order holding its support (exactly the
+    support when rref_span built it)."""
 
     nvars: int
     degree: int
@@ -446,30 +446,29 @@ class GradedBasis:
 
 
 def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
-    """Row-reduced span of homogeneous polynomials of the given degree."""
-    monos = tuple(map(pack, monomials_of_degree(nvars, degree)))
-    rows = []
-    for f in vectors:
-        if f.is_zero():
-            continue
+    """Row-reduced span of homogeneous polynomials of the given degree, over the
+    monomials they contain in descending order, the support of the span."""
+    polys = [f for f in vectors if not f.is_zero()]
+    for f in polys:
         if not f.is_homogeneous(degree):
             raise InputError(
                 f"expected a homogeneous polynomial of degree {degree}, got degree {f.degree}"
             )
-        rows.append(f.coefficient_vector(monos))
-    reduced, pivots = rref(rows, len(monos))
+    monos = tuple(sorted(set().union(*(f.terms for f in polys)), reverse=True))
+    reduced, pivots = rref([f.coefficient_vector(monos) for f in polys], len(monos))
     return GradedBasis(nvars, degree, monos, reduced, pivots)
 
 
 def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis:
-    """Basis of the degree-p invariants of H inside Sym^p(span of the forms)."""
+    """Basis of the degree-p invariants of H inside Sym^p(span of the forms),
+    from the forms as given: neither Sym^p of the span nor its unique RREF
+    over Q depends on the spanning set."""
     nvars = h.parent.rank
-    basis = saturate_span([tuple(u) for u in forms], nvars)
     for w in h.elements():
-        for b in basis:
-            if solve_combination(basis, mat_vec(w.matrix, b)) is None:
+        for b in forms:
+            if solve_combination(forms, mat_vec(w.matrix, b)) is None:
                 raise InputError("span of the forms is not stable under the subgroup")
-    vectors = [average_over(h, mono) for mono in power_products(basis, p, nvars)]
+    vectors = [average_over(h, mono) for mono in power_products(forms, p, nvars)]
     return rref_span(vectors, p, nvars)
 
 

@@ -1,7 +1,8 @@
 """Reference computations that only the tests use: values of polynomials and
 kernel forms at rational points, generic points that avoid a set of weight
 hyperplanes, the inner product of two polynomials under a symmetric form
-computed term by term, and products over exponent tuples."""
+computed term by term, products over exponent tuples, and row reduction over
+every monomial of a degree."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ from fractions import Fraction
 from math import factorial, prod
 
 from cohint.errors import InternalCheckError
-from cohint.matrices import dot
-from cohint.polyalg import Poly, apply_linear_map, pack, unpack
+from cohint.matrices import dot, rref
+from cohint.polyalg import Poly, apply_linear_map, monomials_of_degree, pack, unpack
 
 
 def evaluate(f, point) -> Fraction:
@@ -87,3 +88,12 @@ def multiply(f, g) -> dict:
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def rref_all_monomials(vectors, degree: int, nvars: int) -> tuple:
+    """The rows, as polynomials, of the reduced row echelon form of the
+    homogeneous polynomials over every monomial of the degree, the keys in
+    descending order."""
+    monomials = sorted((pack(e) for e in monomials_of_degree(nvars, degree)), reverse=True)
+    rows, _ = rref([f.coefficient_vector(monomials) for f in vectors], len(monomials))
+    return tuple(Poly(nvars, {m: c for m, c in zip(monomials, row) if c}) for row in rows)

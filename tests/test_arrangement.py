@@ -13,6 +13,7 @@ from cohint import (
     arrangement,
     catalog_emit,
     enumerate_strata,
+    integrality,
     numeric_invariants,
     representative_cocharacter,
     with_representative,
@@ -469,6 +470,24 @@ class TestRepresentativeIndependence:
         assert replaced.dims == generic.dims
         with pytest.raises(InputError):
             with_representative(gl2_strat, generic, (1, 1))
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_kept_dims_at_every_aligned_representative(self, key, monkeypatch):
+        # every copy verify_associativity makes keeps the stratum's dims,
+        # which must be the counts at its new representative
+        strat = build(key)[1]
+        doc = strat.document
+        made = []
+
+        def recording(strat, stratum, rep):
+            made.append(with_representative(strat, stratum, rep))
+            return made[-1]
+
+        monkeypatch.setattr(integrality, "with_representative", recording)
+        integrality.verify_associativity(strat)
+        assert made
+        for copy in made:
+            assert copy.dims == numeric_invariants(doc.g_weights, doc.v_weights, copy.rep)
 
 
 class TestAlignRepresentative:

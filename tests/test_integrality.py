@@ -21,7 +21,7 @@ from cohint.polyalg import ExactDivisionError, KernelForm, kernel_sum, monomials
 from cohint.matrices import int_inverse, restrict_action, transpose
 from cohint.weyl import molien_coefficients, point_stabilizer
 
-from conftest import bps_spaces, build, gl_document
+from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document
 from reference import evaluate, evaluate_kernel, generic_points
 
 # The fixed catalog keys, and one instance of each parametrised family.
@@ -276,6 +276,40 @@ class TestEpsilon:
                             w = strat.weyl.elements[idx]
                             twisted = I.induct(strat, substitute(w, f), s, strat.top)
                             assert twisted == base.scaled(eps[idx])
+
+
+def is_exact(x) -> bool:
+    return type(x) in (int, Fraction)
+
+
+class TestExactScalars:
+    """No float reaches a report: ray's scale is an int for an integer form,
+    and an int to the power -1 is a float, so the kernel character and the
+    coset sums must multiply and divide by the scales instead."""
+
+    @pytest.fixture(scope="class")
+    def strats(self):
+        return [build(key)[1] for key in CATALOG_INSTANCES] + [
+            enumerate_strata(document_from_dict(gl_document(n, kind, 1, 0)))
+            for n in (3, 4) for kind in ("adjoint", "cotangent")
+        ]
+
+    def test_epsilon_values(self, strats):
+        for strat in strats:
+            for s in strat.orbit_representatives():
+                values = I.epsilon(strat, s).values()
+                assert values and all(map(is_exact, values)), (strat.document.name, s.index)
+
+    def test_coset_sum_multipliers(self, strats):
+        # every cover induction (j_graded) and every orbit into the top (induct)
+        for strat in strats:
+            pairs = [(strat.strata[j], target) for target in strat.strata
+                     for j in strat.covers[target.index]]
+            pairs += [(s, strat.top) for s in strat.orbit_representatives()]
+            for mu, target in pairs:
+                sums = I.once(strat, I._induction_data, mu, target)[2]
+                assert is_exact(sums.denominator)
+                assert all(is_exact(m) for _, _, m in sums.terms), (mu.index, target.index)
 
 
 class TestJGraded:

@@ -1,7 +1,11 @@
 import dataclasses
 from fractions import Fraction
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohint import (
     InputDocument,
@@ -85,6 +89,33 @@ class TestRay:
         with pytest.raises(InputError, match="^cannot divide by the zero form$"):
             ray((0, 0))
 
+    def test_scale_is_an_int_for_an_integer_form(self):
+        for form in ((4, -6, 0), (0, -2, 4), (7,), (-1, 1)):
+            assert type(ray(form)[1]) is int
+
+    def test_scale_is_a_fraction_for_a_rational_form(self):
+        for form in ((Fraction(1, 2), Fraction(-3, 4)), (Fraction(2, 3), 4), (0, Fraction(-5, 7))):
+            assert type(ray(form)[1]) is Fraction
+
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(any))
+    def test_contract_on_integer_forms(self, form):
+        self.assert_contract(form)
+
+    @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                    min_size=1, max_size=5).filter(any))
+    def test_contract_on_rational_forms(self, form):
+        self.assert_contract(form)
+
+    @staticmethod
+    def assert_contract(form):
+        """c * key == form entry by entry, key is a primitive integer vector,
+        and its first nonzero entry is positive."""
+        key, c = ray(form)
+        assert all(type(k) is int for k in key)
+        assert [c * k for k in key] == list(form)
+        assert math.gcd(*key) == 1
+        assert next(k for k in key if k) > 0
+
 
 class TestSymmetryClass:
     def test_rays_balance_with_multiplicity(self):
@@ -139,6 +170,15 @@ class TestSliceWeights:
                 for s in strat.strata:
                     parts = slice_weights(m, s.rep)
                     assert sum(p.total() for p in parts) == m.total()
+
+    def test_parts_are_canonical(self):
+        # each part equals the multiset rebuilt (sorted, merged) from its pairs
+        for key in ("gl2-cotangent", "sl2-irrep:5", "adjoint:gl3"):
+            doc, strat = build(key)
+            for m in (doc.v_weights, doc.g_weights):
+                for s in strat.strata:
+                    for part in slice_weights(m, s.rep):
+                        assert part == WeightMultiset.from_pairs(part.entries)
 
     def test_symmetric_means_balanced_slices(self):
         doc, strat = build("gl2-cotangent")

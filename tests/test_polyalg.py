@@ -30,9 +30,9 @@ from cohint.polyalg import (
     pack,
     unpack,
 )
-from cohint.weyl import averaged_form
+from cohint.weyl import averaged_form, point_stabilizer
 
-from conftest import build, is_monomial_matrix
+from conftest import CATALOG_INSTANCES, build, is_monomial_matrix
 from reference import (
     evaluate,
     evaluate_kernel,
@@ -40,6 +40,7 @@ from reference import (
     from_exponent_terms,
     multiply,
     poly_inner,
+    rref_all_monomials,
 )
 
 SWAP = ((0, 1), (1, 0))
@@ -82,6 +83,19 @@ rational_polys = st.builds(
     ),
 )
 rational_forms = st.tuples(rationals, rationals)
+
+
+@st.composite
+def homogeneous_polys(draw):
+    """(nvars, degree, polynomials of that degree, zeros included)."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    terms = st.dictionaries(st.sampled_from(monomials_of_degree(nvars, degree)),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                            max_size=4)
+    polys = [from_exponent_terms(nvars, {e: c for e, c in t.items() if c})
+             for t in draw(st.lists(terms, max_size=5))]
+    return nvars, degree, polys
 
 
 class TestPolyBasics:
@@ -498,6 +512,32 @@ class TestRrefSpan:
         assert basis.coordinates(x(0) ** 2) is None
 
 
+    @given(homogeneous_polys())
+    def test_matches_the_reduction_over_every_monomial(self, case):
+        nvars, degree, polys = case
+        basis = rref_span(polys, degree, nvars)
+        expected = rref_all_monomials(polys, degree, nvars)
+        assert basis.polys() == expected
+        assert basis.dim == len(expected)
+        assert set(basis.monomials) == set().union(*(f.terms for f in polys))
+
+    @given(homogeneous_polys(), st.data())
+    def test_coordinates_inside_and_outside_the_support(self, case, data):
+        nvars, degree, polys = case
+        basis = rref_span(polys, degree, nvars)
+        coords = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=basis.dim,
+                                          max_size=basis.dim)))
+        f = Poly.zero(nvars)
+        for c, g in zip(coords, basis.polys()):
+            f = f + g.scaled(c)
+        assert basis.coordinates(f) == coords
+        outside = [m for m in map(pack, monomials_of_degree(nvars, degree))
+                   if m not in basis.monomials]
+        if outside:
+            stray = Poly(nvars, {data.draw(st.sampled_from(outside)): 1})
+            assert basis.coordinates(f + stray) is None
+
+
 class TestInvariantBasis:
     def test_symmetric_polynomials_degree_two(self):
         basis = invariant_basis(S2.full_subgroup(), 2, ((1, 0), (0, 1)))
@@ -516,6 +556,24 @@ class TestInvariantBasis:
 
     def test_degree_zero_is_constants(self):
         assert invariant_basis(S2.full_subgroup(), 0, ()).dim == 1
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_same_basis_from_other_spanning_sets(self, key):
+        # u_bases[i], twice it, and it with the sum of its rows appended, for
+        # the point stabilizer of each stratum and those of its covers in it
+        strat = build(key)[1]
+        n = strat.document.rank
+        for s in strat.strata:
+            u = strat.u_bases[s.index]
+            doubled = tuple(tuple(2 * c for c in b) for b in u)
+            dependent = u + (tuple(sum(b[k] for b in u) for k in range(n)),)
+            levi = strat.point_stabilizers[s.index]
+            for h in [levi] + [point_stabilizer(levi, strat.strata[j].rep)
+                               for j in strat.covers[s.index]]:
+                for p in range(5):
+                    basis = invariant_basis(h, p, u)
+                    assert invariant_basis(h, p, doubled) == basis
+                    assert invariant_basis(h, p, dependent) == basis
 
 
 class TestOrthogonalComplement:
