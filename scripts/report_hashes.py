@@ -18,10 +18,11 @@ The set:
 - ``verify --max-degree 8``, ``bps`` and ``bps --orbit 1`` on the two n = 3
   documents;
 - ``validate`` and ``strata``, each in JSON and in text, on eleven malformed
-  ``--input`` documents: one per lattice rule of validation, an infinite
-  group under a cap of 50 (twice: once generated by a shear, once by two
-  reflections in the same root), and one that validates with a
-  multiplicity warning (44 reports, 368 in all).
+  ``--input`` documents: one per lattice rule of validation, a root of
+  multiplicity 2 among them; two generators with no integer inverse, one of
+  them singular; and an infinite group under a cap of 50, twice: once
+  generated by a shear, once by two reflections in the same root (44
+  reports, 368 in all).
 
 The output is one JSON object ``{argv: [exit code, sha256]}``; an ``--input``
 argv names its document instead of the temporary file it was read from.
@@ -111,7 +112,7 @@ def malformed_documents() -> list[dict]:
             "v_weights": [],
             "options": {"group_cap": 50},
         },
-        "multiplicity-warning": {
+        "doubled-root": {
             "g_weights": [zero, *({**r, "multiplicity": 2} for r in roots)],
         },
         "no-root-reflection": {"g_weights": [zero]},

@@ -127,7 +127,7 @@ def _document(name: str, group_key: str, v_pairs) -> InputDocument:
         rank=entry["rank"],
         weyl_generators=tuple(entry["generators"]),
         g_weights=WeightMultiset.from_pairs(entry["g_weights"]),
-        v_weights=WeightMultiset.from_pairs(v_pairs) if v_pairs else WeightMultiset(()),
+        v_weights=WeightMultiset.from_pairs(v_pairs),
         max_degree=None,
         group_cap=DEFAULT_GROUP_CAP,
     )

@@ -116,7 +116,7 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
 
     The document is validated here, once; the one enumeration of its group,
     bounded by document.group_cap, checks that the group is finite."""
-    warnings = document.validate()
+    document.validate()
     if max_degree is not None and max_degree < 0:
         raise InputError(f"max_degree: expected a nonnegative integer, got {max_degree}")
     if max_degree is not None and max_degree > MAX_DEGREE:
@@ -131,7 +131,6 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
         weyl = enumerate_group(document.weyl_generators, document.rank, document.group_cap)
         sclass = symmetry_class(document.v_weights)
         report["symmetry_class"] = sclass.value
-        report["warnings"] = warnings
         report["weyl_order"] = weyl.order
         if sclass.value == "not_weakly_symmetric":
             report["status"] = "validation_failed"
@@ -142,8 +141,6 @@ def run(command: str, document: InputDocument, *, max_degree: int | None = None,
 
     strat = enumerate_strata(document)
     report["symmetry_class"] = strat.symmetry_class.value
-    if warnings:
-        report["warnings"] = warnings
     report["strata_count"] = len(strat.strata)
     report["orbit_count"] = len(strat.orbits)
 
@@ -192,8 +189,6 @@ def _render_text(report: dict) -> str:
                 "max_degree", "status", "error"):
         if key in report:
             lines.append(f"{key}: {report[key]}")
-    for warning in report.get("warnings", []):
-        lines.append(f"warning: {warning}")
     if "strata" in report:
         lines.append("strata:")
         for s in report["strata"]:

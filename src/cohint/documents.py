@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .lattice import DEFAULT_GROUP_CAP, Weight, WeightMultiset, ray
-from .matrices import IntMatrix, identity, int_inverse, mat_mul
+from .matrices import IntMatrix, identity, mat_mul
 
 # The largest degree verify and molien accept, from --max-degree or from
 # options.max_degree.  Both build their series and graded spaces degree by
@@ -29,22 +29,12 @@ class InputDocument:
     max_degree: int | None
     group_cap: int = DEFAULT_GROUP_CAP
 
-    def validate(self) -> list[str]:
-        """Check the lattice rules; returns non-fatal warnings.
+    def validate(self) -> None:
+        """Check the lattice rules; the schema (document_from_dict) owns the shapes.
 
-        Finiteness of the group is checked by its one enumeration
-        (weyl.enumerate_group), which every report builds."""
-        if self.rank < 1:
-            raise InputError("rank must be a positive integer")
-        for k, gen in enumerate(self.weyl_generators):
-            if len(gen) != self.rank or any(len(row) != self.rank for row in gen):
-                raise InputError(f"weyl_generators[{k}] is not a {self.rank}x{self.rank} matrix")
-            try:
-                int_inverse(gen)
-            except ValueError:
-                raise InputError(
-                    f"weyl_generators[{k}] is not invertible over the integers"
-                ) from None
+        A generator must be the reflection in a root, so it is its own integer
+        inverse; the group's one enumeration (weyl.enumerate_group), which
+        every report builds, checks that the group is finite."""
         self._check_weights("g_weights", self.g_weights)
         zero = tuple(0 for _ in range(self.rank))
         if self.g_weights.multiplicity(zero) != self.rank:
@@ -53,22 +43,19 @@ class InputDocument:
             )
         if self.g_weights.negated() != self.g_weights:
             raise InputError("g_weights must equal their negation as a multiset")
+        for w, m in self.g_weights:
+            if any(w) and m > 1:
+                raise InputError(
+                    f"g_weights entry {w} has multiplicity {m}; a root has multiplicity 1"
+                )
         roots = {ray(w)[0] for w in self.g_weights.nonzero_supports()}
         for k, gen in enumerate(self.weyl_generators):
             if _reflection_ray(gen) not in roots:
                 raise InputError(f"weyl_generators[{k}] is not the reflection in a root of g_weights")
         self._check_weights("v_weights", self.v_weights)
-        return [
-            f"nonzero adjoint weight {w} has multiplicity {m}; "
-            "formulas remain well-defined but the data is unusual"
-            for w, m in self.g_weights if any(w) and m > 1
-        ]
 
     def _check_weights(self, label: str, ws: WeightMultiset) -> None:
-        """Each weight has length rank, and the generators fix the multiset."""
-        for w, _ in ws:
-            if len(w) != self.rank:
-                raise InputError(f"{label} entry {w} has wrong length (rank is {self.rank})")
+        """Each generator fixes the multiset."""
         for k, gen in enumerate(self.weyl_generators):
             if ws.transformed(gen) != ws:
                 raise InputError(f"{label} are not stable under weyl_generators[{k}]")
@@ -141,7 +128,7 @@ def _parse_weights(raw, location: str, rank: int) -> WeightMultiset:
             "expected a positive integer",
         )
         pairs.append((tuple(alpha), mult))
-    return WeightMultiset.from_pairs(pairs) if pairs else WeightMultiset(())
+    return WeightMultiset.from_pairs(pairs)
 
 
 def document_from_dict(raw: dict) -> InputDocument:

@@ -151,16 +151,8 @@ def numeric_invariants(
 ) -> NumericInvariants:
     """Fixed-space dimensions and the shifts d_lambda, r_lambda at a cocharacter.
 
-    d + 2r = dim V - dim g says that V has as many weights pairing
-    positively with lam as negatively, given that g has (its weights equal
-    their negation).  A weakly symmetric V balances at every lam."""
+    V is weakly symmetric (enumerate_strata rejects any other by symmetry_class),
+    so it balances at every lam, as g does, and d + 2r = dim V - dim g."""
     dim_v, v_pos = _zero_and_positive(v_weights, lam)
     dim_g, g_pos = _zero_and_positive(g_weights, lam)
-    d_lambda = dim_v - dim_g
-    r_lambda = v_pos - g_pos
-    if d_lambda + 2 * r_lambda != v_weights.total() - g_weights.total():
-        raise InputError(
-            "numeric invariants require a weakly symmetric weight multiset: "
-            f"the weights of V do not balance at {lam}"
-        )
-    return NumericInvariants(dim_v, dim_g, d_lambda, r_lambda)
+    return NumericInvariants(dim_v, dim_g, dim_v - dim_g, v_pos - g_pos)

@@ -42,19 +42,6 @@ def dot(u: Sequence, v: Sequence) -> int | Fraction:
     return sum(x * y for x, y in zip(u, v))
 
 
-def int_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix that is invertible over the integers (det = +/-1),
-    read off the reduced row echelon form of [m | I]."""
-    n = len(m)
-    red, pivots = rref([tuple(row) + e for row, e in zip(m, identity(n))], n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    inverse = [row[n:] for row in red]
-    if any(x.denominator != 1 for row in inverse for x in row):
-        raise ValueError("matrix is not invertible over the integers")
-    return tuple(tuple(int(x) for x in row) for row in inverse)
-
-
 def _primitive(row: list[int]) -> list[int]:
     """row divided by the gcd of its entries; a zero row (gcd 0) is kept."""
     g = gcd(*row)

@@ -95,25 +95,22 @@ def enumerate_group(
     Each element costs one product per generator, read off the generator's
     nonzero entries, and no inverse of an element is computed.
 
-    Right multiplication by an invertible generator g permutes a finite
-    closure, so some element m has m * g = I, and m is g's integer inverse.
-    A generator that no element inverts is not invertible over the integers."""
+    The generators are reflections that InputDocument.validate has checked
+    (g * g = I), so each is its own integer inverse and the closure is a
+    group once it is finite."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
     # (m * g)[r][c] sums m[r][i] * g[i][c] over the nonzero entries of column
     # c only: one entry per column of a signed permutation.
     columns = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*g)] for g in gens]
     one = identity(rank)
     reached_from: dict[IntMatrix, tuple[IntMatrix, int] | None] = {one: None}
-    inverted: set[int] = set()
     frontier = [one]
     while frontier:
         new = []
         for m in frontier:
             for k, cols in enumerate(columns):
                 prod = tuple(tuple(sum(row[i] * x for i, x in col) for col in cols) for row in m)
-                if prod == one:
-                    inverted.add(k)
-                elif prod not in reached_from:
+                if prod not in reached_from:
                     reached_from[prod] = (m, k)
                     new.append(prod)
                     if len(reached_from) > cap:
@@ -122,9 +119,6 @@ def enumerate_group(
                             "check the generators or raise --group-cap"
                         )
         frontier = new
-    for k, g in enumerate(gens):
-        if k not in inverted:
-            raise InputError(f"generator {g} is not invertible over the integers")
     return WeylGroup(reached_from, rank, gens)
 
 

@@ -1,8 +1,8 @@
-"""Reference computations that only the tests use: values of polynomials and
-kernel forms at rational points, generic points that avoid a set of weight
-hyperplanes, the inner product of two polynomials under a symmetric form
-computed term by term, products over exponent tuples, and row reduction over
-every monomial of a degree."""
+"""Reference computations that only the tests use: the integer inverse of a
+matrix, values of polynomials and kernel forms at rational points, generic
+points that avoid a set of weight hyperplanes, the inner product of two
+polynomials under a symmetric form computed term by term, products over
+exponent tuples, and row reduction over every monomial of a degree."""
 
 from __future__ import annotations
 
@@ -10,8 +10,21 @@ from fractions import Fraction
 from math import factorial, prod
 
 from cohint.errors import InternalCheckError
-from cohint.matrices import dot, rref
+from cohint.matrices import IntMatrix, dot, identity, rref
 from cohint.polyalg import Poly, apply_linear_map, monomials_of_degree, pack, unpack
+
+
+def int_inverse(m: IntMatrix) -> IntMatrix:
+    """Inverse of a matrix that is invertible over the integers (det = +/-1),
+    read off the reduced row echelon form of [m | I]."""
+    n = len(m)
+    red, pivots = rref([tuple(row) + e for row, e in zip(m, identity(n))], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    inverse = [row[n:] for row in red]
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise ValueError("matrix is not invertible over the integers")
+    return tuple(tuple(int(x) for x in row) for row in inverse)
 
 
 def evaluate(f, point) -> Fraction:

@@ -20,11 +20,11 @@ from cohint import (
 )
 from cohint.cli import EXIT_VALIDATION, main
 from cohint.documents import document_from_dict
-from cohint.matrices import dot, hnf, int_inverse, int_kernel, mat_vec, transpose
+from cohint.matrices import dot, hnf, int_kernel, mat_vec, transpose
 from cohint.weyl import char_action, permutation_action, point_stabilizer, set_stabilizer
 
 from conftest import CATALOG_INSTANCES, build, gl_document
-from reference import generic_points
+from reference import generic_points, int_inverse
 
 RANK_LE_3 = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:4", "trivial:sl3", "adjoint:gl3")
 

@@ -7,6 +7,8 @@ from cohint import InputError, catalog_emit, catalog_keys, enumerate_strata, par
 from cohint.cli import EXIT_OK, EXIT_VALIDATION, main, run
 from cohint.documents import MAX_DEGREE, document_from_dict
 
+from conftest import CATALOG_INSTANCES
+
 GL2_DOC = {
     "name": "gl2-cotangent",
     "rank": 2,
@@ -80,7 +82,9 @@ class TestParseInput:
     def test_non_invertible_generator(self):
         bad = json.loads(json.dumps(GL2_DOC))
         bad["weyl_generators"] = [[[2, 0], [0, 1]]]
-        with pytest.raises(InputError, match="invertible"):
+        with pytest.raises(InputError, match=(
+            r"^g_weights are not stable under weyl_generators\[0\]$"
+        )):
             run("validate", parse_input(json.dumps(bad)))
 
     def test_unstable_v_weights(self):
@@ -486,37 +490,34 @@ class TestMain:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["validate", "strata", "bps", "verify", "molien"])
-    def test_multiplicity_warnings_on_every_report(self, command, tmp_path, capsys):
-        # the adjoint of gl2 with its roots doubled, in g and in V alike
+    def test_doubled_roots_are_rejected(self, command, tmp_path, capsys):
+        # gl2 on C^2 + (C^2)* with its roots doubled in g, and the adjoint of
+        # gl2 with its roots doubled in g and in V alike
         weights = [{"alpha": [0, 0], "multiplicity": 2},
                    {"alpha": [1, -1], "multiplicity": 2},
                    {"alpha": [-1, 1], "multiplicity": 2}]
-        path = tmp_path / "doubled-roots.json"
-        path.write_text(json.dumps({**GL2_DOC, "g_weights": weights, "v_weights": weights}))
-        argv = [command, "--input", str(path)]
-        if command in ("verify", "molien"):
-            argv += ["--max-degree", "2"]
-        warnings = [
-            f"nonzero adjoint weight {w} has multiplicity 2; "
-            "formulas remain well-defined but the data is unusual"
-            for w in ((-1, 1), (1, -1))
-        ]
-        assert main(argv) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        assert report["warnings"] == warnings
-        keys = list(report)
-        assert keys[keys.index("symmetry_class") + 1] == "warnings"
-        assert main([*argv, "--format", "text"]) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert [line for line in lines if line.startswith("warning: ")] == [
-            f"warning: {w}" for w in warnings
-        ]
+        message = "g_weights entry (-1, 1) has multiplicity 2; a root has multiplicity 1"
+        for v_weights in (GL2_DOC["v_weights"], weights):
+            path = tmp_path / "doubled-roots.json"
+            doc = {**GL2_DOC, "g_weights": weights, "v_weights": v_weights}
+            path.write_text(json.dumps(doc))
+            argv = [command, "--input", str(path)]
+            if command in ("verify", "molien"):
+                argv += ["--max-degree", "2"]
+            assert main(argv) == EXIT_VALIDATION
+            assert json.loads(capsys.readouterr().out) == {
+                "status": "validation_failed", "error": message,
+            }
+            assert main([*argv, "--format", "text"]) == EXIT_VALIDATION
+            assert capsys.readouterr().out == f"status: validation_failed\nerror: {message}\n"
 
-    @pytest.mark.parametrize("command", ["strata", "bps", "verify", "molien"])
+    @pytest.mark.parametrize("command", ["validate", "strata", "bps", "verify", "molien"])
     def test_no_warnings_key_without_warnings(self, command):
+        # validation has no non-fatal outcome, so no report carries warnings
         degree = {"max_degree": 2} if command in ("verify", "molien") else {}
-        report, _ = run(command, catalog_emit("gl2-cotangent"), **degree)
-        assert "warnings" not in report
+        for key in CATALOG_INSTANCES:
+            report, _ = run(command, catalog_emit(key), **degree)
+            assert "warnings" not in report, key
 
     @pytest.mark.parametrize("command", ["validate", "strata", "verify"])
     def test_each_report_classifies_v_once(self, command, monkeypatch, capsys):

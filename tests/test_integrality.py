@@ -18,11 +18,11 @@ from cohint import integrality as I
 from cohint.documents import document_from_dict
 from cohint import polyalg
 from cohint.polyalg import ExactDivisionError, KernelForm, kernel_sum, monomials_of_degree
-from cohint.matrices import int_inverse, restrict_action, transpose
+from cohint.matrices import restrict_action, transpose
 from cohint.weyl import molien_coefficients, point_stabilizer
 
 from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document
-from reference import evaluate, evaluate_kernel, generic_points
+from reference import evaluate, evaluate_kernel, generic_points, int_inverse
 
 # The fixed catalog keys, and one instance of each parametrised family.
 CATALOG_KEYS = tuple(k for k in catalog_keys() if "<" not in k) + (
