@@ -1,0 +1,73 @@
+"""Ceiling probe: wall time and stdout SHA-256 of two large reports.
+
+    python3 scripts/ceiling.py
+
+Run it from the root of a checkout.  It builds two documents with
+``tests/conftest.py::gl_document`` and runs one report on each, every report
+in a fresh ``python -m cohint.cli`` process importing that checkout's
+``src/``:
+- ``verify --max-degree 8`` on gl4 adjoint, ``gl_document(4, "adjoint", 1, 0)``;
+- ``bps`` on gl3-adjoint-m3, the 3-loop quiver with dimension vector 3,
+  ``gl_document(3, "adjoint", 3, 9)``.
+
+Each line gives the report, its unscaled wall seconds (process start to exit)
+and its stdout SHA-256, so that two checkouts can be compared by speed and by
+output.  A report that exits non-zero or runs past ``BUDGET`` (60 s each) is
+printed as failed, and the script then exits 1.  The probe is not
+gated: its times depend on the host.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.getcwd()
+BUDGET = 60.0  # seconds each report may take
+REPORTS = (
+    (("verify", "--max-degree", "8"), (4, "adjoint", 1, 0)),
+    (("bps",), (3, "adjoint", 3, 9)),
+)
+
+
+def run(argv: list[str]) -> tuple[float, str]:
+    """(wall seconds, stdout SHA-256) of one report in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "cohint.cli", *argv], cwd=ROOT, env=env,
+                          stdout=subprocess.PIPE, timeout=BUDGET, check=True)
+    return time.monotonic() - start, hashlib.sha256(done.stdout).hexdigest()
+
+
+def main() -> int:
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+    from conftest import gl_document
+
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, shape in REPORTS:
+            doc = gl_document(*shape)
+            path = os.path.join(tmp, f"{doc['name']}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            name = " ".join([command[0], "--input", doc["name"], *command[1:]])
+            try:
+                seconds, digest = run([command[0], "--input", path, *command[1:]])
+            except subprocess.TimeoutExpired:
+                print(f"{name}: FAILED, over the budget of {BUDGET:g} s")
+                failed += 1
+            except subprocess.CalledProcessError as exc:
+                print(f"{name}: FAILED, exit code {exc.returncode}")
+                failed += 1
+            else:
+                print(f"{name}: {seconds:.2f} s, stdout sha256 {digest}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

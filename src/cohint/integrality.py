@@ -22,11 +22,11 @@ from .polyalg import (
     GradedBasis,
     KernelForm,
     Poly,
-    average_over,
     coset_sum,
     invariant_basis,
     kernel_sum,
     monomials_of_degree,
+    orbit_sum,
     orthogonal_complement,
     power_products,
     rref_span,
@@ -392,7 +392,7 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> Ledger:
                 projections = []
                 for f in basis.polys():
                     for g in products:
-                        proj = average_over(wl, f * g, eps)
+                        proj = orbit_sum(wl, f * g, eps)
                         if not proj.is_zero():
                             projections.append(proj)
                 iso_basis = rref_span(projections, m, n)
@@ -418,14 +418,15 @@ TEST_FUNCTION_DEGREE = 3
 
 
 def _invariant_test_functions(strat, h: Subgroup):
-    """Deterministic list of subgroup-invariant polynomials of small degree."""
+    """Deterministic list of subgroup-invariant polynomials of small degree:
+    the constant 1, then the distinct nonzero orbit sums of monomials."""
     n = strat.document.rank
     out = [Poly.constant(n, 1)]
     for d in range(1, TEST_FUNCTION_DEGREE + 1):
         for exps in monomials_of_degree(n, d):
             if len(out) >= TEST_FUNCTIONS:
                 return out
-            f = average_over(h, Poly.monomial(n, exps))
+            f = orbit_sum(h, Poly.monomial(n, exps))
             if not f.is_zero() and f not in out:
                 out.append(f)
     return out
@@ -436,7 +437,13 @@ def verify_associativity(strat: Stratification) -> Ledger:
     inducting directly once the smallest representative is sign-aligned.
     The first ASSOCIATIVITY_CHAINS chains i <= j <= k in lexicographic order
     are used, the strict ones (i < j < k) before the degenerate ones; a
-    stratum's index is below that of every stratum above it."""
+    stratum's index is below that of every stratum above it.
+
+    The aligned stratum and its test functions depend on the pair (i, j)
+    only, and an induction only on its polynomial, its source representative
+    and its target, so each is computed once per call, when a chain first
+    needs it: chains sharing (i, j) share the inner inductions, and for
+    j == k the inner induction is the direct one."""
     count = len(strat.strata)
     chains = (
         (i, j, k)
@@ -447,20 +454,29 @@ def verify_associativity(strat: Stratification) -> Ledger:
         if (i != j and j != k) == strict
     )
     supports = strat.all_supports()
+    aligned: dict[tuple[int, int], tuple[Stratum, list[Poly]]] = {}
+    induced: dict[tuple, Poly] = {}
+
+    def induced_once(f: Poly, mu: Stratum, target: Stratum) -> Poly:
+        key = (frozenset(f.terms.items()), mu.rep, target.index)
+        if key not in induced:
+            induced[key] = induct(strat, f, mu, target)
+        return induced[key]
+
     rows = []
     for chain in itertools.islice(chains, ASSOCIATIVITY_CHAINS):
         i, j, k = chain
-        s1, s2, s3 = strat.strata[i], strat.strata[j], strat.strata[k]
-        nu = align_representative(s1, s2.rep, supports)
-        s1_aligned = with_representative(strat, s1, nu)
-        h = point_stabilizer(strat.weyl.full_subgroup(), nu)
-        ok = True
-        funcs = _invariant_test_functions(strat, h)
-        for f in funcs:
-            direct = induct(strat, f, s1_aligned, s3)
-            staged = induct(strat, induct(strat, f, s1_aligned, s2), s2, s3)
-            if direct != staged:
-                ok = False
-                break
+        s2, s3 = strat.strata[j], strat.strata[k]
+        if (i, j) not in aligned:
+            nu = align_representative(strat.strata[i], s2.rep, supports)
+            h = point_stabilizer(strat.weyl.full_subgroup(), nu)
+            aligned[i, j] = (with_representative(strat, strat.strata[i], nu),
+                             _invariant_test_functions(strat, h))
+        s1_aligned, funcs = aligned[i, j]
+        ok = all(
+            induced_once(f, s1_aligned, s3)
+            == induced_once(induced_once(f, s1_aligned, s2), s2, s3)
+            for f in funcs
+        )
         rows.append(AssociativityRow(chain, len(funcs), ok))
     return Ledger(tuple(rows), all(r.ok for r in rows))

@@ -32,7 +32,6 @@ from .matrices import (
     nullspace,
     quotient,
     rref,
-    solve_combination,
 )
 from .weyl import Subgroup, WeylElement
 
@@ -218,22 +217,32 @@ def power_products(forms: Sequence[Sequence], d: int, nvars: int) -> Iterator[Po
         yield mono
 
 
-def apply_linear_map(f: Poly, matrix) -> Poly:
-    """Substitute x_i -> sum_j matrix[j][i] x_j (the action on linear forms
-    that sends the i-th coordinate form to matrix applied to it).
-
-    When every column i has one nonzero entry a_i, in row j_i (a signed
-    permutation, say), c*x^e goes to c*prod a_i^e_i * prod x_{j_i}^e_i: the
-    exponents only move, and the key of the image is the sum over i of e_i
-    unit keys of x_{j_i}.  Otherwise each term is expanded from the powers of
-    the column images, image^k = image^(k-1) * image, each built once per
-    call.  Either way the terms are added into one dict, so terms that land
-    on one monomial merge and cancel."""
-    n = f.nvars
+def _plan(matrix) -> tuple:
+    """How substitution by the matrix rewrites a polynomial in len(matrix)
+    variables: (moves, None) when every column i has one nonzero entry a_i,
+    in row j_i (a signed permutation, say), with moves the triples (shift of
+    x_i's exponent field, unit key of x_{j_i}, a_i); otherwise (None,
+    powers), where powers[i] lists the powers image, image^2, ... of the
+    image of the i-th coordinate form, so far only the first."""
+    n = len(matrix)
     columns = [[(j, matrix[j][i]) for j in range(n) if matrix[j][i]] for i in range(n)]
-    acc: dict[int, Coefficient] = {}
     if all(len(column) == 1 for column in columns):
-        moves = [(B * (n - 1 - i), _unit(n, j), a) for i, [(j, a)] in enumerate(columns)]
+        return [(B * (n - 1 - i), _unit(n, j), a) for i, [(j, a)] in enumerate(columns)], None
+    return None, [[Poly.linear(tuple(matrix[j][i] for j in range(n)))] for i in range(n)]
+
+
+def _substituted(f: Poly, plan: tuple) -> Poly:
+    """f rewritten by a plan of _plan.  With moves, c*x^e goes to
+    c*prod a_i^e_i * prod x_{j_i}^e_i: the exponents only move, and the key of
+    the image is the sum over i of e_i unit keys of x_{j_i}.  With powers,
+    each term is expanded from the powers of the images, image^k =
+    image^(k-1) * image, each built once per plan: the lists grow as higher
+    powers are needed.  Either way the terms are added into one dict, so
+    terms that land on one monomial merge and cancel."""
+    n = f.nvars
+    moves, powers = plan
+    acc: dict[int, Coefficient] = {}
+    if moves is not None:
         for e, c in f.terms.items():
             moved = 0
             for shift, unit, a in moves:
@@ -244,43 +253,51 @@ def apply_linear_map(f: Poly, matrix) -> Poly:
                         c *= a ** k
             acc[moved] = acc.get(moved, 0) + c
     else:
-        images = [Poly.linear(tuple(matrix[j][i] for j in range(n))) for i in range(n)]
-        powers: dict[tuple[int, int], Poly] = {}
-
-        def power(i: int, k: int) -> Poly:
-            if (i, k) not in powers:
-                powers[i, k] = images[i] if k == 1 else power(i, k - 1) * images[i]
-            return powers[i, k]
-
         for e, c in f.terms.items():
             term = Poly.constant(n, c)
-            for i, k in enumerate(unpack(e, n)):
+            for column, k in zip(powers, unpack(e, n)):
                 if k:
-                    term = term * power(i, k)
+                    while len(column) < k:
+                        column.append(column[-1] * column[0])
+                    term = term * column[k - 1]
             for m, v in term.terms.items():
                 acc[m] = acc.get(m, 0) + v
     return Poly(n, {m: v for m, v in acc.items() if v})
 
 
+def apply_linear_map(f: Poly, matrix) -> Poly:
+    """Substitute x_i -> sum_j matrix[j][i] x_j (the action on linear forms
+    that sends the i-th coordinate form to matrix applied to it), reading the
+    matrix afresh: for a matrix that is not a group element, such as an
+    inner product's form.  See _substituted for the two ways a term goes."""
+    return _substituted(f, _plan(matrix))
+
+
 def substitute(w: WeylElement, f: Poly) -> Poly:
-    """Linear change of variables by the character action of w."""
-    return apply_linear_map(f, w.matrix)
+    """Linear change of variables by the character action of w, as
+    apply_linear_map(f, w.matrix).  The plan of w's matrix (its exponent
+    moves, or the powers of its column images) is built on w's first
+    substitution and kept in w.memo, which lives and dies with w's group."""
+    plan = w.memo.get(_plan)
+    if plan is None:
+        plan = w.memo[_plan] = _plan(w.matrix)
+    return _substituted(f, plan)
 
 
-def average_over(
+def orbit_sum(
     h: Subgroup, f: Poly, character: Mapping[int, Coefficient] | None = None
 ) -> Poly:
-    """(1/|h|) sum_w w(f) over the elements w of h, or, given a +/-1
-    character on h's member indices, (1/|h|) sum_w character(w) w(f).  Every
-    substituted polynomial is added into one dict, and the sum is scaled
-    once."""
+    """sum_w w(f) over the elements w of h, or, given a +/-1 character on h's
+    member indices, sum_w character(w) w(f): |h| times the average over h,
+    left unscaled since no caller depends on the scale (a span and its
+    row-reduced basis do not, nor does an equality of two linear images).
+    Every substituted polynomial is added into one dict."""
     acc: dict[int, Coefficient] = {}
     for idx, w in zip(h.members, h.elements()):
         negate = character is not None and character[idx] < 0
         for e, c in substitute(w, f).terms.items():
             acc[e] = acc.get(e, 0) + (-c if negate else c)
-    scale = Fraction(1, h.order)
-    return Poly(f.nvars, {e: c * scale for e, c in acc.items() if c})
+    return Poly(f.nvars, {e: c for e, c in acc.items() if c})
 
 
 def exact_divide(f: Poly, ell: Sequence) -> Poly:
@@ -290,7 +307,7 @@ def exact_divide(f: Poly, ell: Sequence) -> Poly:
     which changes only terms of degree k - 1; what is left at degree 0 is the
     remainder.  c / p is the int c // p when p divides c, so an integer f
     over a primitive integer ell (a ray key) has an integer quotient (Gauss's
-    lemma), and a Fraction otherwise."""
+    lemma), and a Fraction otherwise; when p is 1, it is c itself."""
     if not any(ell):
         raise InputError("cannot divide by the zero form")
     n = f.nvars
@@ -307,7 +324,7 @@ def exact_divide(f: Poly, ell: Sequence) -> Poly:
         for e, c in slices[k].items():
             if c:
                 q = e - down
-                quot[q] = qc = quotient(c, p)
+                quot[q] = qc = c if p == 1 else quotient(c, p)
                 for unit, cj in rest:
                     m = q + unit
                     below[m] = below.get(m, 0) - qc * cj
@@ -462,13 +479,17 @@ def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
 def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis:
     """Basis of the degree-p invariants of H inside Sym^p(span of the forms),
     from the forms as given: neither Sym^p of the span nor its unique RREF
-    over Q depends on the spanning set."""
+    over Q depends on the spanning set, or on the scale of the orbit sums
+    that span the invariants.  The span is checked to be H-stable once per
+    call: each image M_w b must have coordinates in the row-reduced span of
+    the forms."""
     nvars = h.parent.rank
+    span = rref_span(map(Poly.linear, forms), 1, nvars)
     for w in h.elements():
         for b in forms:
-            if solve_combination(forms, mat_vec(w.matrix, b)) is None:
+            if span.coordinates(Poly.linear(mat_vec(w.matrix, b))) is None:
                 raise InputError("span of the forms is not stable under the subgroup")
-    vectors = [average_over(h, mono) for mono in power_products(forms, p, nvars)]
+    vectors = [orbit_sum(h, mono) for mono in power_products(forms, p, nvars)]
     return rref_span(vectors, p, nvars)
 
 

@@ -4,7 +4,7 @@ cosets, the averaged invariant form and exact Molien series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,6 +29,9 @@ class WeylElement:
 
     index: int
     matrix: IntMatrix
+    # polyalg's substitution plan for this element, built on its first
+    # substitution (polyalg.substitute); it lives and dies with the group.
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 class WeylGroup:
@@ -95,14 +98,18 @@ def enumerate_group(
     Each element costs one product per generator, read off the generator's
     nonzero entries, and no inverse of an element is computed.
 
-    The generators are reflections that InputDocument.validate has checked
-    (g * g = I), so each is its own integer inverse and the closure is a
-    group once it is finite."""
+    The generators must be involutions (g * g = I), as the reflections that
+    InputDocument.validate checks are: then each is its own integer inverse
+    and the closure is a group once it is finite.  A generator that is not
+    is an InputError naming it, at one product per generator."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
+    one = identity(rank)
+    for k, g in enumerate(gens):
+        if mat_mul(g, g) != one:
+            raise InputError(f"weyl_generators[{k}] is not an involution: g * g != I")
     # (m * g)[r][c] sums m[r][i] * g[i][c] over the nonzero entries of column
     # c only: one entry per column of a signed permutation.
     columns = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*g)] for g in gens]
-    one = identity(rank)
     reached_from: dict[IntMatrix, tuple[IntMatrix, int] | None] = {one: None}
     frontier = [one]
     while frontier:

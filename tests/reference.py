@@ -1,17 +1,22 @@
 """Reference computations that only the tests use: the integer inverse of a
 matrix, values of polynomials and kernel forms at rational points, generic
 points that avoid a set of weight hyperplanes, the inner product of two
-polynomials under a symmetric form computed term by term, products over
-exponent tuples, and row reduction over every monomial of a degree."""
+polynomials under a symmetric form computed term by term, products and
+substitutions over exponent tuples, row reduction over every monomial of a
+degree, and the associativity ledger's rows chain by chain."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import factorial, prod
 
+from cohint import integrality
+from cohint.arrangement import align_representative, with_representative
 from cohint.errors import InternalCheckError
 from cohint.matrices import IntMatrix, dot, identity, rref
 from cohint.polyalg import Poly, apply_linear_map, monomials_of_degree, pack, unpack
+from cohint.weyl import point_stabilizer
 
 
 def int_inverse(m: IntMatrix) -> IntMatrix:
@@ -101,6 +106,58 @@ def multiply(f, g) -> dict:
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def substitute_terms(f, matrix) -> dict:
+    """The terms of f with x_i -> sum_j matrix[j][i] x_j, keyed by exponent
+    tuples: each term c*x^e is expanded one linear factor at a time with
+    multiply, and the expansions are added."""
+    n = f.nvars
+    columns = [Poly.linear(tuple(matrix[j][i] for j in range(n))) for i in range(n)]
+    out: dict = {}
+    for e, c in exponent_terms(f).items():
+        term = {(0,) * n: c}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = multiply(from_exponent_terms(n, term), columns[i])
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + v
+    return {m: v for m, v in out.items() if v}
+
+
+def associativity_rows(strat) -> tuple:
+    """The rows of integrality.verify_associativity computed chain by chain:
+    every chain aligns its smallest stratum and builds its test functions
+    afresh, and every function makes its three inductions, up to the first
+    function whose direct and staged inductions differ."""
+    count = len(strat.strata)
+    chains = (
+        (i, j, k)
+        for strict in (True, False)
+        for i in range(count)
+        for j in range(i, count) if strat.leq(i, j)
+        for k in range(j, count) if strat.leq(j, k)
+        if (i != j and j != k) == strict
+    )
+    supports = strat.all_supports()
+    rows = []
+    for chain in itertools.islice(chains, integrality.ASSOCIATIVITY_CHAINS):
+        i, j, k = chain
+        s1, s2, s3 = strat.strata[i], strat.strata[j], strat.strata[k]
+        nu = align_representative(s1, s2.rep, supports)
+        s1_aligned = with_representative(strat, s1, nu)
+        h = point_stabilizer(strat.weyl.full_subgroup(), nu)
+        ok = True
+        funcs = integrality._invariant_test_functions(strat, h)
+        for f in funcs:
+            direct = integrality.induct(strat, f, s1_aligned, s3)
+            staged = integrality.induct(
+                strat, integrality.induct(strat, f, s1_aligned, s2), s2, s3)
+            if direct != staged:
+                ok = False
+                break
+        rows.append(integrality.AssociativityRow(chain, len(funcs), ok))
+    return tuple(rows)
 
 
 def rref_all_monomials(vectors, degree: int, nvars: int) -> tuple:

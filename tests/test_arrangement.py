@@ -56,6 +56,18 @@ class TestStratumCounts:
         with pytest.raises(InputError):
             enumerate_strata(bad)
 
+    def test_unvalidated_singular_generator_rejected(self):
+        # the document skips validation, and diag(1, 0) with I would close
+        # up as a "group" of order 2 with two strata
+        doc = document_from_dict({
+            "rank": 2,
+            "weyl_generators": [[[1, 0], [0, 0]]],
+            "g_weights": [{"alpha": [0, 0], "multiplicity": 2}],
+            "v_weights": [{"alpha": [1, 0]}, {"alpha": [-1, 0]}],
+        })
+        with pytest.raises(InputError, match=r"weyl_generators\[0\] is not an involution"):
+            enumerate_strata(doc)
+
     def test_full_space_and_total_intersection_present(self):
         for key in RANK_LE_3:
             _, strat = build(key)

@@ -22,7 +22,13 @@ from cohint.matrices import restrict_action, transpose
 from cohint.weyl import molien_coefficients, point_stabilizer
 
 from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document
-from reference import evaluate, evaluate_kernel, generic_points, int_inverse
+from reference import (
+    associativity_rows,
+    evaluate,
+    evaluate_kernel,
+    generic_points,
+    int_inverse,
+)
 
 # The fixed catalog keys, and one instance of each parametrised family.
 CATALOG_KEYS = tuple(k for k in catalog_keys() if "<" not in k) + (
@@ -654,3 +660,31 @@ class TestVerification:
             result = I.verify_associativity(strat)
             assert result.rows
             assert result.passed
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_associativity_ledger_against_the_chain_by_chain_loop(
+            self, key, perturbed, monkeypatch):
+        # Perturbed, a nonconstant induction is scaled by 1 + the source
+        # stratum's index, so a staged induction through a stratum j > 0
+        # differs from the direct one and rows fail after the first function.
+        # Either way the ledger matches the loop that makes every induction
+        # of every chain, and no (polynomial, source representative, target)
+        # reaches induct twice.
+        strat = build(key)[1]
+        induct = I.induct
+        seen = []
+
+        def recording(strat_, f, mu, target):
+            seen.append((frozenset(f.terms.items()), mu.rep, target.index))
+            out = induct(strat_, f, mu, target)
+            return out.scaled(1 + mu.index) if perturbed and f.degree > 0 else out
+
+        monkeypatch.setattr(I, "induct", recording)
+        expected = associativity_rows(strat)
+        seen.clear()
+        rows = I.verify_associativity(strat).rows
+        assert rows == expected
+        assert len(seen) == len(set(seen))
+        if perturbed and len(strat.strata) > 1:
+            assert not all(row.ok for row in rows)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cohint import KernelForm, Poly, enumerate_group, kernel_sum, molien_coefficients, substitute
 from cohint import integrality as I
 from cohint.matrices import det_one_minus_q, int_kernel, solve_combination
-from cohint.polyalg import average_over, coset_sum, invariant_basis, monomials_of_degree, unpack
+from cohint.polyalg import coset_sum, invariant_basis, monomials_of_degree, orbit_sum, unpack
 from cohint.weyl import coset_representatives, point_stabilizer
 
 from conftest import build, is_monomial_matrix
@@ -128,8 +128,8 @@ class TestKernelSumOracle:
                 continue
             h, cosets = induction_data(strat, s, strat.top)
             form = I.kernel(strat, s, strat.top)
-            f = (average_over(h, Poly.monomial(2, (2, 1))).scaled(Fraction(2, 3))
-                 + average_over(h, Poly.monomial(2, (0, 1))).scaled(Fraction(-1, 5)))
+            f = (orbit_sum(h, Poly.monomial(2, (2, 1))).scaled(Fraction(2, 3 * h.order))
+                 + orbit_sum(h, Poly.monomial(2, (0, 1))).scaled(Fraction(-1, 5 * h.order)))
             assert any(Fraction(c).denominator != 1 for c in f.terms.values())
             mine = to_sympy(I.induct(strat, f, s, strat.top), xs)
             assert sympy.expand(sympy_kernel_sum(f, form, cosets, xs) - mine) == 0

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,7 @@ from cohint import (
     exact_divide,
     invariant_basis,
     kernel_sum,
+    matrices,
     orthogonal_complement,
     polyalg,
     rref_span,
@@ -24,15 +24,15 @@ from cohint.matrices import dot, mat_vec
 from cohint.polyalg import (
     ExactDivisionError,
     apply_linear_map,
-    average_over,
     coset_sum,
     monomials_of_degree,
+    orbit_sum,
     pack,
     unpack,
 )
-from cohint.weyl import averaged_form, point_stabilizer
+from cohint.weyl import WeylElement, averaged_form, point_stabilizer
 
-from conftest import CATALOG_INSTANCES, build, is_monomial_matrix
+from conftest import CATALOG_INSTANCES, build, gl_document, is_monomial_matrix
 from reference import (
     evaluate,
     evaluate_kernel,
@@ -41,6 +41,7 @@ from reference import (
     multiply,
     poly_inner,
     rref_all_monomials,
+    substitute_terms,
 )
 
 SWAP = ((0, 1), (1, 0))
@@ -238,6 +239,51 @@ class TestSubstitute:
             assert substitute(w, f * g) == substitute(w, f) * substitute(w, g)
 
 
+GL4 = enumerate_group(gl_document(4, "adjoint", 1, 0)["weyl_generators"], 4)
+# the signed permutations of rank 3, generated by two swaps and a sign change
+B3 = enumerate_group((((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
+                      ((-1, 0, 0), (0, 1, 0), (0, 0, 1))), 3)
+
+
+def polys_in(nvars):
+    return st.builds(
+        lambda terms: from_exponent_terms(nvars, terms),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * nvars),
+            st.one_of(st.integers(-6, 6), rationals).filter(bool),
+            max_size=5,
+        ),
+    )
+
+
+class TestSubstitutionPlan:
+    """substitute reads each element's matrix once, into a plan kept on the
+    element: exponent moves for the signed permutations of gl3, gl4 and B3,
+    column images for the four dense elements of sl3."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_every_element_against_the_term_by_term_expansion(self, data):
+        assert any(-1 in row for w in B3.elements for row in w.matrix)
+        assert any(-1 in row for w in SL3.elements for row in w.matrix)
+        for group in (GL3, GL4, SL3, B3):
+            f = data.draw(polys_in(group.rank))
+            for w in group.elements:
+                assert exponent_terms(substitute(w, f)) == substitute_terms(f, w.matrix)
+
+    def test_built_on_the_first_substitution_only(self, monkeypatch):
+        group = enumerate_group(GROUPS["sl3"]["generators"], 2)
+        assert not any(w.memo for w in group.elements)
+        f = x(0) ** 2 - x(1).scaled(3)
+        expected = [apply_linear_map(f, w.matrix) for w in group.elements]
+        built = []
+        plan = polyalg._plan
+        monkeypatch.setattr(polyalg, "_plan", lambda m: built.append(m) or plan(m))
+        for _ in range(2):
+            assert [substitute(w, f) for w in group.elements] == expected
+        assert built == [w.matrix for w in group.elements]
+
+
 class TestApplyLinearMap:
     """apply_linear_map(f, M) is f composed with M transposed; the monomial
     matrices, which only move exponents, and the others, which are expanded,
@@ -431,11 +477,12 @@ class TestKernelSum:
         assert_matches_direct_sum(f, k, s3.elements)
 
     def test_common_denominator_of_distinct_scalars(self):
-        # kernel_sum reads only each element's matrix.  Scaling by 2 and 3
-        # gives the denominator form 2(x1 + x2) the scalars 4 and 6, so the
-        # two terms go over the common denominator 12 with multipliers 3 and 2
-        # (the scalars of invertible integer matrices differ only in sign)
-        cosets = [SimpleNamespace(matrix=((c, 0), (0, c))) for c in (2, 3)]
+        # kernel_sum reads only each element's matrix, so elements of no
+        # group will do.  Scaling by 2 and 3 gives the denominator form
+        # 2(x1 + x2) the scalars 4 and 6, so the two terms go over the common
+        # denominator 12 with multipliers 3 and 2 (the scalars of invertible
+        # integer matrices differ only in sign)
+        cosets = [WeylElement(0, ((c, 0), (0, c))) for c in (2, 3)]
         k = KernelForm(((1, 0),), ((2, 2),))
         data = coset_sum(k, cosets)
         assert (data.denominator, [m for *_, m in data.terms]) == (12, [3, 2])
@@ -557,6 +604,18 @@ class TestInvariantBasis:
     def test_degree_zero_is_constants(self):
         assert invariant_basis(S2.full_subgroup(), 0, ()).dim == 1
 
+    def test_one_span_check_and_no_solves(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("solve_combination called")
+
+        for module in (matrices, polyalg):
+            monkeypatch.setattr(module, "solve_combination", solve, raising=False)
+        # (1, 0) and (2, 0) span one line, which the swap does not keep
+        with pytest.raises(InputError, match="span of the forms is not stable"):
+            invariant_basis(S2.full_subgroup(), 1, ((1, 0), (2, 0)))
+        basis = invariant_basis(S2.full_subgroup(), 2, ((1, 0), (0, 1)))
+        assert invariant_basis(S2.full_subgroup(), 2, ((1, 0), (0, 1), (1, 1))) == basis
+
     @pytest.mark.parametrize("key", CATALOG_INSTANCES)
     def test_same_basis_from_other_spanning_sets(self, key):
         # u_bases[i], twice it, and it with the sum of its rows appended, for
@@ -677,8 +736,7 @@ class TestPairing:
                 assert permanent_inner(g, f, SL3_FORM) == 0
 
 
-class TestAverageOver:
-    def test_symmetrization(self):
+class TestOrbitSum:
+    def test_symmetrization_is_unscaled(self):
         f = x(0) ** 2
-        avg = average_over(S2.full_subgroup(), f)
-        assert avg == (x(0) ** 2 + x(1) ** 2).scaled(Fraction(1, 2))
+        assert orbit_sum(S2.full_subgroup(), f) == x(0) ** 2 + x(1) ** 2

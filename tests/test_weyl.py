@@ -59,13 +59,18 @@ class TestEnumerateGroup:
         assert enumerate_group(S3_RANK3, 3).order == 6
 
     def test_infinite_group_hits_cap(self):
+        # two reflections in the root (1, 0) whose product is a shear
         with pytest.raises(InputError, match="not finite"):
-            enumerate_group((((1, 1), (0, 1)),), 2, cap=100)
+            enumerate_group((((-1, 0), (0, 1)), ((-1, 1), (0, 1))), 2, cap=100)
 
-    def test_rational_inverse_only_hits_cap(self):
-        # diag(2, 1) has no integer inverse, and its powers never close up
-        with pytest.raises(InputError, match="not finite"):
-            enumerate_group((((2, 0), (0, 1)),), 2, cap=50)
+    @pytest.mark.parametrize("generator", [
+        ((1, 1), (0, 1)),  # a shear
+        ((2, 0), (0, 1)),  # no integer inverse
+        ((1, 0), (0, 0)),  # singular
+    ])
+    def test_generator_that_is_not_an_involution(self, generator):
+        with pytest.raises(InputError, match=r"weyl_generators\[1\] is not an involution"):
+            enumerate_group((SWAP, generator), 2, cap=50)
 
     def test_trivial_group(self):
         group = enumerate_group((), 2)
