@@ -54,7 +54,6 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     averaged_form,
-    char_action,
     coset_representatives,
     enumerate_group,
     molien_coefficients,

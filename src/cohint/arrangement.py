@@ -282,11 +282,11 @@ def enumerate_strata(document: InputDocument) -> Stratification:
     # stabilizes a stratum depends only on w's row, so each orbit's first
     # stratum is scanned for its stabilizer rows, and a stratum reached as
     # g.s gets the stabilizer g Stab(s) g^-1: the rows row_g o r o row_g^-1.
+    # enumerate_group admits only generators with g * g = I, so each
+    # generator's row is its own inverse and conjugates from both sides.
     elements_of: dict[tuple[int, ...], list[int]] = {}
     for w, row in enumerate(action):
         elements_of.setdefault(row, []).append(w)
-    inverse_rows = {g: tuple(sorted(range(len(points)), key=action[g].__getitem__))
-                    for g in weyl.generators}
     orbit_of = [-1] * count
     orbits = []
     set_stabs: list = [None] * count
@@ -306,9 +306,9 @@ def enumerate_strata(document: InputDocument) -> Stratification:
                 if orbit_of[k] < 0:
                     orbit_of[k] = len(orbits)
                     members.append(k)
-                    row_g, inverse = action[g], inverse_rows[g]
+                    row_g = action[g]
                     rows_of[k] = {
-                        tuple(map(row_g.__getitem__, map(r.__getitem__, inverse))) for r in rows
+                        tuple(map(row_g.__getitem__, map(r.__getitem__, row_g))) for r in rows
                     }
                     set_stabs[k] = weyl.subgroup(w for r in rows_of[k] for w in elements_of[r])
         orbits.append(tuple(sorted(members)))

@@ -17,11 +17,12 @@ from .arrangement import (
 )
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, WeightMultiset, ray, slice_weights
-from .matrices import mat_vec, nullspace, restrict_action, transpose
+from .matrices import mat_vec, nullspace, transpose
 from .polyalg import (
     GradedBasis,
     KernelForm,
     Poly,
+    apply_linear_map,
     coset_sum,
     invariant_basis,
     kernel_sum,
@@ -213,7 +214,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
             continue
         generators.extend(
             _induced(strat, f, mu, stratum)
-            for f in once(strat, _invariants, h, p - form.degree, u_basis).polys()
+            for f in once(strat, _invariants, h, p - form.degree, u_basis).rows
         )
     return rref_span(generators, p, strat.document.rank)
 
@@ -248,7 +249,7 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
         diagonal = []
         for p, basis in pieces.items():
             trace = 0
-            for i, f in enumerate(basis.polys()):
+            for i, f in enumerate(basis.rows):
                 coords = basis.coordinates(substitute(w, f))
                 if coords is None:
                     raise InternalCheckError(
@@ -285,15 +286,27 @@ def isotypic_series(
     (M_w^T)^-1, hence by M_w^T, whose restriction gives w's Molien term:
     M_w^T|F is rational of finite order, so its eigenvalues are roots of
     unity closed under conjugation, and its inverse C_w|F has the conjugate
-    eigenvalues, the same multiset, hence the same det(I - q A)."""
+    eigenvalues, the same multiset, hence the same det(I - q A).  M_w^T is
+    restricted through the coordinates of the images of the row-reduced
+    basis of F, as linear forms, in that basis; det(I - q A) does not depend
+    on the basis."""
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
-    flat_basis = strat.strata[bps.stratum.index].flat.basis
+    index = bps.stratum.index
+    flat = rref_span(map(Poly.linear, strat.strata[index].flat.basis), 1, strat.document.rank)
     elements = []
     for idx, sign in eps.items():
-        w = strat.weyl.elements[idx]
-        restricted = restrict_action(transpose(w.matrix), flat_basis) if flat_basis else ()
-        elements.append((restricted, [t / sign for t in bps.traces[idx]]))
+        cochar = transpose(strat.weyl.elements[idx].matrix)
+        restricted = []
+        for row in flat.rows:
+            coords = flat.coordinates(apply_linear_map(row, cochar))
+            if coords is None:
+                raise InternalCheckError(
+                    f"stratum {index}: the flat is not stable under element {idx} "
+                    "of the stratum stabilizer"
+                )
+            restricted.append(coords)
+        elements.append((tuple(restricted), [t / sign for t in bps.traces[idx]]))
     return molien_coefficients(elements, cutoff)
 
 
@@ -390,14 +403,14 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> Ledger:
                     continue
                 products = list(power_products(forms, m - a, n))
                 projections = []
-                for f in basis.polys():
+                for f in basis.rows:
                     for g in products:
                         proj = orbit_sum(wl, f * g, eps)
                         if not proj.is_zero():
                             projections.append(proj)
                 iso_basis = rref_span(projections, m, n)
                 domain_dim += iso_basis.dim
-                for vec in iso_basis.polys():
+                for vec in iso_basis.rows:
                     images.append(induct(strat, vec, s, strat.top))
         rank = rref_span(images, p, n).dim
         t = target[p]

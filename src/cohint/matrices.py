@@ -107,25 +107,6 @@ def nullspace(rows: Iterable[Sequence], ncols: int) -> QMatrix:
     return tuple(basis)
 
 
-def solve_combination(basis_rows: Sequence[Sequence], target: Sequence):
-    """Coefficients c with sum(c_i * basis_i) == target, or None.
-
-    Free coefficients (dependent basis rows) are set to zero.
-    """
-    k = len(basis_rows)
-    n = len(target)
-    if k == 0:
-        return () if all(x == 0 for x in target) else None
-    aug = [[basis_rows[i][j] for i in range(k)] + [target[j]] for j in range(n)]
-    red, pivots = rref(aug, k + 1)
-    if k in pivots:
-        return None
-    coeffs = [0] * k
-    for i, p in enumerate(pivots):
-        coeffs[p] = red[i][k]
-    return tuple(coeffs)
-
-
 def hnf(rows: Iterable[Sequence[int]]) -> IntMatrix:
     """Canonical row Hermite normal form (positive pivots, reduced above)."""
     mat = [list(map(int, row)) for row in rows if any(row)]
@@ -179,23 +160,6 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
 def saturate_span(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
     """Canonical saturated integer basis of the rational span of the rows."""
     return int_kernel(int_kernel(rows, ncols), ncols)
-
-
-def restrict_action(m: Sequence[Sequence], basis_rows: Sequence[Sequence]) -> QMatrix:
-    """Matrix of v -> m @ v on the subspace spanned by basis_rows.
-
-    Row i holds the coordinates of the image of basis vector i; traces and
-    characteristic polynomials of the restriction are read off directly.
-    Raises ValueError when the subspace is not m-stable.
-    """
-    out = []
-    for b in basis_rows:
-        img = mat_vec(m, b)
-        coeffs = solve_combination(basis_rows, img)
-        if coeffs is None:
-            raise ValueError("subspace is not stable under the given matrix")
-        out.append(coeffs)
-    return tuple(out)
 
 
 def charpoly(m: Sequence[Sequence]) -> tuple[Fraction, ...]:

@@ -25,14 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, ray
-from .matrices import (
-    QMatrix,
-    dot,
-    mat_vec,
-    nullspace,
-    quotient,
-    rref,
-)
+from .matrices import QMatrix, mat_vec, nullspace, quotient, rref
 from .weyl import Subgroup, WeylElement
 
 Exponents = tuple[int, ...]
@@ -219,14 +212,16 @@ def power_products(forms: Sequence[Sequence], d: int, nvars: int) -> Iterator[Po
 
 def _plan(matrix) -> tuple:
     """How substitution by the matrix rewrites a polynomial in len(matrix)
-    variables: (moves, None) when every column i has one nonzero entry a_i,
-    in row j_i (a signed permutation, say), with moves the triples (shift of
-    x_i's exponent field, unit key of x_{j_i}, a_i); otherwise (None,
-    powers), where powers[i] lists the powers image, image^2, ... of the
-    image of the i-th coordinate form, so far only the first."""
+    variables: (moves, None) when the matrix is an invertible monomial matrix
+    (a signed permutation, say, as type-A and sl2 Weyl elements are): column
+    i has one nonzero entry a_i, in row j_i, and the j_i are distinct; moves
+    are the triples (shift of x_i's exponent field, unit key of x_{j_i},
+    a_i).  Otherwise (None, powers), where powers[i] lists the powers image,
+    image^2, ... of the image of the i-th coordinate form, so far only the
+    first."""
     n = len(matrix)
     columns = [[(j, matrix[j][i]) for j in range(n) if matrix[j][i]] for i in range(n)]
-    if all(len(column) == 1 for column in columns):
+    if all(len(column) == 1 for column in columns) and len({j for [(j, _)] in columns}) == n:
         return [(B * (n - 1 - i), _unit(n, j), a) for i, [(j, a)] in enumerate(columns)], None
     return None, [[Poly.linear(tuple(matrix[j][i] for j in range(n)))] for i in range(n)]
 
@@ -234,15 +229,17 @@ def _plan(matrix) -> tuple:
 def _substituted(f: Poly, plan: tuple) -> Poly:
     """f rewritten by a plan of _plan.  With moves, c*x^e goes to
     c*prod a_i^e_i * prod x_{j_i}^e_i: the exponents only move, and the key of
-    the image is the sum over i of e_i unit keys of x_{j_i}.  With powers,
-    each term is expanded from the powers of the images, image^k =
+    the image is the sum over i of e_i unit keys of x_{j_i}.  The j_i are
+    distinct, so distinct monomials move to distinct monomials and no two
+    terms meet, and the a_i are nonzero, so no coefficient vanishes.  With
+    powers, each term is expanded from the powers of the images, image^k =
     image^(k-1) * image, each built once per plan: the lists grow as higher
-    powers are needed.  Either way the terms are added into one dict, so
+    powers are needed, and the expanded terms are added into one dict, where
     terms that land on one monomial merge and cancel."""
     n = f.nvars
     moves, powers = plan
-    acc: dict[int, Coefficient] = {}
     if moves is not None:
+        terms: dict[int, Coefficient] = {}
         for e, c in f.terms.items():
             moved = 0
             for shift, unit, a in moves:
@@ -251,17 +248,18 @@ def _substituted(f: Poly, plan: tuple) -> Poly:
                     moved += k * unit
                     if a != 1:
                         c *= a ** k
-            acc[moved] = acc.get(moved, 0) + c
-    else:
-        for e, c in f.terms.items():
-            term = Poly.constant(n, c)
-            for column, k in zip(powers, unpack(e, n)):
-                if k:
-                    while len(column) < k:
-                        column.append(column[-1] * column[0])
-                    term = term * column[k - 1]
-            for m, v in term.terms.items():
-                acc[m] = acc.get(m, 0) + v
+            terms[moved] = c
+        return Poly(n, terms)
+    acc: dict[int, Coefficient] = {}
+    for e, c in f.terms.items():
+        term = Poly.constant(n, c)
+        for column, k in zip(powers, unpack(e, n)):
+            if k:
+                while len(column) < k:
+                    column.append(column[-1] * column[0])
+                term = term * column[k - 1]
+        for m, v in term.terms.items():
+            acc[m] = acc.get(m, 0) + v
     return Poly(n, {m: v for m, v in acc.items() if v})
 
 
@@ -424,47 +422,42 @@ def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement] | CosetSum)
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Row-reduced basis of a space of homogeneous polynomials of one degree,
-    over monomial keys in descending order holding its support (exactly the
-    support when rref_span built it)."""
+    """Row-reduced basis of a space of homogeneous polynomials of one degree:
+    the rows of its reduced row echelon form over the monomial keys in
+    descending order, and their pivots, descending.  Each row has
+    coefficient 1 at its pivot, which no other row contains."""
 
     nvars: int
     degree: int
-    monomials: tuple[int, ...]
-    rows: QMatrix
+    rows: tuple[Poly, ...]
     pivots: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def polys(self) -> tuple[Poly, ...]:
-        return tuple(
-            Poly(self.nvars, {m: c for m, c in zip(self.monomials, row) if c})
-            for row in self.rows
-        )
+    def combination(self, coords: Sequence[Coefficient]) -> Poly:
+        """sum_i coords[i] * rows[i]."""
+        acc: dict[int, Coefficient] = {}
+        for c, row in zip(coords, self.rows):
+            if c:
+                for m, v in row.terms.items():
+                    acc[m] = acc.get(m, 0) + c * v
+        return Poly(self.nvars, {m: v for m, v in acc.items() if v})
 
     def coordinates(self, f: Poly):
-        """Coordinates of f in this basis, or None when f is outside the span."""
-        monomials = set(self.monomials)
-        if any(c for m, c in f.terms.items() if m not in monomials):
-            return None
-        vec = list(f.coefficient_vector(self.monomials))
-        coords = [0] * len(self.rows)
-        for i, p in enumerate(self.pivots):
-            c = vec[p]
-            if c:
-                coords[i] = c
-                for j, r in enumerate(self.rows[i]):
-                    vec[j] -= c * r
-        if any(vec):
-            return None
-        return tuple(coords)
+        """Coordinates of f in this basis, or None when f is outside the span:
+        the coordinate on a row is f's coefficient at that row's pivot, and f
+        lies in the span when the combination with those coordinates is f."""
+        coords = tuple(f.terms.get(m, 0) for m in self.pivots)
+        return coords if self.combination(coords) == f else None
 
 
 def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
-    """Row-reduced span of homogeneous polynomials of the given degree, over the
-    monomials they contain in descending order, the support of the span."""
+    """Row-reduced span of homogeneous polynomials of the given degree.  The
+    one place a polynomial becomes a vector: the coefficient vectors over the
+    monomials the polynomials contain, in descending order, are reduced by
+    matrices.rref, and each reduced row becomes a polynomial again."""
     polys = [f for f in vectors if not f.is_zero()]
     for f in polys:
         if not f.is_homogeneous(degree):
@@ -473,7 +466,8 @@ def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
             )
     monos = tuple(sorted(set().union(*(f.terms for f in polys)), reverse=True))
     reduced, pivots = rref([f.coefficient_vector(monos) for f in polys], len(monos))
-    return GradedBasis(nvars, degree, monos, reduced, pivots)
+    rows = tuple(Poly(nvars, {m: c for m, c in zip(monos, row) if c}) for row in reduced)
+    return GradedBasis(nvars, degree, rows, tuple(monos[c] for c in pivots))
 
 
 def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis:
@@ -493,28 +487,23 @@ def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis
     return rref_span(vectors, p, nvars)
 
 
-def _dual(f: Poly, b: QMatrix, monomials: Sequence[int]) -> tuple[Coefficient, ...]:
-    """The vector d over the monomial keys with <f, g>_b = sum_m d_m g_m for
-    every g spanned by them: d_m = (f o b)_m * m!, where
-    f o b = apply_linear_map(f, b) and m! = prod_i m_i!."""
-    image = apply_linear_map(f, b).terms
-    return tuple(
-        image[m] * prod(factorial(k) for k in unpack(m, f.nvars)) if m in image else 0
-        for m in monomials
-    )
+def _dual(f: Poly, b: QMatrix) -> dict[int, Coefficient]:
+    """The terms d with <f, g>_b = sum_m d_m g_m for every g: d_m = (f o b)_m
+    * m!, where f o b = apply_linear_map(f, b) and m! = prod_i m_i!."""
+    return {m: c * prod(factorial(k) for k in unpack(m, f.nvars))
+            for m, c in apply_linear_map(f, b).terms.items()}
 
 
 def orthogonal_complement(sub: GradedBasis, ambient: GradedBasis, b: QMatrix) -> GradedBasis:
     """Complement of sub inside ambient, orthogonal for the inner product
-    f(b.d)g that b induces: the combinations of ambient rows that every sub
-    row's dual vector (see _dual) kills."""
-    sub_polys = sub.polys()
-    if any(ambient.coordinates(f) is None for f in sub_polys):
+    f(b.d)g that b induces: the span of the combinations of ambient rows that
+    every sub row's dual (see _dual) kills."""
+    if any(ambient.coordinates(f) is None for f in sub.rows):
         raise InputError("sub basis is not contained in the ambient space")
-    if not sub_polys:
+    if not sub.rows:
         return ambient
-    duals = [_dual(f, b, ambient.monomials) for f in sub_polys]
-    coeffs = nullspace([[dot(d, row) for row in ambient.rows] for d in duals], ambient.dim)
-    combos = [[dot(c, column) for column in zip(*ambient.rows)] for c in coeffs]
-    rows, pivots = rref(combos, len(ambient.monomials))
-    return GradedBasis(ambient.nvars, ambient.degree, ambient.monomials, rows, pivots)
+    duals = [_dual(f, b) for f in sub.rows]
+    pairings = [[sum(d[m] * c for m, c in row.terms.items() if m in d) for row in ambient.rows]
+                for d in duals]
+    combos = map(ambient.combination, nullspace(pairings, ambient.dim))
+    return rref_span(combos, ambient.degree, ambient.nvars)

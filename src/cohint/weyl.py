@@ -129,10 +129,6 @@ def enumerate_group(
     return WeylGroup(reached_from, rank, gens)
 
 
-def char_action(w: WeylElement, alpha: Weight) -> Weight:
-    return mat_vec(w.matrix, alpha)
-
-
 def point_stabilizer(candidates: Subgroup, lam: Cocharacter) -> Subgroup:
     """The members w of candidates fixing the cocharacter lam.  The
     contragredient (M_w^T)^-1 fixes lam exactly when M_w^T does, so lam is
@@ -156,7 +152,7 @@ def permutation_action(group: WeylGroup, points: Sequence[Weight]) -> tuple[tupl
     index = {p: i for i, p in enumerate(points)}
     try:
         gen_perms = [
-            tuple(index[char_action(group.elements[g], p)] for p in points)
+            tuple(index[mat_vec(group.elements[g].matrix, p)] for p in points)
             for g in group.generators
         ]
     except KeyError as exc:

@@ -1,5 +1,7 @@
 """Reference computations that only the tests use: the integer inverse of a
-matrix, values of polynomials and kernel forms at rational points, generic
+matrix, the coordinates of a vector in the span of given rows and the matrix
+of a linear map restricted to such a span, each from one augmented row
+reduction, values of polynomials and kernel forms at rational points, generic
 points that avoid a set of weight hyperplanes, the inner product of two
 polynomials under a symmetric form computed term by term, products and
 substitutions over exponent tuples, row reduction over every monomial of a
@@ -14,7 +16,7 @@ from math import factorial, prod
 from cohint import integrality
 from cohint.arrangement import align_representative, with_representative
 from cohint.errors import InternalCheckError
-from cohint.matrices import IntMatrix, dot, identity, rref
+from cohint.matrices import IntMatrix, QMatrix, dot, identity, mat_vec, rref
 from cohint.polyalg import Poly, apply_linear_map, monomials_of_degree, pack, unpack
 from cohint.weyl import point_stabilizer
 
@@ -30,6 +32,42 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     if any(x.denominator != 1 for row in inverse for x in row):
         raise ValueError("matrix is not invertible over the integers")
     return tuple(tuple(int(x) for x in row) for row in inverse)
+
+
+def solve_combination(basis_rows, target):
+    """Coefficients c with sum(c_i * basis_i) == target, or None.
+
+    Free coefficients (dependent basis rows) are set to zero.
+    """
+    k = len(basis_rows)
+    n = len(target)
+    if k == 0:
+        return () if all(x == 0 for x in target) else None
+    aug = [[basis_rows[i][j] for i in range(k)] + [target[j]] for j in range(n)]
+    red, pivots = rref(aug, k + 1)
+    if k in pivots:
+        return None
+    coeffs = [0] * k
+    for i, p in enumerate(pivots):
+        coeffs[p] = red[i][k]
+    return tuple(coeffs)
+
+
+def restrict_action(m, basis_rows) -> QMatrix:
+    """Matrix of v -> m @ v on the subspace spanned by basis_rows.
+
+    Row i holds the coordinates of the image of basis vector i; traces and
+    characteristic polynomials of the restriction are read off directly.
+    Raises ValueError when the subspace is not m-stable.
+    """
+    out = []
+    for b in basis_rows:
+        img = mat_vec(m, b)
+        coeffs = solve_combination(basis_rows, img)
+        if coeffs is None:
+            raise ValueError("subspace is not stable under the given matrix")
+        out.append(coeffs)
+    return tuple(out)
 
 
 def evaluate(f, point) -> Fraction:

@@ -290,7 +290,7 @@ class TestPropertySuite:
                         & set(strat.point_stabilizers[t.index].members)
                     )
                     for p in range(2):
-                        for f in invariant_basis(h, p, unit_forms(n)).polys():
+                        for f in invariant_basis(h, p, unit_forms(n)).rows:
                             out = I.induct(strat, f, s, t)
                             if not out.is_zero():
                                 assert (
@@ -338,7 +338,7 @@ class TestPropertySuite:
                 eps = I.epsilon(strat, s)
                 levi = strat.point_stabilizers[s.index]
                 for p in range(2):
-                    for f in invariant_basis(levi, p, unit_forms(n)).polys():
+                    for f in invariant_basis(levi, p, unit_forms(n)).rows:
                         base = I.induct(strat, f, s, strat.top)
                         for idx in eps:
                             w = strat.weyl.elements[idx]
@@ -379,7 +379,7 @@ class TestPropertySuite:
             from cohint.weyl import coset_representatives
 
             cosets = coset_representatives(h, strat.point_stabilizers[strat.top_index])
-            f = invariant_basis(h, 2, unit_forms(n)).polys()[0]
+            f = invariant_basis(h, 2, unit_forms(n)).rows[0]
             out = I.induct(strat, f, s, strat.top)
             for pt in generic_points(strat.all_supports(), n, 5):
                 direct = Fraction(0)

@@ -21,7 +21,7 @@ from cohint import (
 from cohint.cli import EXIT_VALIDATION, main
 from cohint.documents import document_from_dict
 from cohint.matrices import dot, hnf, int_kernel, mat_vec, transpose
-from cohint.weyl import char_action, permutation_action, point_stabilizer, set_stabilizer
+from cohint.weyl import permutation_action, point_stabilizer, set_stabilizer
 
 from conftest import CATALOG_INSTANCES, build, gl_document
 from reference import generic_points, int_inverse
@@ -220,8 +220,8 @@ class TestGroupActionOnStrata:
             for w in strat.weyl.elements:
                 for s in strat.strata:
                     image = (
-                        frozenset(char_action(w, a) for a in s.zero_v),
-                        frozenset(char_action(w, a) for a in s.zero_g),
+                        frozenset(mat_vec(w.matrix, a) for a in s.zero_v),
+                        frozenset(mat_vec(w.matrix, a) for a in s.zero_g),
                     )
                     assert image in zero_sets
 
@@ -247,7 +247,7 @@ def brute_force_orbits_and_stabilizers(strat):
         }
         orbits.append(tuple(sorted(images)))
         reached.update(images)
-    image = [{a: char_action(w, a) for a in strat.all_supports() + (zero,)}
+    image = [{a: mat_vec(w.matrix, a) for a in strat.all_supports() + (zero,)}
              for w in strat.weyl.elements]
     set_stabs, point_stabs = [], []
     for s in strat.strata:

@@ -18,7 +18,7 @@ from cohint import integrality as I
 from cohint.documents import document_from_dict
 from cohint import polyalg
 from cohint.polyalg import ExactDivisionError, KernelForm, kernel_sum, monomials_of_degree
-from cohint.matrices import restrict_action, transpose
+from cohint.matrices import transpose
 from cohint.weyl import molien_coefficients, point_stabilizer
 
 from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document
@@ -28,6 +28,7 @@ from reference import (
     evaluate_kernel,
     generic_points,
     int_inverse,
+    restrict_action,
 )
 
 # The fixed catalog keys, and one instance of each parametrised family.
@@ -146,7 +147,7 @@ class TestInduct:
                         & set(strat.point_stabilizers[t.index].members)
                     )
                     for p in range(3):
-                        for f in invariant_basis(h, p, unit_forms(n)).polys():
+                        for f in invariant_basis(h, p, unit_forms(n)).rows:
                             out = I.induct(strat, f, s, t)
                             if out.is_zero():
                                 continue
@@ -185,7 +186,7 @@ class TestInduct:
                 images = []
                 if d >= 0:
                     stab = point_stabilizer(gl2_strat.weyl.full_subgroup(), s.rep)
-                    for f in invariant_basis(stab, d, unit_forms(2)).polys():
+                    for f in invariant_basis(stab, d, unit_forms(2)).rows:
                         images.append(I.induct(gl2_strat, f, s, gl2_strat.top))
                 spans.append(rref_span(images, p, 2).rows)
             assert spans[0] == spans[1]
@@ -276,7 +277,7 @@ class TestEpsilon:
                 eps = I.epsilon(strat, s)
                 levi = strat.point_stabilizers[s.index]
                 for p in range(3):
-                    for f in invariant_basis(levi, p, unit_forms(n)).polys():
+                    for f in invariant_basis(levi, p, unit_forms(n)).rows:
                         base = I.induct(strat, f, s, strat.top)
                         for idx in eps:
                             w = strat.weyl.elements[idx]
@@ -322,7 +323,7 @@ class TestJGraded:
     def test_gl2_top_degree_zero_is_constants(self, gl2_strat):
         basis = I.j_graded(gl2_strat, gl2_strat.top, 0)
         assert basis.dim == 1
-        assert basis.polys()[0] == Poly.constant(2, 1)
+        assert basis.rows[0] == Poly.constant(2, 1)
 
     def test_torus_top_degree_zero_empty(self, torus_strat):
         assert I.j_graded(torus_strat, torus_strat.top, 0).dim == 0
@@ -420,7 +421,7 @@ def _j_dim_by_image_intersection(strat, stratum, p):
         h = strat.weyl.subgroup(
             set(stab.members) & set(strat.point_stabilizers[stratum.index].members)
         )
-        for f in invariant_basis(h, d, unit_forms(n)).polys():
+        for f in invariant_basis(h, d, unit_forms(n)).rows:
             out = I.induct(strat, f, mu, stratum)
             if not out.is_zero():
                 images.append(out)
@@ -429,7 +430,7 @@ def _j_dim_by_image_intersection(strat, stratum, p):
     u_monomials = [product_of_powers(u_forms, exps, n)
                    for exps in monomials_of_degree(len(u_forms), p)]
     pure = rref_span(u_monomials, p, n)
-    stacked = rref_span(list(span.polys()) + list(pure.polys()), p, n)
+    stacked = rref_span(list(span.rows) + list(pure.rows), p, n)
     return span.dim + pure.dim - stacked.dim
 
 
@@ -486,7 +487,7 @@ class TestBpsSpace:
         def matrix(strat, idx, basis):
             # rows hold image coordinates, so composition reverses the order
             w = strat.weyl.elements[idx]
-            return tuple(basis.coordinates(substitute(w, f)) for f in basis.polys())
+            return tuple(basis.coordinates(substitute(w, f)) for f in basis.rows)
 
         # gl2-cotangent:4 has a 2-dimensional piece (stratum 4, degree 2)
         # with |W_set| = 2, so 2x2 matrices are multiplied there.
@@ -547,6 +548,21 @@ class TestLocatedInternalErrors:
             r"of the stratum stabilizer$"
         )):
             I.bps_space(strat, generic)
+
+    def test_isotypic_series_names_stratum_and_element(self, strat):
+        # stratum 1's flat is the line through (0, 1); the swap, outside its
+        # set stabilizer, moves the line off itself
+        axis = strat.strata[1]
+        assert axis.flat.basis == ((0, 1),)
+        space = I.bps_space(strat, axis)
+        outside = next(i for i in range(strat.weyl.order)
+                       if i not in strat.set_stabilizers[axis.index].members)
+        eps = {**I.epsilon(strat, axis), outside: 1}
+        with pytest.raises(InternalCheckError, match=(
+            rf"^stratum 1: the flat is not stable under element {outside} "
+            r"of the stratum stabilizer$"
+        )):
+            I.isotypic_series(strat, space, eps, 2)
 
     @pytest.mark.parametrize("caller", ["induct", "j_graded"])
     def test_kernel_sum_names_source_target_and_form(self, strat, monkeypatch, caller):

@@ -22,7 +22,6 @@ from cohint.catalog import catalog_emit, catalog_keys
 from cohint.documents import document_from_dict
 from cohint.lattice import ray
 from cohint.matrices import identity, mat_mul, mat_vec, transpose
-from cohint.weyl import char_action
 
 from conftest import build, gl_document
 from reference import int_inverse
@@ -75,7 +74,7 @@ class TestPairing:
                 for lam in cochars:
                     for alpha in weights:
                         image = mat_vec(contragredient, lam)
-                        assert pairing(image, char_action(w, alpha)) == pairing(lam, alpha)
+                        assert pairing(image, mat_vec(w.matrix, alpha)) == pairing(lam, alpha)
 
 
 class TestRay:

@@ -241,6 +241,17 @@ VALIDATE_GL4 = {
         "ec067303918c0c1db64778efa3918fcc9752cec78ad4cf2f43b2320d44728d4a",
 }
 
+# ``verify --max-degree 8`` on gl4 acting by its adjoint and ``bps`` on the
+# 3-loop quiver with dimension vector 3, the two reports scripts/ceiling.py
+# times, recorded while every graded basis kept coefficient vectors over its
+# own monomial list; no catalog key has BPS pieces and complements as large.
+CEILING = {
+    (("verify", "--max-degree", "8"), (4, "adjoint", 1, 0)):
+        "3aa1f38dee34344064833681271b47d4c5741b1a99d5038b1e1f65048d7d1e19",
+    (("bps",), (3, "adjoint", 3, 9)):
+        "0a38e61b3a1c3ef3866ea2ba1ecd8caf6551239b8667f9309fe43e9fc03adbec",
+}
+
 
 def _gl2_edited(**fields) -> dict:
     doc = gl_document(2, "cotangent", 1, 0)
@@ -377,3 +388,13 @@ def test_error_report(command, name, tmp_path, capsys):
 def test_catalog_group_cap_error_report(command, capsys):
     argv = [command, "--catalog", "trivial:sl3", "--group-cap", "2"]
     assert stdout_sha256(argv, capsys, EXIT_VALIDATION) == CATALOG_CAP_ERRORS[command]
+
+
+@pytest.mark.parametrize("argv,spec", sorted(CEILING),
+                         ids=lambda v: "-".join(map(str, v)))
+def test_ceiling_report(argv, spec, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(gl_document(*spec)))
+    command, *options = argv
+    digest = stdout_sha256([command, "--input", str(path), *options], capsys)
+    assert digest == CEILING[argv, spec]
