@@ -51,7 +51,6 @@ from .polyalg import (
 )
 from .weyl import (
     Subgroup,
-    WeylElement,
     WeylGroup,
     averaged_form,
     coset_representatives,

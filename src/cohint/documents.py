@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .lattice import DEFAULT_GROUP_CAP, Weight, WeightMultiset, ray
-from .matrices import IntMatrix, identity, mat_mul
+from .matrices import IntMatrix, mat_vec
 
 # The largest degree verify and molien accept, from --max-degree or from
 # options.max_degree.  Both build their series and graded spaces degree by
@@ -79,15 +79,20 @@ class InputDocument:
 
 
 def _reflection_ray(gen: IntMatrix) -> Weight | None:
-    """The ray of the columns of gen - I when gen is a reflection: gen^2 = I
-    and every nonzero column of gen - I lies on that one ray.  None otherwise,
-    the identity included."""
+    """The ray a of the columns of gen - I when gen is a reflection: every
+    nonzero column of gen - I lies on the one ray a, and gen a = -a.  None
+    otherwise, the identity included.
+
+    Columns on one ray make gen = I + a v^T for a nonzero rational v, so
+    gen a = (1 + v.a) a and gen^2 = I + (2 + v.a) a v^T: gen a = -a exactly
+    when v.a = -2, which is exactly when gen^2 = I."""
     n = len(gen)
-    if mat_mul(gen, gen) != identity(n):
-        return None
     columns = (tuple(gen[i][j] - (i == j) for i in range(n)) for j in range(n))
     rays = {ray(c)[0] for c in columns if any(c)}
-    return rays.pop() if len(rays) == 1 else None
+    if len(rays) != 1:
+        return None
+    a = rays.pop()
+    return a if mat_vec(gen, a) == tuple(-x for x in a) else None
 
 
 def _require(cond: bool, location: str, message: str) -> None:
@@ -198,4 +203,10 @@ def parse_input(text: str) -> InputDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
+    # Python words these two (too deep a nesting, an integer past the digit
+    # limit) differently by version; a report's bytes must not differ
+    except RecursionError as exc:
+        raise InputError("malformed JSON: nested too deeply") from exc
+    except ValueError as exc:
+        raise InputError("malformed JSON: an integer literal has too many digits") from exc
     return document_from_dict(raw)

@@ -22,7 +22,6 @@ from .polyalg import (
     GradedBasis,
     KernelForm,
     Poly,
-    apply_linear_map,
     coset_sum,
     invariant_basis,
     kernel_sum,
@@ -296,10 +295,10 @@ def isotypic_series(
     flat = rref_span(map(Poly.linear, strat.strata[index].flat.basis), 1, strat.document.rank)
     elements = []
     for idx, sign in eps.items():
-        cochar = transpose(strat.weyl.elements[idx].matrix)
+        cochar = transpose(strat.weyl.elements[idx])
         restricted = []
         for row in flat.rows:
-            coords = flat.coordinates(apply_linear_map(row, cochar))
+            coords = flat.coordinates(substitute(cochar, row))
             if coords is None:
                 raise InternalCheckError(
                     f"stratum {index}: the flat is not stable under element {idx} "
@@ -344,7 +343,7 @@ class Ledger:
 
 def target_series(strat: Stratification, cutoff: int) -> tuple[Fraction, ...]:
     """Graded dimensions of the full invariant ring of the Weyl group."""
-    elements = [(w.matrix, (1,)) for w in strat.weyl.elements]
+    elements = [(w, (1,)) for w in strat.weyl.elements]
     return molien_coefficients(elements, cutoff)
 
 

@@ -19,14 +19,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, ray
-from .matrices import QMatrix, mat_vec, nullspace, quotient, rref
-from .weyl import Subgroup, WeylElement
+from .matrices import IntMatrix, QMatrix, mat_vec, nullspace, quotient, rref
+from .weyl import Subgroup
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction
@@ -179,7 +179,7 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-@lru_cache(maxsize=None)
+@cache
 def monomials_of_degree(nvars: int, p: int) -> tuple[Exponents, ...]:
     """All exponent tuples of total degree p, descending lexicographic."""
     if p < 0:
@@ -210,7 +210,8 @@ def power_products(forms: Sequence[Sequence], d: int, nvars: int) -> Iterator[Po
         yield mono
 
 
-def _plan(matrix) -> tuple:
+@cache
+def _plan(matrix: QMatrix) -> tuple:
     """How substitution by the matrix rewrites a polynomial in len(matrix)
     variables: (moves, None) when the matrix is an invertible monomial matrix
     (a signed permutation, say, as type-A and sl2 Weyl elements are): column
@@ -226,18 +227,26 @@ def _plan(matrix) -> tuple:
     return None, [[Poly.linear(tuple(matrix[j][i] for j in range(n)))] for i in range(n)]
 
 
-def _substituted(f: Poly, plan: tuple) -> Poly:
-    """f rewritten by a plan of _plan.  With moves, c*x^e goes to
-    c*prod a_i^e_i * prod x_{j_i}^e_i: the exponents only move, and the key of
-    the image is the sum over i of e_i unit keys of x_{j_i}.  The j_i are
-    distinct, so distinct monomials move to distinct monomials and no two
-    terms meet, and the a_i are nonzero, so no coefficient vanishes.  With
-    powers, each term is expanded from the powers of the images, image^k =
-    image^(k-1) * image, each built once per plan: the lists grow as higher
-    powers are needed, and the expanded terms are added into one dict, where
-    terms that land on one monomial merge and cancel."""
+def substitute(matrix: QMatrix, f: Poly) -> Poly:
+    """Substitute x_i -> sum_j matrix[j][i] x_j: the action on linear forms
+    that sends the i-th coordinate form to the matrix applied to it, as a
+    Weyl group element's matrix acts on characters, or as an inner
+    product's form does in _dual.  The matrix must be a tuple of tuples, as
+    IntMatrix, QMatrix and matrices.transpose are: its _plan is memoised by
+    it for the whole process, so the plans kept are bounded by the number of
+    distinct matrices substituted, and there is no size setting.
+
+    With moves, c*x^e goes to c*prod a_i^e_i * prod x_{j_i}^e_i: the
+    exponents only move, and the key of the image is the sum over i of e_i
+    unit keys of x_{j_i}.  The j_i are distinct, so distinct monomials move
+    to distinct monomials and no two terms meet, and the a_i are nonzero, so
+    no coefficient vanishes.  With powers, each term is expanded from the
+    powers of the images, image^k = image^(k-1) * image, each built once per
+    plan: the lists grow as higher powers are needed, and the expanded terms
+    are added into one dict, where terms that land on one monomial merge and
+    cancel."""
     n = f.nvars
-    moves, powers = plan
+    moves, powers = _plan(matrix)
     if moves is not None:
         terms: dict[int, Coefficient] = {}
         for e, c in f.terms.items():
@@ -261,25 +270,6 @@ def _substituted(f: Poly, plan: tuple) -> Poly:
         for m, v in term.terms.items():
             acc[m] = acc.get(m, 0) + v
     return Poly(n, {m: v for m, v in acc.items() if v})
-
-
-def apply_linear_map(f: Poly, matrix) -> Poly:
-    """Substitute x_i -> sum_j matrix[j][i] x_j (the action on linear forms
-    that sends the i-th coordinate form to matrix applied to it), reading the
-    matrix afresh: for a matrix that is not a group element, such as an
-    inner product's form.  See _substituted for the two ways a term goes."""
-    return _substituted(f, _plan(matrix))
-
-
-def substitute(w: WeylElement, f: Poly) -> Poly:
-    """Linear change of variables by the character action of w, as
-    apply_linear_map(f, w.matrix).  The plan of w's matrix (its exponent
-    moves, or the powers of its column images) is built on w's first
-    substitution and kept in w.memo, which lives and dies with w's group."""
-    plan = w.memo.get(_plan)
-    if plan is None:
-        plan = w.memo[_plan] = _plan(w.matrix)
-    return _substituted(f, plan)
 
 
 def orbit_sum(
@@ -342,10 +332,10 @@ class KernelForm:
     def degree(self) -> int:
         return len(self.numerator) - len(self.denominator)
 
-    def transformed(self, w: WeylElement) -> "KernelForm":
+    def transformed(self, w: IntMatrix) -> "KernelForm":
         return KernelForm(
-            tuple(mat_vec(w.matrix, a) for a in self.numerator),
-            tuple(mat_vec(w.matrix, b) for b in self.denominator),
+            tuple(mat_vec(w, a) for a in self.numerator),
+            tuple(mat_vec(w, b) for b in self.denominator),
         )
 
 
@@ -359,7 +349,7 @@ class CosetSum:
     denominator lacks, multiplied out once per CosetSum, and m / denominator
     is the inverse of the scalar of w's denominator."""
 
-    terms: tuple[tuple[WeylElement, Poly, int], ...]
+    terms: tuple[tuple[IntMatrix, Poly, int], ...]
     denominator: int
     common: tuple[Weight, ...]
 
@@ -367,28 +357,28 @@ class CosetSum:
         return len(self.terms)
 
 
-def coset_sum(k: KernelForm, cosets: Sequence[WeylElement]) -> CosetSum:
+def coset_sum(k: KernelForm, cosets: Sequence[IntMatrix]) -> CosetSum:
     """The CosetSum of the kernel k over the coset representatives."""
     moved = []
     common: Counter = Counter()
     for w in cosets:
-        rays = [ray(mat_vec(w.matrix, b)) for b in k.denominator]
+        rays = [ray(mat_vec(w, b)) for b in k.denominator]
         factors = Counter(key for key, _ in rays)
         common |= factors
         moved.append((w, factors, 1 / prod((c for _, c in rays), start=Fraction(1))))
     denominator = lcm(*(inverse.denominator for _, _, inverse in moved))
     terms = tuple(
         (w,
-         prod(map(Poly.linear, [*(mat_vec(w.matrix, a) for a in k.numerator),
+         prod(map(Poly.linear, [*(mat_vec(w, a) for a in k.numerator),
                                 *(common - factors).elements()]),
-              start=Poly.constant(len(w.matrix), 1)),
+              start=Poly.constant(len(w), 1)),
          inverse.numerator * (denominator // inverse.denominator))
         for w, factors, inverse in moved
     )
     return CosetSum(terms, denominator, tuple(common.elements()))
 
 
-def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[WeylElement] | CosetSum) -> Poly:
+def kernel_sum(f: Poly, k: KernelForm, cosets: Sequence[IntMatrix] | CosetSum) -> Poly:
     """sum_w w(f * k) over the coset representatives, by clearing the least
     common denominator of the distinct linear forms and dividing each of its
     factors back out exactly.  cosets may be the CosetSum that
@@ -481,7 +471,7 @@ def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis
     span = rref_span(map(Poly.linear, forms), 1, nvars)
     for w in h.elements():
         for b in forms:
-            if span.coordinates(Poly.linear(mat_vec(w.matrix, b))) is None:
+            if span.coordinates(Poly.linear(mat_vec(w, b))) is None:
                 raise InputError("span of the forms is not stable under the subgroup")
     vectors = [orbit_sum(h, mono) for mono in power_products(forms, p, nvars)]
     return rref_span(vectors, p, nvars)
@@ -489,9 +479,9 @@ def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis
 
 def _dual(f: Poly, b: QMatrix) -> dict[int, Coefficient]:
     """The terms d with <f, g>_b = sum_m d_m g_m for every g: d_m = (f o b)_m
-    * m!, where f o b = apply_linear_map(f, b) and m! = prod_i m_i!."""
+    * m!, where f o b = substitute(b, f) and m! = prod_i m_i!."""
     return {m: c * prod(factorial(k) for k in unpack(m, f.nvars))
-            for m, c in apply_linear_map(f, b).terms.items()}
+            for m, c in substitute(b, f).terms.items()}
 
 
 def orthogonal_complement(sub: GradedBasis, ambient: GradedBasis, b: QMatrix) -> GradedBasis:

@@ -4,7 +4,7 @@ cosets, the averaged invariant form and exact Molien series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,23 +22,13 @@ from .matrices import (
 )
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """One group element and its action M on the character lattice; the
-    cocharacter action (M^T)^-1 is asked for only through M^T."""
-
-    index: int
-    matrix: IntMatrix
-    # polyalg's substitution plan for this element, built on its first
-    # substitution (polyalg.substitute); it lives and dies with the group.
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-
 class WeylGroup:
-    """Fully enumerated finite matrix group.  A product is one matrix product
+    """Fully enumerated finite matrix group.  An element is its integer
+    matrix M, the action on the character lattice; the cocharacter action
+    (M^T)^-1 is asked for only through M^T.  A product is one matrix product
     and an index lookup.
 
-    Elements are ordered by their matrix entries (flattened, lexicographic),
+    Elements are ordered by their entries (flattened, lexicographic),
     which fixes every downstream basis and coset choice.  closure lists
     (element, parent, k) for every element but the identity, in the
     breadth-first order of the closure that reached it first as
@@ -51,10 +41,9 @@ class WeylGroup:
         rank: int,
         generators: Sequence[IntMatrix],
     ):
-        mats = sorted(reached_from)
         self.rank = rank
-        self._index = index = {m: i for i, m in enumerate(mats)}
-        self.elements = tuple(WeylElement(i, m) for i, m in enumerate(mats))
+        self.elements = tuple(sorted(reached_from))
+        self._index = index = {m: i for i, m in enumerate(self.elements)}
         self.identity_index = index[identity(rank)]
         self.generators = tuple(index[g] for g in generators)
         self.closure = tuple(
@@ -67,7 +56,7 @@ class WeylGroup:
         return len(self.elements)
 
     def product(self, i: int, j: int) -> int:
-        return self._index[mat_mul(self.elements[i].matrix, self.elements[j].matrix)]
+        return self._index[mat_mul(self.elements[i], self.elements[j])]
 
     def subgroup(self, members) -> "Subgroup":
         return Subgroup(self, tuple(sorted(set(members))))
@@ -87,7 +76,7 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def elements(self) -> tuple[WeylElement, ...]:
+    def elements(self) -> tuple[IntMatrix, ...]:
         return tuple(self.parent.elements[i] for i in self.members)
 
 
@@ -139,7 +128,7 @@ def point_stabilizer(candidates: Subgroup, lam: Cocharacter) -> Subgroup:
     elements = candidates.parent.elements
     return Subgroup(candidates.parent, tuple(
         i for i in candidates.members
-        if all(dot(col, lam) == x for col, x in zip(zip(*elements[i].matrix), lam))
+        if all(dot(col, lam) == x for col, x in zip(zip(*elements[i]), lam))
     ))
 
 
@@ -152,7 +141,7 @@ def permutation_action(group: WeylGroup, points: Sequence[Weight]) -> tuple[tupl
     index = {p: i for i, p in enumerate(points)}
     try:
         gen_perms = [
-            tuple(index[mat_vec(group.elements[g].matrix, p)] for p in points)
+            tuple(index[mat_vec(group.elements[g], p)] for p in points)
             for g in group.generators
         ]
     except KeyError as exc:
@@ -178,7 +167,7 @@ def set_stabilizer(
     )
 
 
-def coset_representatives(h: Subgroup, k: Subgroup) -> tuple[WeylElement, ...]:
+def coset_representatives(h: Subgroup, k: Subgroup) -> tuple[IntMatrix, ...]:
     """One representative per left coset wH inside K: the identity for its own
     coset, otherwise the least element index."""
     if h.parent is not k.parent:
@@ -202,8 +191,7 @@ def averaged_form(group: WeylGroup) -> QMatrix:
     """The positive definite invariant form (1/|W|) sum_w w^T w on characters."""
     n = group.rank
     acc = [[Fraction(0)] * n for _ in range(n)]
-    for w in group.elements:
-        m = w.matrix
+    for m in group.elements:
         for i in range(n):
             for j in range(n):
                 acc[i][j] += sum(m[k][i] * m[k][j] for k in range(n))

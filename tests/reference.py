@@ -17,7 +17,7 @@ from cohint import integrality
 from cohint.arrangement import align_representative, with_representative
 from cohint.errors import InternalCheckError
 from cohint.matrices import IntMatrix, QMatrix, dot, identity, mat_vec, rref
-from cohint.polyalg import Poly, apply_linear_map, monomials_of_degree, pack, unpack
+from cohint.polyalg import Poly, monomials_of_degree, pack, substitute, unpack
 from cohint.weyl import point_stabilizer
 
 
@@ -117,7 +117,7 @@ def poly_inner(f, g, b) -> Fraction:
     """The inner product f(b.d)g induced from the symmetric form b on linear
     forms: sum_e (f o b)_e * e! * g_e.  On monomials it is the permanent of b
     over the factors of the two monomials; different degrees pair to 0."""
-    image = apply_linear_map(f, b).terms
+    image = substitute(b, f).terms
     return Fraction(sum(
         image[e] * prod(factorial(k) for k in unpack(e, f.nvars)) * c
         for e, c in g.terms.items() if e in image

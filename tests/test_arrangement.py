@@ -220,8 +220,8 @@ class TestGroupActionOnStrata:
             for w in strat.weyl.elements:
                 for s in strat.strata:
                     image = (
-                        frozenset(mat_vec(w.matrix, a) for a in s.zero_v),
-                        frozenset(mat_vec(w.matrix, a) for a in s.zero_g),
+                        frozenset(mat_vec(w, a) for a in s.zero_v),
+                        frozenset(mat_vec(w, a) for a in s.zero_g),
                     )
                     assert image in zero_sets
 
@@ -247,7 +247,7 @@ def brute_force_orbits_and_stabilizers(strat):
         }
         orbits.append(tuple(sorted(images)))
         reached.update(images)
-    image = [{a: mat_vec(w.matrix, a) for a in strat.all_supports() + (zero,)}
+    image = [{a: mat_vec(w, a) for a in strat.all_supports() + (zero,)}
              for w in strat.weyl.elements]
     set_stabs, point_stabs = [], []
     for s in strat.strata:
@@ -314,7 +314,7 @@ class TestGl5PermutationAction(PermutationActionChecks):
 
 def contragredients(weyl):
     """Every element's cocharacter matrix (M_w^-1)^T, one inverse per element."""
-    return tuple(transpose(int_inverse(w.matrix)) for w in weyl.elements)
+    return tuple(transpose(int_inverse(w)) for w in weyl.elements)
 
 
 def scanned_point_stabilizer(cochar_matrices, lam):

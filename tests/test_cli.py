@@ -37,6 +37,20 @@ class TestParseInput:
         with pytest.raises(InputError, match="malformed JSON"):
             parse_input("{not json")
 
+    @pytest.mark.parametrize("text,message", [
+        ("[" * 100_000 + "]" * 100_000, "malformed JSON: nested too deeply"),
+        ('{"rank": ' + "7" * 5000 + "}",
+         "malformed JSON: an integer literal has too many digits"),
+    ], ids=["deep-nesting", "long-integer"])
+    def test_parser_limits_fail_validation(self, text, message, tmp_path, capsys):
+        # Python raises RecursionError and ValueError here, worded differently
+        # by version; the report has one fixed wording
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main(["validate", "--input", str(path)]) == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "validation_failed", "error": message}
+
     def test_wrong_alpha_length(self):
         bad = json.loads(json.dumps(GL2_DOC))
         bad["v_weights"][0]["alpha"] = [1]

@@ -70,11 +70,11 @@ class TestPairing:
             weights = strat.all_supports()
             cochars = [s.rep for s in strat.strata]
             for w in strat.weyl.elements:
-                contragredient = transpose(int_inverse(w.matrix))
+                contragredient = transpose(int_inverse(w))
                 for lam in cochars:
                     for alpha in weights:
                         image = mat_vec(contragredient, lam)
-                        assert pairing(image, mat_vec(w.matrix, alpha)) == pairing(lam, alpha)
+                        assert pairing(image, mat_vec(w, alpha)) == pairing(lam, alpha)
 
 
 class TestRay:

@@ -38,8 +38,8 @@ class TestSeriesOracles:
         _, strat = build(key)
         q = sympy.symbols("q")
         for w in strat.weyl.elements:
-            mine = det_one_minus_q(w.matrix)
-            m = sympy.Matrix(w.matrix)
+            mine = det_one_minus_q(w)
+            m = sympy.Matrix(w)
             theirs = sympy.Poly(
                 (sympy.eye(m.rows) - q * m).det(), q
             ).all_coeffs()[::-1]
@@ -52,10 +52,10 @@ class TestSeriesOracles:
         _, strat = build(key)
         q = sympy.symbols("q")
         weyl = strat.weyl
-        mine = molien_coefficients([(w.matrix, (1,)) for w in weyl.elements], 8)
+        mine = molien_coefficients([(w, (1,)) for w in weyl.elements], 8)
         expr = (
             sum(
-                1 / (sympy.eye(weyl.rank) - q * sympy.Matrix(w.matrix)).det()
+                1 / (sympy.eye(weyl.rank) - q * sympy.Matrix(w)).det()
                 for w in weyl.elements
             )
             / weyl.order
@@ -111,7 +111,7 @@ class TestKernelSumOracle:
                 continue
             h, cosets = induction_data(strat, s, strat.top)
             form = I.kernel(strat, s, strat.top)
-            if not any(not is_monomial_matrix(w.matrix) for w in cosets):
+            if not any(not is_monomial_matrix(w) for w in cosets):
                 continue
             for f in invariant_basis(h, 2, strat.u_bases[strat.top.index]).rows:
                 mine = to_sympy(I.induct(strat, f, s, strat.top), xs)

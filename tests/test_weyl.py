@@ -37,7 +37,7 @@ S3_RANK3 = adjacent_transpositions(3)
 
 def cochar_action(w, lam):
     """The contragredient action (M_w^T)^-1 lam on cocharacters."""
-    return mat_vec(transpose(int_inverse(w.matrix)), lam)
+    return mat_vec(transpose(int_inverse(w)), lam)
 
 
 def stabilizer_of_zero_sets(strat, stratum):
@@ -75,16 +75,16 @@ class TestEnumerateGroup:
     def test_trivial_group(self):
         group = enumerate_group((), 2)
         assert group.order == 1
-        assert group.elements[0].matrix == identity(2)
+        assert group.elements[0] == identity(2)
 
     def test_tables_are_closed_with_identity_and_inverses(self):
         group = enumerate_group(S3_RANK3, 3)
-        index = {w.matrix: w.index for w in group.elements}
+        index = {w: i for i, w in enumerate(group.elements)}
         n = group.order
-        for w in group.elements:
-            assert group.product(w.index, index[int_inverse(w.matrix)]) == group.identity_index
+        for i, w in enumerate(group.elements):
+            assert group.product(i, index[int_inverse(w)]) == group.identity_index
             for j in range(n):
-                assert 0 <= group.product(w.index, j) < n
+                assert 0 <= group.product(i, j) < n
 
     def test_dense_generator_matches_a_mat_mul_closure(self):
         # adjoint:sl3's generator ((1, -1), (0, -1)) has the column (-1, -1),
@@ -111,7 +111,7 @@ class TestEnumerateGroup:
 
     def test_element_order_is_by_matrix_entries(self):
         group = enumerate_group((SWAP,), 2)
-        mats = [w.matrix for w in group.elements]
+        mats = list(group.elements)
         assert mats == sorted(mats)
 
 
@@ -120,16 +120,16 @@ class TestTableFreeGroup:
     def test_product_indexes_the_matrix_product(self, n):
         group = enumerate_group(adjacent_transpositions(n), n)
         assert group.order == (6 if n == 3 else 24)
-        for a in group.elements:
-            for b in group.elements:
-                ab = group.product(a.index, b.index)
-                assert group.elements[ab].matrix == mat_mul(a.matrix, b.matrix)
+        for i, a in enumerate(group.elements):
+            for j, b in enumerate(group.elements):
+                ab = group.product(i, j)
+                assert group.elements[ab] == mat_mul(a, b)
 
     def test_inverse_gives_the_identity(self, n):
         group = enumerate_group(adjacent_transpositions(n), n)
-        index = {w.matrix: w.index for w in group.elements}
+        index = {w: i for i, w in enumerate(group.elements)}
         for i, w in enumerate(group.elements):
-            inverse = index[int_inverse(w.matrix)]
+            inverse = index[int_inverse(w)]
             assert group.product(i, inverse) == group.identity_index
             assert group.product(inverse, i) == group.identity_index
 
@@ -137,17 +137,17 @@ class TestTableFreeGroup:
         # the columns of the cocharacter matrix C_w, as rows, form C_w^T; it
         # inverts M_w, and the cocharacter matrix of w^-1 is M_w^T
         group = enumerate_group(adjacent_transpositions(n), n)
-        index = {w.matrix: w.index for w in group.elements}
+        index = {w: i for i, w in enumerate(group.elements)}
         units = identity(n)
         for w in group.elements:
-            assert mat_mul(tuple(cochar_action(w, e) for e in units), w.matrix) == units
-            w_inv = group.elements[index[int_inverse(w.matrix)]]
-            assert tuple(cochar_action(w_inv, e) for e in units) == w.matrix
+            assert mat_mul(tuple(cochar_action(w, e) for e in units), w) == units
+            w_inv = group.elements[index[int_inverse(w)]]
+            assert tuple(cochar_action(w_inv, e) for e in units) == w
 
     def test_generators_index_the_generator_matrices(self, n):
         gens = adjacent_transpositions(n)
         group = enumerate_group(gens, n)
-        assert [group.elements[i].matrix for i in group.generators] == list(gens)
+        assert [group.elements[i] for i in group.generators] == list(gens)
 
 
 class TestActions:
@@ -158,7 +158,7 @@ class TestActions:
 
     def test_swap_action_on_cocharacters(self):
         group = enumerate_group((SWAP,), 2)
-        swap = next(w for w in group.elements if w.matrix == SWAP)
+        swap = group.elements[group.elements.index(SWAP)]
         assert cochar_action(swap, (-1, 0)) == (0, -1)
         assert cochar_action(swap, (-1, -1)) == (-1, -1)
 
@@ -166,11 +166,11 @@ class TestActions:
         _, strat = build("trivial:sl3")
         group = strat.weyl
         lam = (2, -5)
-        for a in group.elements:
-            for b in group.elements:
-                ab = group.elements[group.product(a.index, b.index)]
+        for i, a in enumerate(group.elements):
+            for j, b in enumerate(group.elements):
+                ab = group.elements[group.product(i, j)]
                 assert cochar_action(ab, lam) == cochar_action(a, cochar_action(b, lam))
-                assert mat_vec(ab.matrix, lam) == mat_vec(a.matrix, mat_vec(b.matrix, lam))
+                assert mat_vec(ab, lam) == mat_vec(a, mat_vec(b, lam))
 
 
 class TestStabilizers:
@@ -204,7 +204,7 @@ class TestStabilizers:
         for w, images in zip(gl2_strat.weyl.elements, action):
             assert sorted(images) == list(range(len(points)))
             for p, image in zip(points, images):
-                assert points[image] == mat_vec(w.matrix, p)
+                assert points[image] == mat_vec(w, p)
 
     def test_permutation_action_needs_stable_points(self, gl2_strat):
         with pytest.raises(InputError, match="does not permute"):
@@ -214,7 +214,7 @@ class TestStabilizers:
 def direct_action_table(group, points):
     """images[w][p] from each element's own matrix."""
     return tuple(
-        tuple(points.index(mat_vec(w.matrix, p)) for p in points) for w in group.elements
+        tuple(points.index(mat_vec(w, p)) for p in points) for w in group.elements
     )
 
 
@@ -253,9 +253,9 @@ class TestPermutationActionAlongTheClosure:
         seen = {group.identity_index}
         for element, parent, k in group.closure:
             assert parent in seen and element not in seen
-            generator = group.elements[group.generators[k]].matrix
-            assert group.elements[element].matrix == mat_mul(
-                group.elements[parent].matrix, generator)
+            generator = group.elements[group.generators[k]]
+            assert group.elements[element] == mat_mul(
+                group.elements[parent], generator)
             seen.add(element)
         assert seen == set(range(group.order))
 
@@ -265,7 +265,7 @@ class TestCosets:
         group = enumerate_group((SWAP,), 2)
         full = group.full_subgroup()
         reps = coset_representatives(full, full)
-        assert [w.index for w in reps] == [group.identity_index]
+        assert [group.elements.index(w) for w in reps] == [group.identity_index]
 
     def test_trivial_subgroup_gives_everything(self):
         group = enumerate_group((SWAP,), 2)
@@ -275,20 +275,20 @@ class TestCosets:
     def test_index_three(self):
         group = enumerate_group(S3_RANK3, 3)
         transposition = next(
-            w for w in group.elements
-            if w.matrix != identity(3) and group.product(w.index, w.index) == group.identity_index
+            i for i, w in enumerate(group.elements)
+            if w != identity(3) and group.product(i, i) == group.identity_index
         )
-        h = group.subgroup([group.identity_index, transposition.index])
+        h = group.subgroup([group.identity_index, transposition])
         reps = coset_representatives(h, group.full_subgroup())
         assert len(reps) == 3
-        assert reps[0].index == group.identity_index
+        assert group.elements.index(reps[0]) == group.identity_index
 
     def test_containment_required(self):
         group = enumerate_group(S3_RANK3, 3)
         other = next(
-            w.index for w in group.elements
-            if w.index != group.identity_index
-            and group.product(w.index, w.index) == group.identity_index
+            i for i in range(group.order)
+            if i != group.identity_index
+            and group.product(i, i) == group.identity_index
         )
         h = group.subgroup([group.identity_index, other])
         k = group.subgroup([group.identity_index])
@@ -297,12 +297,12 @@ class TestCosets:
 
     def test_representatives_cover_cosets_once(self):
         group = enumerate_group(S3_RANK3, 3)
-        trans = [w.index for w in group.elements
-                 if w.index != group.identity_index
-                 and group.product(w.index, w.index) == group.identity_index]
+        trans = [i for i in range(group.order)
+                 if i != group.identity_index
+                 and group.product(i, i) == group.identity_index]
         h = group.subgroup([group.identity_index, trans[0]])
         reps = coset_representatives(h, group.full_subgroup())
-        covered = {group.product(r.index, j) for r in reps for j in h.members}
+        covered = {group.product(group.elements.index(r), j) for r in reps for j in h.members}
         assert covered == set(range(group.order))
 
 
@@ -329,13 +329,13 @@ class TestAveragedForm:
             _, strat = build(key)
             b = averaged_form(strat.weyl)
             for w in strat.weyl.elements:
-                assert mat_mul(transpose(w.matrix), mat_mul(b, w.matrix)) == b
+                assert mat_mul(transpose(w), mat_mul(b, w)) == b
 
 
 class TestMolien:
     def test_symmetric_pair_of_variables(self):
         group = enumerate_group((SWAP,), 2)
-        elements = [(w.matrix, (1,)) for w in group.elements]
+        elements = [(w, (1,)) for w in group.elements]
         assert molien_coefficients(elements, 5) == tuple(
             Fraction(c) for c in (1, 1, 2, 2, 3, 3)
         )
@@ -343,8 +343,8 @@ class TestMolien:
     def test_sign_isotypic_part(self):
         group = enumerate_group((SWAP,), 2)
         elements = [
-            (w.matrix, (1,) if w.index == group.identity_index else (-1,))
-            for w in group.elements
+            (w, (1,) if i == group.identity_index else (-1,))
+            for i, w in enumerate(group.elements)
         ]
         assert molien_coefficients(elements, 5) == tuple(
             Fraction(c) for c in (0, 1, 1, 2, 2, 3)
@@ -352,8 +352,8 @@ class TestMolien:
 
     def test_numerator_shifts_the_series(self):
         group = enumerate_group((SWAP,), 2)
-        plain = molien_coefficients([(w.matrix, (1,)) for w in group.elements], 5)
-        shifted = molien_coefficients([(w.matrix, (0, 1)) for w in group.elements], 5)
+        plain = molien_coefficients([(w, (1,)) for w in group.elements], 5)
+        shifted = molien_coefficients([(w, (0, 1)) for w in group.elements], 5)
         assert shifted == (Fraction(0),) + plain[:-1]
 
     def test_trivial_group_single_variable(self):
@@ -364,7 +364,7 @@ class TestMolien:
             _, strat = build(key)
             group = strat.weyl
             n = group.rank
-            elements = [(w.matrix, (1,)) for w in group.elements]
+            elements = [(w, (1,)) for w in group.elements]
             series = molien_coefficients(elements, 4)
             coords = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
             for p in range(5):
@@ -379,7 +379,7 @@ class TestMolien:
             basis = strat.u_bases[s.index]
             if not basis:
                 continue
-            elements = [(restrict_action(w.matrix, basis), (1,)) for w in h.elements()]
+            elements = [(restrict_action(w, basis), (1,)) for w in h.elements()]
             series = molien_coefficients(elements, 4)
             for p in range(5):
                 assert series[p] == invariant_basis(h, p, basis).dim
