@@ -26,6 +26,8 @@ The set:
 
 The output is one JSON object ``{argv: [exit code, sha256]}``; an ``--input``
 argv names its document instead of the temporary file it was read from.
+``tests/report_hashes.json`` holds that object, and a tier-1 test compares
+every report with it through ``reports`` and ``report``.
 """
 
 from __future__ import annotations
@@ -136,31 +138,40 @@ def report(main, argv: list[str]) -> list:
     return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
 
 
-def main() -> int:
-    sys.path.insert(0, os.path.join(os.getcwd(), "src"))
+def reports(directory: str) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every report in the set, in output order.  The
+    ``--input`` documents are written into directory, and the name of their
+    reports gives the document's name in place of its path."""
     from cohint.catalog import catalog_keys as listed_keys
-    from cohint.cli import main as cli_main
 
-    hashes = {}
+    argvs = []
     for key in catalog_keys(listed_keys()):
         for command in CATALOG_COMMANDS:
             argv = [command[0], "--catalog", key, *command[1:]]
-            hashes[" ".join(argv)] = report(cli_main, argv)
+            argvs.append((" ".join(argv), argv))
     documents = []
     for n in (3, 4, 5):
         for kind in ("adjoint", "cotangent"):
             commands = DOCUMENT_COMMANDS + (RANK3_COMMANDS if n == 3 else ())
             documents.append((gl_document(n, kind), commands))
     documents += [(doc, MALFORMED_COMMANDS) for doc in malformed_documents()]
+    for doc, commands in documents:
+        path = os.path.join(directory, f"{doc['name']}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        for command in commands:
+            argv = [command[0], "--input", path, *command[1:]]
+            name = " ".join([command[0], "--input", doc["name"], *command[1:]])
+            argvs.append((name, argv))
+    return argvs
+
+
+def main() -> int:
+    sys.path.insert(0, os.path.join(os.getcwd(), "src"))
+    from cohint.cli import main as cli_main
+
     with tempfile.TemporaryDirectory() as tmp:
-        for doc, commands in documents:
-            path = os.path.join(tmp, f"{doc['name']}.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
-            for command in commands:
-                argv = [command[0], "--input", path, *command[1:]]
-                name = " ".join([command[0], "--input", doc["name"], *command[1:]])
-                hashes[name] = report(cli_main, argv)
+        hashes = {name: report(cli_main, argv) for name, argv in reports(tmp)}
     json.dump(hashes, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

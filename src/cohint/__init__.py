@@ -56,7 +56,6 @@ from .weyl import (
     coset_representatives,
     enumerate_group,
     molien_coefficients,
-    permutation_action,
     point_stabilizer,
     set_stabilizer,
 )

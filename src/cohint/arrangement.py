@@ -24,15 +24,8 @@ from .lattice import (
     ray,
     symmetry_class,
 )
-from .matrices import IntMatrix, dot, hnf, identity, int_kernel, mat_mul, saturate_span
-from .weyl import (
-    Subgroup,
-    WeylGroup,
-    enumerate_group,
-    permutation_action,
-    point_stabilizer,
-    set_stabilizer,
-)
+from .matrices import IntMatrix, dot, hnf, identity, int_kernel, mat_mul
+from .weyl import Subgroup, WeylGroup, enumerate_group, point_stabilizer, set_stabilizer
 
 
 @dataclass(frozen=True)
@@ -132,19 +125,11 @@ def align_representative(child: Stratum, parent_rep: Cocharacter, supports) -> C
     if not any(parent_rep):
         return base
     bound = 2 * max((abs(dot(base, u)) for u in supports), default=0) + 2
+    signed = [(u, p) for u in supports if (p := dot(parent_rep, u))]
     b = 1
     while b <= bound:
         nu = tuple(x + b * y for x, y in zip(base, parent_rep))
-        ok = True
-        for u in supports:
-            pp = dot(parent_rep, u)
-            if pp != 0 and (dot(nu, u) > 0) != (pp > 0):
-                ok = False
-                break
-            if pp != 0 and dot(nu, u) == 0:
-                ok = False
-                break
-        if ok:
+        if all(dot(nu, u) * p > 0 for u, p in signed):
             return nu
         b *= 2
     raise InternalCheckError(
@@ -198,9 +183,15 @@ def enumerate_strata(document: InputDocument) -> Stratification:
     which are each W-stable."""
     n = document.rank
     g_weights, v_weights = document.g_weights, document.v_weights
+    all_v = v_weights.supports()
+    all_g = g_weights.supports()
     # The report's one enumeration, within the document's cap, is its
-    # finiteness check, reported first.
-    weyl = enumerate_group(document.weyl_generators, n, document.group_cap)
+    # finiteness check, reported first.  It also gives each element's
+    # permutation of the weight supports: a stratum is determined by the
+    # indices of its zero supports, and its image under w has the image
+    # indices as zero supports.
+    points = tuple(sorted(set(all_v) | set(all_g)))
+    weyl = enumerate_group(document.weyl_generators, n, document.group_cap, points)
     sclass = symmetry_class(v_weights)
     if sclass is SymmetryClass.NOT_WEAKLY_SYMMETRIC:
         raise InputError("stratification requires a weakly symmetric weight multiset")
@@ -237,8 +228,6 @@ def enumerate_strata(document: InputDocument) -> Stratification:
 
     strata = []
     u_bases = []
-    all_v = v_weights.supports()
-    all_g = g_weights.supports()
     nonzero_supports = tuple(sorted(set(v_supports) | set(g_supports)))
     for idx, incident in enumerate(ordered):
         flat = Flat(flats[incident])
@@ -250,7 +239,8 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         zero_g_total = sum(g_weights.multiplicity(w) for w in zero_g)
         if dims.dim_g_fixed != zero_g_total:
             raise InternalCheckError(f"stratum {idx}: zero sets disagree with the slice counts")
-        u_basis = saturate_span(list(zero_supports), n)
+        # U is read only through its rational span, so its HNF serves.
+        u_basis = hnf(zero_supports)
         if len(u_basis) + flat.dim != n:
             raise InternalCheckError(f"stratum {idx}: flat and zero-set span do not fill the rank")
         strata.append(Stratum(idx, flat, zero_v, zero_g, rep_cochar, dims))
@@ -266,13 +256,9 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         raise InternalCheckError(f"the stratum order has maximal strata {maximal}, not one")
     top_index = maximal[0]
 
-    # One permutation of the weights per element: a stratum is determined by
-    # the indices of its zero supports, and its image under w has the image
-    # indices as zero supports.  V's and g's supports are each W-stable, so w
-    # maps the union of a stratum's two zero sets onto itself exactly when it
-    # maps both of them onto themselves.
-    points = tuple(sorted(set(all_v) | set(all_g)))
-    action = permutation_action(weyl, points)
+    # V's and g's supports are each W-stable, so w maps the union of a
+    # stratum's two zero sets onto itself exactly when it maps both of them
+    # onto themselves.
     point_index = {p: i for i, p in enumerate(points)}
     keys = [frozenset(point_index[w] for w in s.zero_v + s.zero_g) for s in strata]
     index_of = {key: i for i, key in enumerate(keys)}
@@ -285,7 +271,7 @@ def enumerate_strata(document: InputDocument) -> Stratification:
     # enumerate_group admits only generators with g * g = I, so each
     # generator's row is its own inverse and conjugates from both sides.
     elements_of: dict[tuple[int, ...], list[int]] = {}
-    for w, row in enumerate(action):
+    for w, row in enumerate(weyl.rows):
         elements_of.setdefault(row, []).append(w)
     orbit_of = [-1] * count
     orbits = []
@@ -294,19 +280,19 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         if orbit_of[i] >= 0:
             continue
         orbit_of[i] = len(orbits)
-        set_stabs[i] = set_stabilizer(weyl, action, (keys[i],))
-        rows_of = {i: {action[w] for w in set_stabs[i].members}}
+        set_stabs[i] = set_stabilizer(weyl, (keys[i],))
+        rows_of = {i: {weyl.rows[w] for w in set_stabs[i].members}}
         members = [i]
         for j in members:
             rows = rows_of.pop(j)
             for g in weyl.generators:
-                k = index_of.get(frozenset(action[g][p] for p in keys[j]))
+                k = index_of.get(frozenset(weyl.rows[g][p] for p in keys[j]))
                 if k is None:
                     raise InternalCheckError("the group action does not permute the strata")
                 if orbit_of[k] < 0:
                     orbit_of[k] = len(orbits)
                     members.append(k)
-                    row_g = action[g]
+                    row_g = weyl.rows[g]
                     rows_of[k] = {
                         tuple(map(row_g.__getitem__, map(r.__getitem__, row_g))) for r in rows
                     }

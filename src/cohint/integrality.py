@@ -17,7 +17,7 @@ from .arrangement import (
 )
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, WeightMultiset, ray, slice_weights
-from .matrices import mat_vec, nullspace, transpose
+from .matrices import mat_vec, nullspace
 from .polyalg import (
     GradedBasis,
     KernelForm,
@@ -281,24 +281,25 @@ def isotypic_series(
     """Graded dimensions of the kernel-character isotypic part of the BPS
     space tensored with the polynomial ring of the stratum's flat.
 
-    Each stabilizer element w maps the flat F onto itself by C_w =
-    (M_w^T)^-1, hence by M_w^T, whose restriction gives w's Molien term:
-    M_w^T|F is rational of finite order, so its eigenvalues are roots of
-    unity closed under conjugation, and its inverse C_w|F has the conjugate
-    eigenvalues, the same multiset, hence the same det(I - q A).  M_w^T is
-    restricted through the coordinates of the images of the row-reduced
-    basis of F, as linear forms, in that basis; det(I - q A) does not depend
-    on the basis."""
+    The polynomial ring of the flat F is realized by the forms of
+    _flat_complement_forms, the ones verify_isomorphism multiplies by: their
+    span is the b-orthogonal complement of U, which each stabilizer element
+    w maps onto itself, since M_w keeps b and maps U onto itself.  That span
+    maps W-equivariantly onto Q^n / U, the linear forms on F, so M_w
+    restricted to it gives w's Molien term.
+    M_w is restricted through the coordinates of the images of the
+    row-reduced forms in their span; det(I - q A) does not depend on the
+    basis."""
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
     index = bps.stratum.index
-    flat = rref_span(map(Poly.linear, strat.strata[index].flat.basis), 1, strat.document.rank)
+    forms = once(strat, _flat_complement_forms, bps.stratum)
+    dual = rref_span(map(Poly.linear, forms), 1, strat.document.rank)
     elements = []
     for idx, sign in eps.items():
-        cochar = transpose(strat.weyl.elements[idx])
         restricted = []
-        for row in flat.rows:
-            coords = flat.coordinates(substitute(cochar, row))
+        for row in dual.rows:
+            coords = dual.coordinates(substitute(strat.weyl.elements[idx], row))
             if coords is None:
                 raise InternalCheckError(
                     f"stratum {index}: the flat is not stable under element {idx} "

@@ -125,19 +125,6 @@ def slice_weights(
     return WeightMultiset(tuple(neg)), WeightMultiset(tuple(zero)), WeightMultiset(tuple(pos))
 
 
-def _zero_and_positive(ws: WeightMultiset, lam: Cocharacter) -> tuple[int, int]:
-    """Total multiplicity of the weights pairing to zero, and to a positive
-    number, with lam."""
-    zero = pos = 0
-    for w, m in ws:
-        p = pairing(lam, w)
-        if p == 0:
-            zero += m
-        elif p > 0:
-            pos += m
-    return zero, pos
-
-
 @dataclass(frozen=True)
 class NumericInvariants:
     dim_v_fixed: int
@@ -153,6 +140,7 @@ def numeric_invariants(
 
     V is weakly symmetric (enumerate_strata rejects any other by symmetry_class),
     so it balances at every lam, as g does, and d + 2r = dim V - dim g."""
-    dim_v, v_pos = _zero_and_positive(v_weights, lam)
-    dim_g, g_pos = _zero_and_positive(g_weights, lam)
-    return NumericInvariants(dim_v, dim_g, dim_v - dim_g, v_pos - g_pos)
+    _, v_zero, v_pos = slice_weights(v_weights, lam)
+    _, g_zero, g_pos = slice_weights(g_weights, lam)
+    dim_v, dim_g = v_zero.total(), g_zero.total()
+    return NumericInvariants(dim_v, dim_g, dim_v - dim_g, v_pos.total() - g_pos.total())

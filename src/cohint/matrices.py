@@ -157,11 +157,6 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
     return hnf(kernel)
 
 
-def saturate_span(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
-    """Canonical saturated integer basis of the rational span of the rows."""
-    return int_kernel(int_kernel(rows, ncols), ncols)
-
-
 def charpoly(m: Sequence[Sequence]) -> tuple[Fraction, ...]:
     """Coefficients c[0..n] of det(tI - m) = sum c[k] t^k (Faddeev-LeVerrier)."""
     n = len(m)

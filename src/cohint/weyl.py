@@ -29,27 +29,20 @@ class WeylGroup:
     and an index lookup.
 
     Elements are ordered by their entries (flattened, lexicographic),
-    which fixes every downstream basis and coset choice.  closure lists
-    (element, parent, k) for every element but the identity, in the
-    breadth-first order of the closure that reached it first as
-    parent * generators[k].
+    which fixes every downstream basis and coset choice.  rows[w][p] is the
+    index among the points passed to enumerate_group of element w's image
+    of points[p]; with no points every row is empty.
     """
 
     def __init__(
-        self,
-        reached_from: dict[IntMatrix, tuple[IntMatrix, int] | None],
-        rank: int,
-        generators: Sequence[IntMatrix],
+        self, rows: dict[IntMatrix, tuple[int, ...]], rank: int, generators: Sequence[IntMatrix]
     ):
         self.rank = rank
-        self.elements = tuple(sorted(reached_from))
+        self.elements = tuple(sorted(rows))
+        self.rows = tuple(rows[m] for m in self.elements)
         self._index = index = {m: i for i, m in enumerate(self.elements)}
         self.identity_index = index[identity(rank)]
         self.generators = tuple(index[g] for g in generators)
-        self.closure = tuple(
-            (index[m], index[source[0]], source[1])
-            for m, source in reached_from.items() if source is not None
-        )
 
     @property
     def order(self) -> int:
@@ -81,7 +74,10 @@ class Subgroup:
 
 
 def enumerate_group(
-    generators: Sequence[IntMatrix], rank: int, cap: int = DEFAULT_GROUP_CAP
+    generators: Sequence[IntMatrix],
+    rank: int,
+    cap: int = DEFAULT_GROUP_CAP,
+    points: Sequence[Weight] = (),
 ) -> WeylGroup:
     """Breadth-first closure of the generators; errors out past the cap.
     Each element costs one product per generator, read off the generator's
@@ -90,32 +86,45 @@ def enumerate_group(
     The generators must be involutions (g * g = I), as the reflections that
     InputDocument.validate checks are: then each is its own integer inverse
     and the closure is a group once it is finite.  A generator that is not
-    is an InputError naming it, at one product per generator."""
+    is an InputError naming it, at one product per generator.
+
+    The points must form a union of orbits, which is checked on the
+    generators: generators that permute a finite set make the group permute
+    it.  Each element m * g gets its permutation row in the step that builds
+    its matrix, (m * g) . p = m . (g . p), so row_mg[p] = row_m[perm_g[p]]."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
     one = identity(rank)
     for k, g in enumerate(gens):
         if mat_mul(g, g) != one:
             raise InputError(f"weyl_generators[{k}] is not an involution: g * g != I")
+    index = {p: i for i, p in enumerate(points)}
+    try:
+        perms = [tuple(index[mat_vec(g, p)] for p in points) for g in gens]
+    except KeyError as exc:
+        raise InputError(
+            f"the group does not permute the weights: {exc.args[0]} is not among them"
+        ) from exc
     # (m * g)[r][c] sums m[r][i] * g[i][c] over the nonzero entries of column
     # c only: one entry per column of a signed permutation.
     columns = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*g)] for g in gens]
-    reached_from: dict[IntMatrix, tuple[IntMatrix, int] | None] = {one: None}
+    rows: dict[IntMatrix, tuple[int, ...]] = {one: tuple(range(len(points)))}
     frontier = [one]
     while frontier:
         new = []
         for m in frontier:
-            for k, cols in enumerate(columns):
-                prod = tuple(tuple(sum(row[i] * x for i, x in col) for col in cols) for row in m)
-                if prod not in reached_from:
-                    reached_from[prod] = (m, k)
+            row = rows[m]
+            for cols, perm in zip(columns, perms):
+                prod = tuple(tuple(sum(r[i] * x for i, x in col) for col in cols) for r in m)
+                if prod not in rows:
+                    rows[prod] = tuple(map(row.__getitem__, perm))
                     new.append(prod)
-                    if len(reached_from) > cap:
+                    if len(rows) > cap:
                         raise InputError(
                             f"group not finite within cap (cap={cap}); "
                             "check the generators or raise --group-cap"
                         )
         frontier = new
-    return WeylGroup(reached_from, rank, gens)
+    return WeylGroup(rows, rank, gens)
 
 
 def point_stabilizer(candidates: Subgroup, lam: Cocharacter) -> Subgroup:
@@ -132,37 +141,13 @@ def point_stabilizer(candidates: Subgroup, lam: Cocharacter) -> Subgroup:
     ))
 
 
-def permutation_action(group: WeylGroup, points: Sequence[Weight]) -> tuple[tuple[int, ...], ...]:
-    """images[w][p]: the index in points of the character action of element w
-    on points[p].  The points must form a union of orbits, which is checked
-    on the generators: generators that permute a finite set make the group
-    permute it.  Each element's row is its parent's row composed with its
-    generator's, (m * g) . p = m . (g . p), in the order of the closure."""
-    index = {p: i for i, p in enumerate(points)}
-    try:
-        gen_perms = [
-            tuple(index[mat_vec(group.elements[g], p)] for p in points)
-            for g in group.generators
-        ]
-    except KeyError as exc:
-        raise InputError(
-            f"the group does not permute the weights: {exc.args[0]} is not among them"
-        ) from exc
-    images: list = [None] * group.order
-    images[group.identity_index] = tuple(range(len(points)))
-    for element, parent, k in group.closure:
-        images[element] = tuple(map(images[parent].__getitem__, gen_perms[k]))
-    return tuple(images)
-
-
-def set_stabilizer(
-    group: WeylGroup, action: Sequence[Sequence[int]], index_sets: Sequence[Sequence[int]]
-) -> Subgroup:
-    """Elements whose permutation (a row of permutation_action) maps each of
-    the index sets onto itself."""
+def set_stabilizer(group: WeylGroup, index_sets: Sequence[Sequence[int]]) -> Subgroup:
+    """Elements whose permutation row maps each of the index sets onto
+    itself; the indices are those of the points the group was enumerated
+    with."""
     sets = [frozenset(s) for s in index_sets]
     return group.subgroup(
-        w for w, images in enumerate(action)
+        w for w, images in enumerate(group.rows)
         if all(images[p] in s for s in sets for p in s)
     )
 

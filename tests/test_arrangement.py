@@ -20,8 +20,8 @@ from cohint import (
 )
 from cohint.cli import EXIT_VALIDATION, main
 from cohint.documents import document_from_dict
-from cohint.matrices import dot, hnf, int_kernel, mat_vec, transpose
-from cohint.weyl import permutation_action, point_stabilizer, set_stabilizer
+from cohint.matrices import dot, hnf, int_kernel, mat_vec, rref, transpose
+from cohint.weyl import point_stabilizer, set_stabilizer
 
 from conftest import CATALOG_INSTANCES, build, gl_document
 from reference import generic_points, int_inverse
@@ -125,6 +125,17 @@ class TestRepresentatives:
             n = strat.document.rank
             for s in strat.strata:
                 assert s.flat.dim + len(strat.u_bases[s.index]) == n
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_u_basis_spans_the_zero_supports(self, key):
+        _, strat = build(key)
+        n = strat.document.rank
+        for s in strat.strata:
+            zero = [w for w in s.zero_v + s.zero_g if any(w)]
+            u_basis = strat.u_bases[s.index]
+            span = rref(zero, n)[0]
+            assert len(u_basis) == len(span), s.index
+            assert rref(u_basis, n)[0] == span, s.index
 
 
 class TestOrder:
@@ -417,11 +428,10 @@ class TestSetStabilizerOracle:
         doc = strat.document
         points = sorted(set(doc.v_weights.supports()) | set(doc.g_weights.supports()))
         index = {p: i for i, p in enumerate(points)}
-        action = permutation_action(strat.weyl, points)
         for s in strat.strata:
             zero_sets = ([index[w] for w in s.zero_v], [index[w] for w in s.zero_g])
             assert strat.set_stabilizers[s.index] == set_stabilizer(
-                strat.weyl, action, zero_sets), s.index
+                strat.weyl, zero_sets), s.index
 
     @pytest.mark.parametrize("key", CATALOG_INSTANCES)
     def test_catalog(self, key):
@@ -608,8 +618,16 @@ class TestLocatedStrataErrors:
             self.strata_of("gl2-cotangent")
 
     def test_flat_dimension(self, monkeypatch):
-        # the generic stratum has no zero supports, so the first to fail is 1
-        monkeypatch.setattr(arrangement, "saturate_span", lambda rows, n: ())
+        # An HNF that drops a row whenever its rows are dependent.  Each flat's
+        # rows are independent and keep their rank; stratum 1's zero supports
+        # are a weight and its negative, so its U loses its one row.  The
+        # generic stratum has no zero supports, so the first to fail is 1.
+        def lossy(rows):
+            rows = list(rows)
+            basis = hnf(rows)
+            return basis[:-1] if len(basis) < len(rows) else basis
+
+        monkeypatch.setattr(arrangement, "hnf", lossy)
         with pytest.raises(InternalCheckError, match=(
             r"^stratum 1: flat and zero-set span do not fill the rank$"
         )):

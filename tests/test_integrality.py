@@ -608,9 +608,10 @@ class TestIsotypicSeries:
         assert series == tuple(Fraction(0) for _ in range(5))
 
     @pytest.mark.parametrize("key", ["adjoint:sl3", "trivial:sl3", "gl2-cotangent"])
-    def test_transpose_matches_the_contragredient(self, key):
-        """isotypic_series restricts M_w^T to the flat; the Molien sum over the
-        contragredient restrictions (M_w^-1)^T is the same series.  On sl3's
+    def test_complement_forms_match_the_contragredient(self, key):
+        """isotypic_series restricts M_w to the span of the flat complement
+        forms, the dual of the flat; the Molien sum over the contragredient
+        restrictions (M_w^-1)^T to the flat is the same series.  On sl3's
         rank-2 lattice M_w^T and M_w^-1 differ."""
         _, strat = build(key)
         if key.endswith("sl3"):

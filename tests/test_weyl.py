@@ -14,7 +14,6 @@ from cohint import (
 )
 from cohint.documents import document_from_dict
 from cohint.matrices import identity, mat_mul, mat_vec, transpose
-from cohint.weyl import WeylGroup, permutation_action
 
 from conftest import CATALOG_INSTANCES, build, gl_document
 from reference import int_inverse, restrict_action
@@ -42,13 +41,13 @@ def cochar_action(w, lam):
 
 def stabilizer_of_zero_sets(strat, stratum):
     """Setwise stabilizer of a stratum's two zero-sets, through the
-    permutation action on the sorted union of the weight supports."""
+    permutation rows of the group on the sorted union of the weight
+    supports, the points enumerate_strata gives enumerate_group."""
     doc = strat.document
     points = sorted(set(doc.v_weights.supports()) | set(doc.g_weights.supports()))
     index = {p: i for i, p in enumerate(points)}
-    action = permutation_action(strat.weyl, points)
     zero_sets = ([index[w] for w in stratum.zero_v], [index[w] for w in stratum.zero_g])
-    return set_stabilizer(strat.weyl, action, zero_sets)
+    return set_stabilizer(strat.weyl, zero_sets)
 
 
 class TestEnumerateGroup:
@@ -92,22 +91,15 @@ class TestEnumerateGroup:
         gens = build("adjoint:sl3")[0].weyl_generators
         assert any(sum(1 for x in col if x) == 2 for g in gens for col in zip(*g))
         one = identity(2)
-        reached_from = {one: None}
+        reached = {one}
         frontier = [one]
         while frontier:
-            new = []
-            for m in frontier:
-                for k, g in enumerate(gens):
-                    prod = mat_mul(m, g)
-                    if prod not in reached_from:
-                        reached_from[prod] = (m, k)
-                        new.append(prod)
-            frontier = new
-        expected = WeylGroup(reached_from, 2, gens)
+            frontier = [p for p in {mat_mul(m, g) for m in frontier for g in gens}
+                        if p not in reached]
+            reached.update(frontier)
         group = enumerate_group(gens, 2)
         assert group.order == 6
-        assert group.elements == expected.elements
-        assert group.closure == expected.closure
+        assert group.elements == tuple(sorted(reached))
 
     def test_element_order_is_by_matrix_entries(self):
         group = enumerate_group((SWAP,), 2)
@@ -198,17 +190,19 @@ class TestStabilizers:
         sub = stabilizer_of_zero_sets(gl2_strat, gl2_strat.top)
         assert sub.order == 2
 
-    def test_permutation_action_indexes_the_images(self, gl2_strat):
+    def test_rows_index_the_images(self, gl2_strat):
         points = ((-1, 0), (0, -1), (0, 0), (1, 0), (0, 1))
-        action = permutation_action(gl2_strat.weyl, points)
-        for w, images in zip(gl2_strat.weyl.elements, action):
+        group = enumerate_group(gl2_strat.document.weyl_generators, 2, points=points)
+        for w, images in zip(group.elements, group.rows):
             assert sorted(images) == list(range(len(points)))
             for p, image in zip(points, images):
                 assert points[image] == mat_vec(w, p)
 
-    def test_permutation_action_needs_stable_points(self, gl2_strat):
-        with pytest.raises(InputError, match="does not permute"):
-            permutation_action(gl2_strat.weyl, ((1, 0),))
+    def test_rows_need_stable_points(self, gl2_strat):
+        with pytest.raises(InputError, match=(
+            r"^the group does not permute the weights: \(0, 1\) is not among them$"
+        )):
+            enumerate_group(gl2_strat.document.weyl_generators, 2, points=((1, 0),))
 
 
 def direct_action_table(group, points):
@@ -220,10 +214,10 @@ def direct_action_table(group, points):
 
 def weights_and_group(doc):
     points = tuple(sorted(set(doc.v_weights.supports()) | set(doc.g_weights.supports())))
-    return enumerate_group(doc.weyl_generators, doc.rank), points
+    return enumerate_group(doc.weyl_generators, doc.rank, points=points), points
 
 
-class TestPermutationActionAlongTheClosure:
+class TestRowsAlongTheClosure:
     """Rows composed along the closure against the table read off every
     element's matrix, on the weights of each input; the catalog includes sl3
     on its rank-2 lattice (adjoint:sl3, trivial:sl3)."""
@@ -231,33 +225,37 @@ class TestPermutationActionAlongTheClosure:
     @pytest.mark.parametrize("key", CATALOG_INSTANCES)
     def test_catalog(self, key):
         group, points = weights_and_group(build(key)[0])
-        assert permutation_action(group, points) == direct_action_table(group, points)
+        assert group.rows == direct_action_table(group, points)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
     def test_gl(self, n, kind):
         group, points = weights_and_group(document_from_dict(gl_document(n, kind, 1, 0)))
-        assert permutation_action(group, points) == direct_action_table(group, points)
+        assert group.rows == direct_action_table(group, points)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_trivial_group(self, rank):
-        group = enumerate_group((), rank)
         points = tuple(tuple(int(i == j) * s for j in range(rank))
                        for i in range(rank) for s in (-1, 1))
-        assert group.closure == ()
-        assert permutation_action(group, points) == (tuple(range(2 * rank)),)
-        assert permutation_action(group, ()) == ((),)
+        assert enumerate_group((), rank, points=points).rows == (tuple(range(2 * rank)),)
+        assert enumerate_group((), rank).rows == ((),)
 
-    def test_closure_reaches_each_element_once_from_an_earlier_one(self):
+    def test_no_points_give_empty_rows(self):
         group = enumerate_group(adjacent_transpositions(4), 4)
-        seen = {group.identity_index}
-        for element, parent, k in group.closure:
-            assert parent in seen and element not in seen
-            generator = group.elements[group.generators[k]]
-            assert group.elements[element] == mat_mul(
-                group.elements[parent], generator)
-            seen.add(element)
-        assert seen == set(range(group.order))
+        assert group.order == 24
+        assert group.rows == ((),) * 24
+
+    def test_unstable_points_fail_before_the_cap(self):
+        # two reflections in the root (1, 0) generate an infinite group; the
+        # first maps (1, 0) to (-1, 0), which is not among the points, and the
+        # generators' permutations are read before the closure starts
+        gens = (((-1, 0), (0, 1)), ((-1, 1), (0, 1)))
+        with pytest.raises(InputError, match=(
+            r"^the group does not permute the weights: \(-1, 0\) is not among them$"
+        )):
+            enumerate_group(gens, 2, cap=10, points=((1, 0),))
+        with pytest.raises(InputError, match="not finite"):
+            enumerate_group(gens, 2, cap=10)
 
 
 class TestCosets:
