@@ -1,20 +1,24 @@
-"""Ceiling probe: wall time and stdout SHA-256 of two large reports.
+"""Ceiling probe: wall time and stdout SHA-256 of three large reports.
 
     python3 scripts/ceiling.py
 
-Run it from the root of a checkout.  It builds two documents with
+Run it from the root of a checkout.  It builds three documents with
 ``tests/conftest.py::gl_document`` and runs one report on each, every report
 in a fresh ``python -m cohint.cli`` process importing that checkout's
 ``src/``:
 - ``verify --max-degree 8`` on gl4 adjoint, ``gl_document(4, "adjoint", 1, 0)``;
 - ``bps`` on gl3-adjoint-m3, the 3-loop quiver with dimension vector 3,
-  ``gl_document(3, "adjoint", 3, 9)``.
+  ``gl_document(3, "adjoint", 3, 9)``;
+- ``bps`` on gl4-adjoint-m2, the 2-loop quiver with dimension vector 4,
+  ``gl_document(4, "adjoint", 2, 8)``.
 
 Each line gives the report, its unscaled wall seconds (process start to exit)
 and its stdout SHA-256, so that two checkouts can be compared by speed and by
-output.  A report that exits non-zero or runs past ``BUDGET`` (60 s each) is
-printed as failed, and the script then exits 1.  The probe is not
-gated: its times depend on the host.
+output.  ``REPORTS`` pins each report's SHA-256, the one place these digests
+are kept: ``tests/test_reports.py`` reads them from here.  A report that exits
+non-zero, runs past ``BUDGET`` (60 s each) or prints another digest is printed
+as failed, and the script then exits 1.  The times are not gated: they depend
+on the host.
 """
 
 from __future__ import annotations
@@ -29,9 +33,18 @@ import time
 
 ROOT = os.getcwd()
 BUDGET = 60.0  # seconds each report may take
+# (argv, gl_document arguments, stdout SHA-256).  The first two digests were
+# recorded while every graded basis kept coefficient vectors over its own
+# monomial list, the third before the induced submodules were built as
+# modules over the Levi invariants; no catalog key has BPS pieces and
+# complements as large.
 REPORTS = (
-    (("verify", "--max-degree", "8"), (4, "adjoint", 1, 0)),
-    (("bps",), (3, "adjoint", 3, 9)),
+    (("verify", "--max-degree", "8"), (4, "adjoint", 1, 0),
+     "3aa1f38dee34344064833681271b47d4c5741b1a99d5038b1e1f65048d7d1e19"),
+    (("bps",), (3, "adjoint", 3, 9),
+     "0a38e61b3a1c3ef3866ea2ba1ecd8caf6551239b8667f9309fe43e9fc03adbec"),
+    (("bps",), (4, "adjoint", 2, 8),
+     "fbc67c3563b9d69b82e964b99e29342f535787a5b19e2dc0f0a2f6a0d035da6b"),
 )
 
 
@@ -50,7 +63,7 @@ def main() -> int:
 
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for command, shape in REPORTS:
+        for command, shape, expected in REPORTS:
             doc = gl_document(*shape)
             path = os.path.join(tmp, f"{doc['name']}.json")
             with open(path, "w", encoding="utf-8") as handle:
@@ -65,7 +78,11 @@ def main() -> int:
                 print(f"{name}: FAILED, exit code {exc.returncode}")
                 failed += 1
             else:
-                print(f"{name}: {seconds:.2f} s, stdout sha256 {digest}")
+                if digest == expected:
+                    print(f"{name}: {seconds:.2f} s, stdout sha256 {digest}")
+                else:
+                    print(f"{name}: FAILED, stdout sha256 {digest}, pinned {expected}")
+                    failed += 1
     return 1 if failed else 0
 
 

@@ -7,8 +7,9 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .lattice import DEFAULT_GROUP_CAP, Weight, WeightMultiset, ray
-from .matrices import IntMatrix, mat_vec
+from .lattice import DEFAULT_GROUP_CAP, WeightMultiset, ray
+from .matrices import IntMatrix
+from .weyl import reflection_ray
 
 # The largest degree verify and molien accept, from --max-degree or from
 # options.max_degree.  Both build their series and graded spaces degree by
@@ -50,7 +51,7 @@ class InputDocument:
                 )
         roots = {ray(w)[0] for w in self.g_weights.nonzero_supports()}
         for k, gen in enumerate(self.weyl_generators):
-            if _reflection_ray(gen) not in roots:
+            if reflection_ray(gen) not in roots:
                 raise InputError(f"weyl_generators[{k}] is not the reflection in a root of g_weights")
         self._check_weights("v_weights", self.v_weights)
 
@@ -76,23 +77,6 @@ class InputDocument:
         if self.max_degree is not None:
             doc["options"]["max_degree"] = self.max_degree
         return doc
-
-
-def _reflection_ray(gen: IntMatrix) -> Weight | None:
-    """The ray a of the columns of gen - I when gen is a reflection: every
-    nonzero column of gen - I lies on the one ray a, and gen a = -a.  None
-    otherwise, the identity included.
-
-    Columns on one ray make gen = I + a v^T for a nonzero rational v, so
-    gen a = (1 + v.a) a and gen^2 = I + (2 + v.a) a v^T: gen a = -a exactly
-    when v.a = -2, which is exactly when gen^2 = I."""
-    n = len(gen)
-    columns = (tuple(gen[i][j] - (i == j) for i in range(n)) for j in range(n))
-    rays = {ray(c)[0] for c in columns if any(c)}
-    if len(rays) != 1:
-        return None
-    a = rays.pop()
-    return a if mat_vec(gen, a) == tuple(-x for x in a) else None
 
 
 def _require(cond: bool, location: str, message: str) -> None:

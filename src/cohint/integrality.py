@@ -38,6 +38,7 @@ from .weyl import (
     coset_representatives,
     molien_coefficients,
     point_stabilizer,
+    reflection_ray,
 )
 
 
@@ -173,6 +174,46 @@ def _invariants(strat: Stratification, h: Subgroup, p: int, forms) -> GradedBasi
     return invariant_basis(h, p, forms)
 
 
+def _reflections(strat: Stratification, h: Subgroup) -> int:
+    """N(h), the number of members of h that are reflections (see j_graded,
+    (e)), as a builder for once."""
+    return sum(reflection_ray(w) is not None for w in h.elements())
+
+
+def _cleared(f: Poly) -> Poly:
+    """f rescaled to a primitive integer polynomial, by lattice.ray on its
+    coefficients, so that products of it run over ints."""
+    key, _ = ray(tuple(f.terms.values()))
+    return Poly(f.nvars, dict(zip(f.terms, key)))
+
+
+def _basic_invariants(strat: Stratification, levi: Subgroup, e: int, u_basis) -> tuple[Poly, ...]:
+    """The basic invariants of degree e of levi acting on Sym(U), U the span
+    of u_basis, each cleared: the rows of the degree-e invariants outside the
+    span of the products of lower-degree ones, each row tested by
+    coordinates on the running span.  The lower ones generate every
+    invariant of degree below e, so their products of degree e span the sum
+    of theta * Sym^{e - deg theta}(U)^levi.  Once there are rank U of them
+    there are no more (Chevalley; see j_graded), and nothing is built.  As a
+    builder for once."""
+    lower = [(d, theta) for d in range(1, e)
+             for theta in once(strat, _basic_invariants, levi, d, u_basis)]
+    if e < 1 or len(lower) == len(u_basis):
+        return ()
+    n = strat.document.rank
+    ambient = once(strat, _invariants, levi, e, u_basis)
+    span = rref_span((theta * _cleared(f) for d, theta in lower
+                      for f in once(strat, _invariants, levi, e - d, u_basis).rows), e, n)
+    basic = []
+    for row in ambient.rows:
+        if span.dim == ambient.dim:
+            break
+        if span.coordinates(row) is None:
+            basic.append(_cleared(row))
+            span = rref_span((*span.rows, row), e, n)
+    return tuple(basic)
+
+
 def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     """Degree-p slice of the induced submodule of lambda = stratum: the span
     of the inductions sum_{c in W_lambda/H} c(f * k_{mu->lambda}) of the
@@ -201,20 +242,60 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
             sum_{w in W_lambda} w(f * k_{mu->lambda})
                 = |H| sum_{c in W_lambda/H} c(avg_H(f) * k_{mu->lambda}),
         and avg_H maps Sym(U_lambda) onto its H-invariants.
-    enumerate_strata checks that W_nu lies in W_lambda on every cover edge."""
+    enumerate_strata checks that W_nu lies in W_lambda on every cover edge.
+
+    J_p is built as a module over R = Sym(U_lambda)^{W_lambda}: a cover is
+    induced only when q = p - deg k <= N(W_lambda) - N(H), N counting a
+    group's reflections.
+    (d) Induction is R-linear: each c in W_lambda fixes a theta in R, so
+        c(theta * f * k) = theta * c(f * k), and theta * f is H-invariant
+        when f is.  Hence theta * J_{p-e} lies in J_p for theta in R_e.
+    (e) Steinberg (Trans. AMS 112, 1964): W_lambda is generated by the
+        reflections of W fixing lambda, each in a root inside U_lambda, and
+        H by the reflections of W_lambda fixing mu's representative.  So
+        w - I maps into U_lambda for w in W_lambda, and w is a reflection
+        of the lattice exactly when it is one of U_lambda.
+    (f) Chevalley (1955): R and Sym(U_lambda)^H are polynomial rings on
+        rank U_lambda basic invariants, of degrees d_i(W_lambda) and d_i(H),
+        with sum (d_i - 1) = N.  Sym(U_lambda)^H is Cohen-Macaulay and
+        finite over the polynomial ring R, hence a free R-module on
+        homogeneous generators, whose degrees have the generating
+        polynomial prod (1 - t^{d_i(W_lambda)}) / prod (1 - t^{d_i(H)}), the
+        quotient of the two Poincare series, of degree
+        sum d_i(W_lambda) - sum d_i(H) = N(W_lambda) - N(H).
+    (g) So an H-invariant of degree q > N(W_lambda) - N(H) is a sum of
+        r * g over those generators g with r in R of positive degree, and r
+        is a sum of products theta * s over the basic invariants theta of
+        W_lambda and s in R.  By (d) its induction lies in the sum of
+        theta * J_{p - deg theta} over deg theta <= p, which lies in J_p.
+        That sum is added when some cover is skipped.
+    Each J_p is kept by once; its rows are unique (RREF over Q), whichever
+    spanning set gives them."""
     if p < 0:
         raise InputError("degree must be nonnegative")
     u_basis = strat.u_bases[stratum.index]
+    levi = strat.point_stabilizers[stratum.index]
+    reflections = once(strat, _reflections, levi)
     generators = []
+    skipped = False
     for j in strat.covers[stratum.index]:
         mu = strat.strata[j]
         h, form, _ = once(strat, _induction_data, mu, stratum)
-        if p < form.degree:
+        q = p - form.degree
+        if q < 0:
+            continue
+        if q > reflections - once(strat, _reflections, h):
+            skipped = True
             continue
         generators.extend(
             _induced(strat, f, mu, stratum)
-            for f in once(strat, _invariants, h, p - form.degree, u_basis).rows
+            for f in once(strat, _invariants, h, q, u_basis).rows
         )
+    if skipped:
+        for e in range(1, p + 1):
+            for theta in once(strat, _basic_invariants, levi, e, u_basis):
+                generators.extend(theta * _cleared(r)
+                                  for r in once(strat, j_graded, stratum, p - e).rows)
     return rref_span(generators, p, strat.document.rank)
 
 
@@ -233,7 +314,7 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
     pieces: dict[int, GradedBasis] = {}
     for p in range(p_max + 3):
         ambient = once(strat, _invariants, levi, p, u_basis)
-        sub = j_graded(strat, stratum, p)
+        sub = once(strat, j_graded, stratum, p)
         if p <= p_max:
             pieces[p] = orthogonal_complement(sub, ambient, b)
         elif sub.dim != ambient.dim:

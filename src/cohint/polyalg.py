@@ -461,19 +461,23 @@ def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
 
 
 def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis:
-    """Basis of the degree-p invariants of H inside Sym^p(span of the forms),
-    from the forms as given: neither Sym^p of the span nor its unique RREF
-    over Q depends on the spanning set, or on the scale of the orbit sums
-    that span the invariants.  The span is checked to be H-stable once per
-    call: each image M_w b must have coordinates in the row-reduced span of
-    the forms."""
+    """Basis of the degree-p invariants of H inside Sym^p(span of the forms).
+    The work does not depend on the spanning set: the forms are replaced by
+    the rows of their span's RREF, each cleared to a primitive integer vector
+    (lattice.ray), and the orbit sums of the products of those rows span the
+    invariants.  Neither Sym^p of the span nor its unique RREF over Q depends
+    on the spanning set, or on the scale of the orbit sums.  The span is
+    checked to be H-stable once per call: each image M_w b of a row must have
+    coordinates in the span."""
     nvars = h.parent.rank
     span = rref_span(map(Poly.linear, forms), 1, nvars)
+    units = [_unit(nvars, i) for i in range(nvars)]
+    rows = [ray(row.coefficient_vector(units))[0] for row in span.rows]
     for w in h.elements():
-        for b in forms:
+        for b in rows:
             if span.coordinates(Poly.linear(mat_vec(w, b))) is None:
                 raise InputError("span of the forms is not stable under the subgroup")
-    vectors = [orbit_sum(h, mono) for mono in power_products(forms, p, nvars)]
+    vectors = [orbit_sum(h, mono) for mono in power_products(rows, p, nvars)]
     return rref_span(vectors, p, nvars)
 
 

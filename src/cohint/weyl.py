@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .lattice import Cocharacter, Weight, DEFAULT_GROUP_CAP
+from .lattice import Cocharacter, Weight, DEFAULT_GROUP_CAP, ray
 from .matrices import (
     IntMatrix,
     QMatrix,
@@ -71,6 +71,25 @@ class Subgroup:
 
     def elements(self) -> tuple[IntMatrix, ...]:
         return tuple(self.parent.elements[i] for i in self.members)
+
+
+def reflection_ray(m: IntMatrix) -> Weight | None:
+    """The ray a of the columns of m - I when m is a reflection: every
+    nonzero column of m - I lies on the one ray a, and m a = -a.  None
+    otherwise, the identity included.  The one test of being a reflection:
+    InputDocument.validate asks it of each generator, and the invariant
+    theory of integrality counts the reflections of a subgroup with it.
+
+    Columns on one ray make m = I + a v^T for a nonzero rational v, so
+    m a = (1 + v.a) a and m^2 = I + (2 + v.a) a v^T: m a = -a exactly
+    when v.a = -2, which is exactly when m^2 = I."""
+    n = len(m)
+    columns = (tuple(m[i][j] - (i == j) for i in range(n)) for j in range(n))
+    rays = {ray(c)[0] for c in columns if any(c)}
+    if len(rays) != 1:
+        return None
+    a = rays.pop()
+    return a if mat_vec(m, a) == tuple(-x for x in a) else None
 
 
 def enumerate_group(

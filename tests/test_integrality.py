@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -18,7 +19,7 @@ from cohint import integrality as I
 from cohint.documents import document_from_dict
 from cohint import polyalg
 from cohint.polyalg import ExactDivisionError, KernelForm, kernel_sum, monomials_of_degree
-from cohint.matrices import transpose
+from cohint.matrices import identity, rref, transpose
 from cohint.weyl import molien_coefficients, point_stabilizer
 
 from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document
@@ -38,6 +39,35 @@ RANK2_KEYS = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:5", "sl2-adjoint:2
 # On adjoint:sl3's edges into the top, H has order 2 in W_lambda of order 6 and
 # the kernel has two numerator and two denominator forms.
 ORACLE_KEYS = RANK2_KEYS + ("adjoint:sl3",)
+# gl_n documents beside the catalog keys, by tests/conftest.py::gl_document
+# arguments.  On the two doubled ones, j_graded skips covers whose degree
+# exceeds the generator bound at several degrees.
+ORACLE_DOCUMENTS = {
+    "gl3-cotangent": (3, "cotangent", 1, 1),
+    "gl3-adjoint-m2": (3, "adjoint", 2, 6),
+    "gl3-cotangent-m2": (3, "cotangent", 2, 0),
+}
+GL_DOCUMENTS = {
+    f"gl{n}-{kind}": (n, kind, 1, 0) for n in (3, 4) for kind in ("adjoint", "cotangent")
+}
+
+
+def fresh(key):
+    """A new stratification, with an empty memo, of a catalog key or of a
+    gl_n document named in ORACLE_DOCUMENTS or GL_DOCUMENTS."""
+    spec = ORACLE_DOCUMENTS.get(key) or GL_DOCUMENTS.get(key)
+    return enumerate_strata(document_from_dict(gl_document(*spec)) if spec else catalog_emit(key))
+
+
+def reflection_count(h):
+    """The members w of h with w - I of rank 1, which for a w of finite order
+    are the reflections: independent of weyl.reflection_ray."""
+    n = h.parent.rank
+    one = identity(n)
+    return sum(
+        len(rref([[a - b for a, b in zip(r, s)] for r, s in zip(w, one)], n)[1]) == 1
+        for w in h.elements()
+    )
 
 
 def x(i, n=2):
@@ -348,6 +378,42 @@ class TestJGraded:
                 I.j_graded(strat, s, p)
         assert degrees and min(degrees) >= 0
 
+    @pytest.mark.parametrize("key", ["adjoint:gl3", "gl4-adjoint"])
+    def test_induces_invariants_only_up_to_the_generator_degree(self, key, monkeypatch):
+        # With the ambient invariants of each degree built first, as bps_space
+        # builds them, j_graded asks invariant_basis(h, q) only for a cover's
+        # H and q <= N(W_lambda) - N(H); the higher degrees come from the
+        # basic invariants of W_lambda
+        strat = fresh(key)
+        asked, basic_degrees = [], []
+        basis, basic = I.invariant_basis, I._basic_invariants
+
+        def recording_basis(h, q, forms):
+            asked.append((h, q))
+            return basis(h, q, forms)
+
+        def recording_basic(strat, levi, e, u_basis):
+            basic_degrees.append(e)
+            return basic(strat, levi, e, u_basis)
+
+        monkeypatch.setattr(I, "invariant_basis", recording_basis)
+        monkeypatch.setattr(I, "_basic_invariants", recording_basic)
+        skipped = 0
+        for s in strat.strata:
+            levi = strat.point_stabilizers[s.index]
+            u_basis = strat.u_bases[s.index]
+            n_levi = reflection_count(levi)
+            for p in range(s.dims.dim_v_fixed // 2 + 3):
+                I.once(strat, I._invariants, levi, p, u_basis)
+                asked.clear()
+                I.once(strat, I.j_graded, s, p)
+                for h, q in asked:
+                    assert q <= n_levi - reflection_count(h), (s.index, p, q)
+                for j in strat.covers[s.index]:
+                    h, form, _ = I.once(strat, I._induction_data, strat.strata[j], s)
+                    skipped += p - form.degree > n_levi - reflection_count(h)
+        assert skipped and basic_degrees
+
     def test_negative_degree_rejected(self, gl2_strat):
         with pytest.raises(InputError):
             I.j_graded(gl2_strat, gl2_strat.top, -1)
@@ -360,14 +426,10 @@ class TestJGraded:
                     expected = _j_dim_by_image_intersection(strat, s, p)
                     assert I.j_graded(strat, s, p).dim == expected, (key, s.index, p)
 
-    @pytest.mark.parametrize("key", CATALOG_KEYS + ("gl3-cotangent",))
+    @pytest.mark.parametrize("key", CATALOG_KEYS + tuple(ORACLE_DOCUMENTS))
     def test_covers_span_what_every_lower_stratum_spans(self, key):
         # every degree bps_space asks for, up to two past the vanishing bound
-        if key == "gl3-cotangent":
-            doc = document_from_dict(gl_document(3, "cotangent", 1, 1))
-            strat = enumerate_strata(doc)
-        else:
-            strat = build(key)[1]
+        strat = fresh(key) if key in ORACLE_DOCUMENTS else build(key)[1]
         for s in strat.strata:
             for p in range(s.dims.dim_v_fixed // 2 + 3):
                 expected = _j_graded_from_every_lower_stratum(strat, s, p)
@@ -432,6 +494,25 @@ def _j_dim_by_image_intersection(strat, stratum, p):
     pure = rref_span(u_monomials, p, n)
     stacked = rref_span(list(span.rows) + list(pure.rows), p, n)
     return span.dim + pure.dim - stacked.dim
+
+
+class TestBasicInvariants:
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES + tuple(GL_DOCUMENTS))
+    def test_degrees_of_every_point_stabilizer(self, key):
+        # Chevalley: as many basic invariants as U has dimensions, with
+        # prod d_i = |W_lambda| and sum (d_i - 1) = N(W_lambda); Noether's
+        # bound |W_lambda| bounds their degrees
+        strat = build(key)[1] if key in CATALOG_INSTANCES else fresh(key)
+        for s in strat.strata:
+            levi = strat.point_stabilizers[s.index]
+            u_basis = strat.u_bases[s.index]
+            degrees = [e for e in range(1, levi.order + 1)
+                       for _ in I.once(strat, I._basic_invariants, levi, e, u_basis)]
+            n_levi = reflection_count(levi)
+            assert I.once(strat, I._reflections, levi) == n_levi
+            assert len(degrees) == len(u_basis), s.index
+            assert prod(degrees) == levi.order, (s.index, degrees)
+            assert sum(d - 1 for d in degrees) == n_levi, (s.index, degrees)
 
 
 class TestBpsSpace:

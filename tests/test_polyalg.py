@@ -618,6 +618,32 @@ class TestInvariantBasis:
         basis = invariant_basis(S2.full_subgroup(), 2, ((1, 0), (0, 1)))
         assert invariant_basis(S2.full_subgroup(), 2, ((1, 0), (0, 1), (1, 1))) == basis
 
+    def test_same_work_from_another_spanning_set(self, monkeypatch):
+        # adjoint:sl3's roots span an index-3 sublattice of its rank-2
+        # lattice, so its top stratum's U has the HNF rows (1, 2), (0, 3),
+        # which span the rational plane that the unit vectors span
+        strat = build("adjoint:sl3")[1]
+        levi = strat.point_stabilizers[strat.top_index]
+        spanning_sets = (((1, 2), (0, 3)), ((1, 0), (0, 1)))
+        assert strat.u_bases[strat.top_index] == spanning_sets[0]
+        for forms in spanning_sets:
+            # substitution plans grow their powers on first use
+            invariant_basis(levi, 6, forms)
+        mul = Poly.__mul__
+        pairs = []
+
+        def counting(self, other):
+            pairs[-1] += len(self.terms) * len(other.terms)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        bases = []
+        for forms in spanning_sets:
+            pairs.append(0)
+            bases.append(invariant_basis(levi, 6, forms))
+        assert bases[0] == bases[1] and bases[0].dim > 0
+        assert pairs[0] == pairs[1]
+
     @pytest.mark.parametrize("key", CATALOG_INSTANCES)
     def test_same_basis_from_other_spanning_sets(self, key):
         # u_bases[i], twice it, and it with the sum of its rows appended, for

@@ -250,18 +250,6 @@ VALIDATE_GL4 = {
         "ec067303918c0c1db64778efa3918fcc9752cec78ad4cf2f43b2320d44728d4a",
 }
 
-# ``verify --max-degree 8`` on gl4 acting by its adjoint and ``bps`` on the
-# 3-loop quiver with dimension vector 3, the two reports scripts/ceiling.py
-# times, recorded while every graded basis kept coefficient vectors over its
-# own monomial list; no catalog key has BPS pieces and complements as large.
-CEILING = {
-    (("verify", "--max-degree", "8"), (4, "adjoint", 1, 0)):
-        "3aa1f38dee34344064833681271b47d4c5741b1a99d5038b1e1f65048d7d1e19",
-    (("bps",), (3, "adjoint", 3, 9)):
-        "0a38e61b3a1c3ef3866ea2ba1ecd8caf6551239b8667f9309fe43e9fc03adbec",
-}
-
-
 def _gl2_edited(**fields) -> dict:
     doc = gl_document(2, "cotangent", 1, 0)
     doc.update(fields)
@@ -332,17 +320,22 @@ CATALOG_CAP_ERRORS = {
 }
 
 
-def load_report_list():
-    """scripts/report_hashes.py as a module, for its report list."""
-    path = Path(__file__).parents[1] / "scripts" / "report_hashes.py"
-    spec = importlib.util.spec_from_file_location("report_hashes", path)
+def load_script(name: str):
+    """scripts/<name>.py as a module: report_hashes for its report list,
+    ceiling for its reports and their pinned digests."""
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+# The large reports that scripts/ceiling.py times, with the digests it pins.
+CEILING = {(argv, shape): digest for argv, shape, digest in load_script("ceiling").REPORTS}
+
+
 def test_every_listed_report_matches_its_recorded_hash(tmp_path):
-    script = load_report_list()
+    script = load_script("report_hashes")
     recorded = json.loads((Path(__file__).parent / "report_hashes.json").read_text())
     listed = script.reports(str(tmp_path))
     assert [name for name, _ in listed] == list(recorded)
