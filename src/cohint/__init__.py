@@ -9,7 +9,10 @@ from .arrangement import (
     Stratum,
     align_representative,
     enumerate_strata,
+    once,
+    point_stabilizer_of,
     representative_cocharacter,
+    set_stabilizer_of,
     with_representative,
 )
 from .catalog import catalog_emit, catalog_keys
@@ -23,7 +26,6 @@ from .integrality import (
     isotypic_series,
     j_graded,
     kernel,
-    once,
     target_series,
     verify_associativity,
     verify_hilbert,

@@ -64,12 +64,13 @@ class Stratification:
     below: tuple[frozenset[int], ...]
     orbits: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]
-    point_stabilizers: tuple[Subgroup, ...]
-    set_stabilizers: tuple[Subgroup, ...]
+    # keys[i]: the indices of stratum i's zero supports among the sorted
+    # weight supports, the points weyl.rows permutes.
+    keys: tuple[frozenset[int], ...]
     u_bases: tuple[IntMatrix, ...]
     top_index: int
-    # Objects derived from this stratification, computed once each by
-    # integrality.once; it lives and dies with the stratification.
+    # Objects derived from this stratification, each computed once by once
+    # below; it lives and dies with the stratification.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def leq(self, i: int, j: int) -> bool:
@@ -89,6 +90,18 @@ class Stratification:
                 | set(self.document.g_weights.nonzero_supports())
             )
         )
+
+
+def once(strat: Stratification, builder, *args):
+    """builder(strat, *args), computed once per stratification: kept in
+    strat.memo under the builder and the argument values, a Stratum by its
+    value, not its index, which with_representative copies share.  Callers
+    look the builder up by its module-level name when they call, so a
+    rebound one is used."""
+    key = (builder, *args)
+    if key not in strat.memo:
+        strat.memo[key] = builder(strat, *args)
+    return strat.memo[key]
 
 
 def representative_cocharacter(
@@ -167,20 +180,14 @@ def restrict_arrangement(
 
 def enumerate_strata(document: InputDocument) -> Stratification:
     """Close the weight hyperplanes under intersection and attach all
-    per-stratum data: zero-sets, representatives, order, orbits, stabilizers.
+    per-stratum data: zero-sets, representatives, order and orbits.  The
+    stabilizers of a stratum are built on demand (set_stabilizer_of,
+    point_stabilizer_of).
 
     The closure cuts each flat F by the hyperplanes not containing it, one
     cut per group of restrict_arrangement.  Each cut is one dimension down,
     so the cuts of F are exactly the flats covering F in the order, and the
-    hyperplanes containing a cut are those containing F and its group.
-
-    Each point stabilizer W_lam is searched among the members of the set
-    stabilizer, which contains it.  w fixes lam exactly when M_w^T lam = lam
-    (see point_stabilizer), and then <lam, M_w u> = <M_w^T lam, u> = <lam, u>
-    for every weight u.  The representative lam is generic, so the supports
-    vanishing on it are the stratum's zero sets; w maps each of them into
-    itself, and onto itself since it permutes the weights of V and of g,
-    which are each W-stable."""
+    hyperplanes containing a cut are those containing F and its group."""
     n = document.rank
     g_weights, v_weights = document.g_weights, document.v_weights
     all_v = v_weights.supports()
@@ -256,35 +263,20 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         raise InternalCheckError(f"the stratum order has maximal strata {maximal}, not one")
     top_index = maximal[0]
 
-    # V's and g's supports are each W-stable, so w maps the union of a
-    # stratum's two zero sets onto itself exactly when it maps both of them
-    # onto themselves.
     point_index = {p: i for i, p in enumerate(points)}
-    keys = [frozenset(point_index[w] for w in s.zero_v + s.zero_g) for s in strata]
+    keys = tuple(frozenset(point_index[w] for w in s.zero_v + s.zero_g) for s in strata)
     index_of = {key: i for i, key in enumerate(keys)}
 
     # Orbits under the generators are orbits under the group, and generators
-    # that permute the strata make the whole group permute them.  Whether w
-    # stabilizes a stratum depends only on w's row, so each orbit's first
-    # stratum is scanned for its stabilizer rows, and a stratum reached as
-    # g.s gets the stabilizer g Stab(s) g^-1: the rows row_g o r o row_g^-1.
-    # enumerate_group admits only generators with g * g = I, so each
-    # generator's row is its own inverse and conjugates from both sides.
-    elements_of: dict[tuple[int, ...], list[int]] = {}
-    for w, row in enumerate(weyl.rows):
-        elements_of.setdefault(row, []).append(w)
+    # that permute the strata make the whole group permute them.
     orbit_of = [-1] * count
     orbits = []
-    set_stabs: list = [None] * count
     for i in range(count):
         if orbit_of[i] >= 0:
             continue
         orbit_of[i] = len(orbits)
-        set_stabs[i] = set_stabilizer(weyl, (keys[i],))
-        rows_of = {i: {weyl.rows[w] for w in set_stabs[i].members}}
         members = [i]
         for j in members:
-            rows = rows_of.pop(j)
             for g in weyl.generators:
                 k = index_of.get(frozenset(weyl.rows[g][p] for p in keys[j]))
                 if k is None:
@@ -292,25 +284,7 @@ def enumerate_strata(document: InputDocument) -> Stratification:
                 if orbit_of[k] < 0:
                     orbit_of[k] = len(orbits)
                     members.append(k)
-                    row_g = weyl.rows[g]
-                    rows_of[k] = {
-                        tuple(map(row_g.__getitem__, map(r.__getitem__, row_g))) for r in rows
-                    }
-                    set_stabs[k] = weyl.subgroup(w for r in rows_of[k] for w in elements_of[r])
         orbits.append(tuple(sorted(members)))
-
-    point_stabs = []
-    for s, ss in zip(strata, set_stabs):
-        ps = point_stabilizer(ss, s.rep)
-        # integrality.j_graded spans from the covers only, which needs the
-        # point stabilizer of each cover inside this one.
-        for j in covers[s.index]:
-            if not set(point_stabs[j].members) <= set(ps.members):
-                raise InternalCheckError(
-                    f"the point stabilizer of stratum {j} is not inside that of "
-                    f"stratum {s.index}, which covers it"
-                )
-        point_stabs.append(ps)
 
     return Stratification(
         document=document,
@@ -322,9 +296,38 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         below=tuple(below),
         orbits=tuple(orbits),
         orbit_of=tuple(orbit_of),
-        point_stabilizers=tuple(point_stabs),
-        set_stabilizers=tuple(set_stabs),
+        keys=keys,
         u_bases=tuple(u_bases),
         top_index=top_index,
     )
 
+
+def set_stabilizer_of(strat: Stratification, i: int) -> Subgroup:
+    """The elements of W mapping stratum i onto itself, one scan of the rows,
+    as a builder for once.  V's and g's supports are each W-stable, so w
+    maps the union of the two zero sets onto itself exactly when it maps
+    each onto itself."""
+    return set_stabilizer(strat.weyl, (strat.keys[i],))
+
+
+def point_stabilizer_of(strat: Stratification, i: int) -> Subgroup:
+    """W_lam, the elements of W fixing stratum i's representative lam,
+    searched among the members of the set stabilizer, which contains it; as
+    a builder for once.  w fixes lam exactly when M_w^T lam = lam (see
+    point_stabilizer), and then <lam, M_w u> = <M_w^T lam, u> = <lam, u> for
+    every weight u.  The representative lam is generic, so the supports
+    vanishing on it are the stratum's zero sets; w maps each of them into
+    itself, and onto itself since it permutes the weights of V and of g."""
+    return point_stabilizer(once(strat, set_stabilizer_of, i), strat.strata[i].rep)
+
+
+def stabilizer_orders(strat: Stratification, i: int) -> tuple[int, int]:
+    """The orders of stratum i's set and point stabilizers, one point
+    stabilizer searched per orbit.  The set stabilizer is i's stabilizer in
+    W's action on the strata, of order |W| / |orbit|.  For a validated
+    document W is generated by reflections in roots, and by Steinberg
+    (Trans. AMS 112, 1964) every generic point of a flat has the stabilizer
+    generated by the reflections in the roots vanishing on the flat.  So
+    stratum w.s has the point stabilizer w W_s w^-1."""
+    orbit = strat.orbits[strat.orbit_of[i]]
+    return strat.weyl.order // len(orbit), once(strat, point_stabilizer_of, orbit[0]).order

@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import integrality
-from .arrangement import Stratification, enumerate_strata
+from .arrangement import Stratification, enumerate_strata, once, stabilizer_orders
 from .catalog import catalog_emit, catalog_keys
 from .documents import MAX_DEGREE, InputDocument, parse_input
 from .errors import InputError, InternalCheckError
@@ -51,6 +51,7 @@ def _default_max_degree(strat: Stratification) -> int:
 def _strata_section(strat: Stratification) -> list[dict]:
     rows = []
     for s in strat.strata:
+        set_order, point_order = stabilizer_orders(strat, s.index)
         rows.append(
             {
                 "index": s.index,
@@ -64,8 +65,8 @@ def _strata_section(strat: Stratification) -> list[dict]:
                 "d": s.dims.d_lambda,
                 "r": s.dims.r_lambda,
                 "orbit": strat.orbit_of[s.index],
-                "w_set_stabilizer_order": strat.set_stabilizers[s.index].order,
-                "w_point_stabilizer_order": strat.point_stabilizers[s.index].order,
+                "w_set_stabilizer_order": set_order,
+                "w_point_stabilizer_order": point_order,
             }
         )
     return rows
@@ -77,8 +78,8 @@ def _bps_section(strat: Stratification, orbits: Iterable[int]) -> list[dict]:
     for k in orbits:
         members = strat.orbits[k]
         s = strat.strata[members[0]]
-        space = integrality.once(strat, integrality.bps_space, s)
-        eps = integrality.once(strat, integrality.epsilon, s)
+        space = once(strat, integrality.bps_space, s)
+        eps = once(strat, integrality.epsilon, s)
         sections.append(
             {
                 "orbit": k,

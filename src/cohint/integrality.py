@@ -13,6 +13,9 @@ from .arrangement import (
     Stratification,
     Stratum,
     align_representative,
+    once,
+    point_stabilizer_of,
+    set_stabilizer_of,
     with_representative,
 )
 from .errors import InputError, InternalCheckError
@@ -61,17 +64,6 @@ class BpsSpace:
         return {p: basis.dim for p, basis in self.pieces.items() if basis.dim}
 
 
-def once(strat: Stratification, builder, *args):
-    """builder(strat, *args), computed once per stratification: kept in
-    strat.memo under the builder and the argument values, not the stratum
-    index, which with_representative copies share.  Callers look the builder
-    up by its module-level name when they call, so a rebound one is used."""
-    key = (builder, *args)
-    if key not in strat.memo:
-        strat.memo[key] = builder(strat, *args)
-    return strat.memo[key]
-
-
 def _invariant_form(strat: Stratification):
     """The Weyl-averaged invariant form, as a builder for once."""
     return averaged_form(strat.weyl)
@@ -100,7 +92,7 @@ def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
     induction from the class of mu, and the CosetSum of that kernel over the
     coset representatives of H, which every kernel sum of this induction
     shares."""
-    w_target = strat.point_stabilizers[target.index]
+    w_target = once(strat, point_stabilizer_of, target.index)
     h = point_stabilizer(w_target, mu.rep)
     form = once(strat, kernel, mu, target)
     return h, form, coset_sum(form, coset_representatives(h, w_target))
@@ -144,7 +136,7 @@ def _factored(form: KernelForm) -> tuple[dict[Weight, int], Fraction]:
 
 def epsilon(strat: Stratification, stratum: Stratum) -> dict[int, Fraction]:
     """Character by which the stratum stabilizer rescales the kernel, as
-    {member index: +/-1} in the member order of strat.set_stabilizers: the
+    {member index: +/-1} in the member order of set_stabilizer_of: the
     ratio of the scalars of k and w(k) factored over rays.  The polynomial
     ring is a UFD, so the ratio k / w(k) is constant exactly when the two
     exponent maps agree, which is the one check made here.  The rest follows:
@@ -153,7 +145,7 @@ def epsilon(strat: Stratification, stratum: Stratum) -> dict[int, Fraction]:
     - the exponent check gives sigma_w(k) = k / eps(w), hence
       sigma_ab(k) = sigma_a(k / eps(b)) = k / (eps(a) eps(b)), and eps(e) = 1;
     - a homomorphism from a finite group into Q^x takes only the values +/-1."""
-    wl = strat.set_stabilizers[stratum.index]
+    wl = once(strat, set_stabilizer_of, stratum.index)
     form = once(strat, kernel, stratum, strat.top)
     exponents, scale = _factored(form)
     values: dict[int, Fraction] = {}
@@ -242,7 +234,9 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
             sum_{w in W_lambda} w(f * k_{mu->lambda})
                 = |H| sum_{c in W_lambda/H} c(avg_H(f) * k_{mu->lambda}),
         and avg_H maps Sym(U_lambda) onto its H-invariants.
-    enumerate_strata checks that W_nu lies in W_lambda on every cover edge.
+    W_nu lies in W_lambda on every cover edge by (e), and it is checked here:
+    the H of a cover nu is W_lambda meet W_nu, so |H| = |W_nu| exactly when
+    W_nu lies in W_lambda.
 
     J_p is built as a module over R = Sym(U_lambda)^{W_lambda}: a cover is
     induced only when q = p - deg k <= N(W_lambda) - N(H), N counting a
@@ -274,13 +268,18 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     if p < 0:
         raise InputError("degree must be nonnegative")
     u_basis = strat.u_bases[stratum.index]
-    levi = strat.point_stabilizers[stratum.index]
+    levi = once(strat, point_stabilizer_of, stratum.index)
     reflections = once(strat, _reflections, levi)
+    covers = []
+    for j in strat.covers[stratum.index]:
+        h, form, _ = once(strat, _induction_data, strat.strata[j], stratum)
+        if h.order != once(strat, point_stabilizer_of, j).order:
+            raise InternalCheckError(f"the point stabilizer of stratum {j} is not inside that "
+                                     f"of stratum {stratum.index}, which covers it")
+        covers.append((strat.strata[j], h, form))
     generators = []
     skipped = False
-    for j in strat.covers[stratum.index]:
-        mu = strat.strata[j]
-        h, form, _ = once(strat, _induction_data, mu, stratum)
+    for mu, h, form in covers:
         q = p - form.degree
         if q < 0:
             continue
@@ -305,8 +304,8 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
     DT table and Euler number."""
     b = once(strat, _invariant_form)
     u_basis = strat.u_bases[stratum.index]
-    levi = strat.point_stabilizers[stratum.index]
-    wl = strat.set_stabilizers[stratum.index]
+    levi = once(strat, point_stabilizer_of, stratum.index)
+    wl = once(strat, set_stabilizer_of, stratum.index)
     v_dim = stratum.dims.dim_v_fixed
     g_dim = stratum.dims.dim_g_fixed
     p_max = v_dim // 2
@@ -477,7 +476,7 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> Ledger:
                 continue
             bps = once(strat, bps_space, s)
             eps = once(strat, epsilon, s)
-            wl = strat.set_stabilizers[s.index]
+            wl = once(strat, set_stabilizer_of, s.index)
             forms = once(strat, _flat_complement_forms, s)
             for a, basis in bps.pieces.items():
                 if basis.dim == 0 or a > m:
@@ -526,6 +525,17 @@ def _invariant_test_functions(strat, h: Subgroup):
     return out
 
 
+def _aligned(strat: Stratification, i: int, j: int) -> tuple[Stratum, list[Poly]]:
+    """Stratum i with its representative nu sign-aligned along stratum j's,
+    and the test functions of nu's point stabilizer, as a builder for once.
+    nu is a generic representative of stratum i, so its point stabilizer is
+    searched inside stratum i's set stabilizer (see point_stabilizer_of)."""
+    nu = align_representative(strat.strata[i], strat.strata[j].rep, strat.all_supports())
+    h = point_stabilizer(once(strat, set_stabilizer_of, i), nu)
+    return (with_representative(strat, strat.strata[i], nu),
+            _invariant_test_functions(strat, h))
+
+
 def verify_associativity(strat: Stratification) -> Ledger:
     """Composition law on aligned chains: inducting in two stages agrees with
     inducting directly once the smallest representative is sign-aligned.
@@ -534,10 +544,11 @@ def verify_associativity(strat: Stratification) -> Ledger:
     stratum's index is below that of every stratum above it.
 
     The aligned stratum and its test functions depend on the pair (i, j)
-    only, and an induction only on its polynomial, its source representative
-    and its target, so each is computed once per call, when a chain first
-    needs it: chains sharing (i, j) share the inner inductions, and for
-    j == k the inner induction is the direct one."""
+    only, and are kept by once (_aligned).  An induction depends only on its
+    polynomial, its source representative and its target, so each is
+    computed once per call, when a chain first needs it: chains sharing
+    (i, j) share the inner inductions, and for j == k the inner induction is
+    the direct one."""
     count = len(strat.strata)
     chains = (
         (i, j, k)
@@ -547,8 +558,6 @@ def verify_associativity(strat: Stratification) -> Ledger:
         for k in range(j, count) if strat.leq(j, k)
         if (i != j and j != k) == strict
     )
-    supports = strat.all_supports()
-    aligned: dict[tuple[int, int], tuple[Stratum, list[Poly]]] = {}
     induced: dict[tuple, Poly] = {}
 
     def induced_once(f: Poly, mu: Stratum, target: Stratum) -> Poly:
@@ -561,12 +570,7 @@ def verify_associativity(strat: Stratification) -> Ledger:
     for chain in itertools.islice(chains, ASSOCIATIVITY_CHAINS):
         i, j, k = chain
         s2, s3 = strat.strata[j], strat.strata[k]
-        if (i, j) not in aligned:
-            nu = align_representative(strat.strata[i], s2.rep, supports)
-            h = point_stabilizer(strat.weyl.full_subgroup(), nu)
-            aligned[i, j] = (with_representative(strat, strat.strata[i], nu),
-                             _invariant_test_functions(strat, h))
-        s1_aligned, funcs = aligned[i, j]
+        s1_aligned, funcs = once(strat, _aligned, i, j)
         ok = all(
             induced_once(f, s1_aligned, s3)
             == induced_once(induced_once(f, s1_aligned, s2), s2, s3)

@@ -106,27 +106,6 @@ class Poly:
         return tuple(self.terms.get(m, 0) for m in monomials)
 
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other: "Poly") -> "Poly":
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        return Poly(self.nvars, acc)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def scaled(self, c) -> "Poly":
-        if not c:
-            return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
     def __mul__(self, other: "Poly") -> "Poly":
         acc: dict[int, Coefficient] = {}
         for e1, c1 in self.terms.items():

@@ -3,9 +3,10 @@ matrix, the coordinates of a vector in the span of given rows and the matrix
 of a linear map restricted to such a span, each from one augmented row
 reduction, values of polynomials and kernel forms at rational points, generic
 points that avoid a set of weight hyperplanes, the inner product of two
-polynomials under a symmetric form computed term by term, products and
-substitutions over exponent tuples, row reduction over every monomial of a
-degree, and the associativity ledger's rows chain by chain."""
+polynomials under a symmetric form computed term by term, sums and multiples
+of polynomials, products and substitutions over exponent tuples, row
+reduction over every monomial of a degree, and the associativity ledger's
+rows chain by chain."""
 
 from __future__ import annotations
 
@@ -122,6 +123,25 @@ def poly_inner(f, g, b) -> Fraction:
         image[e] * prod(factorial(k) for k in unpack(e, f.nvars)) * c
         for e, c in g.terms.items() if e in image
     ))
+
+
+def add(*polys: Poly) -> Poly:
+    """The sum of polynomials in the same variables."""
+    terms: dict = {}
+    for f in polys:
+        for m, c in f.terms.items():
+            terms[m] = terms.get(m, 0) + c
+    return Poly(polys[0].nvars, {m: c for m, c in terms.items() if c})
+
+
+def scaled(f: Poly, c) -> Poly:
+    """c * f."""
+    return Poly(f.nvars, {m: c * v for m, v in f.terms.items() if c})
+
+
+def subtract(f: Poly, g: Poly) -> Poly:
+    """f - g."""
+    return add(f, scaled(g, -1))
 
 
 def exponent_terms(f) -> dict:

@@ -9,14 +9,22 @@ from fractions import Fraction
 
 import pytest
 
-from cohint import Poly, enumerate_strata, invariant_basis, substitute
+from cohint import (
+    Poly,
+    enumerate_strata,
+    invariant_basis,
+    once,
+    point_stabilizer_of,
+    set_stabilizer_of,
+    substitute,
+)
 from cohint import integrality as I
 from cohint.documents import document_from_dict
 from cohint.matrices import identity, rref
 from cohint.weyl import point_stabilizer
 
 from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document, verify_all
-from reference import evaluate, evaluate_kernel, generic_points
+from reference import evaluate, evaluate_kernel, generic_points, scaled
 from test_integrality import _j_dim_by_image_intersection
 
 ALL_KEYS = (
@@ -287,7 +295,7 @@ class TestPropertySuite:
                     stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)
                     h = strat.weyl.subgroup(
                         set(stab.members)
-                        & set(strat.point_stabilizers[t.index].members)
+                        & set(once(strat, point_stabilizer_of, t.index).members)
                     )
                     for p in range(2):
                         for f in invariant_basis(h, p, unit_forms(n)).rows:
@@ -322,7 +330,7 @@ class TestPropertySuite:
         for strat in strats:
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)
-                members = strat.set_stabilizers[s.index].members
+                members = once(strat, set_stabilizer_of, s.index).members
                 ok = ok and all(eps[i] in (Fraction(1), Fraction(-1)) for i in members)
                 ok = ok and all(
                     eps[strat.weyl.product(a, b)] == eps[a] * eps[b]
@@ -336,14 +344,14 @@ class TestPropertySuite:
             n = strat.document.rank
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)
-                levi = strat.point_stabilizers[s.index]
+                levi = once(strat, point_stabilizer_of, s.index)
                 for p in range(2):
                     for f in invariant_basis(levi, p, unit_forms(n)).rows:
                         base = I.induct(strat, f, s, strat.top)
                         for idx in eps:
                             w = strat.weyl.elements[idx]
-                            assert I.induct(strat, substitute(w, f), s, strat.top) == base.scaled(
-                                eps[idx]
+                            assert I.induct(strat, substitute(w, f), s, strat.top) == scaled(
+                                base, eps[idx]
                             )
         check("property: twisted equivariance of induction", True)
 
@@ -374,11 +382,11 @@ class TestPropertySuite:
             form = I.kernel(strat, s, strat.top)
             stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)
             h = strat.weyl.subgroup(
-                set(stab.members) & set(strat.point_stabilizers[strat.top_index].members)
+                set(stab.members) & set(once(strat, point_stabilizer_of, strat.top_index).members)
             )
             from cohint.weyl import coset_representatives
 
-            cosets = coset_representatives(h, strat.point_stabilizers[strat.top_index])
+            cosets = coset_representatives(h, once(strat, point_stabilizer_of, strat.top_index))
             f = invariant_basis(h, 2, unit_forms(n)).rows[0]
             out = I.induct(strat, f, s, strat.top)
             for pt in generic_points(strat.all_supports(), n, 5):

@@ -15,10 +15,13 @@ from cohint import (
     enumerate_strata,
     integrality,
     numeric_invariants,
+    once,
+    point_stabilizer_of,
     representative_cocharacter,
+    set_stabilizer_of,
     with_representative,
 )
-from cohint.cli import EXIT_VALIDATION, main
+from cohint.cli import EXIT_VALIDATION, main, run
 from cohint.documents import document_from_dict
 from cohint.matrices import dot, hnf, int_kernel, mat_vec, rref, transpose
 from cohint.weyl import point_stabilizer, set_stabilizer
@@ -183,8 +186,9 @@ class TestOrder:
 
         doc, _ = build("gl2-cotangent")
         monkeypatch.setattr(arrangement, "point_stabilizer", shrunk)
+        strat = enumerate_strata(doc)
         with pytest.raises(InternalCheckError, match=r"stratum 3 .* stratum 4"):
-            enumerate_strata(doc)
+            integrality.bps_space(strat, strat.top)
 
     def test_order_mirrors_flat_inclusion(self, gl2_strat):
         # flat(b) inside flat(a) iff a <= b
@@ -289,8 +293,9 @@ class PermutationActionChecks:
         strat = self.stratify(spec)
         orbits, set_stabs, point_stabs = brute_force_orbits_and_stabilizers(strat)
         assert list(strat.orbits) == orbits
-        assert [sub.members for sub in strat.set_stabilizers] == set_stabs
-        assert [sub.members for sub in strat.point_stabilizers] == point_stabs
+        indices = range(len(strat.strata))
+        assert [once(strat, set_stabilizer_of, i).members for i in indices] == set_stabs
+        assert [once(strat, point_stabilizer_of, i).members for i in indices] == point_stabs
         for k, orbit in enumerate(strat.orbits):
             assert all(strat.orbit_of[i] == k for i in orbit)
 
@@ -337,7 +342,7 @@ def scanned_point_stabilizer(cochar_matrices, lam):
 # representative (1, 1) is fixed by the swap, the one of the flat
 # x1 + x2 = 0 is not, so the cover edge between them fails its check.
 # Validation rejects the document, since the swap is not the reflection in
-# a root; enumerate_strata, which does not validate, reaches the edge.
+# a root; bps_space on an unvalidated stratification reaches the edge.
 SWAP_WITHOUT_ROOTS = {
     "name": "swap-without-roots",
     "rank": 2,
@@ -349,14 +354,14 @@ SWAP_WITHOUT_ROOTS = {
 
 
 class TestPointStabilizerOracle:
-    """Each point stabilizer, searched among the members of its stratum's set
+    """Each stratum's point stabilizer, searched among the members of its set
     stabilizer, against a scan of the whole group."""
 
     @staticmethod
     def assert_scans_agree(strat):
         cochar_matrices = contragredients(strat.weyl)
         for s in strat.strata:
-            assert strat.point_stabilizers[s.index].members == scanned_point_stabilizer(
+            assert once(strat, point_stabilizer_of, s.index).members == scanned_point_stabilizer(
                 cochar_matrices, s.rep), s.index
 
     @pytest.mark.parametrize("key", CATALOG_INSTANCES)
@@ -380,11 +385,13 @@ class TestPointStabilizerOracle:
             return found
 
         monkeypatch.setattr(arrangement, "point_stabilizer", checked)
+        strat = enumerate_strata(document_from_dict(SWAP_WITHOUT_ROOTS))
         with pytest.raises(InternalCheckError, match=(
             "^the point stabilizer of stratum 0 is not inside that of stratum 1, which covers it$"
         )):
-            enumerate_strata(document_from_dict(SWAP_WITHOUT_ROOTS))
-        assert searched == [2, 1]
+            integrality.bps_space(strat, strat.strata[1])
+        # stratum 1's stabilizer first, as the Levi group, then its cover's
+        assert searched == [1, 2]
         # The swap is not the reflection in a root, so validation stops the CLI first.
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(SWAP_WITHOUT_ROOTS))
@@ -404,8 +411,8 @@ MINUS_IDENTITY = {
 
 # gl2 times a torus, on C^2 + (C^2)*: the swap of the first two coordinates
 # permutes the strata x1 = 0 and x2 = 0, and diag(1, 1, -1) fixes every
-# weight, so the stabilizer reached along that orbit maps one row to two
-# elements.
+# weight, so the set stabilizer of the orbit's second stratum has two
+# elements with one row.
 SWAP_AND_HIDDEN_SIGN = {
     "name": "swap-and-hidden-sign",
     "rank": 3,
@@ -419,9 +426,8 @@ SWAP_AND_HIDDEN_SIGN = {
 
 
 class TestSetStabilizerOracle:
-    """Each set stabilizer, scanned for an orbit's first stratum and
-    conjugated along the orbit otherwise, against a set_stabilizer scan of
-    the whole group."""
+    """Each stratum's set stabilizer, scanned on the stratum's key, against a
+    set_stabilizer scan on its two zero sets."""
 
     @staticmethod
     def assert_scans_agree(strat):
@@ -430,7 +436,7 @@ class TestSetStabilizerOracle:
         index = {p: i for i, p in enumerate(points)}
         for s in strat.strata:
             zero_sets = ([index[w] for w in s.zero_v], [index[w] for w in s.zero_g])
-            assert strat.set_stabilizers[s.index] == set_stabilizer(
+            assert once(strat, set_stabilizer_of, s.index) == set_stabilizer(
                 strat.weyl, zero_sets), s.index
 
     @pytest.mark.parametrize("key", CATALOG_INSTANCES)
@@ -444,14 +450,14 @@ class TestSetStabilizerOracle:
 
     def test_minus_identity_maps_one_row_to_two_elements(self):
         strat = enumerate_strata(document_from_dict(MINUS_IDENTITY))
-        assert strat.set_stabilizers[0].order == 2
+        assert once(strat, set_stabilizer_of, 0).order == 2
         self.assert_scans_agree(strat)
 
     def test_conjugated_row_maps_to_two_elements(self):
         strat = enumerate_strata(document_from_dict(SWAP_AND_HIDDEN_SIGN))
         assert [len(orbit) for orbit in strat.orbits] == [1, 2, 1, 1]
         moved = strat.orbits[1][1]
-        assert strat.set_stabilizers[moved].order == 2
+        assert once(strat, set_stabilizer_of, moved).order == 2
         self.assert_scans_agree(strat)
 
 
@@ -460,18 +466,63 @@ class TestStabilizers:
         for key in RANK_LE_3:
             _, strat = build(key)
             for s in strat.strata:
-                point = set(strat.point_stabilizers[s.index].members)
-                setwise = set(strat.set_stabilizers[s.index].members)
+                point = set(once(strat, point_stabilizer_of, s.index).members)
+                setwise = set(once(strat, set_stabilizer_of, s.index).members)
                 assert point <= setwise
 
     def test_gl2_orders(self, gl2_strat):
         orders = [
-            (strat_order.order, point_order.order)
-            for strat_order, point_order in zip(
-                gl2_strat.set_stabilizers, gl2_strat.point_stabilizers
-            )
+            (once(gl2_strat, set_stabilizer_of, s.index).order,
+             once(gl2_strat, point_stabilizer_of, s.index).order)
+            for s in gl2_strat.strata
         ]
         assert orders == [(2, 1), (1, 1), (1, 1), (2, 2), (2, 2)]
+
+
+class TestStabilizersOnDemand:
+    def test_strata_report_searches_one_point_stabilizer_per_orbit(self, monkeypatch):
+        # gl5 on C^5 + (C^5)* plus a zero weight: 203 strata in 19 orbits
+        searched = []
+
+        def counted(candidates, lam):
+            searched.append(lam)
+            return point_stabilizer(candidates, lam)
+
+        monkeypatch.setattr(arrangement, "point_stabilizer", counted)
+        report, code = run("strata", document_from_dict(gl_document(5, "cotangent", 1, 1)))
+        assert (code, report["strata_count"], report["orbit_count"]) == (0, 203, 19)
+        assert len(searched) == 19
+
+
+class TestSteinberg:
+    """Steinberg (Trans. AMS 112, 1964): on a validated document the point
+    stabilizer of a generic point of a flat is generated by the reflections
+    fixing it.  So each cover's point stabilizer lies inside its coverer's,
+    and the strata report's orders are |W| / |orbit| and each stratum's own
+    point-stabilizer order, all by brute force over the whole group."""
+
+    @staticmethod
+    def assert_steinberg(doc):
+        report, code = run("strata", doc)
+        assert code == 0
+        strat = enumerate_strata(doc)
+        orbits, set_stabs, point_stabs = brute_force_orbits_and_stabilizers(strat)
+        orbit_size = {i: len(orbit) for orbit in orbits for i in orbit}
+        for s, row in zip(strat.strata, report["strata"], strict=True):
+            for j in strat.covers[s.index]:
+                assert set(point_stabs[j]) <= set(point_stabs[s.index]), (j, s.index)
+            assert (row["w_set_stabilizer_order"] == strat.weyl.order // orbit_size[s.index]
+                    == len(set_stabs[s.index])), s.index
+            assert row["w_point_stabilizer_order"] == len(point_stabs[s.index]), s.index
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_catalog(self, key):
+        self.assert_steinberg(catalog_emit(key))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
+    def test_gl(self, n, kind):
+        self.assert_steinberg(document_from_dict(gl_document(n, kind, 1, 0)))
 
 
 class TestRepresentativeIndependence:
@@ -496,8 +547,9 @@ class TestRepresentativeIndependence:
     @pytest.mark.parametrize("key", CATALOG_INSTANCES)
     def test_kept_dims_at_every_aligned_representative(self, key, monkeypatch):
         # every copy verify_associativity makes keeps the stratum's dims,
-        # which must be the counts at its new representative
-        strat = build(key)[1]
+        # which must be the counts at its new representative; a fresh
+        # stratification, since once keeps the copies on the shared one
+        strat = enumerate_strata(build(key)[0])
         doc = strat.document
         made = []
 

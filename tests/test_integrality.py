@@ -11,7 +11,10 @@ from cohint import (
     catalog_keys,
     enumerate_strata,
     invariant_basis,
+    once,
+    point_stabilizer_of,
     rref_span,
+    set_stabilizer_of,
     substitute,
     with_representative,
 )
@@ -24,12 +27,15 @@ from cohint.weyl import molien_coefficients, point_stabilizer
 
 from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document
 from reference import (
+    add,
     associativity_rows,
     evaluate,
     evaluate_kernel,
     generic_points,
     int_inverse,
     restrict_action,
+    scaled,
+    subtract,
 )
 
 # The fixed catalog keys, and one instance of each parametrised family.
@@ -132,7 +138,7 @@ class TestKernel:
 class TestInduct:
     def test_gl2_axis_to_top(self, gl2_strat):
         axis = gl2_strat.strata[2]
-        assert I.induct(gl2_strat, x(0), axis, gl2_strat.top) == x(0) + x(1)
+        assert I.induct(gl2_strat, x(0), axis, gl2_strat.top) == add(x(0), x(1))
 
     def test_gl2_generic_to_axis_multiplies(self, gl2_strat):
         generic = with_representative(gl2_strat, gl2_strat.strata[0], (-1, -2))
@@ -143,13 +149,13 @@ class TestInduct:
     def test_gl2_generic_to_diagonal_difference_quotient(self, gl2_strat):
         generic = gl2_strat.strata[0]
         diag = gl2_strat.strata[3]
-        assert I.induct(gl2_strat, x(0) - x(1), generic, diag) == Poly.constant(2, 2)
+        assert I.induct(gl2_strat, subtract(x(0), x(1)), generic, diag) == Poly.constant(2, 2)
 
     def test_torus_inductions_multiply_by_monomials(self, torus_strat):
         x_axis = next(s for s in torus_strat.strata if s.flat.basis == ((1, 0),))
         x_axis = with_representative(torus_strat, x_axis, (-1, 0))
         generic = with_representative(torus_strat, torus_strat.strata[0], (-1, -1))
-        f = x(0) ** 2 + x(1)
+        f = add(x(0) ** 2, x(1))
         assert I.induct(torus_strat, f, x_axis, torus_strat.top) == x(0) * f
         assert I.induct(torus_strat, f, generic, torus_strat.top) == x(0) * x(1) * f
         assert I.induct(torus_strat, f, generic, x_axis) == x(1) * f
@@ -160,7 +166,7 @@ class TestInduct:
             I.induct(gl2_strat, x(0), diag, gl2_strat.top)
 
     def test_self_induction_is_identity(self, gl2_strat):
-        f = x(0) + x(1)
+        f = add(x(0), x(1))
         assert I.induct(gl2_strat, f, gl2_strat.top, gl2_strat.top) == f
 
     def test_degree_preservation(self):
@@ -174,7 +180,7 @@ class TestInduct:
                     stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)
                     h = strat.weyl.subgroup(
                         set(stab.members)
-                        & set(strat.point_stabilizers[t.index].members)
+                        & set(once(strat, point_stabilizer_of, t.index).members)
                     )
                     for p in range(3):
                         for f in invariant_basis(h, p, unit_forms(n)).rows:
@@ -204,7 +210,7 @@ class TestInduct:
                     if scalar is None:
                         scalar = ratio
                         assert scalar != 0
-                    assert out2 == out1.scaled(scalar)
+                    assert out2 == scaled(out1, scalar)
 
     def test_orbit_members_have_equal_images(self, gl2_strat):
         axis1, axis2 = gl2_strat.strata[1], gl2_strat.strata[2]
@@ -261,7 +267,7 @@ class TestEpsilon:
             _, strat = build(key)
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)
-                assert tuple(eps) == strat.set_stabilizers[s.index].members
+                assert tuple(eps) == once(strat, set_stabilizer_of, s.index).members
 
     def test_values_square_to_one(self):
         for key in RANK2_KEYS:
@@ -293,7 +299,7 @@ class TestEpsilon:
         assert [evaluate_kernel(extra, pt) for pt in ((1, 2), (1, 3))] == [1, 1]
         monkeypatch.setattr(KernelForm, "transformed", lambda self, w: KernelForm(
             self.numerator + extra.numerator, self.denominator + extra.denominator))
-        first = strat.set_stabilizers[generic.index].members[0]
+        first = once(strat, set_stabilizer_of, generic.index).members[0]
         with pytest.raises(InternalCheckError, match=(
             rf"^stratum 0: kernel ratio is not constant for element {first}: "
         )):
@@ -305,14 +311,14 @@ class TestEpsilon:
             n = strat.document.rank
             for s in strat.orbit_representatives():
                 eps = I.epsilon(strat, s)
-                levi = strat.point_stabilizers[s.index]
+                levi = once(strat, point_stabilizer_of, s.index)
                 for p in range(3):
                     for f in invariant_basis(levi, p, unit_forms(n)).rows:
                         base = I.induct(strat, f, s, strat.top)
                         for idx in eps:
                             w = strat.weyl.elements[idx]
                             twisted = I.induct(strat, substitute(w, f), s, strat.top)
-                            assert twisted == base.scaled(eps[idx])
+                            assert twisted == scaled(base, eps[idx])
 
 
 def is_exact(x) -> bool:
@@ -400,7 +406,7 @@ class TestJGraded:
         monkeypatch.setattr(I, "_basic_invariants", recording_basic)
         skipped = 0
         for s in strat.strata:
-            levi = strat.point_stabilizers[s.index]
+            levi = once(strat, point_stabilizer_of, s.index)
             u_basis = strat.u_bases[s.index]
             n_levi = reflection_count(levi)
             for p in range(s.dims.dim_v_fixed // 2 + 3):
@@ -457,7 +463,7 @@ def _j_graded_from_every_lower_stratum(strat, stratum, p):
     sum on invariants."""
     n = strat.document.rank
     u_forms = [Poly.linear(b) for b in strat.u_bases[stratum.index]]
-    levi = strat.point_stabilizers[stratum.index].elements()
+    levi = once(strat, point_stabilizer_of, stratum.index).elements()
     generators = []
     for mu in strict_lower(strat, stratum):
         form = I.kernel(strat, mu, stratum)
@@ -481,7 +487,7 @@ def _j_dim_by_image_intersection(strat, stratum, p):
             continue
         stab = point_stabilizer(strat.weyl.full_subgroup(), mu.rep)
         h = strat.weyl.subgroup(
-            set(stab.members) & set(strat.point_stabilizers[stratum.index].members)
+            set(stab.members) & set(once(strat, point_stabilizer_of, stratum.index).members)
         )
         for f in invariant_basis(h, d, unit_forms(n)).rows:
             out = I.induct(strat, f, mu, stratum)
@@ -504,7 +510,7 @@ class TestBasicInvariants:
         # bound |W_lambda| bounds their degrees
         strat = build(key)[1] if key in CATALOG_INSTANCES else fresh(key)
         for s in strat.strata:
-            levi = strat.point_stabilizers[s.index]
+            levi = once(strat, point_stabilizer_of, s.index)
             u_basis = strat.u_bases[s.index]
             degrees = [e for e in range(1, levi.order + 1)
                        for _ in I.once(strat, I._basic_invariants, levi, e, u_basis)]
@@ -576,7 +582,7 @@ class TestBpsSpace:
         for key in ("gl2-cotangent", "adjoint:sl3", "gl2-cotangent:4"):
             strat = build(key)[1]
             for s, space in bps_spaces(key).items():
-                wl = strat.set_stabilizers[s]
+                wl = once(strat, set_stabilizer_of, s)
                 for p, basis in space.pieces.items():
                     if len(wl.members) > 1:
                         largest = max(largest, basis.dim)
@@ -610,7 +616,7 @@ class TestLocatedInternalErrors:
 
     def test_epsilon_names_stratum_and_element(self, strat, monkeypatch):
         generic = strat.strata[0]
-        first = strat.set_stabilizers[generic.index].members[0]
+        first = once(strat, set_stabilizer_of, generic.index).members[0]
         # an extra numerator form x2 makes the ratio 1/x2, which is not constant
         monkeypatch.setattr(KernelForm, "transformed", lambda self, w: KernelForm(
             self.numerator + ((0, 1),), self.denominator))
@@ -622,7 +628,7 @@ class TestLocatedInternalErrors:
     def test_bps_space_names_stratum_degree_and_element(self, strat, monkeypatch):
         generic = strat.strata[0]
         assert I.bps_space(strat, generic).piece_dims() == {0: 1}
-        first = strat.set_stabilizers[generic.index].members[0]
+        first = once(strat, set_stabilizer_of, generic.index).members[0]
         monkeypatch.setattr(I, "substitute", lambda w, f: f * x(0))
         with pytest.raises(InternalCheckError, match=(
             rf"^stratum 0: BPS piece of degree 0 is not stable under element {first} "
@@ -637,7 +643,7 @@ class TestLocatedInternalErrors:
         assert axis.flat.basis == ((0, 1),)
         space = I.bps_space(strat, axis)
         outside = next(i for i in range(strat.weyl.order)
-                       if i not in strat.set_stabilizers[axis.index].members)
+                       if i not in once(strat, set_stabilizer_of, axis.index).members)
         eps = {**I.epsilon(strat, axis), outside: 1}
         with pytest.raises(InternalCheckError, match=(
             rf"^stratum 1: the flat is not stable under element {outside} "
@@ -776,7 +782,7 @@ class TestVerification:
         def recording(strat_, f, mu, target):
             seen.append((frozenset(f.terms.items()), mu.rep, target.index))
             out = induct(strat_, f, mu, target)
-            return out.scaled(1 + mu.index) if perturbed and f.degree > 0 else out
+            return scaled(out, 1 + mu.index) if perturbed and f.degree > 0 else out
 
         monkeypatch.setattr(I, "induct", recording)
         expected = associativity_rows(strat)

@@ -8,14 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohint import KernelForm, Poly, enumerate_group, kernel_sum, molien_coefficients, substitute
+from cohint import (
+    KernelForm,
+    Poly,
+    enumerate_group,
+    kernel_sum,
+    molien_coefficients,
+    once,
+    point_stabilizer_of,
+    substitute,
+)
 from cohint import integrality as I
 from cohint.matrices import det_one_minus_q, int_kernel
 from cohint.polyalg import coset_sum, invariant_basis, monomials_of_degree, orbit_sum, unpack
 from cohint.weyl import coset_representatives, point_stabilizer
 
 from conftest import build, is_monomial_matrix
-from reference import solve_combination
+from reference import add, scaled, solve_combination
 
 sympy = pytest.importorskip("sympy")
 
@@ -80,7 +89,7 @@ def sympy_kernel_sum(f, form, cosets, xs):
 def induction_data(strat, source, target):
     """The source stabilizer inside the target's and its coset representatives."""
     stab = point_stabilizer(strat.weyl.full_subgroup(), source.rep)
-    w_target = strat.point_stabilizers[target.index]
+    w_target = once(strat, point_stabilizer_of, target.index)
     h = strat.weyl.subgroup(set(stab.members) & set(w_target.members))
     return h, coset_representatives(h, w_target)
 
@@ -93,9 +102,7 @@ class TestKernelSumOracle:
         xs = sympy.symbols("x1 x2")
         h, cosets = induction_data(strat, dense, strat.top)
         for exps in monomials_of_degree(2, 5)[:3]:
-            f = Poly.zero(2)
-            for w in h.elements():
-                f = f + substitute(w, Poly.monomial(2, exps))
+            f = add(*(substitute(w, Poly.monomial(2, exps)) for w in h.elements()))
             mine = to_sympy(I.induct(strat, f, dense, strat.top), xs)
             total = sympy_kernel_sum(f, form, cosets, xs)
             assert sympy.simplify(total - mine) == 0
@@ -129,8 +136,8 @@ class TestKernelSumOracle:
                 continue
             h, cosets = induction_data(strat, s, strat.top)
             form = I.kernel(strat, s, strat.top)
-            f = (orbit_sum(h, Poly.monomial(2, (2, 1))).scaled(Fraction(2, 3 * h.order))
-                 + orbit_sum(h, Poly.monomial(2, (0, 1))).scaled(Fraction(-1, 5 * h.order)))
+            f = add(scaled(orbit_sum(h, Poly.monomial(2, (2, 1))), Fraction(2, 3 * h.order)),
+                    scaled(orbit_sum(h, Poly.monomial(2, (0, 1))), Fraction(-1, 5 * h.order)))
             assert any(Fraction(c).denominator != 1 for c in f.terms.values())
             mine = to_sympy(I.induct(strat, f, s, strat.top), xs)
             assert sympy.expand(sympy_kernel_sum(f, form, cosets, xs) - mine) == 0

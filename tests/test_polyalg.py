@@ -13,7 +13,9 @@ from cohint import (
     exact_divide,
     invariant_basis,
     kernel_sum,
+    once,
     orthogonal_complement,
+    point_stabilizer_of,
     polyalg,
     rref_span,
     substitute,
@@ -32,6 +34,7 @@ from cohint.weyl import averaged_form, point_stabilizer
 
 from conftest import CATALOG_INSTANCES, build, gl_document, is_monomial_matrix
 from reference import (
+    add,
     evaluate,
     evaluate_kernel,
     exponent_terms,
@@ -39,7 +42,9 @@ from reference import (
     multiply,
     poly_inner,
     rref_all_monomials,
+    scaled,
     substitute_terms,
+    subtract,
 )
 
 SWAP = ((0, 1), (1, 0))
@@ -104,13 +109,13 @@ class TestPolyBasics:
         assert (x(0) ** 3).degree == 3
 
     def test_arithmetic(self):
-        f = x(0) + x(1)
-        g = x(0) - x(1)
-        assert f * g == x(0) ** 2 - x(1) ** 2
-        assert f - f == Poly.zero(2)
+        f = add(x(0), x(1))
+        g = subtract(x(0), x(1))
+        assert f * g == subtract(x(0) ** 2, x(1) ** 2)
+        assert subtract(f, f) == Poly.zero(2)
 
     def test_evaluate(self):
-        f = x(0) ** 2 + x(1).scaled(3)
+        f = add(x(0) ** 2, scaled(x(1), 3))
         assert evaluate(f, (2, 5)) == 19
 
     def test_monomials_order(self):
@@ -150,7 +155,7 @@ class TestPackedKeys:
         assert (x(0, 3) ** 2 * x(2, 3)).degree == 3
 
     def test_repr_in_graded_lex_order(self):
-        f = x(1, 3) ** 2 + x(0, 3) - (x(0, 3) * x(2, 3)).scaled(3) + Poly.constant(3, 4)
+        f = add(x(1, 3) ** 2, x(0, 3), scaled(x(0, 3) * x(2, 3), -3), Poly.constant(3, 4))
         assert repr(f) == "Poly(-3*x1*x3 + 1*x2^2 + 1*x1 + 4)"
 
     @settings(max_examples=60, deadline=None)
@@ -217,17 +222,17 @@ class TestPackedKeys:
 class TestSubstitute:
     def test_identity(self):
         e = S2.elements[S2.identity_index]
-        f = x(0) ** 2 + x(1)
+        f = add(x(0) ** 2, x(1))
         assert substitute(e, f) == f
 
     def test_swap(self):
-        f = x(0) ** 2 + x(1)
-        assert substitute(swap_element(), f) == x(1) ** 2 + x(0)
+        f = add(x(0) ** 2, x(1))
+        assert substitute(swap_element(), f) == add(x(1) ** 2, x(0))
 
     def test_sign_flip(self):
         w = next(w for w in SIGN1.elements if w == ((-1,),))
         f = Poly.linear((1,)) ** 3
-        assert substitute(w, f) == -Poly.linear((1,)) ** 3
+        assert substitute(w, f) == scaled(Poly.linear((1,)) ** 3, -1)
 
     @settings(max_examples=40, deadline=None)
     @given(small_polys, small_polys)
@@ -273,7 +278,7 @@ class TestSubstitutionPlan:
         # two separate enumerations of one group hold equal matrices, which
         # share one plan each
         groups = [enumerate_group(GROUPS["sl3"]["generators"], 2) for _ in range(2)]
-        f = x(0) ** 2 - x(1).scaled(3)
+        f = subtract(x(0) ** 2, scaled(x(1), 3))
         expected = [substitute_terms(f, w) for w in groups[0].elements]
         polyalg._plan.cache_clear()
         for group in groups:
@@ -305,7 +310,7 @@ class TestSubstituteAnyMatrix:
 
     def test_every_gl3_element_moves_exponents(self, monkeypatch):
         gl3 = build("adjoint:gl3")[1].weyl
-        f = dense(3, 4, lambda i: (-1) ** i * (i + 1)) + x(2, 3) ** 2 - Poly.constant(3, 7)
+        f = add(dense(3, 4, lambda i: (-1) ** i * (i + 1)), x(2, 3) ** 2, Poly.constant(3, -7))
         # the monomial path multiplies no polynomials
         monkeypatch.setattr(Poly, "__mul__", lambda self, other: pytest.fail("expanded"))
         for w in gl3.elements:
@@ -315,39 +320,39 @@ class TestSubstituteAnyMatrix:
     def test_every_sl3_element(self):
         sl3 = build("adjoint:sl3")[1].weyl
         assert sum(not is_monomial_matrix(w) for w in sl3.elements) == 4
-        f = dense(2, 5, lambda i: Fraction(i - 2, i + 1)) + x(0) ** 3 * x(1) - x(1)
+        f = add(dense(2, 5, lambda i: Fraction(i - 2, i + 1)), x(0) ** 3 * x(1), scaled(x(1), -1))
         for w in sl3.elements:
             self.assert_matches_oracle(f, w, [p[:2] for p in self.POINTS])
 
     def test_singular_monomial_matrix_merges_and_cancels(self):
         matrix = ((1, 1), (0, 0))
-        assert substitute(matrix, x(0) - x(1)) == Poly.zero(2)
-        f = x(0) ** 2 - (x(0) * x(1)).scaled(3) + x(1) ** 2
-        assert substitute(matrix, f) == (x(0) ** 2).scaled(-1)
+        assert substitute(matrix, subtract(x(0), x(1))) == Poly.zero(2)
+        f = add(x(0) ** 2, scaled(x(0) * x(1), -3), x(1) ** 2)
+        assert substitute(matrix, f) == scaled(x(0) ** 2, -1)
         self.assert_matches_oracle(f, matrix, [p[:2] for p in self.POINTS])
 
     def test_rational_diagonal_form(self):
         b = ((Fraction(1, 2), 0, 0), (0, Fraction(-3, 4), 0), (0, 0, Fraction(5, 3)))
-        f = x(0, 3) ** 2 * x(1, 3) + (x(1, 3) * x(2, 3) ** 3).scaled(Fraction(2, 7))
-        assert substitute(b, f) == (
-            (x(0, 3) ** 2 * x(1, 3)).scaled(Fraction(-3, 16))
-            + (x(1, 3) * x(2, 3) ** 3).scaled(Fraction(2, 7) * Fraction(-3, 4) * Fraction(125, 27))
+        f = add(x(0, 3) ** 2 * x(1, 3), scaled(x(1, 3) * x(2, 3) ** 3, Fraction(2, 7)))
+        assert substitute(b, f) == add(
+            scaled(x(0, 3) ** 2 * x(1, 3), Fraction(-3, 16)),
+            scaled(x(1, 3) * x(2, 3) ** 3, Fraction(2, 7) * Fraction(-3, 4) * Fraction(125, 27)),
         )
         self.assert_matches_oracle(f, b, self.POINTS)
 
 
 class TestExactDivide:
     def test_difference_of_squares(self):
-        f = x(0) ** 2 - x(1) ** 2
-        assert exact_divide(f, (1, -1)) == x(0) + x(1)
+        f = subtract(x(0) ** 2, x(1) ** 2)
+        assert exact_divide(f, (1, -1)) == add(x(0), x(1))
 
     def test_not_divisible(self):
         with pytest.raises(ExactDivisionError):
             exact_divide(x(0), (0, 1))
 
     def test_mixed_terms(self):
-        f = (x(0) * x(1)).scaled(2) + x(1) ** 2
-        assert exact_divide(f, (0, 1)) == x(0).scaled(2) + x(1)
+        f = add(scaled(x(0) * x(1), 2), x(1) ** 2)
+        assert exact_divide(f, (0, 1)) == add(scaled(x(0), 2), x(1))
 
     def test_zero_form_rejected(self):
         with pytest.raises(InputError):
@@ -356,18 +361,18 @@ class TestExactDivide:
     def test_remainder_only_at_pivot_degree_zero(self):
         # x1^2 + x1 x2 + x2^2 = (x1 + x2)(x1) + x2^2: every term of positive
         # degree in x1 divides, and the remainder x2^2 has x1-degree 0
-        f = x(0) ** 2 + x(0) * x(1) + x(1) ** 2
+        f = add(x(0) ** 2, x(0) * x(1), x(1) ** 2)
         with pytest.raises(ExactDivisionError, match=r"^not divisible by linear form \(1, 0\)$"):
             exact_divide(f, (1, 0))
         with pytest.raises(ExactDivisionError):
             exact_divide(f, (1, -1))
 
     def test_fourth_power_roundtrip(self):
-        g = x(0).scaled(3) * x(1) - x(1) ** 2 + x(0) ** 2
-        f = (x(0) - x(1)) ** 4 * g
+        g = add(scaled(x(0), 3) * x(1), scaled(x(1) ** 2, -1), x(0) ** 2)
+        f = subtract(x(0), x(1)) ** 4 * g
         for k in range(4, 0, -1):
             f = exact_divide(f, (1, -1))
-            assert f == (x(0) - x(1)) ** (k - 1) * g
+            assert f == subtract(x(0), x(1)) ** (k - 1) * g
         with pytest.raises(ExactDivisionError):
             exact_divide(f, (1, -1))
 
@@ -379,22 +384,22 @@ class TestExactDivide:
             assert all(type(c) is int for c in quotient.terms.values())
 
     def test_integer_polynomial_with_a_remainder_still_raises(self):
-        f = x(0) ** 2 + x(1) ** 2
+        f = add(x(0) ** 2, x(1) ** 2)
         for ell in ((1, 1), (2, 1), (1, -3)):
             with pytest.raises(ExactDivisionError):
                 exact_divide(f, ell)
 
     def test_non_primitive_form_gives_fractions(self):
-        quotient = exact_divide(x(0) ** 2 - x(1) ** 2, (2, -2))
-        assert quotient == (x(0) + x(1)).scaled(Fraction(1, 2))
+        quotient = exact_divide(subtract(x(0) ** 2, x(1) ** 2), (2, -2))
+        assert quotient == scaled(add(x(0), x(1)), Fraction(1, 2))
         assert exponent_terms(quotient) == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
 
     def test_rational_form_divides(self):
         ell = (Fraction(1, 2), Fraction(-3, 4))
-        q = x(0) ** 2 + (x(0) * x(1)).scaled(Fraction(2, 3)) - Poly.constant(2, 5)
+        q = add(x(0) ** 2, scaled(x(0) * x(1), Fraction(2, 3)), Poly.constant(2, -5))
         assert exact_divide(q * Poly.linear(ell), ell) == q
         with pytest.raises(ExactDivisionError):
-            exact_divide(q * Poly.linear(ell) + x(1), ell)
+            exact_divide(add(q * Poly.linear(ell), x(1)), ell)
 
     @settings(max_examples=40, deadline=None)
     @given(small_polys, st.sampled_from([(1, 0), (1, -1), (2, 3), (0, 1)]))
@@ -406,7 +411,7 @@ class TestExactDivide:
 class TestKernelSum:
     def test_surjection_generator(self):
         k = KernelForm(((1, 0),), ((1, -1),))
-        assert kernel_sum(x(0), k, S2.elements) == x(0) + x(1)
+        assert kernel_sum(x(0), k, S2.elements) == add(x(0), x(1))
 
     def test_product_is_reached(self):
         # the twisted sum acts as the identity on x1*x2, so the product of the
@@ -414,7 +419,8 @@ class TestKernelSum:
         k = KernelForm(((1, 0),), ((1, -1),))
         f = x(0) * x(1)
         assert kernel_sum(f, k, S2.elements) == f
-        assert kernel_sum(f.scaled(Fraction(1, 2)), k, S2.elements) == f.scaled(Fraction(1, 2))
+        half = scaled(f, Fraction(1, 2))
+        assert kernel_sum(half, k, S2.elements) == half
 
     def test_rank1_cancellation(self):
         k = KernelForm((), ((-2,),))
@@ -431,14 +437,14 @@ class TestKernelSum:
         # numerator/denominator stable under the swap, so either coset system
         # of the full group inside itself gives the same sum
         k = KernelForm(((-1, 0), (0, -1)), ())
-        f = x(0) + x(1)
+        f = add(x(0), x(1))
         ident = S2.elements[S2.identity_index]
         other = swap_element()
         assert kernel_sum(f, k, (ident,)) == kernel_sum(f, k, (other,))
 
     def test_evaluation_oracle(self):
         k = KernelForm(((1, 0),), ((1, -1),))
-        f = x(0) ** 2 + (x(0) * x(1)).scaled(3)
+        f = add(x(0) ** 2, scaled(x(0) * x(1), 3))
         assert_matches_direct_sum(f, k, S2.elements)
 
     def test_forms_equal_up_to_a_scalar_share_one_factor(self, monkeypatch):
@@ -453,13 +459,13 @@ class TestKernelSum:
 
         monkeypatch.setattr(polyalg, "exact_divide", recording)
         k = KernelForm(((1, 0),), ((2, -2),))
-        f = x(0) ** 2 + (x(0) * x(1)).scaled(3)
+        f = add(x(0) ** 2, scaled(x(0) * x(1), 3))
         assert_matches_direct_sum(f, k, S2.elements)
         assert divisors == [(1, -1)]
 
     def test_rational_denominator_form(self):
         k = KernelForm(((0, 1),), ((Fraction(1, 2), Fraction(-3, 4)),))
-        f = x(0) ** 2 - x(1) ** 2
+        f = subtract(x(0) ** 2, x(1) ** 2)
         ident = S2.subgroup([S2.identity_index])
         with pytest.raises(InternalCheckError):
             kernel_sum(f, k, ident.elements())
@@ -470,7 +476,7 @@ class TestKernelSum:
         # (x1 - x2) twice in every coset's denominator: the common denominator
         # is (x1 - x2)^2, and the sum is polynomial only after both divisions
         k = KernelForm(((1, -1), (1, 0)), ((1, -1), (-1, 1)))
-        f = x(0) ** 3 + (x(0) * x(1)).scaled(Fraction(1, 2))
+        f = add(x(0) ** 3, scaled(x(0) * x(1), Fraction(1, 2)))
         assert_matches_direct_sum(f, k, S2.elements)
         assert kernel_sum(Poly.constant(2, 1), k, S2.elements) == Poly.constant(2, -1)
 
@@ -491,15 +497,15 @@ class TestKernelSum:
         k = KernelForm(((1, 0),), ((2, 2),))
         data = coset_sum(k, cosets)
         assert (data.denominator, [m for *_, m in data.terms]) == (12, [3, 2])
-        assert kernel_sum(x(1) * (x(0) + x(1)), k, data) == (
-            (x(0) * x(1)).scaled(Fraction(13, 2)))
-        assert_matches_direct_sum(x(1) * (x(0) + x(1)), k, cosets)
+        assert kernel_sum(x(1) * add(x(0), x(1)), k, data) == (
+            scaled(x(0) * x(1), Fraction(13, 2)))
+        assert_matches_direct_sum(x(1) * add(x(0), x(1)), k, cosets)
 
     def test_a_prepared_coset_sum_gives_the_same_sum(self):
         k = KernelForm(((1, -1), (1, 0)), ((1, -1), (-1, 1)))
         data = coset_sum(k, S2.elements)
         assert len(data) == len(S2.elements)
-        for f in (Poly.constant(2, 1), x(0) ** 3 + (x(0) * x(1)).scaled(Fraction(1, 2))):
+        for f in (Poly.constant(2, 1), add(x(0) ** 3, scaled(x(0) * x(1), Fraction(1, 2)))):
             assert kernel_sum(f, k, data) == kernel_sum(f, k, S2.elements)
 
     @settings(max_examples=40, deadline=None)
@@ -538,29 +544,26 @@ def assert_matches_direct_sum(f, k, cosets, count=6):
 
 class TestRrefSpan:
     def test_dependent_rows_collapse(self):
-        f = x(0) + x(1)
-        basis = rref_span([f, f.scaled(2)], 1, 2)
+        f = add(x(0), x(1))
+        basis = rref_span([f, scaled(f, 2)], 1, 2)
         assert basis.dim == 1
 
     def test_empty(self):
         assert rref_span([], 3, 2).dim == 0
 
     def test_two_dimensional(self):
-        basis = rref_span([x(0), x(1), x(0) + x(1)], 1, 2)
+        basis = rref_span([x(0), x(1), add(x(0), x(1))], 1, 2)
         assert basis.dim == 2
 
     def test_inhomogeneous_rejected(self):
         with pytest.raises(InputError):
-            rref_span([x(0) + Poly.constant(2, 1)], 1, 2)
+            rref_span([add(x(0), Poly.constant(2, 1))], 1, 2)
 
     def test_coordinates_roundtrip(self):
-        basis = rref_span([x(0) + x(1), x(0) - x(1)], 1, 2)
-        f = x(0).scaled(5)
+        basis = rref_span([add(x(0), x(1)), subtract(x(0), x(1))], 1, 2)
+        f = scaled(x(0), 5)
         coords = basis.coordinates(f)
-        rebuilt = Poly.zero(2)
-        for c, g in zip(coords, basis.rows):
-            rebuilt = rebuilt + g.scaled(c)
-        assert rebuilt == f
+        assert add(*(scaled(g, c) for c, g in zip(coords, basis.rows))) == f
         assert basis.coordinates(x(0) ** 2) is None
 
 
@@ -580,16 +583,14 @@ class TestRrefSpan:
         basis = rref_span(polys, degree, nvars)
         coords = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=basis.dim,
                                           max_size=basis.dim)))
-        f = Poly.zero(nvars)
-        for c, g in zip(coords, basis.rows):
-            f = f + g.scaled(c)
+        f = add(Poly.zero(nvars), *(scaled(g, c) for c, g in zip(coords, basis.rows)))
         assert basis.coordinates(f) == coords
         support = set().union(*(g.terms for g in basis.rows))
         outside = [m for m in map(pack, monomials_of_degree(nvars, degree))
                    if m not in support]
         if outside:
             stray = Poly(nvars, {data.draw(st.sampled_from(outside)): 1})
-            assert basis.coordinates(f + stray) is None
+            assert basis.coordinates(add(f, stray)) is None
 
 
 class TestInvariantBasis:
@@ -623,7 +624,7 @@ class TestInvariantBasis:
         # lattice, so its top stratum's U has the HNF rows (1, 2), (0, 3),
         # which span the rational plane that the unit vectors span
         strat = build("adjoint:sl3")[1]
-        levi = strat.point_stabilizers[strat.top_index]
+        levi = once(strat, point_stabilizer_of, strat.top_index)
         spanning_sets = (((1, 2), (0, 3)), ((1, 0), (0, 1)))
         assert strat.u_bases[strat.top_index] == spanning_sets[0]
         for forms in spanning_sets:
@@ -654,7 +655,7 @@ class TestInvariantBasis:
             u = strat.u_bases[s.index]
             doubled = tuple(tuple(2 * c for c in b) for b in u)
             dependent = u + (tuple(sum(b[k] for b in u) for k in range(n)),)
-            levi = strat.point_stabilizers[s.index]
+            levi = once(strat, point_stabilizer_of, s.index)
             for h in [levi] + [point_stabilizer(levi, strat.strata[j].rep)
                                for j in strat.covers[s.index]]:
                 for p in range(5):
@@ -670,7 +671,7 @@ class TestOrthogonalComplement:
 
     def test_line_complement(self):
         ambient = rref_span([x(0), x(1)], 1, 2)
-        sub = rref_span([x(0) + x(1)], 1, 2)
+        sub = rref_span([add(x(0), x(1))], 1, 2)
         comp = orthogonal_complement(sub, ambient, IDENTITY_FORM)
         assert comp.dim == 1
         # up to scale, the complement of the diagonal is the antidiagonal
@@ -755,7 +756,8 @@ class TestPairing:
         ambient = rref_span(
             [Poly.monomial(2, m) for m in monomials_of_degree(2, 4)], 4, 2
         )
-        sub = rref_span([x(0) ** 4 + x(0) * x(1) ** 3, (x(0) - x(1).scaled(2)) ** 4], 4, 2)
+        sub = rref_span(
+            [add(x(0) ** 4, x(0) * x(1) ** 3), subtract(x(0), scaled(x(1), 2)) ** 4], 4, 2)
         comp = orthogonal_complement(sub, ambient, SL3_FORM)
         assert comp.dim == ambient.dim - sub.dim
         for f in comp.rows:
@@ -767,4 +769,4 @@ class TestPairing:
 class TestOrbitSum:
     def test_symmetrization_is_unscaled(self):
         f = x(0) ** 2
-        assert orbit_sum(S2.full_subgroup(), f) == x(0) ** 2 + x(1) ** 2
+        assert orbit_sum(S2.full_subgroup(), f) == add(x(0) ** 2, x(1) ** 2)

@@ -9,7 +9,9 @@ from cohint import (
     enumerate_group,
     invariant_basis,
     molien_coefficients,
+    once,
     point_stabilizer,
+    point_stabilizer_of,
     set_stabilizer,
 )
 from cohint.documents import document_from_dict
@@ -373,7 +375,7 @@ class TestMolien:
         # subgroup acting on the span of a stratum's vanishing weights
         _, strat = build("gl2-cotangent")
         for s in strat.strata:
-            h = strat.point_stabilizers[s.index]
+            h = once(strat, point_stabilizer_of, s.index)
             basis = strat.u_bases[s.index]
             if not basis:
                 continue
