@@ -4,7 +4,7 @@ A stratum is a flat of the arrangement cut out by the nonzero weights of the
 representation and the adjoint representation, together with the weights
 vanishing on it, a generic integer representative and the attached dimension
 counts.  Flats are canonicalized as Hermite-normal-form bases of saturated
-integer sublattices, so equality of strata is plain tuple equality.
+integer sublattices, so equality of flats is plain tuple equality.
 """
 
 from __future__ import annotations
@@ -42,12 +42,16 @@ class Flat:
 
 @dataclass(frozen=True)
 class Stratum:
+    """A stratum compares and hashes as (index, rep): inside one
+    stratification the index fixes the flat, the zero sets and the dims, and
+    a with_representative copy changes only rep."""
+
     index: int
-    flat: Flat
-    zero_v: tuple[Weight, ...]
-    zero_g: tuple[Weight, ...]
+    flat: Flat = field(compare=False)
+    zero_v: tuple[Weight, ...] = field(compare=False)
+    zero_g: tuple[Weight, ...] = field(compare=False)
     rep: Cocharacter
-    dims: NumericInvariants
+    dims: NumericInvariants = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -57,15 +61,13 @@ class Stratification:
     symmetry_class: SymmetryClass
     hyperplanes: tuple[Weight, ...]
     strata: tuple[Stratum, ...]
-    # a <= b iff b's flat lies in a's, i.e. a's zero-sets sit inside b's.
-    # covers[i]: the strata directly below i, whose flats are one dimension
-    # larger; below[i]: every stratum <= i, i included.
+    # covers[i]: the strata directly below i, whose flats are one larger.
     covers: tuple[tuple[int, ...], ...]
-    below: tuple[frozenset[int], ...]
     orbits: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]
-    # keys[i]: the indices of stratum i's zero supports among the sorted
-    # weight supports, the points weyl.rows permutes.
+    # points: the sorted weight supports, the points weyl.rows permutes;
+    # keys[i]: the indices of stratum i's zero supports among them.
+    points: tuple[Weight, ...]
     keys: tuple[frozenset[int], ...]
     u_bases: tuple[IntMatrix, ...]
     top_index: int
@@ -74,7 +76,8 @@ class Stratification:
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def leq(self, i: int, j: int) -> bool:
-        return i in self.below[j]
+        """i <= j iff j's flat lies in i's, i.e. i's zero sets sit inside j's."""
+        return self.keys[i] <= self.keys[j]
 
     @property
     def top(self) -> Stratum:
@@ -84,24 +87,22 @@ class Stratification:
         return tuple(self.strata[orbit[0]] for orbit in self.orbits)
 
     def all_supports(self) -> tuple[Weight, ...]:
-        return tuple(
-            sorted(
-                set(self.document.v_weights.nonzero_supports())
-                | set(self.document.g_weights.nonzero_supports())
-            )
-        )
+        return tuple(p for p in self.points if any(p))
+
+
+_MISSING = object()
 
 
 def once(strat: Stratification, builder, *args):
     """builder(strat, *args), computed once per stratification: kept in
     strat.memo under the builder and the argument values, a Stratum by its
-    value, not its index, which with_representative copies share.  Callers
-    look the builder up by its module-level name when they call, so a
-    rebound one is used."""
+    index and representative.  Callers look the builder up by its
+    module-level name when they call, so a rebound one is used."""
     key = (builder, *args)
-    if key not in strat.memo:
-        strat.memo[key] = builder(strat, *args)
-    return strat.memo[key]
+    value = strat.memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = strat.memo[key] = builder(strat, *args)
+    return value
 
 
 def representative_cocharacter(
@@ -154,10 +155,9 @@ def with_representative(strat: Stratification, stratum: Stratum, rep: Cocharacte
     """Copy of the stratum carrying another valid generic representative.  Its
     dims stay: they count the weights in the zero sets, which the check below
     matches, and r = (dim V - dim g - d) / 2 for weakly symmetric V."""
-    zero = set(stratum.zero_v) | set(stratum.zero_g)
-    for u in strat.all_supports():
-        if (dot(rep, u) == 0) != (u in zero):
-            raise InputError(f"{rep} is not a generic representative of stratum {stratum.index}")
+    zero = frozenset(i for i, u in enumerate(strat.points) if dot(rep, u) == 0)
+    if zero != strat.keys[stratum.index]:
+        raise InputError(f"{rep} is not a generic representative of stratum {stratum.index}")
     return dataclasses.replace(stratum, rep=rep)
 
 
@@ -254,9 +254,6 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         u_bases.append(u_basis)
 
     count = len(strata)
-    below: list[frozenset[int]] = []
-    for i in range(count):
-        below.append(frozenset({i}).union(*(below[c] for c in covers[i])))
     # In a finite order, a unique maximal element is the maximum.
     maximal = sorted(set(range(count)).difference(*covers))
     if len(maximal) != 1:
@@ -293,9 +290,9 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         hyperplanes=hyperplanes,
         strata=tuple(strata),
         covers=covers,
-        below=tuple(below),
         orbits=tuple(orbits),
         orbit_of=tuple(orbit_of),
+        points=points,
         keys=keys,
         u_bases=tuple(u_bases),
         top_index=top_index,

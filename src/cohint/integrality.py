@@ -98,10 +98,9 @@ def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
     return h, form, coset_sum(form, coset_representatives(h, w_target))
 
 
-def _induced(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
-    """kernel_sum of f over the induction data of mu into the target; a sum
-    that is not polynomial names the two strata."""
-    _, form, sums = once(strat, _induction_data, mu, target)
+def _induced(f: Poly, form: KernelForm, sums, mu: Stratum, target: Stratum) -> Poly:
+    """kernel_sum of f over the kernel form and CosetSum of the induction of
+    mu into the target; a sum that is not polynomial names the two strata."""
     try:
         return kernel_sum(f, form, sums)
     except InternalCheckError as exc:
@@ -112,13 +111,13 @@ def _induced(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Po
 
 def induct(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
     """Coset-sum induction of f from the class of mu into the target."""
-    h, _, _ = once(strat, _induction_data, mu, target)
+    h, form, sums = once(strat, _induction_data, mu, target)
     for w in h.elements():
         if substitute(w, f) != f:
             raise InputError(
                 "induction input must be invariant under the source stabilizer"
             )
-    return _induced(strat, f, mu, target)
+    return _induced(f, form, sums, mu, target)
 
 
 def _factored(form: KernelForm) -> tuple[dict[Weight, int], Fraction]:
@@ -272,14 +271,14 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     reflections = once(strat, _reflections, levi)
     covers = []
     for j in strat.covers[stratum.index]:
-        h, form, _ = once(strat, _induction_data, strat.strata[j], stratum)
+        h, form, sums = once(strat, _induction_data, strat.strata[j], stratum)
         if h.order != once(strat, point_stabilizer_of, j).order:
             raise InternalCheckError(f"the point stabilizer of stratum {j} is not inside that "
                                      f"of stratum {stratum.index}, which covers it")
-        covers.append((strat.strata[j], h, form))
+        covers.append((strat.strata[j], h, form, sums))
     generators = []
     skipped = False
-    for mu, h, form in covers:
+    for mu, h, form, sums in covers:
         q = p - form.degree
         if q < 0:
             continue
@@ -287,7 +286,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
             skipped = True
             continue
         generators.extend(
-            _induced(strat, f, mu, stratum)
+            _induced(f, form, sums, mu, stratum)
             for f in once(strat, _invariants, h, q, u_basis).rows
         )
     if skipped:
@@ -465,19 +464,20 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> Ledger:
     each degree."""
     n = strat.document.rank
     target = once(strat, target_series, cutoff)
+    summands = [
+        (s, once(strat, bps_space, s), once(strat, epsilon, s),
+         once(strat, set_stabilizer_of, s.index), once(strat, _flat_complement_forms, s))
+        for s in strat.orbit_representatives() if s.dims.r_lambda <= cutoff
+    ]
 
     rows = []
     for p in range(cutoff + 1):
         images = []
         domain_dim = 0
-        for s in strat.orbit_representatives():
+        for s, bps, eps, wl, forms in summands:
             m = p - s.dims.r_lambda
             if m < 0:
                 continue
-            bps = once(strat, bps_space, s)
-            eps = once(strat, epsilon, s)
-            wl = once(strat, set_stabilizer_of, s.index)
-            forms = once(strat, _flat_complement_forms, s)
             for a, basis in bps.pieces.items():
                 if basis.dim == 0 or a > m:
                     continue

@@ -211,9 +211,9 @@ def substitute(matrix: QMatrix, f: Poly) -> Poly:
     that sends the i-th coordinate form to the matrix applied to it, as a
     Weyl group element's matrix acts on characters, or as an inner
     product's form does in _dual.  The matrix must be a tuple of tuples, as
-    IntMatrix, QMatrix and matrices.transpose are: its _plan is memoised by
-    it for the whole process, so the plans kept are bounded by the number of
-    distinct matrices substituted, and there is no size setting.
+    IntMatrix and QMatrix are: its _plan is memoised by it for the whole
+    process, so the plans kept are bounded by the number of distinct
+    matrices substituted, and there is no size setting.
 
     With moves, c*x^e goes to c*prod a_i^e_i * prod x_{j_i}^e_i: the
     exponents only move, and the key of the image is the sum over i of e_i

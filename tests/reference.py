@@ -1,5 +1,5 @@
-"""Reference computations that only the tests use: the integer inverse of a
-matrix, the coordinates of a vector in the span of given rows and the matrix
+"""Reference computations that only the tests use: the transpose and the
+integer inverse of a matrix, the coordinates of a vector in the span of given rows and the matrix
 of a linear map restricted to such a span, each from one augmented row
 reduction, values of polynomials and kernel forms at rational points, generic
 points that avoid a set of weight hyperplanes, the inner product of two
@@ -20,6 +20,10 @@ from cohint.errors import InternalCheckError
 from cohint.matrices import IntMatrix, QMatrix, dot, identity, mat_vec, rref
 from cohint.polyalg import Poly, monomials_of_degree, pack, substitute, unpack
 from cohint.weyl import point_stabilizer
+
+
+def transpose(m) -> tuple[tuple, ...]:
+    return tuple(zip(*m)) if m else ()
 
 
 def int_inverse(m: IntMatrix) -> IntMatrix:

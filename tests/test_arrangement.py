@@ -23,11 +23,11 @@ from cohint import (
 )
 from cohint.cli import EXIT_VALIDATION, main, run
 from cohint.documents import document_from_dict
-from cohint.matrices import dot, hnf, int_kernel, mat_vec, rref, transpose
+from cohint.matrices import dot, hnf, int_kernel, mat_vec, rref
 from cohint.weyl import point_stabilizer, set_stabilizer
 
 from conftest import CATALOG_INSTANCES, build, gl_document
-from reference import generic_points, int_inverse
+from reference import generic_points, int_inverse, transpose
 
 RANK_LE_3 = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:4", "trivial:sl3", "adjoint:gl3")
 
@@ -300,7 +300,12 @@ class PermutationActionChecks:
             assert all(strat.orbit_of[i] == k for i in orbit)
 
     def test_covers_are_the_hasse_diagram(self, spec, counts):
-        assert_covers_are_the_hasse_diagram(self.stratify(spec))
+        # with and without a zero weight, which lies in every stratum's key
+        kind, m, _ = spec
+        for z in (0, 1):
+            strat = self.stratify((kind, m, z))
+            assert (len(strat.strata), len(strat.orbits)) == counts
+            assert_covers_are_the_hasse_diagram(strat)
 
 
 @pytest.mark.parametrize(
@@ -562,6 +567,46 @@ class TestRepresentativeIndependence:
         assert made
         for copy in made:
             assert copy.dims == numeric_invariants(doc.g_weights, doc.v_weights, copy.rep)
+
+
+class TestStratumIdentity:
+    """Inside one stratification a stratum is its index and representative:
+    that pair alone decides equality and the hash, and so the memo keys."""
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_equal_exactly_when_index_and_rep_agree(self, key):
+        strata = build(key)[1].strata
+        for s in strata:
+            for t in strata:
+                assert (s == t) == (s.index == t.index and s.rep == t.rep), (s.index, t.index)
+            other = strata[-1 - s.index]
+            replaced = dataclasses.replace(
+                s, flat=other.flat, zero_v=other.zero_v, zero_g=other.zero_g, dims=other.dims)
+            assert replaced == s and hash(replaced) == hash(s), s.index
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_a_copy_with_another_rep_has_its_own_memo_entry(self, key):
+        strat = enumerate_strata(build(key)[0])
+        for s in strat.strata:
+            if not any(s.rep):
+                continue
+            copy = with_representative(strat, s, tuple(-c for c in s.rep))
+            assert copy != s and copy.index == s.index, s.index
+            first = once(strat, integrality._induction_data, s, strat.top)
+            second = once(strat, integrality._induction_data, copy, strat.top)
+            assert second is not first, s.index
+            assert strat.memo[(integrality._induction_data, s, strat.top)] is first
+            assert strat.memo[(integrality._induction_data, copy, strat.top)] is second
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_another_strata_rep_is_not_generic(self, key):
+        strat = build(key)[1]
+        for s in strat.strata:
+            for t in strat.strata:
+                if t.index != s.index:
+                    with pytest.raises(InputError, match=(
+                            rf"is not a generic representative of stratum {s.index}$")):
+                        with_representative(strat, s, t.rep)
 
 
 class TestAlignRepresentative:

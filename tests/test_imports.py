@@ -1,16 +1,16 @@
 """Every name a cohint module imports is used in that module.  The package's
 __init__.py, which imports only to re-export, is left out, as is
-``from __future__ import annotations``."""
+``from __future__ import annotations``.  Every module-level function is
+referenced somewhere in the package outside its own body, or re-exported by
+__init__.py."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).resolve().parents[1] / "src" / "cohint").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cohint"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +40,36 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_found():
     source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
     assert unused_imports(source) == ["line 1: field"]
+
+
+def unreferenced_functions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """The module-level functions of the sources, as module.name, that no
+    other top-level statement of any source reads by name or attribute and
+    that are not in exported."""
+    refs = []  # (module, top-level statement, the names it reads)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            refs.append((module, node, names))
+    return [
+        f"{module}.{node.name}" for module, node, _ in refs
+        if isinstance(node, ast.FunctionDef) and node.name not in exported
+        and not any(node.name in names for _, other, names in refs if other is not node)
+    ]
+
+
+def test_every_function_is_referenced():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_functions(sources, exported) == []
+
+
+def test_an_unreferenced_function_is_found():
+    sources = {
+        "a": "def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1)\n",
+        "b": "from .a import used\n\n\ndef exported():\n    return used()\n",
+    }
+    assert unreferenced_functions(sources, {"exported"}) == ["a.recursive"]

@@ -1,3 +1,4 @@
+import collections
 from fractions import Fraction
 from math import prod
 
@@ -22,7 +23,7 @@ from cohint import integrality as I
 from cohint.documents import document_from_dict
 from cohint import polyalg
 from cohint.polyalg import ExactDivisionError, KernelForm, kernel_sum, monomials_of_degree
-from cohint.matrices import identity, rref, transpose
+from cohint.matrices import identity, rref
 from cohint.weyl import molien_coefficients, point_stabilizer
 
 from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document
@@ -36,6 +37,7 @@ from reference import (
     restrict_action,
     scaled,
     subtract,
+    transpose,
 )
 
 # The fixed catalog keys, and one instance of each parametrised family.
@@ -714,6 +716,53 @@ class TestIsotypicSeries:
                     [Fraction(t) / eps[idx] for t in space.traces[idx]],
                 ))
             assert I.isotypic_series(strat, space, eps, 6) == molien_coefficients(elements, 6), s
+
+
+class TestMemoTraffic:
+    """Reads of the memo through integrality.once, counted per builder."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        reads = collections.Counter()
+        once_ = I.once
+
+        def counted(strat, builder, *args):
+            reads[builder] += 1
+            return once_(strat, builder, *args)
+
+        monkeypatch.setattr(I, "once", counted)
+        return reads
+
+    def test_verify_isomorphism_reads_each_orbit_once(self, monkeypatch):
+        # a second call, so that no build inside a builder reads the memo
+        strat = fresh("adjoint:gl3")
+        I.verify_isomorphism(strat, 8)
+        reads = self.counting(monkeypatch)
+        assert I.verify_isomorphism(strat, 8).passed
+        representatives = strat.orbit_representatives()
+        assert all(s.dims.r_lambda <= 8 for s in representatives)
+        for builder in (I.bps_space, I.epsilon, I.set_stabilizer_of, I._flat_complement_forms):
+            assert reads[builder] == len(representatives), builder.__name__
+
+    def test_j_graded_reads_the_induction_data_once_per_cover(self, monkeypatch):
+        # adjoint:gl3's top covers three strata, and degree 2 induces two
+        # generators from each
+        strat = fresh("adjoint:gl3")
+        top, p = strat.top, 2
+        for q in range(p):
+            I.once(strat, I.j_graded, top, q)
+        sums = []
+        kernel_sum = I.kernel_sum
+
+        def recording(f, form, cosets):
+            sums.append(f)
+            return kernel_sum(f, form, cosets)
+
+        monkeypatch.setattr(I, "kernel_sum", recording)
+        reads = self.counting(monkeypatch)
+        I.j_graded(strat, top, p)
+        assert len(sums) == 6
+        assert reads[I._induction_data] == len(strat.covers[top.index]) == 3
 
 
 class TestVerification:

@@ -21,10 +21,10 @@ from cohint import (
 from cohint.catalog import catalog_emit, catalog_keys
 from cohint.documents import document_from_dict
 from cohint.lattice import ray
-from cohint.matrices import identity, mat_mul, mat_vec, transpose
+from cohint.matrices import identity, mat_mul, mat_vec
 
 from conftest import build, gl_document
-from reference import int_inverse
+from reference import int_inverse, transpose
 
 
 def ws(*pairs):

@@ -15,10 +15,10 @@ from cohint import (
     set_stabilizer,
 )
 from cohint.documents import document_from_dict
-from cohint.matrices import identity, mat_mul, mat_vec, transpose
+from cohint.matrices import identity, mat_mul, mat_vec
 
 from conftest import CATALOG_INSTANCES, build, gl_document
-from reference import int_inverse, restrict_action
+from reference import int_inverse, restrict_action, transpose
 
 SWAP = ((0, 1), (1, 0))
 
