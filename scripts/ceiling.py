@@ -1,8 +1,8 @@
-"""Ceiling probe: wall time and stdout SHA-256 of three large reports.
+"""Ceiling probe: wall time and stdout SHA-256 of four large reports.
 
     python3 scripts/ceiling.py
 
-Run it from the root of a checkout.  It builds three documents with
+Run it from the root of a checkout.  It builds four documents with
 ``tests/conftest.py::gl_document`` and runs one report on each, every report
 in a fresh ``python -m cohint.cli`` process importing that checkout's
 ``src/``:
@@ -10,7 +10,9 @@ in a fresh ``python -m cohint.cli`` process importing that checkout's
 - ``bps`` on gl3-adjoint-m3, the 3-loop quiver with dimension vector 3,
   ``gl_document(3, "adjoint", 3, 9)``;
 - ``bps`` on gl4-adjoint-m2, the 2-loop quiver with dimension vector 4,
-  ``gl_document(4, "adjoint", 2, 8)``.
+  ``gl_document(4, "adjoint", 2, 8)``;
+- ``strata`` on gl7 adjoint, ``gl_document(7, "adjoint", 1, 0)``, whose Weyl
+  group has 5040 elements.
 
 Each line gives the report, its unscaled wall seconds (process start to exit)
 and its stdout SHA-256, so that two checkouts can be compared by speed and by
@@ -36,8 +38,9 @@ BUDGET = 60.0  # seconds each report may take
 # (argv, gl_document arguments, stdout SHA-256).  The first two digests were
 # recorded while every graded basis kept coefficient vectors over its own
 # monomial list, the third before the induced submodules were built as
-# modules over the Levi invariants; no catalog key has BPS pieces and
-# complements as large.
+# modules over the Levi invariants, the fourth while the group was closed by
+# matrix products; no catalog key has BPS pieces and complements, or a
+# group and a stratification, as large.
 REPORTS = (
     (("verify", "--max-degree", "8"), (4, "adjoint", 1, 0),
      "3aa1f38dee34344064833681271b47d4c5741b1a99d5038b1e1f65048d7d1e19"),
@@ -45,6 +48,8 @@ REPORTS = (
      "0a38e61b3a1c3ef3866ea2ba1ecd8caf6551239b8667f9309fe43e9fc03adbec"),
     (("bps",), (4, "adjoint", 2, 8),
      "fbc67c3563b9d69b82e964b99e29342f535787a5b19e2dc0f0a2f6a0d035da6b"),
+    (("strata",), (7, "adjoint", 1, 0),
+     "befd6761afcc0e514e7b1d12cb59346dc0264852e5fb78bc0ff2619fb8082c3a"),
 )
 
 

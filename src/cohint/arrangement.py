@@ -20,7 +20,6 @@ from .lattice import (
     NumericInvariants,
     SymmetryClass,
     Weight,
-    numeric_invariants,
     ray,
     symmetry_class,
 )
@@ -106,27 +105,29 @@ def once(strat: Stratification, builder, *args):
 
 
 def representative_cocharacter(
-    flat: Flat, nonzero_supports, zero_supports, rank: int
+    flat: Flat, hyperplanes: Sequence[Weight], incident: frozenset[int], rank: int
 ) -> Cocharacter:
     """Deterministic generic integer point of the flat, in the lattice of the
     given rank: coefficients (1, M, M^2, ...) over the basis rows for growing
-    M.  The zero flat gets the zero cocharacter.
+    M, until no hyperplane outside the incidence set vanishes on the point.
+    A support vanishes exactly where its hyperplane (its ray) does, so this
+    is the first M at which no support outside the zero set vanishes.  The
+    zero flat gets the zero cocharacter.
 
-    A support not vanishing on the flat pairs with the point to a nonzero
-    polynomial in M of degree at most k - 1, so at most 1 + (k - 1) * |outside|
-    values of M are tried."""
+    A hyperplane not containing the flat pairs with the point to a nonzero
+    polynomial in M of degree at most k - 1, so at most
+    1 + (k - 1) * |outside| values of M are tried."""
     k = len(flat.basis)
-    zero = set(zero_supports)
-    outside = [u for u in nonzero_supports if u not in zero]
+    outside = [h for i, h in enumerate(hyperplanes) if i not in incident]
     for m in range(1, 2 + (k - 1) * len(outside)):
         lam = tuple(
             sum(m**i * flat.basis[i][j] for i in range(k)) for j in range(rank)
         )
-        if all(dot(lam, u) != 0 for u in outside):
+        if all(dot(lam, h) != 0 for h in outside):
             return lam
     raise InternalCheckError(
         f"no generic point on the flat with basis {flat.basis}: "
-        "a support outside the zero set vanishes on it"
+        "a hyperplane outside the incidence set vanishes on it"
     )
 
 
@@ -233,25 +234,35 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         tuple(sorted(index_of_flat[parent] for parent in cut_from[key])) for key in ordered
     )
 
+    point_index = {p: i for i, p in enumerate(points)}
+    v_mult = [v_weights.multiplicity(p) for p in points]
+    g_mult = [g_weights.multiplicity(p) for p in points]
     strata = []
     u_bases = []
-    nonzero_supports = tuple(sorted(set(v_supports) | set(g_supports)))
+    keys = []
     for idx, incident in enumerate(ordered):
         flat = Flat(flats[incident])
         zero_v = tuple(w for w in all_v if not any(w) or hyperplane_of[w] in incident)
         zero_g = tuple(w for w in all_g if not any(w) or hyperplane_of[w] in incident)
-        zero_supports = tuple(w for w in zero_v + zero_g if any(w))
-        rep_cochar = representative_cocharacter(flat, nonzero_supports, zero_supports, n)
-        dims = numeric_invariants(g_weights, v_weights, rep_cochar)
-        zero_g_total = sum(g_weights.multiplicity(w) for w in zero_g)
-        if dims.dim_g_fixed != zero_g_total:
+        key = frozenset(point_index[w] for w in zero_v + zero_g)
+        rep_cochar = representative_cocharacter(flat, hyperplanes, incident, n)
+        # The representative's pairings with the points: its zero set is the
+        # key, and the dims count the weights on the zero and positive sides.
+        pairs = [dot(rep_cochar, p) for p in points]
+        if key != frozenset(i for i, x in enumerate(pairs) if x == 0):
             raise InternalCheckError(f"stratum {idx}: zero sets disagree with the slice counts")
+        dim_v = sum(v_mult[i] for i in key)
+        dim_g = sum(g_mult[i] for i in key)
+        r = sum(v_mult[i] - g_mult[i] for i, x in enumerate(pairs) if x > 0)
+        dims = NumericInvariants(dim_v, dim_g, dim_v - dim_g, r)
+        zero_supports = tuple(w for w in zero_v + zero_g if any(w))
         # U is read only through its rational span, so its HNF serves.
         u_basis = hnf(zero_supports)
         if len(u_basis) + flat.dim != n:
             raise InternalCheckError(f"stratum {idx}: flat and zero-set span do not fill the rank")
         strata.append(Stratum(idx, flat, zero_v, zero_g, rep_cochar, dims))
         u_bases.append(u_basis)
+        keys.append(key)
 
     count = len(strata)
     # In a finite order, a unique maximal element is the maximum.
@@ -260,8 +271,6 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         raise InternalCheckError(f"the stratum order has maximal strata {maximal}, not one")
     top_index = maximal[0]
 
-    point_index = {p: i for i, p in enumerate(points)}
-    keys = tuple(frozenset(point_index[w] for w in s.zero_v + s.zero_g) for s in strata)
     index_of = {key: i for i, key in enumerate(keys)}
 
     # Orbits under the generators are orbits under the group, and generators
@@ -293,7 +302,7 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         orbits=tuple(orbits),
         orbit_of=tuple(orbit_of),
         points=points,
-        keys=keys,
+        keys=tuple(keys),
         u_bases=tuple(u_bases),
         top_index=top_index,
     )

@@ -73,10 +73,6 @@ class Poly:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {})
-
-    @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
         return cls(nvars, {0: c} if c else {})
 

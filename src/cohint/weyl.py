@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InputError
@@ -29,17 +30,23 @@ class WeylGroup:
     and an index lookup.
 
     Elements are ordered by their entries (flattened, lexicographic),
-    which fixes every downstream basis and coset choice.  rows[w][p] is the
-    index among the points passed to enumerate_group of element w's image
-    of points[p]; with no points every row is empty.
+    which fixes every downstream basis and coset choice.  points are the
+    points passed to enumerate_group followed by the rest of the orbit of
+    the unit vectors.  rows[w][p] is the index among the points passed to
+    enumerate_group of element w's image of points[p]; with no points every
+    row is empty.  columns[w][j] is the index in points of M_w e_j, the
+    j-th column of M_w.  enumerate_group builds it from found, every
+    element's row on all the points mapped to its matrix.
     """
 
-    def __init__(
-        self, rows: dict[IntMatrix, tuple[int, ...]], rank: int, generators: Sequence[IntMatrix]
-    ):
+    def __init__(self, found: dict[tuple[int, ...], IntMatrix], points: tuple[Weight, ...],
+                 given: int, units: Sequence[int], rank: int, generators: Sequence[IntMatrix]):
         self.rank = rank
-        self.elements = tuple(sorted(rows))
-        self.rows = tuple(rows[m] for m in self.elements)
+        self.points = points
+        pairs = sorted(found.items(), key=itemgetter(1))
+        self.elements = tuple(m for _, m in pairs)
+        self.rows = tuple(row[:given] for row, _ in pairs)
+        self.columns = tuple(tuple(map(row.__getitem__, units)) for row, _ in pairs)
         self._index = index = {m: i for i, m in enumerate(self.elements)}
         self.identity_index = index[identity(rank)]
         self.generators = tuple(index[g] for g in generators)
@@ -53,9 +60,6 @@ class WeylGroup:
 
     def subgroup(self, members) -> "Subgroup":
         return Subgroup(self, tuple(sorted(set(members))))
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)))
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,9 @@ def enumerate_group(
     cap: int = DEFAULT_GROUP_CAP,
     points: Sequence[Weight] = (),
 ) -> WeylGroup:
-    """Breadth-first closure of the generators; errors out past the cap.
-    Each element costs one product per generator, read off the generator's
-    nonzero entries, and no inverse of an element is computed.
+    """Breadth-first closure of the generators on permutation rows; errors
+    out past the cap.  No product of matrices and no inverse of an element
+    is computed.
 
     The generators must be involutions (g * g = I), as the reflections that
     InputDocument.validate checks are: then each is its own integer inverse
@@ -109,8 +113,15 @@ def enumerate_group(
 
     The points must form a union of orbits, which is checked on the
     generators: generators that permute a finite set make the group permute
-    it.  Each element m * g gets its permutation row in the step that builds
-    its matrix, (m * g) . p = m . (g . p), so row_mg[p] = row_m[perm_g[p]]."""
+    it.  The orbit of the unit vectors e_1 .. e_n is added to them, so the
+    points are faithful: M e_j is the j-th column of M.  Each element m * g
+    gets its permutation row from m's, (m * g) . p = m . (g . p), so
+    row_mg[p] = row_m[perm_g[p]]; a row is new exactly when its matrix is,
+    and the matrix of a new row is read off its images of the unit vectors.
+
+    A group of at most cap elements has at most rank orbits of at most cap
+    points on the unit vectors, so an orbit past len(points) + rank * cap
+    points is past the cap too."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
     one = identity(rank)
     for k, g in enumerate(gens):
@@ -118,45 +129,66 @@ def enumerate_group(
             raise InputError(f"weyl_generators[{k}] is not an involution: g * g != I")
     index = {p: i for i, p in enumerate(points)}
     try:
-        perms = [tuple(index[mat_vec(g, p)] for p in points) for g in gens]
+        perms = [[index[mat_vec(g, p)] for p in points] for g in gens]
     except KeyError as exc:
         raise InputError(
             f"the group does not permute the weights: {exc.args[0]} is not among them"
         ) from exc
-    # (m * g)[r][c] sums m[r][i] * g[i][c] over the nonzero entries of column
-    # c only: one entry per column of a signed permutation.
-    columns = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*g)] for g in gens]
-    rows: dict[IntMatrix, tuple[int, ...]] = {one: tuple(range(len(points)))}
-    frontier = [one]
+    cap_error = InputError(
+        f"group not finite within cap (cap={cap}); check the generators or raise --group-cap"
+    )
+    faithful = list(points)
+    for e in one:
+        if e not in index:
+            index[e] = len(faithful)
+            faithful.append(e)
+    units = [index[e] for e in one]
+    bound = len(points) + rank * cap
+    i = len(points)
+    while i < len(faithful):
+        p = faithful[i]
+        i += 1
+        for g, perm in zip(gens, perms):
+            q = mat_vec(g, p)
+            if q not in index:
+                if len(faithful) >= bound:
+                    raise cap_error
+                index[q] = len(faithful)
+                faithful.append(q)
+            perm.append(index[q])
+    # itemgetter of one index returns the item, not a 1-tuple; one faithful
+    # point is fixed by every generator, so then the group is trivial.
+    images = [itemgetter(*perm) for perm in perms] if len(faithful) > 1 else []
+    start = tuple(range(len(faithful)))
+    found: dict[tuple[int, ...], IntMatrix] = {start: one}
+    frontier = [start]
     while frontier:
         new = []
-        for m in frontier:
-            row = rows[m]
-            for cols, perm in zip(columns, perms):
-                prod = tuple(tuple(sum(r[i] * x for i, x in col) for col in cols) for r in m)
-                if prod not in rows:
-                    rows[prod] = tuple(map(row.__getitem__, perm))
-                    new.append(prod)
-                    if len(rows) > cap:
-                        raise InputError(
-                            f"group not finite within cap (cap={cap}); "
-                            "check the generators or raise --group-cap"
-                        )
+        for row in frontier:
+            for image_of in images:
+                image = image_of(row)
+                if image not in found:
+                    found[image] = tuple(zip(*(faithful[image[u]] for u in units)))
+                    new.append(image)
+                    if len(found) > cap:
+                        raise cap_error
         frontier = new
-    return WeylGroup(rows, rank, gens)
+    return WeylGroup(found, tuple(faithful), len(points), units, rank, gens)
 
 
 def point_stabilizer(candidates: Subgroup, lam: Cocharacter) -> Subgroup:
     """The members w of candidates fixing the cocharacter lam.  The
-    contragredient (M_w^T)^-1 fixes lam exactly when M_w^T does, so lam is
-    compared with M_w^T lam column by column of M_w, and most members are
-    rejected after one column.  Searching a subgroup known to contain the
-    whole stabilizer gives the stabilizer."""
+    contragredient (M_w^T)^-1 fixes lam exactly when M_w^T lam = lam, and
+    (M_w^T lam)_j = <lam, M_w e_j> is lam's pairing with the point indexed by
+    columns[w][j]: one pairing per point, then one tuple comparison per
+    member.  Searching a subgroup known to contain the whole stabilizer
+    gives the stabilizer."""
     lam = tuple(lam)
-    elements = candidates.parent.elements
-    return Subgroup(candidates.parent, tuple(
+    group = candidates.parent
+    pairing = tuple(dot(lam, p) for p in group.points)
+    return Subgroup(group, tuple(
         i for i in candidates.members
-        if all(dot(col, lam) == x for col, x in zip(zip(*elements[i]), lam))
+        if tuple(map(pairing.__getitem__, group.columns[i])) == lam
     ))
 
 

@@ -1,8 +1,8 @@
 """Reference computations that only the tests use: the transpose and the
 integer inverse of a matrix, the coordinates of a vector in the span of given rows and the matrix
 of a linear map restricted to such a span, each from one augmented row
-reduction, values of polynomials and kernel forms at rational points, generic
-points that avoid a set of weight hyperplanes, the inner product of two
+reduction, the whole group as a subgroup of itself, values of polynomials
+and kernel forms at rational points, generic points that avoid a set of weight hyperplanes, the inner product of two
 polynomials under a symmetric form computed term by term, sums and multiples
 of polynomials, products and substitutions over exponent tuples, row
 reduction over every monomial of a degree, and the associativity ledger's
@@ -19,7 +19,12 @@ from cohint.arrangement import align_representative, with_representative
 from cohint.errors import InternalCheckError
 from cohint.matrices import IntMatrix, QMatrix, dot, identity, mat_vec, rref
 from cohint.polyalg import Poly, monomials_of_degree, pack, substitute, unpack
-from cohint.weyl import point_stabilizer
+from cohint.weyl import Subgroup, WeylGroup, point_stabilizer
+
+
+def full_subgroup(group: WeylGroup) -> Subgroup:
+    """The whole group as a subgroup of itself."""
+    return Subgroup(group, tuple(range(group.order)))
 
 
 def transpose(m) -> tuple[tuple, ...]:
@@ -208,7 +213,7 @@ def associativity_rows(strat) -> tuple:
         s1, s2, s3 = strat.strata[i], strat.strata[j], strat.strata[k]
         nu = align_representative(s1, s2.rep, supports)
         s1_aligned = with_representative(strat, s1, nu)
-        h = point_stabilizer(strat.weyl.full_subgroup(), nu)
+        h = point_stabilizer(full_subgroup(strat.weyl), nu)
         ok = True
         funcs = integrality._invariant_test_functions(strat, h)
         for f in funcs:

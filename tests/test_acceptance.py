@@ -24,7 +24,7 @@ from cohint.matrices import identity, rref
 from cohint.weyl import point_stabilizer
 
 from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document, verify_all
-from reference import evaluate, evaluate_kernel, generic_points, scaled
+from reference import evaluate, evaluate_kernel, full_subgroup, generic_points, scaled
 from test_integrality import _j_dim_by_image_intersection
 
 ALL_KEYS = (
@@ -292,7 +292,7 @@ class TestPropertySuite:
                 for t in strat.strata:
                     if s.index == t.index or not strat.leq(s.index, t.index):
                         continue
-                    stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)
+                    stab = point_stabilizer(full_subgroup(strat.weyl), s.rep)
                     h = strat.weyl.subgroup(
                         set(stab.members)
                         & set(once(strat, point_stabilizer_of, t.index).members)
@@ -380,7 +380,7 @@ class TestPropertySuite:
             n = strat.document.rank
             s = strat.strata[0]
             form = I.kernel(strat, s, strat.top)
-            stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)
+            stab = point_stabilizer(full_subgroup(strat.weyl), s.rep)
             h = strat.weyl.subgroup(
                 set(stab.members) & set(once(strat, point_stabilizer_of, strat.top_index).members)
             )

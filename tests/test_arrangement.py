@@ -105,8 +105,8 @@ class TestRepresentatives:
         assert representative_cocharacter(Flat(()), (), (), rank=2) == (0, 0)
 
     def test_support_vanishing_off_the_zero_set_is_an_error(self):
-        # (0, 1) vanishes on the flat spanned by (1, 0) but is not listed as
-        # zero, so no point of the flat avoids it
+        # the hyperplane (0, 1) contains the flat spanned by (1, 0) but is not
+        # in the incidence set, so no point of the flat avoids it
         with pytest.raises(InternalCheckError, match=r"\(\(1, 0\),\)"):
             representative_cocharacter(Flat(((1, 0),)), [(0, 1)], [], 2)
 
@@ -530,6 +530,26 @@ class TestSteinberg:
         self.assert_steinberg(document_from_dict(gl_document(n, kind, 1, 0)))
 
 
+class TestDimsOracle:
+    """Each stratum's dims, counted on its representative's pairings with the
+    points, against numeric_invariants's slices of the two weight multisets."""
+
+    @staticmethod
+    def assert_dims_agree(strat):
+        doc = strat.document
+        for s in strat.strata:
+            assert s.dims == numeric_invariants(doc.g_weights, doc.v_weights, s.rep), s.index
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_catalog(self, key):
+        self.assert_dims_agree(build(key)[1])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
+    def test_gl(self, n, kind):
+        self.assert_dims_agree(enumerate_strata(document_from_dict(gl_document(n, kind, 1, 0))))
+
+
 class TestRepresentativeIndependence:
     def test_dimension_counts_agree_at_second_representative(self):
         for key in ("gl2-cotangent", "trivial:sl3"):
@@ -704,11 +724,12 @@ class TestLocatedStrataErrors:
         return enumerate_strata(doc)
 
     def test_zero_set_bookkeeping(self, monkeypatch):
-        def off_by_one(g_weights, v_weights, lam):
-            dims = numeric_invariants(g_weights, v_weights, lam)
-            return dataclasses.replace(dims, dim_g_fixed=dims.dim_g_fixed + 1)
+        # Stratum 0 is the whole space, on which no support vanishes; every
+        # support vanishes on the zero cocharacter, so it is not generic there.
+        def zero(flat, hyperplanes, incident, rank):
+            return (0,) * rank
 
-        monkeypatch.setattr(arrangement, "numeric_invariants", off_by_one)
+        monkeypatch.setattr(arrangement, "representative_cocharacter", zero)
         with pytest.raises(InternalCheckError, match=(
             r"^stratum 0: zero sets disagree with the slice counts$"
         )):

@@ -2,9 +2,11 @@
 __init__.py, which imports only to re-export, is left out, as is
 ``from __future__ import annotations``.  Every module-level function is
 referenced somewhere in the package outside its own body, or re-exported by
-__init__.py."""
+__init__.py, and every method of a class is read as an attribute somewhere
+outside its own body."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -59,12 +61,40 @@ def unreferenced_functions(sources: dict[str, str], exported: set[str]) -> list[
     ]
 
 
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """The methods of the sources' classes, as module.Class.name, whose name
+    no attribute read outside the method's own body carries.  Dunders are
+    called by the interpreter, not read by name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = Counter(n.attr for tree in trees.values() for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute))
+    unread = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+                        and f"{module}.{cls.name}.{node.name}" not in CALLED_BY_THE_LIBRARY):
+                    own = sum(1 for n in ast.walk(node)
+                              if isinstance(n, ast.Attribute) and n.attr == node.name)
+                    if reads[node.name] == own:
+                        unread.append(f"{module}.{cls.name}.{node.name}")
+    return unread
+
+
+# argparse calls ArgumentParser.error itself; the override makes a usage
+# error a validation failure.
+CALLED_BY_THE_LIBRARY = {"cli._Parser.error"}
+
+
 def test_every_function_is_referenced():
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.asname or alias.name for node in ast.walk(init)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unreferenced_functions(sources, exported) == []
+    assert unread_methods(sources) == []
 
 
 def test_an_unreferenced_function_is_found():
@@ -73,3 +103,13 @@ def test_an_unreferenced_function_is_found():
         "b": "from .a import used\n\n\ndef exported():\n    return used()\n",
     }
     assert unreferenced_functions(sources, {"exported"}) == ["a.recursive"]
+
+
+def test_an_unread_method_is_found():
+    sources = {
+        "a": ("class A:\n    def __len__(self):\n        return self.size()\n\n"
+              "    def size(self):\n        return 0\n\n"
+              "    def again(self):\n        return self.again()\n"),
+        "b": "def f(a):\n    return a.size()\n",
+    }
+    assert unread_methods(sources) == ["a.A.again"]

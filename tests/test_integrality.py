@@ -32,6 +32,7 @@ from reference import (
     associativity_rows,
     evaluate,
     evaluate_kernel,
+    full_subgroup,
     generic_points,
     int_inverse,
     restrict_action,
@@ -179,7 +180,7 @@ class TestInduct:
                 for t in strat.strata:
                     if s.index == t.index or not strat.leq(s.index, t.index):
                         continue
-                    stab = point_stabilizer(strat.weyl.full_subgroup(), s.rep)
+                    stab = point_stabilizer(full_subgroup(strat.weyl), s.rep)
                     h = strat.weyl.subgroup(
                         set(stab.members)
                         & set(once(strat, point_stabilizer_of, t.index).members)
@@ -223,7 +224,7 @@ class TestInduct:
                 d = p - shift
                 images = []
                 if d >= 0:
-                    stab = point_stabilizer(gl2_strat.weyl.full_subgroup(), s.rep)
+                    stab = point_stabilizer(full_subgroup(gl2_strat.weyl), s.rep)
                     for f in invariant_basis(stab, d, unit_forms(2)).rows:
                         images.append(I.induct(gl2_strat, f, s, gl2_strat.top))
                 spans.append(rref_span(images, p, 2).rows)
@@ -487,7 +488,7 @@ def _j_dim_by_image_intersection(strat, stratum, p):
         d = p - shift
         if d < 0:
             continue
-        stab = point_stabilizer(strat.weyl.full_subgroup(), mu.rep)
+        stab = point_stabilizer(full_subgroup(strat.weyl), mu.rep)
         h = strat.weyl.subgroup(
             set(stab.members) & set(once(strat, point_stabilizer_of, stratum.index).members)
         )

@@ -24,7 +24,7 @@ from cohint.polyalg import coset_sum, invariant_basis, monomials_of_degree, orbi
 from cohint.weyl import coset_representatives, point_stabilizer
 
 from conftest import build, is_monomial_matrix
-from reference import add, scaled, solve_combination
+from reference import add, full_subgroup, scaled, solve_combination
 
 sympy = pytest.importorskip("sympy")
 
@@ -88,7 +88,7 @@ def sympy_kernel_sum(f, form, cosets, xs):
 
 def induction_data(strat, source, target):
     """The source stabilizer inside the target's and its coset representatives."""
-    stab = point_stabilizer(strat.weyl.full_subgroup(), source.rep)
+    stab = point_stabilizer(full_subgroup(strat.weyl), source.rep)
     w_target = once(strat, point_stabilizer_of, target.index)
     h = strat.weyl.subgroup(set(stab.members) & set(w_target.members))
     return h, coset_representatives(h, w_target)

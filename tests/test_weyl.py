@@ -7,6 +7,7 @@ from cohint import (
     averaged_form,
     coset_representatives,
     enumerate_group,
+    enumerate_strata,
     invariant_basis,
     molien_coefficients,
     once,
@@ -18,7 +19,7 @@ from cohint.documents import document_from_dict
 from cohint.matrices import identity, mat_mul, mat_vec
 
 from conftest import CATALOG_INSTANCES, build, gl_document
-from reference import int_inverse, restrict_action, transpose
+from reference import full_subgroup, int_inverse, restrict_action, transpose
 
 SWAP = ((0, 1), (1, 0))
 
@@ -34,6 +35,18 @@ def adjacent_transpositions(n: int):
 
 
 S3_RANK3 = adjacent_transpositions(3)
+
+
+def mat_mul_closure(gens, rank):
+    """The elements generated by gens, by matrix products, sorted."""
+    one = identity(rank)
+    reached = {one}
+    frontier = [one]
+    while frontier:
+        frontier = [p for p in {mat_mul(m, g) for m in frontier for g in gens}
+                    if p not in reached]
+        reached.update(frontier)
+    return tuple(sorted(reached))
 
 
 def cochar_action(w, lam):
@@ -78,6 +91,14 @@ class TestEnumerateGroup:
         assert group.order == 1
         assert group.elements[0] == identity(2)
 
+    @pytest.mark.parametrize("rank,points", [(1, ()), (1, ((0,),)), (0, ((),))])
+    def test_generator_fixing_the_one_faithful_point(self, rank, points):
+        # the identity, an involution, fixes the points and the unit vectors,
+        # one point in all when there are no other points
+        group = enumerate_group((identity(rank),), rank, points=points)
+        assert group.elements == (identity(rank),)
+        assert group.rows == (tuple(range(len(points))),)
+
     def test_tables_are_closed_with_identity_and_inverses(self):
         group = enumerate_group(S3_RANK3, 3)
         index = {w: i for i, w in enumerate(group.elements)}
@@ -90,18 +111,44 @@ class TestEnumerateGroup:
     def test_dense_generator_matches_a_mat_mul_closure(self):
         # adjoint:sl3's generator ((1, -1), (0, -1)) has the column (-1, -1),
         # with two nonzero entries
-        gens = build("adjoint:sl3")[0].weyl_generators
+        doc = build("adjoint:sl3")[0]
+        gens = doc.weyl_generators
         assert any(sum(1 for x in col if x) == 2 for g in gens for col in zip(*g))
-        one = identity(2)
-        reached = {one}
-        frontier = [one]
-        while frontier:
-            frontier = [p for p in {mat_mul(m, g) for m in frontier for g in gens}
-                        if p not in reached]
-            reached.update(frontier)
-        group = enumerate_group(gens, 2)
-        assert group.order == 6
-        assert group.elements == tuple(sorted(reached))
+        for points in ((), doc.g_weights.supports()):
+            group = enumerate_group(gens, 2, points=points)
+            assert group.order == 6
+            assert group.elements == mat_mul_closure(gens, 2)
+
+    @pytest.mark.parametrize("gens,rank,points", [
+        # the one point spans nothing
+        ((SWAP,), 2, ((0, 0),)),
+        # gl4's roots span the sum-zero hyperplane only
+        (adjacent_transpositions(4), 4, tuple(sorted({
+            tuple(int(k == i) - int(k == j) for k in range(4))
+            for i in range(4) for j in range(4)}))),
+    ], ids=["swap-on-zero", "gl4-adjoint"])
+    def test_points_that_do_not_span_match_a_mat_mul_closure(self, gens, rank, points):
+        group = enumerate_group(gens, rank, points=points)
+        assert group.elements == mat_mul_closure(gens, rank)
+        assert group.rows == direct_action_table(group, points)
+
+    def test_shear_with_stable_points_hits_the_cap(self):
+        # the two reflections in the root (1, 0) permute (1, 0) and (-1, 0),
+        # and the orbit of (0, 1) under them, all (x, 1), is infinite
+        gens = (((-1, 0), (0, 1)), ((-1, 1), (0, 1)))
+        with pytest.raises(InputError, match=(
+            r"^group not finite within cap \(cap=100\); check the generators or raise --group-cap$"
+        )):
+            enumerate_group(gens, 2, cap=100, points=((-1, 0), (1, 0)))
+
+    def test_points_are_checked_before_the_unit_vectors_join_them(self):
+        # the first generator maps (-1, 0) to the unit vector (1, 0), which
+        # the closure adds to the points, but the given points do not hold it
+        gens = (((-1, 0), (0, 1)), ((-1, 1), (0, 1)))
+        with pytest.raises(InputError, match=(
+            r"^the group does not permute the weights: \(1, 0\) is not among them$"
+        )):
+            enumerate_group(gens, 2, cap=10, points=((-1, 0),))
 
     def test_element_order_is_by_matrix_entries(self):
         group = enumerate_group((SWAP,), 2)
@@ -170,15 +217,15 @@ class TestActions:
 class TestStabilizers:
     def test_point_stabilizer_whole_group(self):
         group = enumerate_group((SWAP,), 2)
-        assert point_stabilizer(group.full_subgroup(), (1, 1)).order == 2
+        assert point_stabilizer(full_subgroup(group), (1, 1)).order == 2
 
     def test_point_stabilizer_trivial(self):
         group = enumerate_group((SWAP,), 2)
-        assert point_stabilizer(group.full_subgroup(), (-1, 0)).order == 1
+        assert point_stabilizer(full_subgroup(group), (-1, 0)).order == 1
 
     def test_point_stabilizer_rank1_sign(self):
         group = enumerate_group((((-1,),),), 1)
-        assert point_stabilizer(group.full_subgroup(), (1,)).order == 1
+        assert point_stabilizer(full_subgroup(group), (1,)).order == 1
 
     def test_set_stabilizer_of_empty_zero_set(self, gl2_strat):
         sub = stabilizer_of_zero_sets(gl2_strat, gl2_strat.strata[0])
@@ -205,6 +252,33 @@ class TestStabilizers:
             r"^the group does not permute the weights: \(0, 1\) is not among them$"
         )):
             enumerate_group(gl2_strat.document.weyl_generators, 2, points=((1, 0),))
+
+
+def brute_force_point_stabilizer(group, lam):
+    """Indices of every element w of the group with M_w^T lam = lam."""
+    return tuple(i for i, w in enumerate(group.elements) if mat_vec(transpose(w), lam) == lam)
+
+
+class TestPointStabilizerOnRows:
+    """point_stabilizer over the whole group, read off the columns' pairings,
+    against M_w^T lam = lam on every element, at every stratum's
+    representative."""
+
+    @staticmethod
+    def assert_agree(strat):
+        whole = full_subgroup(strat.weyl)
+        for s in strat.strata:
+            found = point_stabilizer(whole, s.rep)
+            assert found.members == brute_force_point_stabilizer(strat.weyl, s.rep), s.index
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_catalog(self, key):
+        self.assert_agree(build(key)[1])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
+    def test_gl(self, n, kind):
+        self.assert_agree(enumerate_strata(document_from_dict(gl_document(n, kind, 1, 0))))
 
 
 def direct_action_table(group, points):
@@ -263,14 +337,14 @@ class TestRowsAlongTheClosure:
 class TestCosets:
     def test_equal_subgroups_give_identity(self):
         group = enumerate_group((SWAP,), 2)
-        full = group.full_subgroup()
+        full = full_subgroup(group)
         reps = coset_representatives(full, full)
         assert [group.elements.index(w) for w in reps] == [group.identity_index]
 
     def test_trivial_subgroup_gives_everything(self):
         group = enumerate_group((SWAP,), 2)
         trivial = group.subgroup([group.identity_index])
-        assert len(coset_representatives(trivial, group.full_subgroup())) == 2
+        assert len(coset_representatives(trivial, full_subgroup(group))) == 2
 
     def test_index_three(self):
         group = enumerate_group(S3_RANK3, 3)
@@ -279,7 +353,7 @@ class TestCosets:
             if w != identity(3) and group.product(i, i) == group.identity_index
         )
         h = group.subgroup([group.identity_index, transposition])
-        reps = coset_representatives(h, group.full_subgroup())
+        reps = coset_representatives(h, full_subgroup(group))
         assert len(reps) == 3
         assert group.elements.index(reps[0]) == group.identity_index
 
@@ -301,7 +375,7 @@ class TestCosets:
                  if i != group.identity_index
                  and group.product(i, i) == group.identity_index]
         h = group.subgroup([group.identity_index, trans[0]])
-        reps = coset_representatives(h, group.full_subgroup())
+        reps = coset_representatives(h, full_subgroup(group))
         covered = {group.product(group.elements.index(r), j) for r in reps for j in h.members}
         assert covered == set(range(group.order))
 
@@ -368,7 +442,7 @@ class TestMolien:
             series = molien_coefficients(elements, 4)
             coords = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
             for p in range(5):
-                basis = invariant_basis(group.full_subgroup(), p, coords)
+                basis = invariant_basis(full_subgroup(group), p, coords)
                 assert series[p] == basis.dim
 
     def test_restricted_action_matches_invariant_dimensions(self):
