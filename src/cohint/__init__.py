@@ -35,7 +35,6 @@ from .lattice import (
     NumericInvariants,
     SymmetryClass,
     WeightMultiset,
-    numeric_invariants,
     pairing,
     slice_weights,
     symmetry_class,

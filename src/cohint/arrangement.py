@@ -23,7 +23,7 @@ from .lattice import (
     ray,
     symmetry_class,
 )
-from .matrices import IntMatrix, dot, hnf, identity, int_kernel, mat_mul
+from .matrices import IntMatrix, dot, hnf, identity
 from .weyl import Subgroup, WeylGroup, enumerate_group, point_stabilizer, set_stabilizer
 
 
@@ -221,8 +221,13 @@ def enumerate_strata(document: InputDocument) -> Stratification:
             child = incident.union(group)
             if child not in flats:
                 # basis is a Z-basis of the flat's lattice points, so the
-                # kernel of r_h in those coordinates maps onto the child's.
-                flats[child] = hnf(mat_mul(int_kernel([r], len(basis)), basis))
+                # child's are the c . basis with c . r = 0: the x with (0, x)
+                # in the lattice spanned by the rows (r_i, basis_i).  r is
+                # nonzero, so that lattice's HNF has its first pivot in
+                # column 0 and every later row has 0 there; the later rows,
+                # less column 0, are an HNF basis of the child's points.
+                rows = hnf([(x, *b) for x, b in zip(r, basis)])
+                flats[child] = tuple(row[1:] for row in rows[1:])
                 cut_from[child] = []
                 queue.append(child)
             cut_from[child].append(incident)

@@ -13,6 +13,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import asdict, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import integrality
 from .arrangement import Stratification, enumerate_strata, once, stabilizer_orders
@@ -227,10 +228,38 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _indented(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, with pad the newline and
+    indentation before value's closing bracket.  json.dumps uses its C
+    encoder only for compact output; this walks the dicts and lists itself
+    and writes a list of ints as one join.  A key must be a str
+    (encode_basestring_ascii raises TypeError on any other); a leaf other
+    than a str or an int goes through json.dumps."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_indented(x, inner) for x in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit(report: dict, fmt: str) -> str:
     if fmt == "text":
         return _render_text(report)
-    return json.dumps(report, indent=2) + "\n"
+    return _indented(report) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,10 +297,10 @@ def main(argv=None) -> int:
                 if given:
                     raise InputError(f"{flag} applies only to the report commands, not to catalog")
             if args.catalog:
-                doc = catalog_emit(args.catalog)
-                print(json.dumps(doc.to_dict(), indent=2))
+                listing = catalog_emit(args.catalog).to_dict()
             else:
-                print(json.dumps({"catalog_keys": list(catalog_keys())}, indent=2))
+                listing = {"catalog_keys": list(catalog_keys())}
+            sys.stdout.write(_emit(listing, fmt))
             return EXIT_OK
 
         if bool(args.input) == bool(args.catalog):

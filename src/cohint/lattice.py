@@ -127,20 +127,12 @@ def slice_weights(
 
 @dataclass(frozen=True)
 class NumericInvariants:
+    """Fixed-space dimensions and the shifts at a cocharacter lam:
+    d_lambda = dim V^lam - dim g^lam, and r_lambda counts the weights of V
+    pairing positively with lam less those of g, with multiplicity."""
+
     dim_v_fixed: int
     dim_g_fixed: int
     d_lambda: int
     r_lambda: int
 
-
-def numeric_invariants(
-    g_weights: WeightMultiset, v_weights: WeightMultiset, lam: Cocharacter
-) -> NumericInvariants:
-    """Fixed-space dimensions and the shifts d_lambda, r_lambda at a cocharacter.
-
-    V is weakly symmetric (enumerate_strata rejects any other by symmetry_class),
-    so it balances at every lam, as g does, and d + 2r = dim V - dim g."""
-    _, v_zero, v_pos = slice_weights(v_weights, lam)
-    _, g_zero, g_pos = slice_weights(g_weights, lam)
-    dim_v, dim_g = v_zero.total(), g_zero.total()
-    return NumericInvariants(dim_v, dim_g, dim_v - dim_g, v_pos.total() - g_pos.total())

@@ -3,16 +3,21 @@
 Everything here works on tuples of tuples so results are hashable and can be
 used as canonical dictionary keys (deduplicating flats, group elements).  No
 floating point anywhere.  A rational entry is an ``int`` or a
-``fractions.Fraction``: the two compare and hash alike by value.  Row
-reduction runs over primitive integer rows and divides once per pivot row at
-the end (see ``rref``); the series and characteristic polynomials use
-Fractions.
+``fractions.Fraction``: the two compare and hash alike by value.  Products
+and pairings sum ``map(mul, ...)``, which runs the loop over the entries in
+C; they are the inner loops of the strata closure and of the group's action
+on weights.  Row reduction runs over primitive integer rows and divides once
+per pivot row at the end (see ``rref``).  ``hnf`` is the canonical basis of
+an integer row lattice, which names a flat; the strata closure reads each new
+flat off one HNF (see ``arrangement.enumerate_strata``).  The series and
+characteristic polynomials use Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -26,16 +31,16 @@ def identity(n: int) -> IntMatrix:
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
     """Column-vector action ``m @ v``."""
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def dot(u: Sequence, v: Sequence) -> int | Fraction:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -138,19 +143,6 @@ def hnf(rows: Iterable[Sequence[int]]) -> IntMatrix:
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
         r += 1
     return tuple(tuple(row) for row in mat[:r] if any(row))
-
-
-def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
-    """HNF basis of the saturated lattice {x in Z^ncols : row . x = 0 for all rows}."""
-    rows = [r for r in rows if any(r)]
-    m = len(rows)
-    if m == 0:
-        return identity(ncols)
-    big = [tuple(rows[j][i] for j in range(m)) + tuple(1 if k == i else 0 for k in range(ncols))
-           for i in range(ncols)]
-    reduced = hnf(big)
-    kernel = [row[m:] for row in reduced if all(x == 0 for x in row[:m])]
-    return hnf(kernel)
 
 
 def charpoly(m: Sequence[Sequence]) -> tuple[Fraction, ...]:

@@ -1,5 +1,7 @@
 """Reference computations that only the tests use: the transpose and the
-integer inverse of a matrix, the coordinates of a vector in the span of given rows and the matrix
+integer inverse of a matrix, the saturated integer kernel of a set of forms,
+the dimension counts at a cocharacter from the slices of the weight
+multisets, the coordinates of a vector in the span of given rows and the matrix
 of a linear map restricted to such a span, each from one augmented row
 reduction, the whole group as a subgroup of itself, values of polynomials
 and kernel forms at rational points, generic points that avoid a set of weight hyperplanes, the inner product of two
@@ -17,7 +19,8 @@ from math import factorial, prod
 from cohint import integrality
 from cohint.arrangement import align_representative, with_representative
 from cohint.errors import InternalCheckError
-from cohint.matrices import IntMatrix, QMatrix, dot, identity, mat_vec, rref
+from cohint.lattice import Cocharacter, NumericInvariants, WeightMultiset, slice_weights
+from cohint.matrices import IntMatrix, QMatrix, dot, hnf, identity, mat_vec, rref
 from cohint.polyalg import Poly, monomials_of_degree, pack, substitute, unpack
 from cohint.weyl import Subgroup, WeylGroup, point_stabilizer
 
@@ -42,6 +45,32 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     if any(x.denominator != 1 for row in inverse for x in row):
         raise ValueError("matrix is not invertible over the integers")
     return tuple(tuple(int(x) for x in row) for row in inverse)
+
+
+def int_kernel(rows, ncols: int) -> IntMatrix:
+    """HNF basis of the saturated lattice {x in Z^ncols : row . x = 0 for all rows}."""
+    rows = [r for r in rows if any(r)]
+    m = len(rows)
+    if m == 0:
+        return identity(ncols)
+    big = [tuple(rows[j][i] for j in range(m)) + tuple(1 if k == i else 0 for k in range(ncols))
+           for i in range(ncols)]
+    reduced = hnf(big)
+    kernel = [row[m:] for row in reduced if all(x == 0 for x in row[:m])]
+    return hnf(kernel)
+
+
+def numeric_invariants(
+    g_weights: WeightMultiset, v_weights: WeightMultiset, lam: Cocharacter
+) -> NumericInvariants:
+    """Fixed-space dimensions and the shifts d_lambda, r_lambda at a
+    cocharacter, from the slices of the two weight multisets.  V is weakly
+    symmetric, so it balances at every lam, as g does, and
+    d + 2r = dim V - dim g."""
+    _, v_zero, v_pos = slice_weights(v_weights, lam)
+    _, g_zero, g_pos = slice_weights(g_weights, lam)
+    dim_v, dim_g = v_zero.total(), g_zero.total()
+    return NumericInvariants(dim_v, dim_g, dim_v - dim_g, v_pos.total() - g_pos.total())
 
 
 def solve_combination(basis_rows, target):

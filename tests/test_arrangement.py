@@ -14,7 +14,6 @@ from cohint import (
     catalog_emit,
     enumerate_strata,
     integrality,
-    numeric_invariants,
     once,
     point_stabilizer_of,
     representative_cocharacter,
@@ -23,11 +22,11 @@ from cohint import (
 )
 from cohint.cli import EXIT_VALIDATION, main, run
 from cohint.documents import document_from_dict
-from cohint.matrices import dot, hnf, int_kernel, mat_vec, rref
+from cohint.matrices import dot, hnf, mat_mul, mat_vec, rref
 from cohint.weyl import point_stabilizer, set_stabilizer
 
 from conftest import CATALOG_INSTANCES, build, gl_document
-from reference import generic_points, int_inverse, transpose
+from reference import generic_points, int_inverse, int_kernel, numeric_invariants, transpose
 
 RANK_LE_3 = ("torus2-cotangent", "gl2-cotangent", "sl2-irrep:4", "trivial:sl3", "adjoint:gl3")
 
@@ -699,6 +698,31 @@ class TestFlatCanonicalization:
     def test_gl_flats_are_saturated(self, n, kind):
         doc = document_from_dict(gl_document(n, kind, 1, 0))
         self.assert_flats_saturated(enumerate_strata(doc))
+
+    @staticmethod
+    def assert_cuts_are_kernels(strat):
+        """Oracle for the one-HNF cut: for each cover pair, the child's basis
+        is the saturated kernel of r, the restriction to the parent's basis
+        of a hyperplane containing the child but not the parent, mapped
+        through that basis."""
+        for child, parents in enumerate(strat.covers):
+            flat = strat.strata[child].flat.basis
+            incident = [h for h in strat.hyperplanes if not any(mat_vec(flat, h))]
+            for parent in parents:
+                basis = strat.strata[parent].flat.basis
+                r = next(r for h in incident if any(r := mat_vec(basis, h)))
+                expected = hnf(mat_mul(int_kernel([r], len(basis)), basis))
+                assert flat == expected, (parent, child)
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_catalog_cuts_are_kernels(self, key):
+        self.assert_cuts_are_kernels(build(key)[1])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("kind", ["adjoint", "cotangent"])
+    def test_gl_cuts_are_kernels(self, n, kind):
+        doc = document_from_dict(gl_document(n, kind, 1, 0))
+        self.assert_cuts_are_kernels(enumerate_strata(doc))
 
     def test_minors_gcd(self):
         assert maximal_minors_gcd(((2, 4),), 2) == 2

@@ -2,9 +2,11 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohint import InputError, catalog_emit, catalog_keys, enumerate_strata, parse_input
-from cohint.cli import EXIT_OK, EXIT_VALIDATION, main, run
+from cohint.cli import EXIT_OK, EXIT_VALIDATION, _indented, main, run
 from cohint.documents import MAX_DEGREE, document_from_dict
 
 from conftest import CATALOG_INSTANCES
@@ -310,6 +312,17 @@ class TestMain:
         assert main(["catalog", "--catalog", "sl2-irrep:4"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["rank"] == 1
+
+    @pytest.mark.parametrize("key", [None, *CATALOG_INSTANCES])
+    def test_catalog_bytes(self, key, capsys):
+        """The catalog listing and every entry print json.dumps(indent=2)'s
+        bytes and a newline."""
+        if key is None:
+            argv, listing = ["catalog"], {"catalog_keys": list(catalog_keys())}
+        else:
+            argv, listing = ["catalog", "--catalog", key], catalog_emit(key).to_dict()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(listing, indent=2) + "\n"
 
     def test_strata_via_catalog(self, capsys):
         assert main(["strata", "--catalog", "gl2-cotangent"]) == EXIT_OK
@@ -627,3 +640,33 @@ class TestMain:
         built.clear()
         assert main(["bps", "--catalog", "gl2-cotangent", "--orbit", "0"]) == EXIT_OK
         assert built == [strat.orbits[0][0]]
+
+
+# Strs mixing ASCII, quotes, backslashes, control characters, non-ASCII and
+# astral characters.
+TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+LEAVES = (st.none() | st.booleans() | st.integers()
+          | st.integers(min_value=-(2**200), max_value=2**200) | st.floats() | TEXT)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.lists(st.integers(min_value=-(2**100), max_value=2**100))
+                      | st.dictionaries(TEXT, children)),
+    max_leaves=20,
+)
+
+
+class TestIndentedJson:
+    """cli._indented writes json.dumps(value, indent=2)'s bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_VALUES)
+    @example({"": {}, "a": [[], {}, [[], [{}]], ()], "b": [{"c": []}]})
+    @example([[-1, 2**64, -(2**130)], (True, False, None), "\"\\\x01\u00ff"])
+    def test_matches_json_dumps(self, value):
+        assert _indented(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{1: 2}, {"a": [{None: 0}]}, {("a",): 0}])
+    def test_a_non_str_key_raises(self, value):
+        with pytest.raises(TypeError):
+            _indented(value)

@@ -13,7 +13,6 @@ from cohint import (
     InputError,
     SymmetryClass,
     WeightMultiset,
-    numeric_invariants,
     pairing,
     slice_weights,
     symmetry_class,
@@ -24,7 +23,7 @@ from cohint.lattice import ray
 from cohint.matrices import identity, mat_mul, mat_vec
 
 from conftest import build, gl_document
-from reference import int_inverse, transpose
+from reference import int_inverse, numeric_invariants, transpose
 
 
 def ws(*pairs):

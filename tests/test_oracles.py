@@ -19,12 +19,12 @@ from cohint import (
     substitute,
 )
 from cohint import integrality as I
-from cohint.matrices import det_one_minus_q, int_kernel
+from cohint.matrices import det_one_minus_q
 from cohint.polyalg import coset_sum, invariant_basis, monomials_of_degree, orbit_sum, unpack
 from cohint.weyl import coset_representatives, point_stabilizer
 
 from conftest import build, is_monomial_matrix
-from reference import add, full_subgroup, scaled, solve_combination
+from reference import add, full_subgroup, int_kernel, scaled, solve_combination
 
 sympy = pytest.importorskip("sympy")
 
