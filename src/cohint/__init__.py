@@ -4,7 +4,6 @@ representation data of reductive groups, with degree-by-degree verification
 of the integrality decomposition.  All arithmetic is exact rational."""
 
 from .arrangement import (
-    Flat,
     Stratification,
     Stratum,
     align_representative,
@@ -35,8 +34,6 @@ from .lattice import (
     NumericInvariants,
     SymmetryClass,
     WeightMultiset,
-    pairing,
-    slice_weights,
     symmetry_class,
 )
 from .polyalg import (

@@ -28,25 +28,14 @@ from .weyl import Subgroup, WeylGroup, enumerate_group, point_stabilizer, set_st
 
 
 @dataclass(frozen=True)
-class Flat:
-    """Saturated integer basis (HNF rows) of a rational subspace of
-    cocharacter space; two flats are equal iff the bases are identical."""
-
-    basis: IntMatrix
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-@dataclass(frozen=True)
 class Stratum:
     """A stratum compares and hashes as (index, rep): inside one
     stratification the index fixes the flat, the zero sets and the dims, and
-    a with_representative copy changes only rep."""
+    a with_representative copy changes only rep.  The flat is its basis, the
+    HNF rows of its saturated integer lattice, so its dimension is len(flat)."""
 
     index: int
-    flat: Flat = field(compare=False)
+    flat: IntMatrix = field(compare=False)
     zero_v: tuple[Weight, ...] = field(compare=False)
     zero_g: tuple[Weight, ...] = field(compare=False)
     rep: Cocharacter
@@ -105,28 +94,27 @@ def once(strat: Stratification, builder, *args):
 
 
 def representative_cocharacter(
-    flat: Flat, hyperplanes: Sequence[Weight], incident: frozenset[int], rank: int
+    basis: IntMatrix, hyperplanes: Sequence[Weight], incident: frozenset[int], rank: int
 ) -> Cocharacter:
-    """Deterministic generic integer point of the flat, in the lattice of the
-    given rank: coefficients (1, M, M^2, ...) over the basis rows for growing
-    M, until no hyperplane outside the incidence set vanishes on the point.
-    A support vanishes exactly where its hyperplane (its ray) does, so this
-    is the first M at which no support outside the zero set vanishes.  The
-    zero flat gets the zero cocharacter.
+    """Deterministic generic integer point of the flat with this basis, in
+    the lattice of the given rank: coefficients (1, M, M^2, ...) over the
+    basis rows for growing M, until no hyperplane outside the incidence set
+    vanishes on the point.  A support vanishes exactly where its hyperplane
+    (its ray) does, so this is the first M at which no support outside the
+    zero set vanishes.  The zero flat, with no basis rows, gets the zero
+    cocharacter.
 
     A hyperplane not containing the flat pairs with the point to a nonzero
     polynomial in M of degree at most k - 1, so at most
     1 + (k - 1) * |outside| values of M are tried."""
-    k = len(flat.basis)
+    k = len(basis)
     outside = [h for i, h in enumerate(hyperplanes) if i not in incident]
     for m in range(1, 2 + (k - 1) * len(outside)):
-        lam = tuple(
-            sum(m**i * flat.basis[i][j] for i in range(k)) for j in range(rank)
-        )
+        lam = tuple(sum(m**i * basis[i][j] for i in range(k)) for j in range(rank))
         if all(dot(lam, h) != 0 for h in outside):
             return lam
     raise InternalCheckError(
-        f"no generic point on the flat with basis {flat.basis}: "
+        f"no generic point on the flat with basis {basis}: "
         "a hyperplane outside the incidence set vanishes on it"
     )
 
@@ -246,7 +234,7 @@ def enumerate_strata(document: InputDocument) -> Stratification:
     u_bases = []
     keys = []
     for idx, incident in enumerate(ordered):
-        flat = Flat(flats[incident])
+        flat = flats[incident]
         zero_v = tuple(w for w in all_v if not any(w) or hyperplane_of[w] in incident)
         zero_g = tuple(w for w in all_g if not any(w) or hyperplane_of[w] in incident)
         key = frozenset(point_index[w] for w in zero_v + zero_g)
@@ -263,7 +251,7 @@ def enumerate_strata(document: InputDocument) -> Stratification:
         zero_supports = tuple(w for w in zero_v + zero_g if any(w))
         # U is read only through its rational span, so its HNF serves.
         u_basis = hnf(zero_supports)
-        if len(u_basis) + flat.dim != n:
+        if len(u_basis) + len(flat) != n:
             raise InternalCheckError(f"stratum {idx}: flat and zero-set span do not fill the rank")
         strata.append(Stratum(idx, flat, zero_v, zero_g, rep_cochar, dims))
         u_bases.append(u_basis)

@@ -56,8 +56,8 @@ def _strata_section(strat: Stratification) -> list[dict]:
         rows.append(
             {
                 "index": s.index,
-                "flat_dim": s.flat.dim,
-                "flat_basis": [list(b) for b in s.flat.basis],
+                "flat_dim": len(s.flat),
+                "flat_basis": [list(b) for b in s.flat],
                 "representative": list(s.rep),
                 "zero_v_supports": [list(w) for w in s.zero_v],
                 "zero_g_supports": [list(w) for w in s.zero_g],

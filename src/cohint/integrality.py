@@ -19,8 +19,8 @@ from .arrangement import (
     with_representative,
 )
 from .errors import InputError, InternalCheckError
-from .lattice import Weight, WeightMultiset, ray, slice_weights
-from .matrices import mat_vec, nullspace
+from .lattice import Weight, ray
+from .matrices import dot, mat_vec, nullspace
 from .polyalg import (
     GradedBasis,
     KernelForm,
@@ -71,19 +71,19 @@ def _invariant_form(strat: Stratification):
 
 def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> KernelForm:
     """Induction kernel from the class of mu into the target stratum: the
-    negative-slice weights of the target's fixed data, with multiplicity,
-    sliced by mu's representative."""
+    weights of the target's fixed data pairing negatively with mu's
+    representative, with multiplicity."""
     slices = []
     for weights, zero in ((strat.document.v_weights, set(target.zero_v)),
                           (strat.document.g_weights, set(target.zero_g))):
-        inside = WeightMultiset(tuple((w, m) for w, m in weights if w in zero))
-        neg, _, pos = slice_weights(inside, mu.rep)
-        if neg.total() != pos.total():
+        paired = [(w, m, dot(mu.rep, w)) for w, m in weights if w in zero]
+        neg = tuple(w for w, m, x in paired if x < 0 for _ in range(m))
+        if len(neg) != sum(m for _, m, x in paired if x > 0):
             raise InternalCheckError(
                 f"kernel from stratum {mu.index} into stratum {target.index}: negative and "
                 "positive slices differ in size; data is not weakly symmetric"
             )
-        slices.append(tuple(w for w, m in neg for _ in range(m)))
+        slices.append(neg)
     return KernelForm(*slices)
 
 
@@ -326,16 +326,13 @@ def bps_space(strat: Stratification, stratum: Stratum) -> BpsSpace:
         w = strat.weyl.elements[idx]
         diagonal = []
         for p, basis in pieces.items():
-            trace = 0
-            for i, f in enumerate(basis.rows):
-                coords = basis.coordinates(substitute(w, f))
-                if coords is None:
-                    raise InternalCheckError(
-                        f"stratum {stratum.index}: BPS piece of degree {p} is not "
-                        f"stable under element {idx} of the stratum stabilizer"
-                    )
-                trace += coords[i]
-            diagonal.append(trace)
+            action = basis.action(w)
+            if action is None:
+                raise InternalCheckError(
+                    f"stratum {stratum.index}: BPS piece of degree {p} is not "
+                    f"stable under element {idx} of the stratum stabilizer"
+                )
+            diagonal.append(sum(row[i] for i, row in enumerate(action)))
         traces[idx] = tuple(diagonal)
 
     d_lambda = stratum.dims.d_lambda
@@ -366,26 +363,21 @@ def isotypic_series(
     w maps onto itself, since M_w keeps b and maps U onto itself.  That span
     maps W-equivariantly onto Q^n / U, the linear forms on F, so M_w
     restricted to it gives w's Molien term.
-    M_w is restricted through the coordinates of the images of the
-    row-reduced forms in their span; det(I - q A) does not depend on the
-    basis."""
+    M_w is restricted to the span of the row-reduced forms by
+    GradedBasis.action; det(I - q A) does not depend on the basis."""
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
-    index = bps.stratum.index
     forms = once(strat, _flat_complement_forms, bps.stratum)
     dual = rref_span(map(Poly.linear, forms), 1, strat.document.rank)
     elements = []
     for idx, sign in eps.items():
-        restricted = []
-        for row in dual.rows:
-            coords = dual.coordinates(substitute(strat.weyl.elements[idx], row))
-            if coords is None:
-                raise InternalCheckError(
-                    f"stratum {index}: the flat is not stable under element {idx} "
-                    "of the stratum stabilizer"
-                )
-            restricted.append(coords)
-        elements.append((tuple(restricted), [t / sign for t in bps.traces[idx]]))
+        restricted = dual.action(strat.weyl.elements[idx])
+        if restricted is None:
+            raise InternalCheckError(
+                f"stratum {bps.stratum.index}: the flat is not stable under element {idx} "
+                "of the stratum stabilizer"
+            )
+        elements.append((restricted, [t / sign for t in bps.traces[idx]]))
     return molien_coefficients(elements, cutoff)
 
 

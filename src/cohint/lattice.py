@@ -1,9 +1,9 @@
-"""Character/cocharacter lattice data: weight multisets, symmetry classes,
-pairings and the per-cocharacter dimension counts.
+"""Character/cocharacter lattice data: weight multisets, rays, symmetry
+classes and the per-cocharacter dimension counts.
 
 Weights and cocharacters both live in Z^n written in one fixed basis, so the
-pairing between them is the plain dot product and every computation below is
-integer arithmetic.
+pairing between them is the plain dot product (matrices.dot) and every
+computation below is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class WeightMultiset:
     def __iter__(self):
         return iter(self.entries)
 
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def supports(self) -> tuple[Weight, ...]:
         return tuple(w for w, _ in self.entries)
 
@@ -73,14 +70,6 @@ class WeightMultiset:
         return WeightMultiset.from_pairs(
             (mat_vec(matrix, w), m) for w, m in self.entries
         )
-
-
-def pairing(lam: Cocharacter, alpha: Weight) -> int:
-    if len(lam) != len(alpha):
-        raise InputError(
-            f"pairing length mismatch: cocharacter rank {len(lam)} vs weight rank {len(alpha)}"
-        )
-    return sum(a * b for a, b in zip(lam, alpha))
 
 
 def ray(form: Sequence) -> tuple[Weight, int | Fraction]:
@@ -111,18 +100,6 @@ def symmetry_class(v_weights: WeightMultiset) -> SymmetryClass:
     if not any(balance.values()):
         return SymmetryClass.WEAKLY_SYMMETRIC
     return SymmetryClass.NOT_WEAKLY_SYMMETRIC
-
-
-def slice_weights(
-    ws: WeightMultiset, lam: Cocharacter
-) -> tuple[WeightMultiset, WeightMultiset, WeightMultiset]:
-    """Partition a weight multiset by the sign of the pairing with lam; each
-    part of a sorted, deduplicated multiset is itself one."""
-    neg, zero, pos = [], [], []
-    for w, m in ws:
-        p = pairing(lam, w)
-        (neg if p < 0 else zero if p == 0 else pos).append((w, m))
-    return WeightMultiset(tuple(neg)), WeightMultiset(tuple(zero)), WeightMultiset(tuple(pos))
 
 
 @dataclass(frozen=True)

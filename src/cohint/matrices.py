@@ -9,8 +9,9 @@ C; they are the inner loops of the strata closure and of the group's action
 on weights.  Row reduction runs over primitive integer rows and divides once
 per pivot row at the end (see ``rref``).  ``hnf`` is the canonical basis of
 an integer row lattice, which names a flat; the strata closure reads each new
-flat off one HNF (see ``arrangement.enumerate_strata``).  The series and
-characteristic polynomials use Fractions.
+flat off one HNF (see ``arrangement.enumerate_strata``).  The Molien
+determinant det(I - q m) of an integer matrix stays in ints; the series
+inverse uses Fractions.
 """
 
 from __future__ import annotations
@@ -145,31 +146,22 @@ def hnf(rows: Iterable[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(row) for row in mat[:r] if any(row))
 
 
-def charpoly(m: Sequence[Sequence]) -> tuple[Fraction, ...]:
-    """Coefficients c[0..n] of det(tI - m) = sum c[k] t^k (Faddeev-LeVerrier)."""
+def det_one_minus_q(m: Sequence[Sequence]) -> tuple[int | Fraction, ...]:
+    """Coefficients d[0..n] of det(I - q m) = sum d[k] q^k, by Faddeev-LeVerrier
+    in increasing powers of q: d[0] = 1 and, with A_1 = m,
+    d[k] = -tr(A_k) / k and A_{k+1} = m (A_k + d[k] I).  Each d[k] is a
+    quotient (see quotient), so an integer m, a Weyl element, keeps every
+    A_k and d[k] an int: its characteristic polynomial has integer
+    coefficients."""
     n = len(m)
-    c = [Fraction(0)] * (n + 1)
-    c[n] = Fraction(1)
-    if n == 0:
-        return tuple(c)
-    mq = tuple(tuple(Fraction(x) for x in row) for row in m)
-    aux = mq
-    c[n - 1] = -sum(aux[i][i] for i in range(n))
-    for k in range(2, n + 1):
-        shifted = tuple(
-            tuple(aux[i][j] + (c[n - k + 1] if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-        aux = mat_mul(mq, shifted)
-        c[n - k] = -Fraction(sum(aux[i][i] for i in range(n)), k)
-    return tuple(c)
-
-
-def det_one_minus_q(m: Sequence[Sequence]) -> tuple[Fraction, ...]:
-    """Coefficients of det(I - q m) as a polynomial in q."""
-    c = charpoly(m)
-    n = len(m)
-    return tuple(c[n - j] for j in range(n + 1))
+    d = [1]
+    a = m
+    for k in range(1, n + 1):
+        d.append(quotient(-sum(a[i][i] for i in range(n)), k))
+        if k < n:
+            a = mat_mul(m, [[x + d[k] if i == j else x for j, x in enumerate(row)]
+                            for i, row in enumerate(a)])
+    return tuple(d)
 
 
 def series_inverse(d: Sequence[Fraction], cutoff: int) -> tuple[Fraction, ...]:

@@ -417,6 +417,19 @@ class GradedBasis:
         coords = tuple(f.terms.get(m, 0) for m in self.pivots)
         return coords if self.combination(coords) == f else None
 
+    def action(self, matrix: QMatrix) -> QMatrix | None:
+        """The matrix of f -> substitute(matrix, f) on this basis: row i holds
+        the coordinates of the image of rows[i], so the action of a product
+        M_a M_b is action(M_b) times action(M_a).  None when an image leaves
+        the span."""
+        images = []
+        for f in self.rows:
+            coords = self.coordinates(substitute(matrix, f))
+            if coords is None:
+                return None
+            images.append(coords)
+        return tuple(images)
+
 
 def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
     """Row-reduced span of homogeneous polynomials of the given degree.  The
@@ -442,16 +455,15 @@ def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis
     (lattice.ray), and the orbit sums of the products of those rows span the
     invariants.  Neither Sym^p of the span nor its unique RREF over Q depends
     on the spanning set, or on the scale of the orbit sums.  The span is
-    checked to be H-stable once per call: each image M_w b of a row must have
-    coordinates in the span."""
+    checked to be H-stable once per call: each w in H must have an action on
+    it (GradedBasis.action), since substitute(w, .) sends the linear form
+    with coefficients b to the one with coefficients M_w b."""
     nvars = h.parent.rank
     span = rref_span(map(Poly.linear, forms), 1, nvars)
+    if any(span.action(w) is None for w in h.elements()):
+        raise InputError("span of the forms is not stable under the subgroup")
     units = [_unit(nvars, i) for i in range(nvars)]
     rows = [ray(row.coefficient_vector(units))[0] for row in span.rows]
-    for w in h.elements():
-        for b in rows:
-            if span.coordinates(Poly.linear(mat_vec(w, b))) is None:
-                raise InputError("span of the forms is not stable under the subgroup")
     vectors = [orbit_sum(h, mono) for mono in power_products(rows, p, nvars)]
     return rref_span(vectors, p, nvars)
 

@@ -36,11 +36,11 @@ def bps_spaces(key: str):
     return {s.index: once(strat, bps_space, s) for s in strat.orbit_representatives()}
 
 
-@functools.cache
 def verify_all(key: str):
     """(hilbert, isomorphism, associativity) ledgers of a catalog key to degree 8."""
     strat = build(key)[1]
-    return verify_hilbert(strat, 8), verify_isomorphism(strat, 8), verify_associativity(strat)
+    return (once(strat, verify_hilbert, 8), once(strat, verify_isomorphism, 8),
+            once(strat, verify_associativity))
 
 
 def is_monomial_matrix(matrix) -> bool:

@@ -1,14 +1,15 @@
 """Reference computations that only the tests use: the transpose and the
 integer inverse of a matrix, the saturated integer kernel of a set of forms,
-the dimension counts at a cocharacter from the slices of the weight
-multisets, the coordinates of a vector in the span of given rows and the matrix
-of a linear map restricted to such a span, each from one augmented row
-reduction, the whole group as a subgroup of itself, values of polynomials
-and kernel forms at rational points, generic points that avoid a set of weight hyperplanes, the inner product of two
-polynomials under a symmetric form computed term by term, sums and multiples
-of polynomials, products and substitutions over exponent tuples, row
-reduction over every monomial of a degree, and the associativity ledger's
-rows chain by chain."""
+the size of a weight multiset and its slices by the sign of the pairing with
+a cocharacter, the dimension counts at a cocharacter from those slices, the
+coordinates of a vector in the span of given rows and the matrix of a linear
+map restricted to such a span, each from one augmented row reduction, the
+whole group as a subgroup of itself, values of polynomials and kernel forms
+at rational points, generic points that avoid a set of weight hyperplanes,
+the inner product of two polynomials under a symmetric form computed term by
+term, sums and multiples of polynomials, products and substitutions over
+exponent tuples, row reduction over every monomial of a degree, and the
+associativity ledger's rows chain by chain."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from math import factorial, prod
 from cohint import integrality
 from cohint.arrangement import align_representative, with_representative
 from cohint.errors import InternalCheckError
-from cohint.lattice import Cocharacter, NumericInvariants, WeightMultiset, slice_weights
+from cohint.lattice import Cocharacter, NumericInvariants, WeightMultiset
 from cohint.matrices import IntMatrix, QMatrix, dot, hnf, identity, mat_vec, rref
 from cohint.polyalg import Poly, monomials_of_degree, pack, substitute, unpack
 from cohint.weyl import Subgroup, WeylGroup, point_stabilizer
@@ -60,6 +61,23 @@ def int_kernel(rows, ncols: int) -> IntMatrix:
     return hnf(kernel)
 
 
+def total(ws: WeightMultiset) -> int:
+    """The number of weights in the multiset, with multiplicity."""
+    return sum(m for _, m in ws)
+
+
+def slice_weights(
+    ws: WeightMultiset, lam: Cocharacter
+) -> tuple[WeightMultiset, WeightMultiset, WeightMultiset]:
+    """Partition a weight multiset by the sign of the pairing with lam; each
+    part of a sorted, deduplicated multiset is itself one."""
+    neg, zero, pos = [], [], []
+    for w, m in ws:
+        p = dot(lam, w)
+        (neg if p < 0 else zero if p == 0 else pos).append((w, m))
+    return WeightMultiset(tuple(neg)), WeightMultiset(tuple(zero)), WeightMultiset(tuple(pos))
+
+
 def numeric_invariants(
     g_weights: WeightMultiset, v_weights: WeightMultiset, lam: Cocharacter
 ) -> NumericInvariants:
@@ -69,8 +87,8 @@ def numeric_invariants(
     d + 2r = dim V - dim g."""
     _, v_zero, v_pos = slice_weights(v_weights, lam)
     _, g_zero, g_pos = slice_weights(g_weights, lam)
-    dim_v, dim_g = v_zero.total(), g_zero.total()
-    return NumericInvariants(dim_v, dim_g, dim_v - dim_g, v_pos.total() - g_pos.total())
+    dim_v, dim_g = total(v_zero), total(g_zero)
+    return NumericInvariants(dim_v, dim_g, dim_v - dim_g, total(v_pos) - total(g_pos))
 
 
 def solve_combination(basis_rows, target):
@@ -111,14 +129,14 @@ def restrict_action(m, basis_rows) -> QMatrix:
 
 def evaluate(f, point) -> Fraction:
     """The value of the polynomial f at the point."""
-    total = Fraction(0)
+    value = Fraction(0)
     for e, c in f.terms.items():
         v = c
         for x, k in zip(point, unpack(e, f.nvars)):
             if k:
                 v *= Fraction(x) ** k
-        total += v
-    return total
+        value += v
+    return value
 
 
 def evaluate_kernel(form, point) -> Fraction:

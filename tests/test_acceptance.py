@@ -235,7 +235,7 @@ class TestTrivialRepresentationCriterion:
         _, strat = build(key)
         dims = orbit_dims(key)
         ok = all(
-            dim == (1 if strat.strata[idx].flat.dim == strat.document.rank else 0)
+            dim == (1 if len(strat.strata[idx].flat) == strat.document.rank else 0)
             for idx, dim in dims.items()
         )
         check(f"trivial:{group} BPS concentrated on the dense orbit", ok, str(dims))
@@ -261,7 +261,7 @@ class TestAdjointCriterion:
         _, strat = build(key)
         dims = orbit_dims(key)
         ok = all(
-            dim == (1 if strat.strata[idx].flat.dim == strat.document.rank else 0)
+            dim == (1 if len(strat.strata[idx].flat) == strat.document.rank else 0)
             for idx, dim in dims.items()
         )
         check(f"adjoint:{group} BPS concentrated on the dense orbit", ok, str(dims))

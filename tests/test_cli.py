@@ -10,6 +10,7 @@ from cohint.cli import EXIT_OK, EXIT_VALIDATION, _indented, main, run
 from cohint.documents import MAX_DEGREE, document_from_dict
 
 from conftest import CATALOG_INSTANCES
+from reference import total
 
 GL2_DOC = {
     "name": "gl2-cotangent",
@@ -33,7 +34,7 @@ class TestParseInput:
     def test_valid_document(self):
         doc = parse_input(json.dumps(GL2_DOC))
         assert doc.rank == 2
-        assert doc.v_weights.total() == 4
+        assert total(doc.v_weights) == 4
 
     def test_malformed_json(self):
         with pytest.raises(InputError, match="malformed JSON"):

@@ -1,9 +1,9 @@
 """Every name a cohint module imports is used in that module.  The package's
 __init__.py, which imports only to re-export, is left out, as is
 ``from __future__ import annotations``.  Every module-level function is
-referenced somewhere in the package outside its own body, or re-exported by
-__init__.py, and every method of a class is read as an attribute somewhere
-outside its own body."""
+referenced somewhere in the package outside its own body and outside
+__init__.py, so a re-export alone does not keep a function, and every method
+of a class is read as an attribute somewhere outside its own body."""
 
 import ast
 from collections import Counter
@@ -44,10 +44,9 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["line 1: field"]
 
 
-def unreferenced_functions(sources: dict[str, str], exported: set[str]) -> list[str]:
+def unreferenced_functions(sources: dict[str, str]) -> list[str]:
     """The module-level functions of the sources, as module.name, that no
-    other top-level statement of any source reads by name or attribute and
-    that are not in exported."""
+    other top-level statement of any source reads by name or attribute."""
     refs = []  # (module, top-level statement, the names it reads)
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -56,7 +55,7 @@ def unreferenced_functions(sources: dict[str, str], exported: set[str]) -> list[
             refs.append((module, node, names))
     return [
         f"{module}.{node.name}" for module, node, _ in refs
-        if isinstance(node, ast.FunctionDef) and node.name not in exported
+        if isinstance(node, ast.FunctionDef)
         and not any(node.name in names for _, other, names in refs if other is not node)
     ]
 
@@ -89,20 +88,27 @@ CALLED_BY_THE_LIBRARY = {"cli._Parser.error"}
 
 
 def test_every_function_is_referenced():
-    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = {alias.asname or alias.name for node in ast.walk(init)
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
-    assert unreferenced_functions(sources, exported) == []
+    assert unreferenced_functions(sources) == []
     assert unread_methods(sources) == []
 
 
 def test_an_unreferenced_function_is_found():
     sources = {
         "a": "def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1)\n",
-        "b": "from .a import used\n\n\ndef exported():\n    return used()\n",
+        "b": "from .a import used\n\n\ndef caller():\n    return used()\n\n\nMAIN = caller\n",
     }
-    assert unreferenced_functions(sources, {"exported"}) == ["a.recursive"]
+    assert unreferenced_functions(sources) == ["a.recursive"]
+
+
+def test_a_re_exported_function_needs_a_reader():
+    # an import binds a name without reading it, so a re-export alone, as
+    # __init__.py makes, does not count
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": "def used():\n    return 1\n\n\ndef exported():\n    return used()\n",
+    }
+    assert unreferenced_functions(sources) == ["a.exported"]
 
 
 def test_an_unread_method_is_found():

@@ -5,7 +5,7 @@ kernels are checked against brute-force membership."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohint import (
@@ -41,6 +41,12 @@ def form_to_sympy(weight, xs):
     return sum(int(a) * x for a, x in zip(weight, xs))
 
 
+entries = st.one_of(st.integers(-4, 4),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=5))
+square_matrices = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(entries, min_size=n, max_size=n).map(tuple), min_size=n, max_size=n).map(tuple))
+
+
 class TestSeriesOracles:
     @pytest.mark.parametrize("key", ["gl2-cotangent", "trivial:sl3", "adjoint:gl3"])
     def test_det_expansion_matches_sympy(self, key):
@@ -55,6 +61,26 @@ class TestSeriesOracles:
             for j, c in enumerate(mine):
                 expected = theirs[j] if j < len(theirs) else 0
                 assert c == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices)
+    @example(())
+    @example(((0, 0), (0, 0)))
+    @example(((1, 2), (2, 4)))
+    @example(((1, 1), (0, 1)))
+    @example(((2, 0, 0), (0, Fraction(1, 2), 0), (0, 0, 1)))
+    @example(((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+    def test_det_expansion_of_any_matrix(self, m):
+        # singular (a zero row, proportional rows, a nilpotent shift) and
+        # infinite-order (a shear, a diagonal scaling) matrices among them
+        q = sympy.symbols("q")
+        n = len(m)
+        mat = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator)
+                                  for row in m for x in row])
+        theirs = sympy.Poly((sympy.eye(n) - q * mat).det(), q).all_coeffs()[::-1]
+        theirs += [0] * (n + 1 - len(theirs))
+        assert det_one_minus_q(m) == tuple(
+            Fraction(int(sympy.numer(c)), int(sympy.denom(c))) for c in theirs)
 
     @pytest.mark.parametrize("key", ["gl2-cotangent", "trivial:sl3"])
     def test_molien_series_matches_sympy(self, key):

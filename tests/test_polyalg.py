@@ -13,15 +13,17 @@ from cohint import (
     exact_divide,
     invariant_basis,
     kernel_sum,
+    integrality,
     once,
     orthogonal_complement,
     point_stabilizer_of,
     polyalg,
     rref_span,
+    set_stabilizer_of,
     substitute,
 )
 from cohint.catalog import GROUPS
-from cohint.matrices import dot, mat_vec
+from cohint.matrices import dot, identity, mat_mul, mat_vec
 from cohint.polyalg import (
     ExactDivisionError,
     coset_sum,
@@ -592,6 +594,46 @@ class TestRrefSpan:
         if outside:
             stray = Poly(nvars, {data.draw(st.sampled_from(outside)): 1})
             assert basis.coordinates(add(f, stray)) is None
+
+
+GL3 = enumerate_group(GROUPS["gl3"]["generators"], 3)
+
+
+class TestGradedBasisAction:
+    """GradedBasis.action on the spans of all monomials of degrees 2 and 3
+    in 3 variables under W(gl3), S3 permuting the variables: a 6- and a
+    10-dimensional space on which S3 acts faithfully, so the order of a
+    composition shows."""
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_composition_reverses_the_order(self, degree):
+        basis = rref_span((Poly.monomial(3, e) for e in monomials_of_degree(3, degree)),
+                          degree, 3)
+        assert basis.dim == len(monomials_of_degree(3, degree))
+        actions = {w: basis.action(w) for w in GL3.elements}
+        # rows hold image coordinates, so M_a M_b acts by action(M_b) action(M_a)
+        for a in GL3.elements:
+            for b in GL3.elements:
+                assert actions[mat_mul(a, b)] == mat_mul(actions[b], actions[a])
+        assert actions[identity(3)] == identity(basis.dim)
+        assert len(set(actions.values())) == GL3.order
+
+    def test_an_image_off_the_span_is_none(self):
+        # gl2-cotangent's stratum 1 is the line through (0, 1); its flat's
+        # dual is spanned by the forms isotypic_series restricts to, and the
+        # swap outside the set stabilizer moves it off itself
+        strat = build("gl2-cotangent")[1]
+        axis = strat.strata[1]
+        assert axis.flat == ((0, 1),)
+        forms = once(strat, integrality._flat_complement_forms, axis)
+        dual = rref_span(map(Poly.linear, forms), 1, 2)
+        inside = once(strat, set_stabilizer_of, axis.index).members
+        outside = [i for i in range(strat.weyl.order) if i not in inside]
+        assert outside
+        for i in outside:
+            assert dual.action(strat.weyl.elements[i]) is None
+        for i in inside:
+            assert dual.action(strat.weyl.elements[i]) is not None
 
 
 class TestInvariantBasis:
