@@ -9,9 +9,11 @@ C; they are the inner loops of the strata closure and of the group's action
 on weights.  Row reduction runs over primitive integer rows and divides once
 per pivot row at the end (see ``rref``).  ``hnf`` is the canonical basis of
 an integer row lattice, which names a flat; the strata closure reads each new
-flat off one HNF (see ``arrangement.enumerate_strata``).  The Molien
-determinant det(I - q m) of an integer matrix stays in ints; the series
-inverse uses Fractions.
+flat off one HNF (see ``arrangement.enumerate_strata``).  ``rref`` serves
+``nullspace``; graded polynomial spans are reduced on their own terms (see
+``polyalg.rref_span``).  The Molien determinant det(I - q m) of an integer
+matrix stays in ints, and so does its series inverse (see
+``weyl.molien_coefficients``).
 """
 
 from __future__ import annotations
@@ -162,14 +164,3 @@ def det_one_minus_q(m: Sequence[Sequence]) -> tuple[int | Fraction, ...]:
             a = mat_mul(m, [[x + d[k] if i == j else x for j, x in enumerate(row)]
                             for i, row in enumerate(a)])
     return tuple(d)
-
-
-def series_inverse(d: Sequence[Fraction], cutoff: int) -> tuple[Fraction, ...]:
-    """Power series coefficients of 1/d(q) through q^cutoff; needs d[0] != 0."""
-    inv = [Fraction(1) / Fraction(d[0])]
-    for k in range(1, cutoff + 1):
-        s = Fraction(0)
-        for j in range(1, min(k, len(d) - 1) + 1):
-            s += Fraction(d[j]) * inv[k - j]
-        inv.append(-s * inv[0])
-    return tuple(inv)

@@ -20,12 +20,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, ray
-from .matrices import IntMatrix, QMatrix, mat_vec, nullspace, quotient, rref
+from .matrices import IntMatrix, QMatrix, mat_vec, nullspace, quotient
 from .weyl import Subgroup
 
 Exponents = tuple[int, ...]
@@ -95,8 +95,11 @@ class Poly:
         return max(self.terms) >> B * self.nvars if self.terms else -1
 
     def is_homogeneous(self, p: int) -> bool:
+        """Whether every term has degree p: the keys of degree p are those
+        from p << B*n up to (p + 1) << B*n."""
         shift = B * self.nvars
-        return all(e >> shift == p for e in self.terms)
+        return not self.terms or (
+            p << shift <= min(self.terms) and max(self.terms) < (p + 1) << shift)
 
     def coefficient_vector(self, monomials: Sequence[int]) -> tuple[Coefficient, ...]:
         return tuple(self.terms.get(m, 0) for m in monomials)
@@ -175,14 +178,18 @@ def monomials_of_degree(nvars: int, p: int) -> tuple[Exponents, ...]:
 
 def power_products(forms: Sequence[Sequence], d: int, nvars: int) -> Iterator[Poly]:
     """The products prod_i forms[i]^e_i of the linear forms over the exponents
-    e of total degree d, in the order of monomials_of_degree(len(forms), d)."""
-    linear = [Poly.linear(u) for u in forms]
+    e of total degree d, in the order of monomials_of_degree(len(forms), d).
+    Each power forms[i]^k is built once per call, as forms[i]^(k-1) times
+    forms[i], when an exponent first asks for it."""
+    powers = [[Poly.linear(u)] for u in forms]
     for exps in monomials_of_degree(len(forms), d):
-        mono = Poly.constant(nvars, 1)
-        for form, k in zip(linear, exps):
+        mono = None
+        for column, k in zip(powers, exps):
             if k:
-                mono = mono * form ** k
-        yield mono
+                while len(column) < k:
+                    column.append(column[-1] * column[0])
+                mono = column[k - 1] if mono is None else mono * column[k - 1]
+        yield Poly.constant(nvars, 1) if mono is None else mono
 
 
 @cache
@@ -432,20 +439,79 @@ class GradedBasis:
 
 
 def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
-    """Row-reduced span of homogeneous polynomials of the given degree.  The
-    one place a polynomial becomes a vector: the coefficient vectors over the
-    monomials the polynomials contain, in descending order, are reduced by
-    matrices.rref, and each reduced row becomes a polynomial again."""
-    polys = [f for f in vectors if not f.is_zero()]
-    for f in polys:
+    """Row-reduced span of homogeneous polynomials of the given degree,
+    eliminated on each polynomial's own terms, fraction-free as in
+    matrices.rref.  Each polynomial is cleared to a primitive integer dict
+    whose leading (largest-key) coefficient is positive, and dropped when an
+    equal dict came before it: orbit sums repeat.  The rest is reduced at its
+    leading key by the kept row with that pivot (see _eliminate) until that
+    key is no pivot, and kept.  Then each kept row is reduced at the smaller
+    pivots it holds, smallest pivot first, so that every row it is reduced
+    by is final, and divided once by its pivot (matrices.quotient).  The
+    reduced row echelon form over Q is unique, so the rows and pivots are
+    those of elimination over dense vectors."""
+    kept: dict[int, dict[int, int]] = {}
+    seen: set[frozenset] = set()
+    for f in vectors:
+        if not f.terms:
+            continue
         if not f.is_homogeneous(degree):
+            bad = next(m >> B * nvars for m in f.terms if m >> B * nvars != degree)
             raise InputError(
-                f"expected a homogeneous polynomial of degree {degree}, got degree {f.degree}"
+                f"expected a homogeneous polynomial of degree {degree}, got a term of degree {bad}"
             )
-    monos = tuple(sorted(set().union(*(f.terms for f in polys)), reverse=True))
-    reduced, pivots = rref([f.coefficient_vector(monos) for f in polys], len(monos))
-    rows = tuple(Poly(nvars, {m: c for m, c in zip(monos, row) if c}) for row in reduced)
-    return GradedBasis(nvars, degree, rows, tuple(monos[c] for c in pivots))
+        d = lcm(*(c.denominator for c in f.terms.values()))
+        row = {m: c.numerator * (d // c.denominator) for m, c in f.terms.items()}
+        g = gcd(*row.values())
+        if row[max(row)] < 0:
+            g = -g
+        if g != 1:
+            row = {m: c // g for m, c in row.items()}
+        key = frozenset(row.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        while row:
+            lead = max(row)
+            top = kept.get(lead)
+            if top is None:
+                kept[lead] = row
+                break
+            row = _eliminate(row, top, lead)
+    pivots = sorted(kept)
+    for pivot in pivots:
+        row = kept[pivot]
+        for m in [m for m in row if m != pivot and m in kept]:
+            row = _eliminate(row, kept[m], m)
+        kept[pivot] = row
+    pivots.reverse()
+    rows = []
+    for pivot in pivots:
+        row = kept[pivot]
+        p = row[pivot]
+        rows.append(Poly(nvars, {m: row[m] if p == 1 else quotient(row[m], p)
+                                 for m in sorted(row, reverse=True)}))
+    return GradedBasis(nvars, degree, tuple(rows), tuple(pivots))
+
+
+def _eliminate(row: dict[int, int], top: dict[int, int], m: int) -> dict[int, int]:
+    """(p * row - a * top) / gcd, with p and a the coefficients of top and
+    row at m over their gcd, and gcd the content of the result: a primitive
+    integer row without the key m, empty when row was a multiple of top.
+    row itself may be updated in place."""
+    p, a = top[m], row[m]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    if p != 1:
+        row = {k: p * c for k, c in row.items()}
+    for k, c in top.items():
+        v = row.get(k, 0) - a * c
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    return {k: c // g for k, c in row.items()} if g > 1 else row
 
 
 def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Sequence
 
@@ -19,7 +20,6 @@ from .matrices import (
     identity,
     mat_mul,
     mat_vec,
-    series_inverse,
 )
 
 
@@ -239,16 +239,31 @@ def molien_coefficients(
     elements: Sequence[tuple[Sequence[Sequence], Sequence]], cutoff: int
 ) -> tuple[Fraction, ...]:
     """Series coefficients of (1/N) sum_i P_i(q) / det(I - q M_i) through
-    q^cutoff, for pairs (M_i, coefficients of the polynomial P_i)."""
+    q^cutoff, for pairs (M_i, coefficients of the polynomial P_i): a sum over
+    characteristic polynomials (Sturmfels, Algorithms in Invariant Theory,
+    2.2), so the numerators of the elements that share det(I - q M) are
+    added first, cleared to ints by one lcm L of their denominators.  Each
+    determinant's series is inverted without a division: its constant term
+    is 1, so inv_0 = 1 and inv_k = -sum_{j >= 1} d_j inv_{k-j}, in ints for
+    an integer characteristic polynomial (see det_one_minus_q).  Coefficient
+    p is one Fraction(total_p, N * L)."""
     n = len(elements)
     if n == 0:
         raise InputError("molien_coefficients needs at least one element")
-    total = [Fraction(0)] * (cutoff + 1)
+    scale = lcm(*(s.denominator for _, numerator in elements for s in numerator))
+    numerators: dict[tuple, list] = {}
     for matrix, numerator in elements:
-        inv = series_inverse(det_one_minus_q(matrix), cutoff)
+        acc = numerators.setdefault(det_one_minus_q(matrix), [0] * (cutoff + 1))
+        for a, s in enumerate(numerator[:cutoff + 1]):
+            if s:
+                acc[a] += s.numerator * (scale // s.denominator)
+    total = [0] * (cutoff + 1)
+    for d, numerator in numerators.items():
+        inv = [1]
+        for k in range(1, cutoff + 1):
+            inv.append(-sum(d[j] * inv[k - j] for j in range(1, min(k, len(d) - 1) + 1)))
         for a, s in enumerate(numerator):
             if s:
                 for p in range(a, cutoff + 1):
                     total[p] += s * inv[p - a]
-    scale = Fraction(1, n)
-    return tuple(x * scale for x in total)
+    return tuple(Fraction(t, n * scale) for t in total)

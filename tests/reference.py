@@ -8,8 +8,9 @@ whole group as a subgroup of itself, values of polynomials and kernel forms
 at rational points, generic points that avoid a set of weight hyperplanes,
 the inner product of two polynomials under a symmetric form computed term by
 term, sums and multiples of polynomials, products and substitutions over
-exponent tuples, row reduction over every monomial of a degree, and the
-associativity ledger's rows chain by chain."""
+exponent tuples, row reduction over every monomial of a degree, the
+associativity ledger's rows chain by chain, and the Molien sum one element
+at a time over Fractions."""
 
 from __future__ import annotations
 
@@ -21,7 +22,16 @@ from cohint import integrality
 from cohint.arrangement import align_representative, with_representative
 from cohint.errors import InternalCheckError
 from cohint.lattice import Cocharacter, NumericInvariants, WeightMultiset
-from cohint.matrices import IntMatrix, QMatrix, dot, hnf, identity, mat_vec, rref
+from cohint.matrices import (
+    IntMatrix,
+    QMatrix,
+    det_one_minus_q,
+    dot,
+    hnf,
+    identity,
+    mat_vec,
+    rref,
+)
 from cohint.polyalg import Poly, monomials_of_degree, pack, substitute, unpack
 from cohint.weyl import Subgroup, WeylGroup, point_stabilizer
 
@@ -281,3 +291,31 @@ def rref_all_monomials(vectors, degree: int, nvars: int) -> tuple:
     monomials = sorted((pack(e) for e in monomials_of_degree(nvars, degree)), reverse=True)
     rows, _ = rref([f.coefficient_vector(monomials) for f in vectors], len(monomials))
     return tuple(Poly(nvars, {m: c for m, c in zip(monomials, row) if c}) for row in rows)
+
+
+def series_inverse(d, cutoff: int) -> tuple[Fraction, ...]:
+    """Power series coefficients of 1/d(q) through q^cutoff over Fractions;
+    needs d[0] != 0."""
+    inv = [Fraction(1) / Fraction(d[0])]
+    for k in range(1, cutoff + 1):
+        s = Fraction(0)
+        for j in range(1, min(k, len(d) - 1) + 1):
+            s += Fraction(d[j]) * inv[k - j]
+        inv.append(-s * inv[0])
+    return tuple(inv)
+
+
+def molien_fractions(elements, cutoff: int) -> tuple[Fraction, ...]:
+    """Series coefficients of (1/N) sum_i P_i(q) / det(I - q M_i) through
+    q^cutoff, for pairs (M_i, coefficients of P_i), one element at a time:
+    each element's det(I - q M_i) is inverted by series_inverse and its
+    numerator added in, all over Fractions."""
+    total = [Fraction(0)] * (cutoff + 1)
+    for matrix, numerator in elements:
+        inv = series_inverse(det_one_minus_q(matrix), cutoff)
+        for a, s in enumerate(numerator):
+            if s:
+                for p in range(a, cutoff + 1):
+                    total[p] += s * inv[p - a]
+    scale = Fraction(1, len(elements))
+    return tuple(x * scale for x in total)

@@ -35,6 +35,7 @@ from reference import (
     full_subgroup,
     generic_points,
     int_inverse,
+    molien_fractions,
     restrict_action,
     scaled,
     subtract,
@@ -712,6 +713,28 @@ class TestIsotypicSeries:
                     [Fraction(t) / eps[idx] for t in space.traces[idx]],
                 ))
             assert I.isotypic_series(strat, space, eps, 6) == molien_coefficients(elements, 6), s
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_molien_sum_matches_the_fraction_route(self, key, monkeypatch):
+        """The restricted isotypic inputs, rational matrices with Fraction
+        numerators, give the series of the Molien sum taken one element at a
+        time over Fractions."""
+        strat = build(key)[1]
+        seen = []
+
+        def recorded(elements, cutoff):
+            seen.append((elements, cutoff))
+            return molien_coefficients(elements, cutoff)
+
+        monkeypatch.setattr(I, "molien_coefficients", recorded)
+        for s, space in bps_spaces(key).items():
+            I.isotypic_series(strat, space, I.once(strat, I.epsilon, strat.strata[s]), 8)
+        assert seen
+        for elements, cutoff in seen:
+            assert all(isinstance(t, Fraction) for _, numerator in elements for t in numerator)
+            series = molien_coefficients(elements, cutoff)
+            assert series == molien_fractions(elements, cutoff)
+            assert all(isinstance(c, Fraction) for c in series)
 
 
 class TestMemoTraffic:

@@ -559,7 +559,8 @@ class TestRrefSpan:
         assert basis.dim == 2
 
     def test_inhomogeneous_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^expected a homogeneous polynomial of degree 1, "
+                                             "got a term of degree 0$"):
             rref_span([add(x(0), Poly.constant(2, 1))], 1, 2)
 
     def test_coordinates_roundtrip(self):
@@ -579,6 +580,26 @@ class TestRrefSpan:
         assert basis.dim == len(expected)
         support = set().union(*(g.terms for g in basis.rows))
         assert support == set().union(*(f.terms for f in polys))
+
+    @given(homogeneous_polys(), st.data())
+    def test_copies_and_zeros_change_nothing(self, case, data):
+        """Repeated, negated, int-scaled and Fraction-scaled copies, with zero
+        polynomials between them, reduce to the rows and pivots of the
+        reduction over every monomial."""
+        nvars, degree, polys = case
+        scales = st.sampled_from([1, -1]) | st.integers(-6, 6) | st.fractions(
+            min_value=-5, max_value=5, max_denominator=9)
+        copies = data.draw(st.lists(st.tuples(st.integers(0, max(len(polys) - 1, 0)), scales),
+                                    max_size=12))
+        vectors = list(polys)
+        for i, c in copies:
+            vectors.append(scaled(polys[i], c) if polys else Poly.constant(nvars, 0))
+        vectors = data.draw(st.permutations(vectors))
+        basis = rref_span(vectors, degree, nvars)
+        expected = rref_all_monomials(vectors, degree, nvars)
+        assert basis.rows == expected
+        assert basis.pivots == tuple(max(g.terms) for g in expected)
+        assert basis.rows == rref_span(polys, degree, nvars).rows
 
     @given(homogeneous_polys(), st.data())
     def test_coordinates_inside_and_outside_the_support(self, case, data):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohint import (
     InputError,
@@ -19,7 +21,13 @@ from cohint.documents import document_from_dict
 from cohint.matrices import identity, mat_mul, mat_vec
 
 from conftest import CATALOG_INSTANCES, build, gl_document
-from reference import full_subgroup, int_inverse, restrict_action, transpose
+from reference import (
+    full_subgroup,
+    int_inverse,
+    molien_fractions,
+    restrict_action,
+    transpose,
+)
 
 SWAP = ((0, 1), (1, 0))
 
@@ -457,3 +465,22 @@ class TestMolien:
             series = molien_coefficients(elements, 4)
             for p in range(5):
                 assert series[p] == invariant_basis(h, p, basis).dim
+
+    @pytest.mark.parametrize("key", CATALOG_INSTANCES)
+    def test_target_series_matches_the_fraction_route(self, key):
+        weyl = build(key)[1].weyl
+        elements = [(w, (1,)) for w in weyl.elements]
+        series = molien_coefficients(elements, 16)
+        assert series == molien_fractions(elements, 16)
+        assert all(isinstance(c, Fraction) for c in series)
+
+    @given(st.sampled_from(["adjoint:gl3", "adjoint:sl3", "gl2-cotangent"]),
+           st.lists(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7),
+                             max_size=4), min_size=1, max_size=6),
+           st.integers(0, 6))
+    def test_fraction_numerators_match_the_fraction_route(self, key, numerators, cutoff):
+        # numerators longer than the cutoff, zero ones, and elements with
+        # one determinant and different numerators
+        weyl = build(key)[1].weyl
+        elements = [(w, numerators[i % len(numerators)]) for i, w in enumerate(weyl.elements)]
+        assert molien_coefficients(elements, cutoff) == molien_fractions(elements, cutoff)
