@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -37,11 +37,12 @@ def _q(value):
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _plain(fields) -> dict:
-    """dict_factory for asdict: a Fraction as _q, a tuple as a list."""
+def _plain(row) -> dict:
+    """A ledger row's fields as a dict: a Fraction as _q, a tuple as a list."""
+    values = ((f.name, getattr(row, f.name)) for f in fields(row))
     return {
         k: _q(v) if isinstance(v, Fraction) else list(v) if isinstance(v, tuple) else v
-        for k, v in fields
+        for k, v in values
     }
 
 
@@ -105,7 +106,7 @@ def _verify_section(strat: Stratification, max_degree: int) -> tuple[dict, bool]
         "associativity": integrality.verify_associativity(strat),
     }
     section = {
-        name: [asdict(row, dict_factory=_plain) for row in ledger.rows]
+        name: [_plain(row) for row in ledger.rows]
         for name, ledger in ledgers.items()
     }
     section.update((f"{name}_passed", ledger.passed) for name, ledger in ledgers.items())

@@ -20,7 +20,7 @@ from .arrangement import (
 )
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, ray
-from .matrices import dot, mat_vec, nullspace
+from .matrices import dot, mat_vec, nullspace, primitive
 from .polyalg import (
     GradedBasis,
     KernelForm,
@@ -171,36 +171,30 @@ def _reflections(strat: Stratification, h: Subgroup) -> int:
     return sum(reflection_ray(w) is not None for w in h.elements())
 
 
-def _cleared(f: Poly) -> Poly:
-    """f rescaled to a primitive integer polynomial, by lattice.ray on its
-    coefficients, so that products of it run over ints."""
-    key, _ = ray(tuple(f.terms.values()))
-    return Poly(f.nvars, dict(zip(f.terms, key)))
-
-
 def _basic_invariants(strat: Stratification, levi: Subgroup, e: int, u_basis) -> tuple[Poly, ...]:
     """The basic invariants of degree e of levi acting on Sym(U), U the span
-    of u_basis, each cleared: the rows of the degree-e invariants outside the
-    span of the products of lower-degree ones, each row tested by
-    coordinates on the running span.  The lower ones generate every
-    invariant of degree below e, so their products of degree e span the sum
-    of theta * Sym^{e - deg theta}(U)^levi.  Once there are rank U of them
-    there are no more (Chevalley; see j_graded), and nothing is built.  As a
-    builder for once."""
+    of u_basis, each cleared to a primitive integer polynomial
+    (matrices.primitive) so that products of it run over ints: the rows of
+    the degree-e invariants outside the span of the products of lower-degree
+    ones, each row tested by coordinates on the running span.  The lower
+    ones generate every invariant of degree below e, so their products of
+    degree e span the sum of theta * Sym^{e - deg theta}(U)^levi.  Once
+    there are rank U of them there are no more (Chevalley; see j_graded),
+    and nothing is built.  As a builder for once."""
     lower = [(d, theta) for d in range(1, e)
              for theta in once(strat, _basic_invariants, levi, d, u_basis)]
     if e < 1 or len(lower) == len(u_basis):
         return ()
     n = strat.document.rank
     ambient = once(strat, _invariants, levi, e, u_basis)
-    span = rref_span((theta * _cleared(f) for d, theta in lower
+    span = rref_span((theta * Poly(n, primitive(f.terms)) for d, theta in lower
                       for f in once(strat, _invariants, levi, e - d, u_basis).rows), e, n)
     basic = []
     for row in ambient.rows:
         if span.dim == ambient.dim:
             break
         if span.coordinates(row) is None:
-            basic.append(_cleared(row))
+            basic.append(Poly(n, primitive(row.terms)))
             span = rref_span((*span.rows, row), e, n)
     return tuple(basic)
 
@@ -292,7 +286,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     if skipped:
         for e in range(1, p + 1):
             for theta in once(strat, _basic_invariants, levi, e, u_basis):
-                generators.extend(theta * _cleared(r)
+                generators.extend(theta * Poly(r.nvars, primitive(r.terms))
                                   for r in once(strat, j_graded, stratum, p - e).rows)
     return rref_span(generators, p, strat.document.rank)
 

@@ -20,12 +20,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalCheckError
 from .lattice import Weight, ray
-from .matrices import IntMatrix, QMatrix, mat_vec, nullspace, quotient
+from .matrices import IntMatrix, QMatrix, echelon, mat_vec, nullspace, quotient
 from .weyl import Subgroup
 
 Exponents = tuple[int, ...]
@@ -123,17 +123,6 @@ class Poly:
                 f"a product of degrees {self.degree} and {other.degree} overflows"
                 f" the {B}-bit exponent fields")
         return Poly(self.nvars, acc)
-
-    def __pow__(self, k: int) -> "Poly":
-        result = Poly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def __eq__(self, other) -> bool:
         return (
@@ -439,79 +428,23 @@ class GradedBasis:
 
 
 def rref_span(vectors: Iterable[Poly], degree: int, nvars: int) -> GradedBasis:
-    """Row-reduced span of homogeneous polynomials of the given degree,
-    eliminated on each polynomial's own terms, fraction-free as in
-    matrices.rref.  Each polynomial is cleared to a primitive integer dict
-    whose leading (largest-key) coefficient is positive, and dropped when an
-    equal dict came before it: orbit sums repeat.  The rest is reduced at its
-    leading key by the kept row with that pivot (see _eliminate) until that
-    key is no pivot, and kept.  Then each kept row is reduced at the smaller
-    pivots it holds, smallest pivot first, so that every row it is reduced
-    by is final, and divided once by its pivot (matrices.quotient).  The
-    reduced row echelon form over Q is unique, so the rows and pivots are
-    those of elimination over dense vectors."""
-    kept: dict[int, dict[int, int]] = {}
-    seen: set[frozenset] = set()
-    for f in vectors:
-        if not f.terms:
-            continue
-        if not f.is_homogeneous(degree):
-            bad = next(m >> B * nvars for m in f.terms if m >> B * nvars != degree)
-            raise InputError(
-                f"expected a homogeneous polynomial of degree {degree}, got a term of degree {bad}"
-            )
-        d = lcm(*(c.denominator for c in f.terms.values()))
-        row = {m: c.numerator * (d // c.denominator) for m, c in f.terms.items()}
-        g = gcd(*row.values())
-        if row[max(row)] < 0:
-            g = -g
-        if g != 1:
-            row = {m: c // g for m, c in row.items()}
-        key = frozenset(row.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        while row:
-            lead = max(row)
-            top = kept.get(lead)
-            if top is None:
-                kept[lead] = row
-                break
-            row = _eliminate(row, top, lead)
-    pivots = sorted(kept)
-    for pivot in pivots:
-        row = kept[pivot]
-        for m in [m for m in row if m != pivot and m in kept]:
-            row = _eliminate(row, kept[m], m)
-        kept[pivot] = row
-    pivots.reverse()
-    rows = []
-    for pivot in pivots:
-        row = kept[pivot]
-        p = row[pivot]
-        rows.append(Poly(nvars, {m: row[m] if p == 1 else quotient(row[m], p)
-                                 for m in sorted(row, reverse=True)}))
-    return GradedBasis(nvars, degree, tuple(rows), tuple(pivots))
+    """Row-reduced span of homogeneous polynomials of the given degree: the
+    polynomials' own term dicts go to matrices.echelon, so no polynomial
+    becomes a dense vector, and a repeated one, such as a repeated orbit
+    sum, is dropped there.  The reduced rows come back as Polys with their
+    pivot keys."""
 
+    def terms() -> Iterator[dict[int, Coefficient]]:
+        for f in vectors:
+            if not f.is_homogeneous(degree):
+                bad = next(m >> B * nvars for m in f.terms if m >> B * nvars != degree)
+                raise InputError(f"expected a homogeneous polynomial of degree {degree}, "
+                                 f"got a term of degree {bad}")
+            yield f.terms
 
-def _eliminate(row: dict[int, int], top: dict[int, int], m: int) -> dict[int, int]:
-    """(p * row - a * top) / gcd, with p and a the coefficients of top and
-    row at m over their gcd, and gcd the content of the result: a primitive
-    integer row without the key m, empty when row was a multiple of top.
-    row itself may be updated in place."""
-    p, a = top[m], row[m]
-    g = gcd(p, a)
-    p, a = p // g, a // g
-    if p != 1:
-        row = {k: p * c for k, c in row.items()}
-    for k, c in top.items():
-        v = row.get(k, 0) - a * c
-        if v:
-            row[k] = v
-        else:
-            del row[k]
-    g = gcd(*row.values())
-    return {k: c // g for k, c in row.items()} if g > 1 else row
+    reduced = echelon(terms())
+    return GradedBasis(nvars, degree, tuple(Poly(nvars, row) for _, row in reduced),
+                       tuple(pivot for pivot, _ in reduced))
 
 
 def invariant_basis(h: Subgroup, p: int, forms: Sequence[Weight]) -> GradedBasis:

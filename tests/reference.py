@@ -210,6 +210,18 @@ def subtract(f: Poly, g: Poly) -> Poly:
     return add(f, scaled(g, -1))
 
 
+def power(f: Poly, k: int) -> Poly:
+    """f^k by repeated squaring, with no square beyond the last one needed."""
+    result = Poly.constant(f.nvars, 1)
+    while k:
+        if k & 1:
+            result = result * f
+        k >>= 1
+        if k:
+            f = f * f
+    return result
+
+
 def exponent_terms(f) -> dict:
     """The terms of f keyed by exponent tuples."""
     return {unpack(e, f.nvars): c for e, c in f.terms.items()}
@@ -291,6 +303,27 @@ def rref_all_monomials(vectors, degree: int, nvars: int) -> tuple:
     monomials = sorted((pack(e) for e in monomials_of_degree(nvars, degree)), reverse=True)
     rows, _ = rref([f.coefficient_vector(monomials) for f in vectors], len(monomials))
     return tuple(Poly(nvars, {m: c for m, c in zip(monomials, row) if c}) for row in rows)
+
+
+def gauss_jordan(rows, ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Textbook Gauss-Jordan elimination over Fractions, pivots sought in the
+    first ncols columns: (nonzero reduced rows, pivot columns).  Each pivot
+    row is divided by its pivot, and its multiples clear the pivot column in
+    every other row."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if i is None:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for j, row in enumerate(mat):
+            if j != r and row[c]:
+                mat[j] = [x - row[c] * y for x, y in zip(row, mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], tuple(pivots)
 
 
 def series_inverse(d, cutoff: int) -> tuple[Fraction, ...]:

@@ -36,6 +36,7 @@ from reference import (
     generic_points,
     int_inverse,
     molien_fractions,
+    power,
     restrict_action,
     scaled,
     subtract,
@@ -159,7 +160,7 @@ class TestInduct:
         x_axis = next(s for s in torus_strat.strata if s.flat == ((1, 0),))
         x_axis = with_representative(torus_strat, x_axis, (-1, 0))
         generic = with_representative(torus_strat, torus_strat.strata[0], (-1, -1))
-        f = add(x(0) ** 2, x(1))
+        f = add(power(x(0), 2), x(1))
         assert I.induct(torus_strat, f, x_axis, torus_strat.top) == x(0) * f
         assert I.induct(torus_strat, f, generic, torus_strat.top) == x(0) * x(1) * f
         assert I.induct(torus_strat, f, generic, x_axis) == x(1) * f
@@ -234,7 +235,7 @@ class TestInduct:
     def test_evaluation_oracle(self, gl2_strat):
         generic = gl2_strat.strata[0]
         form = I.kernel(gl2_strat, generic, gl2_strat.top)
-        f = x(0) ** 2
+        f = power(x(0), 2)
         out = I.induct(gl2_strat, f, generic, gl2_strat.top)
         for pt in generic_points(gl2_strat.all_supports(), 2, 5):
             direct = Fraction(0)
@@ -456,7 +457,7 @@ def product_of_powers(forms, exps, n):
     mono = Poly.constant(n, 1)
     for i, k in enumerate(exps):
         if k:
-            mono = mono * forms[i] ** k
+            mono = mono * power(forms[i], k)
     return mono
 
 

@@ -1,6 +1,8 @@
-"""Row reduction over Q: rref against sympy's, the narrow pivot range that
-int_inverse uses, int-or-Fraction entries, and the nullspace and
-reference.solve_combination round trips built on rref."""
+"""Row reduction over Q: rref against sympy's and against a Gauss-Jordan
+elimination over Fractions, echelon's sparse rows, ride-along keys and
+clearing, the narrow pivot range that int_inverse uses, int-or-Fraction
+entries, and the nullspace and reference.solve_combination round trips built
+on rref."""
 
 from fractions import Fraction
 
@@ -8,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohint.matrices import identity, mat_mul, nullspace, rref
+from cohint.matrices import echelon, identity, mat_mul, nullspace, primitive, rref
 
-from reference import int_inverse, solve_combination
+from reference import gauss_jordan, int_inverse, solve_combination
 
 try:
     import sympy
@@ -74,6 +76,15 @@ class TestRref:
         assert [list(row) for row in reduced] == expected
 
     @given(matrices())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_gauss_jordan(self, data):
+        rows, width = data
+        reduced, pivots = rref(rows, width)
+        expected, expected_pivots = gauss_jordan(rows, width)
+        assert pivots == expected_pivots
+        assert [list(row) for row in reduced] == expected
+
+    @given(matrices())
     @settings(max_examples=80, deadline=None)
     def test_entries_are_ints_exactly_when_integral(self, data):
         rows, width = data
@@ -96,6 +107,24 @@ class TestRref:
     def test_rows_of_fractions_are_cleared(self):
         reduced, pivots = rref([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 1]], 2)
         assert (reduced, pivots) == (((1, 0), (0, 1)), (0, 1))
+
+
+class TestEchelon:
+    def test_sparse_rows_by_largest_key(self):
+        rows = [{9: 2, 4: 3}, {4: Fraction(1, 2), 0: 1}, {9: -4, 4: -6}, {}]
+        assert echelon(rows) == [(9, {9: 1, 0: -3}), (4, {4: 1, 0: 2})]
+        assert echelon([]) == []
+
+    def test_keys_below_floor_ride_along(self):
+        rows = [{5: 2, 1: 3}, {5: 4, 1: 6, 0: 1}, {0: 7}]
+        assert echelon(rows, floor=1) == [(5, {5: 1, 1: Fraction(3, 2)})]
+        assert echelon(rows, floor=6) == []
+
+    def test_primitive_has_a_positive_leading_coefficient(self):
+        assert primitive({3: Fraction(-1, 2), 1: Fraction(1, 3)}) == {3: 3, 1: -2}
+        assert primitive({2: 4, 7: -6}) == {2: -2, 7: 3}
+        assert primitive({0: Fraction(5, 7)}) == {0: 1}
+        assert all(type(c) is int for c in primitive({1: Fraction(2, 3), 0: 4}).values())
 
 
 class TestNarrowPivotRange:

@@ -24,7 +24,7 @@ from cohint.polyalg import coset_sum, invariant_basis, monomials_of_degree, orbi
 from cohint.weyl import coset_representatives, point_stabilizer
 
 from conftest import build, is_monomial_matrix
-from reference import add, full_subgroup, int_kernel, scaled, solve_combination
+from reference import add, full_subgroup, int_kernel, power, scaled, solve_combination
 
 sympy = pytest.importorskip("sympy")
 
@@ -179,7 +179,7 @@ class TestKernelSumOracle:
         assert data.denominator == 6
         assert {m for *_, m in data.terms} == {1, -1}
         xs = sympy.symbols("x1 x2 x3")
-        for f in (Poly.linear((1, 2, 0)) ** 2,
+        for f in (power(Poly.linear((1, 2, 0)), 2),
                   Poly.linear((Fraction(1, 2), 0, -3)) * Poly.linear((1, 1, 1))):
             mine = to_sympy(kernel_sum(f, k, s3.elements), xs)
             assert sympy.expand(sympy_kernel_sum(f, k, s3.elements, xs) - mine) == 0
