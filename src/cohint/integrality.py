@@ -88,36 +88,41 @@ def kernel(strat: Stratification, mu: Stratum, target: Stratum) -> KernelForm:
 
 
 def _induction_data(strat: Stratification, mu: Stratum, target: Stratum):
-    """The source stabilizer H inside the target's, the kernel form of the
-    induction from the class of mu, and the CosetSum of that kernel over the
-    coset representatives of H, which every kernel sum of this induction
-    shares."""
+    """(H, W_target, kernel form), all an induction from the class of mu into
+    the target depends on; H is the part of W_target fixing mu's rep."""
     w_target = once(strat, point_stabilizer_of, target.index)
-    h = point_stabilizer(w_target, mu.rep)
-    form = once(strat, kernel, mu, target)
-    return h, form, coset_sum(form, coset_representatives(h, w_target))
+    return point_stabilizer(w_target, mu.rep), w_target, once(strat, kernel, mu, target)
 
 
-def _induced(f: Poly, form: KernelForm, sums, mu: Stratum, target: Stratum) -> Poly:
-    """kernel_sum of f over the kernel form and CosetSum of the induction of
-    mu into the target; a sum that is not polynomial names the two strata."""
-    try:
-        return kernel_sum(f, form, sums)
-    except InternalCheckError as exc:
-        raise InternalCheckError(
-            f"induction from stratum {mu.index} into stratum {target.index}: {exc}"
-        ) from exc
+def _coset_sum(strat: Stratification, form: KernelForm, h: Subgroup, w_target: Subgroup):
+    """The CosetSum of the kernel form over the coset representatives of H in
+    W_target, shared by every kernel sum over that triple; a once builder."""
+    return coset_sum(form, coset_representatives(h, w_target))
+
+
+def _induction(strat: Stratification, f: Poly, h: Subgroup, w_target: Subgroup,
+               form: KernelForm) -> Poly:
+    """The sum of w(f * form) over the cosets w of H in W_target for an
+    H-invariant f, over that triple's CosetSum; once keeps it only for induct."""
+    for w in h.elements():
+        if substitute(w, f) != f:
+            raise InputError("induction input must be invariant under the source stabilizer")
+    return kernel_sum(f, form, once(strat, _coset_sum, form, h, w_target))
+
+
+def _named(exc: InternalCheckError, mu: Stratum, target: Stratum) -> InternalCheckError:
+    """A non-polynomial kernel sum, named by the strata of its induction."""
+    return InternalCheckError(f"induction from stratum {mu.index} into stratum {target.index}: {exc}")
 
 
 def induct(strat: Stratification, f: Poly, mu: Stratum, target: Stratum) -> Poly:
-    """Coset-sum induction of f from the class of mu into the target."""
-    h, form, sums = once(strat, _induction_data, mu, target)
-    for w in h.elements():
-        if substitute(w, f) != f:
-            raise InputError(
-                "induction input must be invariant under the source stabilizer"
-            )
-    return _induced(f, form, sums, mu, target)
+    """Coset-sum induction of f from the class of mu into the target, kept by
+    once under (f, *_induction_data) for the associativity ledger's chains."""
+    data = once(strat, _induction_data, mu, target)
+    try:
+        return once(strat, _induction, f, *data)
+    except InternalCheckError as exc:
+        raise _named(exc, mu, target) from exc
 
 
 def _factored(form: KernelForm) -> tuple[dict[Weight, int], Fraction]:
@@ -205,7 +210,7 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     H-invariants f of Sym(U_lambda), over the strata mu that lambda covers.
     Here k_{mu->lambda} is the kernel, W_lambda the point stabilizer, H its
     intersection with the stabilizer of mu's representative, and U_lambda the
-    reduced variables; the cosets and kernel are those of induct.
+    reduced variables; each generator is an _induction, not kept beyond J_p.
 
     This is the span of sum_{w in W_lambda} w(f * k_{mu->lambda}) over all
     f in Sym(U_lambda) and every mu below lambda:
@@ -265,24 +270,25 @@ def j_graded(strat: Stratification, stratum: Stratum, p: int) -> GradedBasis:
     reflections = once(strat, _reflections, levi)
     covers = []
     for j in strat.covers[stratum.index]:
-        h, form, sums = once(strat, _induction_data, strat.strata[j], stratum)
+        h, w_target, form = once(strat, _induction_data, strat.strata[j], stratum)
         if h.order != once(strat, point_stabilizer_of, j).order:
             raise InternalCheckError(f"the point stabilizer of stratum {j} is not inside that "
                                      f"of stratum {stratum.index}, which covers it")
-        covers.append((strat.strata[j], h, form, sums))
+        covers.append((strat.strata[j], h, w_target, form))
     generators = []
     skipped = False
-    for mu, h, form, sums in covers:
+    for mu, h, w_target, form in covers:
         q = p - form.degree
         if q < 0:
             continue
         if q > reflections - once(strat, _reflections, h):
             skipped = True
             continue
-        generators.extend(
-            _induced(f, form, sums, mu, stratum)
-            for f in once(strat, _invariants, h, q, u_basis).rows
-        )
+        invariants = once(strat, _invariants, h, q, u_basis).rows
+        try:
+            generators.extend(_induction(strat, f, h, w_target, form) for f in invariants)
+        except InternalCheckError as exc:
+            raise _named(exc, mu, stratum) from exc
     if skipped:
         for e in range(1, p + 1):
             for theta in once(strat, _basic_invariants, levi, e, u_basis):
@@ -476,8 +482,11 @@ def verify_isomorphism(strat: Stratification, cutoff: int) -> Ledger:
                             projections.append(proj)
                 iso_basis = rref_span(projections, m, n)
                 domain_dim += iso_basis.dim
-                for vec in iso_basis.rows:
-                    images.append(induct(strat, vec, s, strat.top))
+                data = once(strat, _induction_data, s, strat.top)
+                try:
+                    images.extend(_induction(strat, vec, *data) for vec in iso_basis.rows)
+                except InternalCheckError as exc:
+                    raise _named(exc, s, strat.top) from exc
         rank = rref_span(images, p, n).dim
         t = target[p]
         if t.denominator != 1:
@@ -519,7 +528,7 @@ def _aligned(strat: Stratification, i: int, j: int) -> tuple[Stratum, list[Poly]
     nu = align_representative(strat.strata[i], strat.strata[j].rep, strat.all_supports())
     h = point_stabilizer(once(strat, set_stabilizer_of, i), nu)
     return (with_representative(strat, strat.strata[i], nu),
-            _invariant_test_functions(strat, h))
+            once(strat, _invariant_test_functions, h))
 
 
 def verify_associativity(strat: Stratification) -> Ledger:
@@ -529,12 +538,10 @@ def verify_associativity(strat: Stratification) -> Ledger:
     are used, the strict ones (i < j < k) before the degenerate ones; a
     stratum's index is below that of every stratum above it.
 
-    The aligned stratum and its test functions depend on the pair (i, j)
-    only, and are kept by once (_aligned).  An induction depends only on its
-    polynomial, its source representative and its target, so each is
-    computed once per call, when a chain first needs it: chains sharing
-    (i, j) share the inner inductions, and for j == k the inner induction is
-    the direct one."""
+    once keeps the aligned stratum of each (i, j), the test functions of each
+    subgroup and, through induct, each induction: chains sharing (i, j) share
+    the inner inductions, for j == k the inner one is the direct one, and
+    sources with one (H, W_target, kernel form) share theirs."""
     count = len(strat.strata)
     chains = (
         (i, j, k)
@@ -544,22 +551,14 @@ def verify_associativity(strat: Stratification) -> Ledger:
         for k in range(j, count) if strat.leq(j, k)
         if (i != j and j != k) == strict
     )
-    induced: dict[tuple, Poly] = {}
-
-    def induced_once(f: Poly, mu: Stratum, target: Stratum) -> Poly:
-        key = (frozenset(f.terms.items()), mu.rep, target.index)
-        if key not in induced:
-            induced[key] = induct(strat, f, mu, target)
-        return induced[key]
-
     rows = []
     for chain in itertools.islice(chains, ASSOCIATIVITY_CHAINS):
         i, j, k = chain
         s2, s3 = strat.strata[j], strat.strata[k]
         s1_aligned, funcs = once(strat, _aligned, i, j)
         ok = all(
-            induced_once(f, s1_aligned, s3)
-            == induced_once(induced_once(f, s1_aligned, s2), s2, s3)
+            induct(strat, f, s1_aligned, s3)
+            == induct(strat, induct(strat, f, s1_aligned, s2), s2, s3)
             for f in funcs
         )
         rows.append(AssociativityRow(chain, len(funcs), ok))

@@ -131,6 +131,10 @@ class Poly:
             and self.terms == other.terms
         )
 
+    def __hash__(self) -> int:
+        # agrees with __eq__; nothing changes a Poly's terms once it is built
+        return hash((self.nvars, frozenset(self.terms.items())))
+
     def __repr__(self) -> str:
         if not self.terms:
             return "Poly(0)"

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohint import (
     InputError,
@@ -22,9 +24,10 @@ from cohint import (
 from cohint import integrality as I
 from cohint.documents import document_from_dict
 from cohint import polyalg
-from cohint.polyalg import ExactDivisionError, KernelForm, kernel_sum, monomials_of_degree
+from cohint.polyalg import (
+    ExactDivisionError, KernelForm, coset_sum, kernel_sum, monomials_of_degree)
 from cohint.matrices import identity, rref
-from cohint.weyl import molien_coefficients, point_stabilizer
+from cohint.weyl import coset_representatives, molien_coefficients, point_stabilizer
 
 from conftest import CATALOG_INSTANCES, bps_spaces, build, gl_document
 from reference import (
@@ -61,6 +64,9 @@ ORACLE_DOCUMENTS = {
 GL_DOCUMENTS = {
     f"gl{n}-{kind}": (n, kind, 1, 0) for n in (3, 4) for kind in ("adjoint", "cotangent")
 }
+
+
+NON_INVARIANT_STRAT = enumerate_strata(catalog_emit("gl2-cotangent"))
 
 
 def fresh(key):
@@ -169,6 +175,29 @@ class TestInduct:
         diag = gl2_strat.strata[3]
         with pytest.raises(InputError, match="invariant"):
             I.induct(gl2_strat, x(0), diag, gl2_strat.top)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           st.integers(-3, 3).filter(bool), max_size=4))
+    def test_a_non_invariant_input_raises_on_every_call(self, terms):
+        # the diagonal's stabilizer is the swap group: a polynomial is an
+        # induction input exactly when swapping the variables fixes it.  The
+        # stratification is shared by the examples, so the memo holds the
+        # successes of earlier ones; a failure is never kept.
+        strat, diag = NON_INVARIANT_STRAT, NON_INVARIANT_STRAT.strata[3]
+        good = add(x(0), x(1))
+        first = I.induct(strat, good, diag, strat.top)
+        f = Poly(2, {polyalg.pack(e): c for e, c in terms.items()})
+        swapped = Poly(2, {polyalg.pack(e[::-1]): c for e, c in terms.items()})
+        if f == swapped:
+            assert I.induct(strat, f, diag, strat.top) == kernel_sum(
+                f, I.kernel(strat, diag, strat.top), [identity(2)])
+        else:
+            for _ in range(2):
+                with pytest.raises(InputError, match="invariant under the source stabilizer"):
+                    I.induct(strat, f, diag, strat.top)
+            assert not [k for k in strat.memo if k[0] is I._induction and k[1] == f]
+        assert I.induct(strat, good, diag, strat.top) is first
 
     def test_self_induction_is_identity(self, gl2_strat):
         f = add(x(0), x(1))
@@ -355,7 +384,8 @@ class TestExactScalars:
                      for j in strat.covers[target.index]]
             pairs += [(s, strat.top) for s in strat.orbit_representatives()]
             for mu, target in pairs:
-                sums = I.once(strat, I._induction_data, mu, target)[2]
+                h, w_target, form = I.once(strat, I._induction_data, mu, target)
+                sums = I.once(strat, I._coset_sum, form, h, w_target)
                 assert is_exact(sums.denominator)
                 assert all(is_exact(m) for _, _, m in sums.terms), (mu.index, target.index)
 
@@ -421,7 +451,7 @@ class TestJGraded:
                 for h, q in asked:
                     assert q <= n_levi - reflection_count(h), (s.index, p, q)
                 for j in strat.covers[s.index]:
-                    h, form, _ = I.once(strat, I._induction_data, strat.strata[j], s)
+                    h, _, form = I.once(strat, I._induction_data, strat.strata[j], s)
                     skipped += p - form.degree > n_levi - reflection_count(h)
         assert skipped and basic_degrees
 
@@ -651,11 +681,14 @@ class TestLocatedInternalErrors:
         )):
             I.isotypic_series(strat, space, eps, 2)
 
-    @pytest.mark.parametrize("caller", ["induct", "j_graded"])
+    @pytest.mark.parametrize("caller", ["induct", "j_graded", "verify_isomorphism"])
     def test_kernel_sum_names_source_target_and_form(self, strat, monkeypatch, caller):
         def not_divisible(f, ell):
             raise ExactDivisionError(f"not divisible by linear form {tuple(ell)}")
 
+        if caller == "verify_isomorphism":
+            # the BPS spaces first, so that the ledger's own inductions fail
+            I.verify_isomorphism(strat, 2)
         monkeypatch.setattr(polyalg, "exact_divide", not_divisible)
         with pytest.raises(InternalCheckError, match=(
             r"^induction from stratum 1 into stratum 4: kernel sum is not polynomial: "
@@ -663,8 +696,10 @@ class TestLocatedInternalErrors:
         )):
             if caller == "induct":
                 I.induct(strat, Poly.constant(2, 1), strat.strata[1], strat.top)
-            else:
+            elif caller == "j_graded":
                 I.j_graded(strat, strat.top, 1)
+            else:
+                I.verify_isomorphism(strat, 2)
 
     def test_verify_isomorphism_names_the_degree(self, strat, monkeypatch):
         monkeypatch.setattr(
@@ -764,25 +799,114 @@ class TestMemoTraffic:
         for builder in (I.bps_space, I.epsilon, I.set_stabilizer_of, I._flat_complement_forms):
             assert reads[builder] == len(representatives), builder.__name__
 
+    @pytest.mark.parametrize("key", ("adjoint:gl3", "gl4-adjoint"))
+    def test_only_the_associativity_ledger_keeps_inductions(self, key):
+        # j_graded's generators and the isomorphism ledger's images are
+        # induced and dropped; the associativity ledger keeps at most its
+        # three inductions per test function of each chain
+        strat = fresh(key)
+        assert I.verify_hilbert(strat, 6).passed and I.verify_isomorphism(strat, 6).passed
+        assert not [k for k in strat.memo if k[0] is I._induction]
+        assert I.verify_associativity(strat).passed
+        kept = [k for k in strat.memo if k[0] is I._induction]
+        assert 0 < len(kept) <= 3 * I.TEST_FUNCTIONS * I.ASSOCIATIVITY_CHAINS
+
     def test_j_graded_reads_the_induction_data_once_per_cover(self, monkeypatch):
         # adjoint:gl3's top covers three strata, and degree 2 induces two
-        # generators from each
+        # generators from each.  The lower degrees built every cover's
+        # induction data; at degree 2 the cover loop reads it once per cover,
+        # nothing is built, no induction is kept, and each generator reaches
+        # kernel_sum once, over its cover's CosetSum.
         strat = fresh("adjoint:gl3")
         top, p = strat.top, 2
         for q in range(p):
             I.once(strat, I.j_graded, top, q)
-        sums = []
+        covers = [(strat.strata[j], top) for j in strat.covers[top.index]]
+        sums = [I.once(strat, I._coset_sum, form, h, w)
+                for h, w, form in (I.once(strat, I._induction_data, *c) for c in covers)]
+        before = set(strat.memo)
+        summed = []
         kernel_sum = I.kernel_sum
 
         def recording(f, form, cosets):
-            sums.append(f)
+            summed.append((f, form, cosets))
             return kernel_sum(f, form, cosets)
 
         monkeypatch.setattr(I, "kernel_sum", recording)
         reads = self.counting(monkeypatch)
         I.j_graded(strat, top, p)
-        assert len(sums) == 6
-        assert reads[I._induction_data] == len(strat.covers[top.index]) == 3
+        assert len(summed) == 6
+        assert reads[I._induction_data] == len(covers) == 3
+        assert not [k for k in set(strat.memo) - before
+                    if k[0] in (I._induction_data, I._coset_sum, I._induction)]
+        assert len({(f, form) for f, form, _ in summed}) == 6
+        assert {id(cosets) for *_, cosets in summed} == set(map(id, sums))
+
+
+class TestInductionOracle:
+    """Every induction that j_graded and the three ledgers make, kept by
+    induct or not, against a kernel sum over a CosetSum built afresh from a
+    fresh kernel and subgroups found without the memo; and one CosetSum per
+    distinct (kernel form, H, W_target)."""
+
+    @pytest.mark.parametrize("key", CATALOG_KEYS + ("gl4-adjoint", "gl4-cotangent"))
+    def test_every_induction_matches_a_fresh_kernel_sum(self, key, monkeypatch):
+        strat = fresh(key)
+        induct, induction = I.induct, I._induction
+        coset_sum_, kernel_sum_ = I.coset_sum, I.kernel_sum
+        inducted, computed, built, summed = [], [], [], []
+
+        def inducting(strat_, f, mu, target):
+            inducted.append((f, mu, target, induct(strat_, f, mu, target)))
+            return inducted[-1][-1]
+
+        def inducing(strat_, f, h, w_target, form):
+            computed.append((f, h, w_target, form, induction(strat_, f, h, w_target, form)))
+            return computed[-1][-1]
+
+        def building(form, cosets):
+            built.append(coset_sum_(form, cosets))
+            return built[-1]
+
+        def summing(f, form, cosets):
+            summed.append(cosets)
+            return kernel_sum_(f, form, cosets)
+
+        monkeypatch.setattr(I, "induct", inducting)
+        monkeypatch.setattr(I, "_induction", inducing)
+        monkeypatch.setattr(I, "coset_sum", building)
+        monkeypatch.setattr(I, "kernel_sum", summing)
+        assert I.verify_hilbert(strat, 6).passed
+        assert I.verify_isomorphism(strat, 6).passed
+        assert I.verify_associativity(strat).passed
+        monkeypatch.undo()
+
+        full = full_subgroup(strat.weyl)
+
+        def found(mu, target):
+            w_target = point_stabilizer(full, target.rep)
+            return point_stabilizer(w_target, mu.rep), w_target, I.kernel(strat, mu, target)
+
+        def expected(f, h, w_target, form):
+            return kernel_sum(f, form, coset_sum(form, coset_representatives(h, w_target)))
+
+        data = {k[1:]: v for k, v in strat.memo.items() if k[0] is I._induction_data}
+        for (mu, target), (h, w_target, form) in data.items():
+            fresh_h, fresh_w, fresh_form = found(mu, target)
+            assert (h.members, w_target.members, form) == (
+                fresh_h.members, fresh_w.members, fresh_form), (mu.index, target.index)
+        for f, mu, target, out in inducted:
+            assert out == expected(f, *found(mu, target)), (mu.index, mu.rep, target.index)
+        held = {tuple(map(id, v)) for v in data.values()}
+        triples = set()
+        for f, h, w_target, form, out in computed:
+            assert (id(h), id(w_target), id(form)) in held
+            assert out == expected(f, h, w_target, form)
+            triples.add((form, h.members, w_target.members))
+        # j_graded and the isomorphism ledger make inductions induct does not keep
+        assert inducted and len(computed) > len([k for k in strat.memo if k[0] is inducing])
+        assert len(built) == len(triples)
+        assert {id(c) for c in summed} == set(map(id, built))
 
 
 class TestVerification:
@@ -842,22 +966,28 @@ class TestVerification:
         # stratum's index, so a staged induction through a stratum j > 0
         # differs from the direct one and rows fail after the first function.
         # Either way the ledger matches the loop that makes every induction
-        # of every chain, and no (polynomial, source representative, target)
-        # reaches induct twice.
-        strat = build(key)[1]
-        induct = I.induct
-        seen = []
+        # of every chain, and across the ledger and the loop, on one fresh
+        # stratification, no (polynomial, H, W_target, kernel form) reaches
+        # kernel_sum twice.
+        strat = enumerate_strata(build(key)[0])
+        induct, kernel_sum = I.induct, I.kernel_sum
+        summed = []
 
         def recording(strat_, f, mu, target):
-            seen.append((frozenset(f.terms.items()), mu.rep, target.index))
             out = induct(strat_, f, mu, target)
             return scaled(out, 1 + mu.index) if perturbed and f.degree > 0 else out
 
+        def summing(f, form, cosets):
+            summed.append((f, form, cosets))
+            return kernel_sum(f, form, cosets)
+
         monkeypatch.setattr(I, "induct", recording)
-        expected = associativity_rows(strat)
-        seen.clear()
+        monkeypatch.setattr(I, "kernel_sum", summing)
         rows = I.verify_associativity(strat).rows
-        assert rows == expected
-        assert len(seen) == len(set(seen))
+        assert rows == associativity_rows(strat)
+        triples = {id(v): k[1:] for k, v in strat.memo.items() if k[0] is I._coset_sum}
+        assert len(triples) == len({id(c) for _, _, c in summed})
+        seen = [(f, *triples[id(cosets)]) for f, _, cosets in summed]
+        assert summed and len(seen) == len(set(seen))
         if perturbed and len(strat.strata) > 1:
             assert not all(row.ok for row in rows)

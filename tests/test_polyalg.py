@@ -127,6 +127,19 @@ class TestPolyBasics:
         assert monomials_of_degree(0, 0) == ((),)
         assert monomials_of_degree(0, 2) == ()
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           rationals.filter(bool), max_size=5), st.randoms())
+    def test_equal_polynomials_hash_equal(self, terms, rnd):
+        # an integral coefficient as an int on one side and a Fraction on the
+        # other, and the terms inserted in another order
+        items = list(terms.items())
+        rnd.shuffle(items)
+        mixed = from_exponent_terms(2, {e: int(c) if c.denominator == 1 else c for e, c in items})
+        exact = from_exponent_terms(2, terms)
+        assert mixed == exact and hash(mixed) == hash(exact)
+        assert len({mixed, exact}) == 1 and {exact: 1}[mixed] == 1
+
 
 GL3 = build("adjoint:gl3")[1].weyl
 three_var_polys = st.builds(
